@@ -19,7 +19,6 @@ jumps by pi.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +26,8 @@ import numpy as np
 from .errors import (AnalysisError, AntipodalError, DomainError,
                      TransitionNotFoundError, UnwrapError)
 from .measurement import Strength
-from .protocol import (CONTRAST_FLOOR, _amplitudes_for_thetas,
-                       _bloch_paths_for_thetas)
+from .protocol import CONTRAST_FLOOR, _amplitudes_for_thetas
+from .qutrit import _bloch_batch
 
 DEFAULT_CURVE_NODES = 129
 MAX_CURVE_NODES = 4096
@@ -176,19 +175,21 @@ class PhaseCurve:
         return idx
 
 
+def _defined_steps(chi_wrapped: np.ndarray, defined: np.ndarray):
+    """Indices of the defined nodes and the wrapped phase steps between
+    neighbouring ones."""
+    didx = np.flatnonzero(defined)
+    return didx, wrap_angle(np.diff(chi_wrapped[didx]))
+
+
 def _unwrap_defined(chi_wrapped: np.ndarray, defined: np.ndarray):
     """Cumulative unwrap over defined nodes, anchored to 0 at the first."""
     chi = np.full(chi_wrapped.shape, np.nan)
-    didx = np.flatnonzero(defined)
+    didx, steps = _defined_steps(chi_wrapped, defined)
     if didx.size == 0:
         return chi, False
-    chi[didx[0]] = 0.0
-    max_gap = 0.0
-    for i, j in zip(didx[:-1], didx[1:]):
-        delta = float(wrap_angle(chi_wrapped[j] - chi_wrapped[i]))
-        max_gap = max(max_gap, abs(delta))
-        chi[j] = chi[i] + delta
-    return chi, max_gap < FAIL_DELTA
+    chi[didx] = np.concatenate([[0.0], np.cumsum(steps)])
+    return chi, bool(np.all(np.abs(steps) < FAIL_DELTA))
 
 
 def phase_vs_theta(strength: Strength, grid=None, *, n_meas: int = 6,
@@ -220,18 +221,15 @@ def phase_vs_theta(strength: Strength, grid=None, *, n_meas: int = 6,
 
     chi_w, con = evaluate(thetas)
     while True:
-        defined = con > contrast_floor
-        didx = np.flatnonzero(defined)
-        new_nodes = []
-        for i, j in zip(didx[:-1], didx[1:]):
-            if abs(wrap_angle(chi_w[j] - chi_w[i])) >= REFINE_DELTA:
-                mid = 0.5 * (thetas[i] + thetas[j])
-                if thetas[i] < mid < thetas[j]:
-                    new_nodes.append(mid)
+        didx, steps = _defined_steps(chi_w, con > contrast_floor)
+        left, right = thetas[didx[:-1]], thetas[didx[1:]]
+        mid = 0.5 * (left + right)
+        new_nodes = mid[(np.abs(steps) >= REFINE_DELTA)
+                        & (left < mid) & (mid < right)]
         budget = max_nodes - thetas.size
-        if not new_nodes or budget <= 0:
+        if not new_nodes.size or budget <= 0:
             break
-        new_nodes = np.asarray(new_nodes[:budget])
+        new_nodes = new_nodes[:budget]
         chi_new, con_new = evaluate(new_nodes)
         order = np.argsort(np.concatenate([thetas, new_nodes]), kind="stable")
         thetas = np.concatenate([thetas, new_nodes])[order]
@@ -327,10 +325,10 @@ def trajectory_surface(strength: Strength, theta_grid=None,
         raise DomainError("theta grid must span [0, pi] to close the surface")
     thetas[0], thetas[-1] = 0.0, np.pi
 
-    vertices = _bloch_paths_for_thetas(thetas, strength, n_meas=n_meas,
-                                       reference_weight=reference_weight,
-                                       phi_schedule=phi_schedule)
-    loops = _slerp_loops(vertices, interp_per_segment, thetas)
+    _, pairs = _amplitudes_for_thetas(thetas, strength, n_meas=n_meas,
+                                      reference_weight=reference_weight,
+                                      phi_schedule=phi_schedule, record=True)
+    loops = _slerp_loops(_bloch_batch(pairs), interp_per_segment, thetas)
     a = loops[:-1]
     b = loops[1:]
     c = np.roll(b, -1, axis=1)
@@ -489,24 +487,16 @@ class PhaseMap:
         return int(self.theta_grid.size * self.strength_grid.size)
 
 
-def _sweep_column(args):
-    m, thetas, n_meas, reference_weight = args
-    base = np.unique(np.concatenate([[0.0], thetas]))
-    curve = phase_vs_theta(Strength(m), base, n_meas=n_meas,
-                           reference_weight=reference_weight)
-    idx = curve.at(thetas)
-    return (curve.chi_wrapped[idx], curve.chi[idx], curve.contrast[idx],
-            curve.defined[idx], curve.unwrappable)
-
-
 def sweep_phase_map(theta_grid, strength_grid, *, n_meas: int = 6,
                     reference_weight: float = 0.5,
                     workers: int = 1) -> PhaseMap:
     """Dense (theta, m) evaluation with per-column unwrapping.
 
-    Columns are independent; with ``workers`` > 1 they are distributed over
-    processes and reassembled in grid order, so the result is identical for
-    any worker count.
+    The whole grid, plus the theta = 0 anchor, is one kernel call.  A
+    column whose wrapped phase steps reach REFINE_DELTA is re-evaluated as
+    an adaptively refined phase_vs_theta curve, so every column equals that
+    curve on the grid nodes.  ``workers`` has no effect; it is kept only for
+    callers that still pass it (the benchmark's analytic-map workload).
     """
     thetas = np.unique(np.asarray(theta_grid, dtype=float))
     ms = np.asarray(strength_grid, dtype=float)
@@ -514,26 +504,26 @@ def sweep_phase_map(theta_grid, strength_grid, *, n_meas: int = 6,
         raise DomainError("theta grid outside [0, pi]")
     if np.any(ms < 0.0) or np.any(ms > 1.0):
         raise DomainError("strength grid outside [0, 1]")
-    jobs = [(float(m), thetas, n_meas, reference_weight) for m in ms]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(_sweep_column, jobs, chunksize=4))
-    else:
-        columns = [_sweep_column(job) for job in jobs]
-
-    n_t, n_m = thetas.size, ms.size
-    chi_w = np.empty((n_t, n_m))
-    chi_u = np.empty((n_t, n_m))
-    con = np.empty((n_t, n_m))
-    defined = np.empty((n_t, n_m), dtype=bool)
-    unwrappable = np.empty(n_m, dtype=bool)
-    for j, (cw, cu, cc, cd, ok) in enumerate(columns):
-        chi_w[:, j] = cw
-        chi_u[:, j] = cu
-        con[:, j] = cc
-        defined[:, j] = cd
-        unwrappable[j] = ok
-    return PhaseMap(theta_grid=thetas, strength_grid=ms, chi_wrapped=chi_w,
-                    chi_unwrapped=chi_u, contrast=con, defined=defined,
+    base = np.unique(np.concatenate([[0.0], thetas]))
+    amps = _amplitudes_for_thetas(base[:, None], ms, n_meas=n_meas,
+                                  reference_weight=reference_weight)
+    chi_w, con = np.angle(amps), np.abs(amps)
+    defined = con > CONTRAST_FLOOR
+    chi_u = np.empty_like(chi_w)
+    unwrappable = np.empty(ms.size, dtype=bool)
+    for j, m in enumerate(ms):
+        _, steps = _defined_steps(chi_w[:, j], defined[:, j])
+        if np.any(np.abs(steps) >= REFINE_DELTA):
+            curve = phase_vs_theta(Strength(float(m)), base, n_meas=n_meas,
+                                   reference_weight=reference_weight)
+            chi_u[:, j] = curve.chi[curve.at(base)]
+            unwrappable[j] = curve.unwrappable
+        else:
+            chi_u[:, j], unwrappable[j] = _unwrap_defined(chi_w[:, j],
+                                                          defined[:, j])
+    idx = np.searchsorted(base, thetas)
+    return PhaseMap(theta_grid=thetas, strength_grid=ms,
+                    chi_wrapped=chi_w[idx], chi_unwrapped=chi_u[idx],
+                    contrast=con[idx], defined=defined[idx],
                     column_unwrappable=unwrappable, n_meas=n_meas,
                     reference_weight=reference_weight)

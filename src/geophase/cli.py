@@ -3,16 +3,18 @@
 Commands: phase | sweep | transition | mc | surface | schema.  Every
 command writes a JSON result envelope (and, where applicable, a CSV plus a
 gnuplot script referencing it) into the output directory.  Primary output
-files are byte-identical for identical configs and seeds, independent of
-the worker count (capped by the GEOPHASE_THREADS environment variable);
-wall times therefore go into a separate ``*.timing.json`` sidecar and the
-envelope's ``timing`` field stays null.  Files are written to a temporary
+files are byte-identical for identical configs and seeds.  The
+GEOPHASE_THREADS environment variable caps the worker count of ``mc``, the
+only command with worker processes, and its output does not depend on it.
+Wall times go into a separate ``*.timing.json`` sidecar and the envelope's
+``timing`` field stays null.  Files are written to a temporary
 name and renamed, so no command leaves a partial file behind.
 
 Angles are radians everywhere in files; flags accept degrees with an
 explicit ``deg`` suffix (``--theta 90deg``).  Grids are ``START:STOP:COUNT``
-with inclusive endpoints.  A JSON config file may preset any option; flags
-override file values.
+with inclusive endpoints.  A JSON config file may preset any option the
+command takes; flags override file values.  ``--seed`` belongs to ``mc``
+and ``--format`` to ``sweep``; ``--n-meas`` is capped at MAX_N_MEAS.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .protocol import (CONTRAST_FLOOR, ProtocolSpec, run_protocol_analytic,
 
 SCHEMA_VERSION = 1
 MAX_SWEEP_CELLS = 10 ** 6
+MAX_N_MEAS = 4096
 
 EXIT_OK = 0
 EXIT_GATE_FAILED = 1
@@ -147,11 +150,22 @@ def _resolve_strength(cfg: dict) -> Strength:
         raise CliError(EXIT_CONFIG, str(exc))
 
 
+def _n_meas(cfg: dict) -> int:
+    n = int(cfg["n_meas"])
+    if n < 1:
+        raise CliError(EXIT_CONFIG, f"n_meas={n} must be positive")
+    if n > MAX_N_MEAS:
+        raise CliError(EXIT_OVERSIZE,
+                       f"n_meas={n} exceeds {MAX_N_MEAS} measurements")
+    return n
+
+
 def _protocol_spec(cfg: dict, strength: Strength) -> ProtocolSpec:
     schedule = cfg.get("phi_schedule")
+    n_meas = _n_meas(cfg)
     try:
         return ProtocolSpec(theta=float(cfg["theta"]), strength=strength,
-                            n_meas=int(cfg["n_meas"]),
+                            n_meas=n_meas,
                             phi_schedule=tuple(schedule) if schedule else None,
                             reference_weight=float(cfg["ref_weight"]))
     except DomainError as exc:
@@ -282,11 +296,7 @@ splot "surface.csv" every ::1 using 3:4:5:1 with points pt 7 ps 0.4 palette noti
 # Commands
 
 
-_COMMON_DEFAULTS = {
-    "out": "geophase_out",
-    "format": "json",
-    "seed": 0,
-}
+_COMMON_DEFAULTS = {"out": "geophase_out"}
 
 _PROTOCOL_DEFAULTS = {
     "theta": None,
@@ -342,9 +352,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                        f"grid of {thetas.size * ms.size} cells exceeds {MAX_SWEEP_CELLS}")
     t0 = time.perf_counter()
     try:
-        pm = analysis.sweep_phase_map(thetas, ms, n_meas=int(cfg["n_meas"]),
-                                      reference_weight=float(cfg["ref_weight"]),
-                                      workers=workers_from_env())
+        pm = analysis.sweep_phase_map(thetas, ms, n_meas=_n_meas(cfg),
+                                      reference_weight=float(cfg["ref_weight"]))
     except DomainError as exc:
         raise CliError(EXIT_CONFIG, str(exc))
     wall = time.perf_counter() - t0
@@ -380,7 +389,7 @@ def cmd_transition(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     try:
         report = analysis.find_critical_strength(
-            n_meas=int(cfg["n_meas"]), reference_weight=float(cfg["ref_weight"]),
+            n_meas=_n_meas(cfg), reference_weight=float(cfg["ref_weight"]),
             tol=float(cfg["tol"]))
     except TransitionNotFoundError as exc:
         raise CliError(EXIT_NO_TRANSITION, str(exc))
@@ -464,7 +473,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
     try:
         degree, thetas, loops = analysis.trajectory_surface(
             strength, _grid_values(cfg["grid_theta"]), int(cfg["interp"]),
-            n_meas=int(cfg["n_meas"]), reference_weight=float(cfg["ref_weight"]))
+            n_meas=_n_meas(cfg), reference_weight=float(cfg["ref_weight"]))
     except AntipodalError as exc:
         raise CliError(EXIT_SINGULAR, f"singular surface: {exc}")
     except DomainError as exc:
@@ -510,9 +519,6 @@ def envelope_schema() -> dict:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory (default geophase_out)")
-    p.add_argument("--format", choices=("csv", "json", "both"),
-                   help="payload format selector")
-    p.add_argument("--seed", type=int, help="random seed")
     p.add_argument("--config", help="JSON config file; flags override")
 
 
@@ -552,6 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="strength grid START:STOP:COUNT (default 0:1:64)")
     p.add_argument("--n-meas", dest="n_meas", type=int)
     p.add_argument("--ref-weight", dest="ref_weight", type=float)
+    p.add_argument("--format", choices=("csv", "json", "both"),
+                   help="embed the map in sweep.json too: json or both "
+                        "(default csv)")
     _add_common(p)
     p.set_defaults(handler=cmd_sweep)
 
@@ -567,6 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", help="Monte Carlo versus analytic comparison")
     _add_protocol(p)
     p.add_argument("--samples", type=int, help="trajectory count (default 10000)")
+    p.add_argument("--seed", type=int, help="random seed (default 42)")
     _add_common(p)
     p.set_defaults(handler=cmd_mc)
 

@@ -14,11 +14,14 @@ the phase-carrying amplitude on |e>:
 
 Each null-outcome measurement is the conjugated attenuation
 R^dag diag(m,1,1) R: it damps the component antipodal to the measurement
-axis by m and never touches |g>, so the reference amplitude stays
-sqrt(w) through the whole product and the contrast is bounded by
-2*sqrt(w*(1-w)).  The m = 0 limit is the exact projector onto the
-{axis, g} subspace, which is why a single code path serves both the
-partial and the projective protocol.
+axis by m and never touches |g>.  So a run is a product of 2x2 blocks on
+the {e,f} qubit times the constant reference factor 2*sqrt(w), and the
+contrast is bounded by 2*sqrt(w*(1-w)).  ``_amplitudes_for_thetas`` is the
+one implementation of that product, batched over theta and m; every
+closed-form route goes through it, and ``measure_along`` keeps the
+per-step 3x3 form as a reference.  The m = 0 limit is the exact projector
+onto the {axis, g} subspace, which is why a single code path serves both
+the partial and the projective protocol.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ import numpy as np
 
 from .errors import DomainError
 from .measurement import Strength, kraus_null
-from .qutrit import (E, F, G, BlochVector, MeasurementAxis, Operator3,
-                     QutritState, _bloch_batch, _rotation_matrices, axis_state,
-                     bloch_of, rotation_to_axis)
+from .qutrit import (_EF_FLOOR, E, F, G, BlochVector, MeasurementAxis,
+                     Operator3, QutritState, _bloch_batch, _rotation_matrices,
+                     axis_state, rotation_to_axis)
 
 #: Contrast below which the interference phase is flagged undefined.
 CONTRAST_FLOOR = 1e-9
@@ -171,12 +174,6 @@ def measure_along(state: QutritState, axis: MeasurementAxis,
     return conjugated_null_kraus(axis, s).apply(state)
 
 
-def _closing_amplitude(state: QutritState, spec: ProtocolSpec) -> complex:
-    r_close = rotation_to_axis(spec.closing_axis)
-    return 2.0 * np.sqrt(spec.reference_weight) * complex(
-        (r_close.mat @ state.vec)[E])
-
-
 def run_protocol_analytic(spec: ProtocolSpec) -> tuple[InterferenceResult, PathRecord]:
     """Evaluate one run by the closed-form null-outcome product.
 
@@ -186,22 +183,25 @@ def run_protocol_analytic(spec: ProtocolSpec) -> tuple[InterferenceResult, PathR
     (orthogonal consecutive axes), the trajectory freezes at its last
     defined point and the zero contrast carries the flag.
     """
-    state = initial_state(spec.theta, spec.reference_weight)
-    bloch = bloch_of(state)
+    amps, pairs = _amplitudes_for_thetas(
+        np.array([spec.theta]), spec.strength, spec.n_meas,
+        spec.reference_weight, spec.phi_schedule, record=True)
+    pairs = pairs[0]
+    ef = np.hypot(np.abs(pairs[:, F]), np.abs(pairs[:, E])).tolist()
+    live = [n > _EF_FLOOR for n in ef]
+    points = iter(_bloch_batch(pairs[live]).tolist())
+    bloch = BlochVector(*next(points))
     steps = []
-    for axis in spec.axes:
+    for k, axis in enumerate(spec.axes):
         before = bloch
-        ef_before = state.ef_norm
-        state = measure_along(state, axis, spec.strength)
-        ef_after = state.ef_norm
-        # the conjugated Kraus is a contraction; clip float dust above 1
-        factor = min(ef_after / ef_before, 1.0) if ef_before > 0.0 else 0.0
-        if ef_after > 1e-15:
-            bloch = bloch_of(state)
+        # the null-outcome step is a contraction; clip float dust above 1
+        factor = min(ef[k + 1] / ef[k], 1.0) if ef[k] > 0.0 else 0.0
+        if live[k + 1]:
+            bloch = BlochVector(*next(points))
         steps.append(PathStep(axis=axis, bloch_before=before,
-                              bloch_after=bloch, amplitude_factor=float(factor)))
-    result = InterferenceResult.from_amplitude(
-        _closing_amplitude(state, spec), method="analytic")
+                              bloch_after=bloch, amplitude_factor=factor))
+    result = InterferenceResult.from_amplitude(complex(amps[0]),
+                                               method="analytic")
     return result, PathRecord(tuple(steps))
 
 
@@ -218,63 +218,44 @@ def run_protocol_projective(spec: ProtocolSpec) -> tuple[InterferenceResult, Pat
     return run_protocol_analytic(spec)
 
 
-def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength,
+def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength | np.ndarray,
                            n_meas: int = 6,
                            reference_weight: float = 0.5,
-                           phi_schedule: tuple[float, ...] | None = None) -> np.ndarray:
-    """Closed-form interference amplitudes for a batch of polar angles.
+                           phi_schedule: tuple[float, ...] | None = None, *,
+                           record: bool = False):
+    """The closed-form null-outcome product, batched over theta and m.
 
-    Vectorized over theta at fixed strength/schedule; used by curve and map
-    sweeps.  Matches run_protocol_analytic node for node.
+    ``strength`` is a Strength or an array of m values that broadcasts
+    against ``thetas``: ``thetas[:, None]`` against a row of m evaluates a
+    (theta, m) grid.  Only the {e,f} pair (a_f, a_e) is carried; the
+    rotations keep the shape of ``thetas`` and broadcast over m.  Returns
+    the interference amplitudes.  With ``record`` it returns them together
+    with the pairs of shape grid + (n_meas + 1, 2): the initial pair
+    followed by the pair after every step.
     """
     thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 1:
-        raise DomainError("thetas must be one-dimensional")
     if np.any(thetas < 0.0) or np.any(thetas > np.pi):
         raise DomainError("thetas outside [0, pi]")
+    m = strength.m if isinstance(strength, Strength) else np.asarray(strength)
     schedule = phi_schedule if phi_schedule is not None else default_schedule(n_meas)
     if len(schedule) != n_meas:
         raise DomainError(f"schedule length {len(schedule)} != n_meas {n_meas}")
     w = reference_weight
     half = 0.5 * thetas
-    states = np.zeros((thetas.size, 3), dtype=complex)
-    states[:, F] = np.sqrt(1.0 - w) * np.sin(half)
-    states[:, E] = np.sqrt(1.0 - w) * np.cos(half)
-    states[:, G] = np.sqrt(w)
-    m = strength.m
-    for phi in schedule:
+    pair = np.empty(np.broadcast_shapes(thetas.shape, np.shape(m)) + (2,),
+                    dtype=complex)
+    pair[..., F] = np.sqrt(1.0 - w) * np.sin(half)
+    pair[..., E] = np.sqrt(1.0 - w) * np.cos(half)
+    if record:
+        pairs = np.empty(pair.shape[:-1] + (n_meas + 1, 2), dtype=complex)
+        pairs[..., 0, :] = pair
+    for k, phi in enumerate(schedule, start=1):
         rot = _rotation_matrices(thetas, phi)
-        states = np.einsum("nij,nj->ni", rot, states)
-        states[:, F] *= m
-        states = np.einsum("nji,nj->ni", rot.conj(), states)
-    close = _rotation_matrices(thetas, CLOSING_PHI)
-    return 2.0 * np.sqrt(w) * np.einsum("nj,nj->n", close[:, E, :], states)
-
-
-def _bloch_paths_for_thetas(thetas: np.ndarray, strength: Strength,
-                            n_meas: int = 6,
-                            reference_weight: float = 0.5,
-                            phi_schedule: tuple[float, ...] | None = None) -> np.ndarray:
-    """Batched loop vertices, shape (n_theta, n_meas + 1, 3).
-
-    Row k holds the initial Bloch point followed by the n_meas
-    post-measurement points, as in PathRecord.loop_vertices().
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    schedule = phi_schedule if phi_schedule is not None else default_schedule(n_meas)
-    w = reference_weight
-    half = 0.5 * thetas
-    states = np.zeros((thetas.size, 3), dtype=complex)
-    states[:, F] = np.sqrt(1.0 - w) * np.sin(half)
-    states[:, E] = np.sqrt(1.0 - w) * np.cos(half)
-    states[:, G] = np.sqrt(w)
-    vertices = np.empty((thetas.size, len(schedule) + 1, 3), dtype=float)
-    vertices[:, 0, :] = _bloch_batch(states)
-    m = strength.m
-    for k, phi in enumerate(schedule):
-        rot = _rotation_matrices(thetas, phi)
-        states = np.einsum("nij,nj->ni", rot, states)
-        states[:, F] *= m
-        states = np.einsum("nji,nj->ni", rot.conj(), states)
-        vertices[:, k + 1, :] = _bloch_batch(states)
-    return vertices
+        pair = np.einsum("...ij,...j->...i", rot, pair)
+        pair[..., F] *= m
+        pair = np.einsum("...ji,...j->...i", rot.conj(), pair)
+        if record:
+            pairs[..., k, :] = pair
+    close = _rotation_matrices(thetas, CLOSING_PHI)[..., E, :]
+    amps = 2.0 * np.sqrt(w) * np.einsum("...j,...j->...", close, pair)
+    return (amps, pairs) if record else amps

@@ -210,25 +210,25 @@ def axis_from_bloch(b: BlochVector) -> MeasurementAxis:
 
 
 def _rotation_matrices(thetas: np.ndarray, phi: float) -> np.ndarray:
-    """Batched rotation_to_axis over an array of polar angles at one azimuth.
+    """Batched {e,f} block of rotation_to_axis at one azimuth.
 
-    Returns an array of shape thetas.shape + (3, 3) with the same entries
-    as ``rotation_to_axis(MeasurementAxis(theta, phi)).mat``.
+    Returns an array of shape thetas.shape + (2, 2), indexed by (F, E), with
+    the same entries as the {e,f} block of
+    ``rotation_to_axis(MeasurementAxis(theta, phi)).mat``.
     """
     thetas = np.asarray(thetas, dtype=float)
     c, s = np.cos(0.5 * thetas), np.sin(0.5 * thetas)
     ep = np.exp(-1j * phi)
-    mats = np.zeros(thetas.shape + (3, 3), dtype=complex)
+    mats = np.empty(thetas.shape + (2, 2), dtype=complex)
     mats[..., F, F] = c * ep
     mats[..., F, E] = -s
     mats[..., E, F] = s * ep
     mats[..., E, E] = c
-    mats[..., G, G] = 1.0
     return mats
 
 
 def _bloch_batch(vecs: np.ndarray) -> np.ndarray:
-    """Bloch vectors (..., 3 real) of an array of state vectors (..., 3 complex)."""
+    """Bloch vectors (..., 3 real) of an array of {e,f} pairs (..., 2 complex)."""
     ef = np.hypot(np.abs(vecs[..., F]), np.abs(vecs[..., E]))
     if np.any(ef < _EF_FLOOR):
         raise DomainError("Bloch vector undefined: zero {e,f} component")

@@ -101,6 +101,15 @@ class TestPhaseCommand:
         assert run_cli(["phase", "--config", str(cfg),
                         "--out", str(tmp_path)]) == 2
 
+    def test_seed_rejected(self, tmp_path):
+        # only mc draws random numbers
+        assert run_cli(["phase", "--theta", "1", "--m", "0.5", "--seed", "3",
+                        "--out", str(tmp_path)]) == 2
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"theta": 1.0, "m": 0.5, "seed": 3}))
+        assert run_cli(["phase", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 2
+
     def test_persisted_config_reproduces_bytes(self, tmp_path):
         out = tmp_path / "o"
         assert run_cli(["phase", "--theta", "1.1", "--gamma-tau", "0.8",
@@ -168,6 +177,11 @@ class TestSweepCommand:
 
 
 class TestTransitionCommand:
+    def test_format_rejected(self, tmp_path):
+        # only sweep has a map to embed
+        assert run_cli(["transition", "--format", "csv",
+                        "--out", str(tmp_path)]) == 2
+
     def test_report_and_gate(self, tmp_path, capsys):
         code = run_cli(["transition", "--assert-jump", "pi",
                         "--out", str(tmp_path)])
@@ -244,6 +258,30 @@ class TestSurfaceCommand:
                                  theta=1.57, segment=3)
         monkeypatch.setattr(cli.analysis, "trajectory_surface", boom)
         assert run_cli(["surface", "--m", "0.5", "--out", str(tmp_path)]) == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase", "--theta", "1", "--m", "0.5"],
+    ["sweep"],
+    ["transition"],
+    ["mc", "--theta", "1", "--m", "0.5"],
+    ["surface", "--m", "0.5"],
+])
+def test_oversize_n_meas_exit_3(tmp_path, argv):
+    assert run_cli(argv + ["--n-meas", "100000000",
+                           "--out", str(tmp_path)]) == 3
+    assert not any(tmp_path.iterdir())
+
+
+def test_n_meas_bound_is_inclusive(tmp_path):
+    base = ["phase", "--theta", "1", "--m", "0.5", "--out", str(tmp_path)]
+    assert run_cli(base + ["--n-meas", str(cli.MAX_N_MEAS)]) == 0
+    assert run_cli(base + ["--n-meas", str(cli.MAX_N_MEAS + 1)]) == 3
+
+
+@pytest.mark.parametrize("command", [["sweep"], ["surface", "--m", "0.5"]])
+def test_zero_n_meas_is_config_error(tmp_path, command):
+    assert run_cli(command + ["--n-meas", "0", "--out", str(tmp_path)]) == 2
 
 
 class TestSchemaCommand:

@@ -1,0 +1,53 @@
+"""Property tests of the closed-form kernel over drawn parameters."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from geophase.measurement import Strength
+from geophase.protocol import _amplitudes_for_thetas
+
+# derandomized and small, so that the suite stays deterministic and quick
+PROPERTY = settings(derandomize=True, max_examples=25, deadline=None,
+                    database=None)
+
+thetas = st.floats(0.0, np.pi)
+strengths = st.floats(0.0, 1.0)
+weights = st.floats(0.01, 0.99)
+lengths = st.integers(1, 24)
+
+
+def circ_diff(a, b):
+    return np.abs(np.angle(np.exp(1j * (a - b))))
+
+
+@PROPERTY
+@given(theta=thetas, m=strengths, w=weights, n=lengths)
+def test_contrast_bounded_by_reference(theta, m, w, n):
+    amp = _amplitudes_for_thetas(np.array([theta]), Strength(m), n, w)[0]
+    assert abs(amp) <= 2 * np.sqrt(w * (1 - w)) + 1e-12
+
+
+@PROPERTY
+@given(theta=thetas, ms=st.lists(strengths, min_size=1, max_size=8),
+       n=lengths)
+def test_equator_mirror(theta, ms, n):
+    nodes = np.array([theta, np.pi - theta, 0.5 * np.pi])
+    a, b, eq = _amplitudes_for_thetas(nodes[:, None], np.array(ms), n)
+    assert np.max(np.abs(np.abs(a) - np.abs(b))) < 1e-12
+    # the phase mirror is about the equatorial phase, defined off m*
+    ok = np.abs(eq) > 1e-6
+    assert np.all(circ_diff(np.angle(a) + np.angle(b),
+                            2 * np.angle(eq))[ok] < 1e-9)
+
+
+@PROPERTY
+@given(theta=thetas, m=strengths, n=lengths,
+       ws=st.lists(weights, min_size=1, max_size=6))
+def test_reference_weight_is_a_scale_factor(theta, m, n, ws):
+    def scaled(w):
+        amp = _amplitudes_for_thetas(np.array([theta]), Strength(m), n, w)[0]
+        return amp / (2 * np.sqrt(w * (1 - w)))
+
+    base = scaled(0.5)
+    for w in ws:
+        assert abs(scaled(w) - base) < 1e-12

@@ -8,11 +8,21 @@ from geophase.protocol import (CONTRAST_FLOOR, ProtocolSpec,
                                run_protocol_analytic, run_protocol_projective,
                                _amplitudes_for_thetas)
 from geophase.qutrit import (E, MeasurementAxis, Operator3, QutritState,
-                             axis_state, rotation_to_axis)
+                             axis_state, bloch_of, rotation_to_axis)
 
 
 def amplitude(result):
     return result.contrast * np.exp(1j * result.phase)
+
+
+def per_step_amplitude(spec):
+    """The interference amplitude as a product of per-step 3x3 operators."""
+    state = initial_state(spec.theta, spec.reference_weight)
+    for ax in spec.axes:
+        state = measure_along(state, ax, spec.strength)
+    close = rotation_to_axis(spec.closing_axis)
+    return (2 * np.sqrt(spec.reference_weight)
+            * (close.mat @ state.vec)[E])
 
 
 def circ_diff(a, b):
@@ -171,15 +181,61 @@ class TestAnalyticProtocol:
         assert c_projective > c_dip + 0.01
 
     def test_batch_matches_single_runs(self):
-        thetas = np.linspace(0.0, np.pi, 17)
-        amps = _amplitudes_for_thetas(thetas, Strength(0.6))
-        for th, a in zip(thetas, amps):
-            res, _ = run_protocol_analytic(
-                ProtocolSpec(theta=float(th), strength=Strength(0.6)))
-            assert abs(a - amplitude(res)) < 1e-13
+        # the kernel against the per-step 3x3 product it replaces
+        rng = np.random.default_rng(31)
+        cases = [(6, 0.5, None), (3, 0.37, None), (24, 0.8, None),
+                 (5, 0.6, tuple(rng.uniform(-7.0, 7.0, 5)))]
+        thetas = np.linspace(0.0, np.pi, 9)
+        for n, w, schedule in cases:
+            for m in [0.0, 0.3, 0.6, 1.0]:
+                amps = _amplitudes_for_thetas(thetas, Strength(m), n, w,
+                                              schedule)
+                for th, a in zip(thetas, amps):
+                    spec = ProtocolSpec(theta=float(th), strength=Strength(m),
+                                        n_meas=n, phi_schedule=schedule,
+                                        reference_weight=w)
+                    ref = per_step_amplitude(spec)
+                    assert abs(a - ref) < 1e-13
+                    res, _ = run_protocol_analytic(spec)
+                    assert abs(amplitude(res) - ref) < 1e-13
+
+    def test_grid_call_equals_column_calls(self):
+        thetas = np.linspace(0.0, np.pi, 33)
+        ms = np.array([0.0, 0.2, 0.4725, 0.8, 1.0])
+        amps, pairs = _amplitudes_for_thetas(thetas[:, None], ms, 7, 0.3,
+                                             record=True)
+        assert amps.shape == (33, 5) and pairs.shape == (33, 5, 8, 2)
+        for j, m in enumerate(ms):
+            col, col_pairs = _amplitudes_for_thetas(thetas, Strength(m), 7,
+                                                    0.3, record=True)
+            assert amps[:, j].tobytes() == col.tobytes()
+            assert pairs[:, j].tobytes() == col_pairs.tobytes()
 
 
 class TestPathRecord:
+    def test_matches_per_step_product(self):
+        for theta, m, n in [(0.7, 0.3, 6), (2.1, 0.55, 5), (1.2, 0.0, 4)]:
+            spec = ProtocolSpec(theta=theta, strength=Strength(m), n_meas=n)
+            _, rec = run_protocol_analytic(spec)
+            state = initial_state(theta, spec.reference_weight)
+            for step, ax in zip(rec.steps, spec.axes):
+                before = state
+                state = measure_along(state, ax, spec.strength)
+                assert np.max(np.abs(step.bloch_before.as_array()
+                                     - bloch_of(before).as_array())) < 1e-13
+                assert np.max(np.abs(step.bloch_after.as_array()
+                                     - bloch_of(state).as_array())) < 1e-13
+                assert abs(step.amplitude_factor
+                           - state.ef_norm / before.ef_norm) < 1e-13
+
+    def test_annihilated_path_freezes(self):
+        spec = ProtocolSpec(theta=np.pi / 2, strength=Strength(0.0), n_meas=3,
+                            phi_schedule=(-np.pi, -1.5 * np.pi, -2 * np.pi))
+        _, rec = run_protocol_analytic(spec)
+        start = rec.steps[0].bloch_before
+        assert [s.bloch_after for s in rec.steps] == [start] * 3
+        assert rec.steps[0].amplitude_factor < 1e-15
+
     def test_shape_and_factors(self):
         spec = ProtocolSpec(theta=np.pi / 2, strength=Strength(0.0))
         _, rec = run_protocol_analytic(spec)
