@@ -14,7 +14,8 @@ Angles are radians everywhere in files; flags accept degrees with an
 explicit ``deg`` suffix (``--theta 90deg``).  Grids are ``START:STOP:COUNT``
 with inclusive endpoints.  A JSON config file may preset any option the
 command takes; flags override file values.  ``--seed`` belongs to ``mc``
-and ``--format`` to ``sweep``; ``--n-meas`` is capped at MAX_N_MEAS.
+and ``--format`` to ``sweep``; ``--n-meas`` is capped at MAX_N_MEAS and
+``mc --samples`` at MAX_MC_SAMPLES.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .protocol import (CONTRAST_FLOOR, ProtocolSpec, run_protocol_analytic,
 SCHEMA_VERSION = 1
 MAX_SWEEP_CELLS = 10 ** 6
 MAX_N_MEAS = 4096
+MAX_MC_SAMPLES = 10 ** 8
 
 EXIT_OK = 0
 EXIT_GATE_FAILED = 1
@@ -431,6 +433,9 @@ def cmd_mc(args: argparse.Namespace) -> int:
     if n < trajectories.MIN_SAMPLES:
         raise CliError(EXIT_INSUFFICIENT,
                        f"{n} samples below the minimum {trajectories.MIN_SAMPLES}")
+    if n > MAX_MC_SAMPLES:
+        raise CliError(EXIT_OVERSIZE,
+                       f"{n} samples exceed the maximum {MAX_MC_SAMPLES}")
     t0 = time.perf_counter()
     run = run_protocol_projective if strength.is_projective else run_protocol_analytic
     reference, _ = run(spec)

@@ -209,11 +209,12 @@ def axis_from_bloch(b: BlochVector) -> MeasurementAxis:
     return MeasurementAxis(theta, phi)
 
 
-def _rotation_matrices(thetas: np.ndarray, phi: float) -> np.ndarray:
-    """Batched {e,f} block of rotation_to_axis at one azimuth.
+def _rotation_matrices(thetas: np.ndarray, phi) -> np.ndarray:
+    """Batched {e,f} block of rotation_to_axis.
 
-    Returns an array of shape thetas.shape + (2, 2), indexed by (F, E), with
-    the same entries as the {e,f} block of
+    ``phi`` is one azimuth or an array of the shape of ``thetas``.  Returns
+    an array of shape thetas.shape + (2, 2), indexed by (F, E), with the
+    same entries as the {e,f} block of
     ``rotation_to_axis(MeasurementAxis(theta, phi)).mat``.
     """
     thetas = np.asarray(thetas, dtype=float)

@@ -12,13 +12,24 @@ estimates the ensemble interference integral without selecting any
 trajectory; postselection-free averaging is what makes the comparison
 against the analytic product meaningful.
 
+The state is the {e,f} pair (a_f, a_e) and a real reference amplitude
+a_g: every readout Kraus operator is diagonal with real entries, so g only
+picks up a real factor.  The pair is carried in the frame of the current
+measurement, where the monitored level is its first component, and the
+rotation back from one measurement axis and onto the next is a single
+precomputed 2x2 product R_{k+1} R_k^dag per step; the last R_N^dag is
+folded into the closing row.  Each step normalizes over all three
+components, so the accumulated squared norms are the outcome density.
+
 Randomness is counter-based: sample ``i`` of a run with seed ``s`` reads
 its uniforms from the dedicated Philox substream ``key=s, counter=i<<64``,
 one uniform per measurement, mapped through the component-wise inverse CDF
 of the readout mixture.  A trajectory is therefore a pure function of
-``(seed, sample_id, spec)``: results are bit-identical for any worker
-count, block partition, or evaluation order, and the reduction runs over
-the per-sample terms in sample order.
+``(seed, sample_id, spec)``.  Samples run in blocks of BLOCK_SIZE; each
+block is reduced to its count, mean and squared deviations where it is
+sampled, and the blocks are merged in block order, so results are
+bit-identical for any worker count or evaluation order and memory does not
+grow with the sample count.
 """
 
 from __future__ import annotations
@@ -27,13 +38,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DomainError
 from .measurement import cloud_separation, gauss_amplitudes
-from .protocol import (CONTRAST_FLOOR, InterferenceResult, ProtocolSpec,
-                       initial_state, rotation_to_axis)
-from .qutrit import E, F, G, QutritState
+from .protocol import (CLOSING_PHI, CONTRAST_FLOOR, InterferenceResult,
+                       ProtocolSpec, initial_state)
+from .qutrit import E, F, G, QutritState, _rotation_matrices
 
 #: Samples per reduction block; fixed so that the block layout (and thus the
 #: bit pattern of the result) never depends on the worker count.
@@ -89,10 +99,8 @@ def _substream(seed: int, sample_id: int) -> np.random.Generator:
 # (key, counter), so evaluating it with array arithmetic over all sample ids
 # reproduces each substream bit for bit (asserted in the test suite) at a
 # fraction of the cost.  numpy's bit generator pre-increments the counter
-# before producing a block, hence the b + 1 below.
+# before producing a block, hence the block counters start at 1.
 
-_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
-_PHILOX_M1 = np.uint64(0xCA5A826395121157)
 _PHILOX_W0 = 0x9E3779B97F4A7C15
 _PHILOX_W1 = 0xBB67AE8584CAA73B
 _MASK32 = np.uint64(0xFFFFFFFF)
@@ -100,6 +108,15 @@ _MASK64 = (1 << 64) - 1
 _SH32 = np.uint64(32)
 _SH11 = np.uint64(11)
 _INV53 = 1.0 / 9007199254740992.0
+#: The round multipliers of the lanes (x0, x2), as a column against the
+#: lanes' rows, with their low and high 32-bit halves.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]],
+                     dtype=np.uint64)
+_PHILOX_M_LO = _PHILOX_M & _MASK32
+_PHILOX_M_HI = _PHILOX_M >> _SH32
+#: Philox blocks (4 words each) evaluated in one pass; more would leave the
+#: temporaries outside the cache.
+_PHILOX_GROUP = 2
 
 
 def _philox_round_keys(seed: int):
@@ -109,42 +126,66 @@ def _philox_round_keys(seed: int):
         if r > 0:
             k0 = (k0 + _PHILOX_W0) & _MASK64
             k1 = (k1 + _PHILOX_W1) & _MASK64
-        keys.append((np.uint64(k0), np.uint64(k1)))
+        keys.append(np.array([[k0], [k1]], dtype=np.uint64))
     return keys
 
 
-def _mulhilo64(a: np.uint64, b: np.ndarray):
-    a0, a1 = a & _MASK32, a >> _SH32
-    b0, b1 = b & _MASK32, b >> _SH32
-    low = a0 * b0
-    c1 = a1 * b0
-    c2 = a0 * b1
-    t = (low >> _SH32) + (c1 & _MASK32) + (c2 & _MASK32)
-    lo = (low & _MASK32) | ((t & _MASK32) << _SH32)
-    hi = a1 * b1 + (c1 >> _SH32) + (c2 >> _SH32) + (t >> _SH32)
-    return hi, lo
+def _mulhilo64(b: np.ndarray):
+    """High and low words of the 128-bit products _PHILOX_M * b, row by row.
+
+    The low word is the wrapped uint64 product.  The high word sums the
+    32-bit partial products; each cross sum stays below 2**64, so no carry
+    is lost.  Callers silence the uint64 overflow warning.
+    """
+    b0 = b & _MASK32
+    b1 = b >> _SH32
+    t = _PHILOX_M_LO * b0
+    t >>= _SH32
+    cross = _PHILOX_M_LO * b1
+    cross += t
+    np.bitwise_and(cross, _MASK32, out=t)
+    t += np.multiply(_PHILOX_M_HI, b0, out=b0)
+    hi = _PHILOX_M_HI * b1
+    cross >>= _SH32
+    hi += cross
+    t >>= _SH32
+    hi += t
+    return hi, _PHILOX_M * b
 
 
 def _philox_uniforms(seed: int, ids: np.ndarray, n_draws: int) -> np.ndarray:
-    """uniforms[i, j]: the j-th double of the substream of sample ids[i]."""
+    """uniforms[i, j]: the j-th double of the substream of sample ids[i].
+
+    The lanes x0 and x2 go through the multiplications and x1 and x3
+    through the xors, so each round evaluates both multipliers in one set
+    of array operations.  The result is a transposed view: the uniforms of
+    one draw (a column) are contiguous.
+    """
     ids = np.asarray(ids, dtype=np.uint64)
+    n = ids.size
     keys = _philox_round_keys(seed)
     n_blocks = -(-n_draws // 4)
-    words = np.empty((ids.size, 4 * n_blocks), dtype=np.uint64)
-    for b in range(n_blocks):
-        x0 = np.full(ids.size, b + 1, dtype=np.uint64)
-        x1 = ids.copy()
-        x2 = np.zeros(ids.size, dtype=np.uint64)
-        x3 = np.zeros(ids.size, dtype=np.uint64)
-        for k0, k1 in keys:
-            hi0, lo0 = _mulhilo64(_PHILOX_M0, x0)
-            hi1, lo1 = _mulhilo64(_PHILOX_M1, x2)
-            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-        words[:, 4 * b] = x0
-        words[:, 4 * b + 1] = x1
-        words[:, 4 * b + 2] = x2
-        words[:, 4 * b + 3] = x3
-    return (words[:, :n_draws] >> _SH11) * _INV53
+    words = np.empty((n_blocks, 4, n), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for first in range(0, n_blocks, _PHILOX_GROUP):
+            out = words[first:first + _PHILOX_GROUP]
+            counters = np.arange(first + 1, first + len(out) + 1,
+                                 dtype=np.uint64)
+            mul = np.zeros((2, len(out), n), dtype=np.uint64)
+            mul[0] = counters[:, None]
+            xor = np.zeros_like(mul)
+            xor[0] = ids
+            mul, xor = mul.reshape(2, -1), xor.reshape(2, -1)
+            for key in keys:
+                hi, lo = _mulhilo64(mul)
+                # (x0, x1, x2, x3) <- (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0)
+                mul = hi[::-1]
+                mul ^= xor
+                mul ^= key
+                xor = lo[::-1]
+            out[:, 0::2] = mul.reshape(2, len(out), n).swapaxes(0, 1)
+            out[:, 1::2] = xor.reshape(2, len(out), n).swapaxes(0, 1)
+    return ((words.reshape(4 * n_blocks, n)[:n_draws] >> _SH11) * _INV53).T
 
 
 def _mixture_readouts(u: np.ndarray, p_f: np.ndarray, r0: float) -> np.ndarray:
@@ -154,6 +195,8 @@ def _mixture_readouts(u: np.ndarray, p_f: np.ndarray, r0: float) -> np.ndarray:
     through that cloud's Gaussian quantile, which samples the exact mixture
     with a single draw.
     """
+    from scipy.special import ndtri
+
     null_w = 1.0 - p_f
     click = u >= null_w
     scale = np.where(click, np.maximum(p_f, 1e-300),
@@ -163,55 +206,97 @@ def _mixture_readouts(u: np.ndarray, p_f: np.ndarray, r0: float) -> np.ndarray:
     return ndtri(v) + np.where(click, r0, 0.0)
 
 
-def _block_terms(spec: ProtocolSpec, seed: int, start: int, stop: int):
-    """Interference terms (and the trailing state/weights) for samples
-    [start, stop).  Pure function of its arguments."""
-    n = stop - start
-    n_meas = spec.n_meas
+@dataclass(frozen=True)
+class _Kernel:
+    """The per-spec constants of the sampler, built once per call.
+
+    The {e,f} pair is carried in the frame of the current measurement, in
+    which the monitored level is its first component.  ``pair`` is the
+    initial pair rotated by R_1, ``steps[k-1] = R_{k+1} R_k^dag`` carries
+    it from the frame of measurement k to that of k + 1, ``close`` is the
+    e row of ``R_close R_N^dag`` and ``back = R_N^dag`` returns a final
+    pair to the lab frame.  ``g`` is the real initial reference amplitude.
+    """
+
+    spec: ProtocolSpec
+    pair: np.ndarray
+    g: float
+    steps: np.ndarray
+    close: np.ndarray
+    back: np.ndarray
+
+
+def _kernel(spec: ProtocolSpec) -> _Kernel:
+    rots = _rotation_matrices(np.full(spec.n_meas, spec.theta),
+                              np.asarray(spec.phi_schedule))
+    dags = rots.conj().swapaxes(-1, -2)
+    vec = initial_state(spec.theta, spec.reference_weight).vec
+    close = _rotation_matrices(spec.theta, CLOSING_PHI) @ dags[-1]
+    return _Kernel(spec=spec, pair=rots[0] @ vec[:G], g=float(vec[G].real),
+                   steps=rots[1:] @ dags[:-1], close=close[E], back=dags[-1])
+
+
+def _block_terms(kernel: _Kernel, seed: int, start: int, stop: int):
+    """Interference terms of samples [start, stop), with their final pairs
+    (rows a_f, a_e, in the frame of the last measurement), reference
+    amplitudes, weights and readouts.  Pure function of its arguments.
+
+    The 2x2 products are written out elementwise: a BLAS call on blocks
+    this thin starts threads that compete with the worker processes.
+    """
+    spec = kernel.spec
+    n, n_meas = stop - start, spec.n_meas
     uniforms = _philox_uniforms(seed, np.arange(start, stop), n_meas)
 
-    states = np.tile(initial_state(spec.theta, spec.reference_weight).vec,
-                     (n, 1))
+    a_f = np.full(n, kernel.pair[F])
+    a_e = np.full(n, kernel.pair[E])
+    g = np.full(n, kernel.g)
     weights = np.ones(n)
-    readouts = np.empty((n, n_meas))
+    readouts = np.empty((n_meas, n))
     projective = spec.strength.is_projective
     r0 = 0.0 if projective else cloud_separation(spec.strength)
 
-    for k, axis in enumerate(spec.axes):
-        rot = rotation_to_axis(axis).mat
-        states = states @ rot.T
-        p_f = np.clip(np.abs(states[:, F]) ** 2, 0.0, 1.0)
+    for k in range(n_meas):
+        if k:
+            (s_ff, s_fe), (s_ef, s_ee) = kernel.steps[k - 1]
+            a_f, a_e = s_ff * a_f + s_fe * a_e, s_ef * a_f + s_ee * a_e
+        p_f = np.clip(a_f.real ** 2 + a_f.imag ** 2, 0.0, 1.0)
         u = uniforms[:, k]
         if projective:
             click = u >= 1.0 - p_f
-            readouts[:, k] = click
-            states[:, F] *= click
-            states[:, E] *= ~click
-            states[:, G] *= ~click
+            readouts[k] = click
+            a_f *= click
+            a_e *= ~click
+            g *= ~click
         else:
             r = _mixture_readouts(u, p_f, r0)
-            readouts[:, k] = r
+            readouts[k] = r
             psit, psi = gauss_amplitudes(spec.strength, r)
-            states[:, F] *= psit
-            states[:, E] *= psi
-            states[:, G] *= psi
-        norm_sq = np.sum(np.abs(states) ** 2, axis=1)
+            a_f *= psit
+            a_e *= psi
+            g *= psi
+        norm_sq = (a_f.real ** 2 + a_f.imag ** 2
+                   + (a_e.real ** 2 + a_e.imag ** 2) + g * g)
         weights *= norm_sq
-        states /= np.sqrt(norm_sq)[:, None]
-        states = states @ rot.conj()
+        inv_norm = 1.0 / np.sqrt(norm_sq)
+        a_f *= inv_norm
+        a_e *= inv_norm
+        g *= inv_norm
 
-    close = rotation_to_axis(spec.closing_axis).mat
-    terms = 2.0 * np.conj(states[:, G]) * (states @ close.T)[:, E]
-    return terms, states, weights, readouts
+    c_f, c_e = kernel.close
+    terms = 2.0 * g * (c_f * a_f + c_e * a_e)
+    return terms, np.stack([a_f, a_e]), g, weights, readouts.T
 
 
 def sample_trajectory(spec: ProtocolSpec, sample_id: int,
                       seed: int) -> TrajectorySample:
     """Simulate the single trajectory addressed by (seed, sample_id)."""
-    terms, states, weights, readouts = _block_terms(
-        spec, seed, sample_id, sample_id + 1)
+    kernel = _kernel(spec)
+    terms, pair, g, weights, readouts = _block_terms(
+        kernel, seed, sample_id, sample_id + 1)
+    final = np.append(kernel.back @ pair[:, 0], g[0])
     return TrajectorySample(readouts=readouts[0],
-                            final_state=QutritState(states[0], normalized=True),
+                            final_state=QutritState(final, normalized=True),
                             probability_weight=float(weights[0]),
                             interference_term=complex(terms[0]))
 
@@ -262,9 +347,38 @@ def _blocks(n_samples: int):
             for s in range(0, n_samples, BLOCK_SIZE)]
 
 
-def _block_worker(args):
-    spec, seed, start, stop = args
-    return _block_terms(spec, seed, start, stop)[0]
+def _terms(kernel: _Kernel, seed: int, start: int, stop: int) -> np.ndarray:
+    return _block_terms(kernel, seed, start, stop)[0]
+
+
+def _moments(kernel: _Kernel, seed: int, start: int, stop: int):
+    """(count, mean, M2_re, M2_im) of one block's terms; M2 is the sum of
+    squared deviations of a component from the block mean."""
+    terms = _terms(kernel, seed, start, stop)
+    mean = complex(np.mean(terms))
+    dev = terms - mean
+    return (terms.size, mean, float(np.sum(dev.real ** 2)),
+            float(np.sum(dev.imag ** 2)))
+
+
+def _merge_moments(parts):
+    """Merge per-block moments in block order (Chan, Golub and LeVeque's
+    pairwise update), so the result never depends on the worker count."""
+    n, mean, m2_re, m2_im = parts[0]
+    for n_b, mean_b, m2_re_b, m2_im_b in parts[1:]:
+        total = n + n_b
+        delta = mean_b - mean
+        mean += delta * (n_b / total)
+        weight = n * n_b / total
+        m2_re += m2_re_b + delta.real ** 2 * weight
+        m2_im += m2_im_b + delta.imag ** 2 * weight
+        n = total
+    return n, mean, m2_re, m2_im
+
+
+def _block_worker(job):
+    fn, kernel, seed, start, stop = job
+    return fn(kernel, seed, start, stop)
 
 
 # Worker pools are reused across calls: fork startup costs more than a
@@ -281,15 +395,19 @@ def _pool(workers: int) -> ProcessPoolExecutor:
     return pool
 
 
+def _map_blocks(fn, spec: ProtocolSpec, cfg: McConfig, workers: int) -> list:
+    """fn(kernel, seed, start, stop) for every block, in block order."""
+    kernel = _kernel(spec)
+    jobs = [(fn, kernel, cfg.seed, a, b) for a, b in _blocks(cfg.n_samples)]
+    if workers > 1 and len(jobs) > 1:
+        return list(_pool(workers).map(_block_worker, jobs))
+    return [_block_worker(job) for job in jobs]
+
+
 def interference_terms(spec: ProtocolSpec, cfg: McConfig,
                        workers: int = 1) -> np.ndarray:
     """Per-sample interference terms in sample order."""
-    jobs = [(spec, cfg.seed, a, b) for a, b in _blocks(cfg.n_samples)]
-    if workers > 1 and len(jobs) > 1:
-        parts = list(_pool(workers).map(_block_worker, jobs))
-    else:
-        parts = [_block_worker(job) for job in jobs]
-    return np.concatenate(parts)
+    return np.concatenate(_map_blocks(_terms, spec, cfg, workers))
 
 
 def mc_interference(spec: ProtocolSpec, cfg: McConfig,
@@ -297,14 +415,15 @@ def mc_interference(spec: ProtocolSpec, cfg: McConfig,
     """Estimate the ensemble interference c*exp(i*chi) by Born sampling.
 
     Every sampled trajectory enters the mean; nothing is discarded.  The
-    componentwise standard errors are the usual sqrt(var/n).
+    componentwise standard errors are the usual sqrt(var/n).  Each block
+    is reduced to its moments where it is sampled, so memory stays
+    O(BLOCK_SIZE) whatever the sample count.
     """
-    terms = interference_terms(spec, cfg, workers=workers)
-    n = terms.size
-    mean = complex(np.mean(terms))
+    n, mean, m2_re, m2_im = _merge_moments(
+        _map_blocks(_moments, spec, cfg, workers))
     if n > 1:
-        stderr_re = float(np.std(terms.real, ddof=1) / np.sqrt(n))
-        stderr_im = float(np.std(terms.imag, ddof=1) / np.sqrt(n))
+        stderr_re = float(np.sqrt(m2_re / (n - 1)) / np.sqrt(n))
+        stderr_im = float(np.sqrt(m2_im / (n - 1)) / np.sqrt(n))
     else:
         stderr_re = stderr_im = np.inf
     return McEstimate(mean=mean, stderr_re=stderr_re, stderr_im=stderr_im,
@@ -364,9 +483,7 @@ def readout_histogram(spec: ProtocolSpec, cfg: McConfig,
 
     if spec.strength.is_projective:
         raise DomainError("readout histogram needs the Gaussian model (m > 0)")
-    rot = rotation_to_axis(spec.axes[0]).mat
-    rotated = rot @ initial_state(spec.theta, spec.reference_weight).vec
-    p_f = float(np.clip(abs(rotated[F]) ** 2, 0.0, 1.0))
+    p_f = float(np.clip(abs(_kernel(spec).pair[F]) ** 2, 0.0, 1.0))
     r0 = cloud_separation(spec.strength)
 
     u = _philox_uniforms(cfg.seed, np.arange(cfg.n_samples), 1)[:, 0]

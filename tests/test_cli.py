@@ -1,12 +1,19 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import geophase
 from geophase import cli
 from geophase.errors import AntipodalError
+from geophase.protocol import run_protocol_analytic
+from geophase.trajectories import McEstimate
 
 
 def run_cli(argv):
@@ -277,6 +284,43 @@ def test_n_meas_bound_is_inclusive(tmp_path):
     base = ["phase", "--theta", "1", "--m", "0.5", "--out", str(tmp_path)]
     assert run_cli(base + ["--n-meas", str(cli.MAX_N_MEAS)]) == 0
     assert run_cli(base + ["--n-meas", str(cli.MAX_N_MEAS + 1)]) == 3
+
+
+def test_oversize_samples_exit_3(tmp_path):
+    assert run_cli(["mc", "--theta", "1", "--m", "0.5",
+                    "--samples", str(10 ** 12), "--out", str(tmp_path)]) == 3
+    assert not any(tmp_path.iterdir())
+
+
+def test_samples_bound_is_inclusive(tmp_path, monkeypatch):
+    # the sampler is stubbed: only the bound is under test
+    seen = []
+
+    def exact_estimate(spec, cfg, workers=1):
+        seen.append(cfg.n_samples)
+        res, _ = run_protocol_analytic(spec)
+        mean = res.contrast * complex(math.cos(res.phase), math.sin(res.phase))
+        return McEstimate(mean=mean, stderr_re=1e-3, stderr_im=1e-3,
+                          n_samples=cfg.n_samples, insufficient=False)
+
+    monkeypatch.setattr(cli.trajectories, "mc_interference", exact_estimate)
+    base = ["mc", "--theta", "1", "--m", "0.5", "--out", str(tmp_path),
+            "--samples"]
+    assert run_cli(base + [str(cli.MAX_MC_SAMPLES)]) == 0
+    assert run_cli(base + [str(cli.MAX_MC_SAMPLES + 1)]) == 3
+    assert seen == [cli.MAX_MC_SAMPLES]
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(geophase.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, geophase.cli; "
+            "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("command", [["sweep"], ["surface", "--m", "0.5"]])

@@ -1,10 +1,12 @@
-"""Property tests of the closed-form kernel over drawn parameters."""
+"""Property tests of the closed-form and Monte Carlo kernels over drawn
+parameters."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from geophase.measurement import Strength
-from geophase.protocol import _amplitudes_for_thetas
+from geophase.protocol import ProtocolSpec, _amplitudes_for_thetas
+from geophase.trajectories import McConfig, interference_terms
 
 # derandomized and small, so that the suite stays deterministic and quick
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None,
@@ -51,3 +53,14 @@ def test_reference_weight_is_a_scale_factor(theta, m, n, ws):
     base = scaled(0.5)
     for w in ws:
         assert abs(scaled(w) - base) < 1e-12
+
+
+@PROPERTY
+@given(theta=thetas, m=st.just(0.0) | strengths, w=weights, n=lengths,
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_trajectory_terms_bounded(theta, m, w, n, seed):
+    # |2 a_g a_e| <= |a_g|^2 + |a_e|^2 <= 1 for every normalized final state
+    spec = ProtocolSpec(theta=theta, strength=Strength(m), n_meas=n,
+                        reference_weight=w)
+    terms = interference_terms(spec, McConfig(n_samples=64, seed=seed))
+    assert np.max(np.abs(terms)) <= 1 + 1e-12

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from geophase.errors import DomainError
-from geophase.measurement import Strength
-from geophase.protocol import ProtocolSpec, run_protocol_analytic
-from geophase.trajectories import (McConfig, mc_interference, readout_histogram,
-                                   sample_trajectory, z_scores,
-                                   interference_terms, _philox_uniforms,
-                                   _substream)
+from geophase.measurement import Strength, kraus_readout
+from geophase.protocol import (ProtocolSpec, initial_state,
+                               run_protocol_analytic)
+from geophase.qutrit import E, G, rotation_to_axis
+from geophase.trajectories import (BLOCK_SIZE, McConfig, mc_interference,
+                                   readout_histogram, sample_trajectory,
+                                   z_scores, interference_terms,
+                                   _philox_uniforms, _substream)
 
 
 class TestSubstreams:
@@ -71,6 +73,52 @@ class TestSampleTrajectory:
         assert not np.array_equal(a.readouts, c.readouts)
 
 
+def per_step_replay(spec, readouts):
+    """One trajectory replayed from its readouts in the lab frame, one 3x3
+    step at a time: rotate onto the axis, apply the outcome's Kraus
+    operator, renormalize, rotate back.  Returns (term, state, weight)."""
+    state = initial_state(spec.theta, spec.reference_weight).vec
+    weight = 1.0
+    for axis, r in zip(spec.axes, readouts):
+        rot = rotation_to_axis(axis).mat
+        if spec.strength.is_projective:
+            kraus = np.diag([1.0, 0.0, 0.0] if r else [0.0, 1.0, 1.0])
+        else:
+            kraus = kraus_readout(spec.strength, r).mat
+        state = kraus @ (rot @ state)
+        norm_sq = np.vdot(state, state).real
+        weight *= norm_sq
+        state = rot.conj().T @ (state / np.sqrt(norm_sq))
+    close = rotation_to_axis(spec.closing_axis).mat
+    return 2.0 * np.conj(state[G]) * (close @ state)[E], state, weight
+
+
+class TestPerStepOracle:
+    """The composed 2x2 kernel against the per-step 3x3 replay of the
+    readouts it drew."""
+
+    def check(self, spec, sample_ids, seed):
+        for sid in sample_ids:
+            s = sample_trajectory(spec, sid, seed)
+            term, state, weight = per_step_replay(spec, s.readouts)
+            assert abs(s.interference_term - term) < 1e-12
+            assert np.max(np.abs(s.final_state.vec - state)) < 1e-12
+            assert abs(s.probability_weight - weight) <= 1e-12 * weight
+
+    @pytest.mark.parametrize("m", [0.0, 0.4, 0.9])
+    @pytest.mark.parametrize("n_meas", [3, 6, 24])
+    def test_uniform_schedule(self, m, n_meas):
+        for theta in (0.0, 0.7, 1.6, 2.9):
+            spec = ProtocolSpec(theta=theta, strength=Strength(m),
+                                n_meas=n_meas, reference_weight=0.37)
+            self.check(spec, range(4), seed=21)
+
+    def test_custom_schedule(self):
+        spec = ProtocolSpec(theta=1.2, strength=Strength(0.4), n_meas=5,
+                            phi_schedule=(-0.3, -1.9, -2.2, -4.0, -6.0))
+        self.check(spec, range(8), seed=5)
+
+
 class TestMcInterference:
     def test_matches_single_sample_path(self):
         # same substream, same math; block-shaped matmuls may round the last
@@ -130,6 +178,27 @@ class TestMcInterference:
         est = mc_interference(spec, cfg)
         assert est.n_samples == 400
         assert est.mean == complex(np.mean(terms))
+
+    def test_block_moments_match_the_terms(self):
+        spec = ProtocolSpec(theta=1.3, strength=Strength(0.4))
+        cfg = McConfig(n_samples=3 * BLOCK_SIZE + 17, seed=8)
+        terms = interference_terms(spec, cfg)
+        est = mc_interference(spec, cfg)
+        n = terms.size
+        assert est.n_samples == n
+        mean = np.mean(terms)
+        assert abs(est.mean - mean) <= 1e-15 * abs(mean)
+        for got, part in ((est.stderr_re, terms.real),
+                          (est.stderr_im, terms.imag)):
+            ref = np.std(part, ddof=1) / np.sqrt(n)
+            assert abs(got - ref) <= 1e-12 * ref
+
+    def test_block_moments_invariant_to_workers(self):
+        spec = ProtocolSpec(theta=2.2, strength=Strength(0.7))
+        cfg = McConfig(n_samples=3 * BLOCK_SIZE + 17, seed=4)
+        est1, est2, est3 = (mc_interference(spec, cfg, workers=w)
+                            for w in (1, 2, 3))
+        assert est1 == est2 == est3
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
