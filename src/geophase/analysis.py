@@ -364,7 +364,11 @@ class TransitionReport:
     """Located topological transition.
 
     ``bracket`` is the final bisection interval in m (winding 1 below,
-    0 above), ``m_star`` the equatorial-contrast minimizer inside it.
+    0 above), ``m_star`` the root of the equatorial amplitude inside it and
+    ``contrast_min`` the equatorial contrast there.  The counters record
+    the work: ``curves`` winding curves evaluated (nudged retries
+    included), ``nudge_retries`` of them retries after a curve that did not
+    unwrap, and ``root_calls`` kernel calls of the root search.
     """
 
     m_star: Strength
@@ -373,6 +377,9 @@ class TransitionReport:
     chern_below: int
     chern_above: int
     jump_at_equator: float
+    curves: int
+    nudge_retries: int
+    root_calls: int
 
     def __post_init__(self):
         lo, hi = self.bracket
@@ -382,31 +389,63 @@ class TransitionReport:
             raise DomainError("report without an index flip")
 
 
-def _equator_amplitude(m: float, n_meas: int, w: float,
-                       phi_schedule) -> complex:
-    amps = _amplitudes_for_thetas(np.array([0.5 * np.pi]), Strength(m),
-                                  n_meas=n_meas, reference_weight=w,
-                                  phi_schedule=phi_schedule)
-    return complex(amps[0])
+#: Points per section of the equatorial root search, ends included; each
+#: kernel call narrows the sign-change bracket 32-fold.
+ROOT_SECTION = 33
+
+
+def _equator_root(equator, lo: float, hi: float, a_lo: complex,
+                  a_hi: complex):
+    """Sign change of f(m) = Re(a(m) * conj(a_lo)) in [lo, hi], narrowed
+    until no float lies between the bracket ends.
+
+    ``equator`` maps an array of m to the equatorial amplitudes, and
+    f(lo) > 0 > f(hi) must hold.  Each pass evaluates the interior of a
+    ROOT_SECTION-point section in one call and keeps the first interval
+    over which f leaves the sign of f(lo).  Returns the end with the
+    smaller contrast, its amplitude and the number of calls.
+    """
+    ref = np.conj(a_lo)
+    calls = 0
+    while True:
+        ms = np.unique(np.linspace(lo, hi, ROOT_SECTION))
+        if ms.size <= 2:
+            break
+        inner = equator(ms[1:-1])
+        calls += 1
+        flipped = np.flatnonzero((inner * ref).real <= 0.0)
+        j = flipped[0] + 1 if flipped.size else ms.size - 1
+        amps = np.concatenate([[a_lo], inner, [a_hi]])
+        lo, hi = float(ms[j - 1]), float(ms[j])
+        a_lo, a_hi = complex(amps[j - 1]), complex(amps[j])
+    if abs(a_lo) <= abs(a_hi):
+        return lo, a_lo, calls
+    return hi, a_hi, calls
 
 
 def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
                            tol: float = 1e-4, *,
                            phi_schedule: tuple[float, ...] | None = None,
                            curve_nodes: int = 65) -> TransitionReport:
-    """Bisect the winding-number flip in m and refine on the equator.
+    """Bisect the winding-number flip in m, then find the root of the
+    equatorial amplitude inside the final bracket.
 
-    The flip is bracketed by winding numbers of full curves; within the
-    final bracket the critical strength is the minimizer of the equatorial
-    contrast.  The equatorial phase must jump by pi (within 0.05 rad)
-    across the bracket.
+    The flip is bracketed by winding numbers of full curves.  The
+    equatorial phase must jump by pi (within 0.05 rad) across the bracket,
+    so the projection of the equatorial amplitude onto its value at the
+    lower end changes sign there; the critical strength is that sign
+    change, resolved to adjacent floats (for the uniform schedule the
+    amplitude is real and this is its root).
     """
     if tol < 1e-6:
         raise DomainError("tol below the supported resolution 1e-6")
     grid = np.linspace(0.0, np.pi, curve_nodes)
+    curves = retries = 0
 
     def chern_at(m: float) -> int:
+        nonlocal curves, retries
         for nudge in (0.0, 1e-9, -1e-9, 1e-7, -1e-7):
+            curves += 1
             try:
                 curve = phase_vs_theta(Strength(m + nudge), grid,
                                        n_meas=n_meas,
@@ -414,7 +453,7 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
                                        phi_schedule=phi_schedule)
                 return chern_from_curve(curve)
             except UnwrapError:
-                continue
+                retries += 1
         raise UnwrapError(f"curve not unwrappable near m={m!r}")
 
     lo, hi = 1e-3, 1.0 - 1e-3
@@ -429,25 +468,23 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
         else:
             hi = mid
 
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(
-        lambda m: abs(_equator_amplitude(m, n_meas, reference_weight,
-                                         phi_schedule)),
-        bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
-    m_star = float(np.clip(res.x, lo, hi))
-    contrast_min = float(res.fun)
+    def equator(ms) -> np.ndarray:
+        return _amplitudes_for_thetas(np.array([0.5 * np.pi]), np.asarray(ms),
+                                      n_meas=n_meas,
+                                      reference_weight=reference_weight,
+                                      phi_schedule=phi_schedule)
 
-    chi_lo = np.angle(_equator_amplitude(lo, n_meas, reference_weight,
-                                         phi_schedule))
-    chi_hi = np.angle(_equator_amplitude(hi, n_meas, reference_weight,
-                                         phi_schedule))
-    jump = float(abs(wrap_angle(chi_hi - chi_lo)))
+    a_lo, a_hi = equator([lo, hi])
+    jump = float(abs(wrap_angle(np.angle(a_hi) - np.angle(a_lo))))
     if abs(jump - np.pi) > 0.05:
         raise AnalysisError(
             f"equatorial phase jump {jump:.4f} not within 0.05 of pi")
+    m_star, a_star, root_calls = _equator_root(equator, lo, hi, a_lo, a_hi)
     return TransitionReport(m_star=Strength(m_star), bracket=(lo, hi),
-                            contrast_min=contrast_min, chern_below=c_lo,
-                            chern_above=c_hi, jump_at_equator=jump)
+                            contrast_min=abs(a_star), chern_below=c_lo,
+                            chern_above=c_hi, jump_at_equator=jump,
+                            curves=curves, nudge_retries=retries,
+                            root_calls=root_calls)
 
 
 # ---------------------------------------------------------------------------

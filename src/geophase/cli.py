@@ -408,8 +408,11 @@ def cmd_transition(args: argparse.Namespace) -> int:
         "chern_above": report.chern_above,
         "jump_at_equator": report.jump_at_equator,
     }
+    diagnostics = {"winding_curves": report.curves,
+                   "nudge_retries": report.nudge_retries,
+                   "root_kernel_calls": report.root_calls}
     write_envelope(Path(cfg["out"]), "transition", "transition",
-                   _echo_config(cfg), results, {}, wall)
+                   _echo_config(cfg), results, diagnostics, wall)
     print(f"m_star={report.m_star.m:.8g} bracket_width={hi - lo:.3g} "
           f"chern {report.chern_below}->{report.chern_above} "
           f"jump={report.jump_at_equator:.6g}")

@@ -34,8 +34,10 @@ grow with the sample count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import atexit
+import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,6 +46,9 @@ from .measurement import cloud_separation, gauss_amplitudes
 from .protocol import (CLOSING_PHI, CONTRAST_FLOOR, InterferenceResult,
                        ProtocolSpec, initial_state)
 from .qutrit import E, F, G, QutritState, _rotation_matrices
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Samples per reduction block; fixed so that the block layout (and thus the
 #: bit pattern of the result) never depends on the worker count.
@@ -383,13 +388,28 @@ def _block_worker(job):
 
 # Worker pools are reused across calls: fork startup costs more than a
 # typical block, and repeated estimator calls (parameter grids) would pay
-# it per call otherwise.  concurrent.futures joins them at interpreter exit.
+# it per call otherwise.  The pool machinery (multiprocessing and its
+# imports) loads with the first pool, so a process that never starts one
+# does not pay for it.
 _pools: dict[int, ProcessPoolExecutor] = {}
+
+
+def _shutdown_pools() -> None:
+    # concurrent.futures.process is imported after this module, so module
+    # teardown would clear it while executors left in _pools still hold
+    # weakref callbacks into it; shut them down while it is intact.
+    for pool in _pools.values():
+        pool.shutdown()
+    _pools.clear()
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:
     pool = _pools.get(workers)
     if pool is None:
+        from concurrent.futures import ProcessPoolExecutor
+
+        if not _pools:
+            atexit.register(_shutdown_pools)
         pool = ProcessPoolExecutor(max_workers=workers)
         _pools[workers] = pool
     return pool
@@ -475,12 +495,37 @@ class ReadoutHistogram:
     separation: float
 
 
+def _chi2_sf(x: float, dof: int) -> float:
+    """Survival function of the chi-square law with integer ``dof``.
+
+    With h = x/2 it is the regularized upper gamma function Q(dof/2, h),
+    a finite sum for integer dof: e^-h * sum_{j<dof/2} h^j/j! for even
+    dof, and erfc(sqrt(h)) plus e^-h * sum_{j=1}^{(dof-1)/2}
+    h^(j-1/2)/Gamma(j+1/2) for odd dof.  Every term is positive, so the
+    sum keeps full relative precision.  e^-h turns subnormal beyond
+    x ~ 1416 and underflows beyond x ~ 1490; for every dof under 100 (a
+    histogram's dof is its bin count less one) the tail there is below
+    1e-230, so only tails that small lose precision or read 0.
+    """
+    h = 0.5 * x
+    if dof % 2:
+        total = math.erfc(math.sqrt(h))
+        term = math.exp(-h) * 2.0 * math.sqrt(h / math.pi)
+        start = 1.5
+    else:
+        total = 0.0
+        term = math.exp(-h)
+        start = 1.0
+    for j in range(dof // 2):
+        total += term
+        term *= h / (start + j)
+    return total
+
+
 def readout_histogram(spec: ProtocolSpec, cfg: McConfig,
                       n_bins: int = 40) -> ReadoutHistogram:
     """Histogram the first readout of every sample and test it against the
     two-cloud mixture predicted for the initial state."""
-    from scipy.stats import chi2 as chi2_dist
-
     if spec.strength.is_projective:
         raise DomainError("readout histogram needs the Gaussian model (m > 0)")
     p_f = float(np.clip(abs(_kernel(spec).pair[F]) ** 2, 0.0, 1.0))
@@ -525,7 +570,7 @@ def readout_histogram(spec: ProtocolSpec, cfg: McConfig,
     counts = np.asarray(m_counts)
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     dof = max(len(counts) - 1, 1)
-    p_value = float(chi2_dist.sf(chi2, dof))
+    p_value = _chi2_sf(chi2, dof)
     return ReadoutHistogram(edges=np.asarray(m_edges), counts=counts,
                             expected=expected, chi2=chi2, p_value=p_value,
                             n_samples=cfg.n_samples, readouts=r, p_f=p_f,

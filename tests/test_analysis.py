@@ -313,3 +313,62 @@ class TestSweep:
             an.sweep_phase_map([0.0, 4.0], [0.5])
         with pytest.raises(DomainError):
             an.sweep_phase_map([0.0, 1.0], [1.5])
+
+
+class TestExactTransition:
+    M_STAR_N3 = 2.0 / np.sqrt(3.0) - 1.0
+
+    @staticmethod
+    def equator(m, n_meas=6, w=0.5, phi_schedule=None):
+        return complex(_amplitudes_for_thetas(
+            np.array([0.5 * np.pi]), np.array([m]), n_meas=n_meas,
+            reference_weight=w, phi_schedule=phi_schedule)[0])
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6])
+    def test_n3_pin(self, tol):
+        report = an.find_critical_strength(n_meas=3, tol=tol)
+        assert abs(report.m_star.m - self.M_STAR_N3) < 1e-14
+
+    @pytest.mark.parametrize("n_meas", [3, 6, 24])
+    def test_contrast_vanishes_and_root_is_weight_free(self, n_meas):
+        reports = [an.find_critical_strength(n_meas=n_meas,
+                                             reference_weight=w)
+                   for w in (0.2, 0.5, 0.8)]
+        assert all(r.contrast_min < 1e-14 for r in reports)
+        m_stars = [r.m_star.m for r in reports]
+        assert max(m_stars) - min(m_stars) < 1e-15
+
+    def test_custom_schedule_root_in_bracket(self):
+        schedule = (-0.9, -2.0, -3.2, -4.1, -5.2, -2.0 * np.pi)
+        report = an.find_critical_strength(phi_schedule=schedule)
+        lo, hi = report.bracket
+        assert lo <= report.m_star.m <= hi
+        a_star = abs(self.equator(report.m_star.m, phi_schedule=schedule))
+        assert a_star == report.contrast_min
+        assert a_star <= min(abs(self.equator(lo, phi_schedule=schedule)),
+                             abs(self.equator(hi, phi_schedule=schedule)))
+
+    def test_counters(self):
+        report = an.find_critical_strength(tol=1e-4)
+        # two ends plus one curve per halving of the width 0.998
+        assert report.curves == 2 + int(np.ceil(np.log2(0.998 / 1e-4)))
+        assert report.nudge_retries == 0
+        assert report.root_calls > 0
+
+    def test_counters_record_nudge_retries(self, monkeypatch):
+        plain = an.find_critical_strength(tol=1e-3)
+        real = an.phase_vs_theta
+        failed = []
+
+        def first_curve_fails(strength, *args, **kwargs):
+            if not failed:
+                failed.append(strength.m)
+                raise UnwrapError("forced")
+            return real(strength, *args, **kwargs)
+
+        monkeypatch.setattr(an, "phase_vs_theta", first_curve_fails)
+        nudged = an.find_critical_strength(tol=1e-3)
+        assert failed == [1e-3]
+        assert nudged.nudge_retries == 1
+        assert nudged.curves == plain.curves + 1
+        assert nudged.bracket == plain.bracket

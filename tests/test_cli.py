@@ -136,6 +136,16 @@ class TestPhaseCommand:
 
 
 class TestSweepCommand:
+    def test_phi_schedule_rejected(self, tmp_path, capsys):
+        # the map is the uniform-schedule map; a schedule would be ignored
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"phi_schedule": [-1.0, -2.0, -3.0, -4.0,
+                                                    -5.0, -6.0]}))
+        assert run_cli(["sweep", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 2
+        assert "unknown config keys: ['phi_schedule']" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.json").exists()
+
     def test_small_sweep_round_trips(self, tmp_path):
         code = run_cli(["sweep", "--grid-theta", "0:3.141592653589793:12",
                         "--grid-m", "0:1:7", "--out", str(tmp_path)])
@@ -200,6 +210,22 @@ class TestTransitionCommand:
         assert res["contrast_min"] < 1e-3
         assert abs(res["jump_at_equator"] - np.pi) <= 0.05
         assert res["bracket_m"][0] <= res["m_star"] <= res["bracket_m"][1]
+
+    def test_diagnostics_count_work_independent_of_workers(
+            self, tmp_path, monkeypatch):
+        seen = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("GEOPHASE_THREADS", workers)
+            assert run_cli(["transition", "--tol", "1e-3",
+                            "--out", str(tmp_path)]) == 0
+            seen.append(load_envelope(tmp_path / "transition.json")
+                        ["diagnostics"])
+        diag = seen[0]
+        assert set(diag) == {"winding_curves", "nudge_retries",
+                             "root_kernel_calls"}
+        assert diag["winding_curves"] > 0 and diag["root_kernel_calls"] > 0
+        assert diag["nudge_retries"] >= 0
+        assert seen[0] == seen[1]
 
     def test_jump_gate_numeric_value(self, tmp_path):
         assert run_cli(["transition", "--assert-jump", "3.141592653589793",
@@ -311,16 +337,50 @@ def test_samples_bound_is_inclusive(tmp_path, monkeypatch):
     assert seen == [cli.MAX_MC_SAMPLES]
 
 
-def test_cli_import_loads_no_scipy():
+def _fresh_interpreter(code):
+    """Run ``code`` in a new interpreter with the package on its path."""
     src = str(Path(geophase.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_cli_import_loads_no_scipy():
     code = ("import sys, geophase.cli; "
-            "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "[]"
+            "print(sorted(k for k in sys.modules if k.startswith("
+            "('scipy', 'multiprocessing', 'concurrent.futures.process'))))")
+    assert _fresh_interpreter(code).stdout.strip() == "[]"
+
+
+def test_transition_and_histogram_load_no_optimize_or_stats():
+    code = ("import sys\n"
+            "from geophase import analysis, trajectories\n"
+            "from geophase.measurement import Strength\n"
+            "from geophase.protocol import ProtocolSpec\n"
+            "analysis.find_critical_strength()\n"
+            "trajectories.readout_histogram(\n"
+            "    ProtocolSpec(theta=1.0, strength=Strength(0.5)),\n"
+            "    trajectories.McConfig(n_samples=2000, seed=1))\n"
+            "print(sorted(k for k in sys.modules\n"
+            "             if k.startswith(('scipy.optimize', 'scipy.stats'))))")
+    assert _fresh_interpreter(code).stdout.strip() == "[]"
+
+
+def test_worker_pool_exits_silently():
+    # sys keeps the module alive until the interpreter clears module
+    # dicts, as a test runner does; the pool must be shut down before
+    # concurrent.futures.process, imported after it, is cleared
+    code = ("import sys\n"
+            "from geophase import trajectories\n"
+            "from geophase.measurement import Strength\n"
+            "from geophase.protocol import ProtocolSpec\n"
+            "sys.keep_alive = trajectories\n"
+            "trajectories.mc_interference(\n"
+            "    ProtocolSpec(theta=1.0, strength=Strength(0.5)),\n"
+            "    trajectories.McConfig(n_samples=9000, seed=1), workers=2)")
+    assert _fresh_interpreter(code).stderr == ""
 
 
 @pytest.mark.parametrize("command", [["sweep"], ["surface", "--m", "0.5"]])

@@ -9,7 +9,7 @@ from geophase.qutrit import E, G, rotation_to_axis
 from geophase.trajectories import (BLOCK_SIZE, McConfig, mc_interference,
                                    readout_histogram, sample_trajectory,
                                    z_scores, interference_terms,
-                                   _philox_uniforms, _substream)
+                                   _chi2_sf, _philox_uniforms, _substream)
 
 
 class TestSubstreams:
@@ -245,3 +245,12 @@ class TestReadoutHistogram:
         with pytest.raises(DomainError):
             readout_histogram(ProtocolSpec(theta=1.0, strength=Strength(0.0)),
                               McConfig(n_samples=100, seed=1))
+
+
+def test_chi2_tail_matches_scipy():
+    from scipy.stats import chi2
+
+    for dof in range(1, 61):
+        for x in (0.0, 1e-3, 0.5, 1.0, 3.0, 10.0, 30.0, 100.0, 500.0):
+            assert _chi2_sf(x, dof) == pytest.approx(
+                chi2.sf(x, dof), rel=1e-12, abs=0.0), (dof, x)
