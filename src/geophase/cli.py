@@ -35,8 +35,7 @@ from . import analysis, trajectories
 from .errors import (AnalysisError, AntipodalError, DomainError, GeophaseError,
                      TransitionNotFoundError, UnwrapError)
 from .measurement import Strength
-from .protocol import (CONTRAST_FLOOR, ProtocolSpec, run_protocol_analytic,
-                       run_protocol_projective)
+from .protocol import CONTRAST_FLOOR, ProtocolSpec, run_protocol_analytic
 
 SCHEMA_VERSION = 1
 MAX_SWEEP_CELLS = 10 ** 6
@@ -146,10 +145,7 @@ def _resolve_strength(cfg: dict) -> Strength:
         m = 0.0
     if projective and m != 0.0:
         raise CliError(EXIT_CONFIG, "--projective requires m = 0")
-    try:
-        return Strength(float(m))
-    except DomainError as exc:
-        raise CliError(EXIT_CONFIG, str(exc))
+    return Strength(float(m))
 
 
 def _n_meas(cfg: dict) -> int:
@@ -164,14 +160,10 @@ def _n_meas(cfg: dict) -> int:
 
 def _protocol_spec(cfg: dict, strength: Strength) -> ProtocolSpec:
     schedule = cfg.get("phi_schedule")
-    n_meas = _n_meas(cfg)
-    try:
-        return ProtocolSpec(theta=float(cfg["theta"]), strength=strength,
-                            n_meas=n_meas,
-                            phi_schedule=tuple(schedule) if schedule else None,
-                            reference_weight=float(cfg["ref_weight"]))
-    except DomainError as exc:
-        raise CliError(EXIT_CONFIG, str(exc))
+    return ProtocolSpec(theta=float(cfg["theta"]), strength=strength,
+                        n_meas=_n_meas(cfg),
+                        phi_schedule=tuple(schedule) if schedule else None,
+                        reference_weight=float(cfg["ref_weight"]))
 
 
 def _echo_config(cfg: dict, strength: Strength | None = None) -> dict:
@@ -319,8 +311,7 @@ def cmd_phase(args: argparse.Namespace) -> int:
     strength = _resolve_strength(cfg)
     spec = _protocol_spec(cfg, strength)
     t0 = time.perf_counter()
-    run = run_protocol_projective if strength.is_projective else run_protocol_analytic
-    result, record = run(spec)
+    result, record = run_protocol_analytic(spec)
     wall = time.perf_counter() - t0
     print(f"theta={spec.theta:.12g} m={strength.m:.12g} "
           f"chi={result.phase:.12g} contrast={result.contrast:.12g}")
@@ -353,11 +344,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError(EXIT_OVERSIZE,
                        f"grid of {thetas.size * ms.size} cells exceeds {MAX_SWEEP_CELLS}")
     t0 = time.perf_counter()
-    try:
-        pm = analysis.sweep_phase_map(thetas, ms, n_meas=_n_meas(cfg),
-                                      reference_weight=float(cfg["ref_weight"]))
-    except DomainError as exc:
-        raise CliError(EXIT_CONFIG, str(exc))
+    pm = analysis.sweep_phase_map(thetas, ms, n_meas=_n_meas(cfg),
+                                  reference_weight=float(cfg["ref_weight"]))
     wall = time.perf_counter() - t0
     out_dir = Path(cfg["out"])
     write_sweep_csv(out_dir / "sweep.csv", pm)
@@ -389,12 +377,9 @@ def cmd_transition(args: argparse.Namespace) -> int:
                 "tol": 1e-4, "assert_jump": None}
     cfg = _resolve_config(args, defaults)
     t0 = time.perf_counter()
-    try:
-        report = analysis.find_critical_strength(
-            n_meas=_n_meas(cfg), reference_weight=float(cfg["ref_weight"]),
-            tol=float(cfg["tol"]))
-    except TransitionNotFoundError as exc:
-        raise CliError(EXIT_NO_TRANSITION, str(exc))
+    report = analysis.find_critical_strength(
+        n_meas=_n_meas(cfg), reference_weight=float(cfg["ref_weight"]),
+        tol=float(cfg["tol"]))
     wall = time.perf_counter() - t0
     lo, hi = report.bracket
     results = {
@@ -440,8 +425,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
         raise CliError(EXIT_OVERSIZE,
                        f"{n} samples exceed the maximum {MAX_MC_SAMPLES}")
     t0 = time.perf_counter()
-    run = run_protocol_projective if strength.is_projective else run_protocol_analytic
-    reference, _ = run(spec)
+    reference, _ = run_protocol_analytic(spec)
     ref_amp = reference.contrast * complex(math.cos(reference.phase),
                                            math.sin(reference.phase))
     estimate = trajectories.mc_interference(
@@ -478,14 +462,9 @@ def cmd_surface(args: argparse.Namespace) -> int:
         raise CliError(EXIT_CONFIG, "measurement strength required (--m or --gamma-tau)")
     strength = _resolve_strength(cfg)
     t0 = time.perf_counter()
-    try:
-        degree, thetas, loops = analysis.trajectory_surface(
-            strength, _grid_values(cfg["grid_theta"]), int(cfg["interp"]),
-            n_meas=_n_meas(cfg), reference_weight=float(cfg["ref_weight"]))
-    except AntipodalError as exc:
-        raise CliError(EXIT_SINGULAR, f"singular surface: {exc}")
-    except DomainError as exc:
-        raise CliError(EXIT_CONFIG, str(exc))
+    degree, thetas, loops = analysis.trajectory_surface(
+        strength, _grid_values(cfg["grid_theta"]), int(cfg["interp"]),
+        n_meas=_n_meas(cfg), reference_weight=float(cfg["ref_weight"]))
     wall = time.perf_counter() - t0
     out_dir = Path(cfg["out"])
     lines = ["theta,step,x,y,z"]

@@ -16,12 +16,23 @@ Each null-outcome measurement is the conjugated attenuation
 R^dag diag(m,1,1) R: it damps the component antipodal to the measurement
 axis by m and never touches |g>.  So a run is a product of 2x2 blocks on
 the {e,f} qubit times the constant reference factor 2*sqrt(w), and the
-contrast is bounded by 2*sqrt(w*(1-w)).  ``_amplitudes_for_thetas`` is the
-one implementation of that product, batched over theta and m; every
-closed-form route goes through it, and ``measure_along`` keeps the
-per-step 3x3 form as a reference.  The m = 0 limit is the exact projector
-onto the {axis, g} subspace, which is why a single code path serves both
-the partial and the projective protocol.
+contrast is bounded by 2*sqrt(w*(1-w)).  The m = 0 limit is the exact
+projector onto the {axis, g} subspace, which is why a single code path
+serves both the partial and the projective protocol.
+
+The frame convention is stated here once.  The {e,f} pair is carried in
+the frame of the current measurement, R_k = R(theta, phi_k), where each
+attenuation is diagonal: a_f *= m.  With phi_0 = 0 and phi_{N+1} =
+CLOSING_PHI, the run is the sequence of frame changes
+
+    S_k = R_k R_{k-1}^dag,   k = 1 .. N+1,
+
+which ``_frame_steps`` yields.  R(theta, 0) maps the initial axis state to
+|e>, so the pair starts at (0, sqrt(1-w)), and the amplitude is 2*sqrt(w)
+times the e component after S_{N+1}.  ``_amplitudes_for_thetas`` (the
+closed form, batched over theta and m) and the Monte Carlo in
+:mod:`geophase.trajectories` both step through it; ``measure_along`` and
+``initial_state`` keep the per-step 3x3 form as a reference.
 """
 
 from __future__ import annotations
@@ -190,16 +201,22 @@ def run_protocol_analytic(spec: ProtocolSpec) -> tuple[InterferenceResult, PathR
     ef = np.hypot(np.abs(pairs[:, F]), np.abs(pairs[:, E])).tolist()
     live = [n > _EF_FLOOR for n in ef]
     points = iter(_bloch_batch(pairs[live]).tolist())
+    # Each factor is taken in its measurement's own frame, where the step
+    # only scales a_f, so it is exactly 1 at m = 1 and never above 1.
+    rots = _rotation_matrices(np.full(spec.n_meas, spec.theta),
+                              np.asarray(spec.phi_schedule))
+    a_f, a_e = np.abs(np.einsum("kij,kj->ki", rots, pairs[:-1])).T
+    ef_in = np.hypot(a_f, a_e)
+    factors = np.divide(np.hypot(spec.strength.m * a_f, a_e), ef_in,
+                        out=np.zeros_like(ef_in), where=ef_in > 0.0).tolist()
     bloch = BlochVector(*next(points))
     steps = []
     for k, axis in enumerate(spec.axes):
         before = bloch
-        # the null-outcome step is a contraction; clip float dust above 1
-        factor = min(ef[k + 1] / ef[k], 1.0) if ef[k] > 0.0 else 0.0
         if live[k + 1]:
             bloch = BlochVector(*next(points))
         steps.append(PathStep(axis=axis, bloch_before=before,
-                              bloch_after=bloch, amplitude_factor=factor))
+                              bloch_after=bloch, amplitude_factor=factors[k]))
     result = InterferenceResult.from_amplitude(complex(amps[0]),
                                                method="analytic")
     return result, PathRecord(tuple(steps))
@@ -218,6 +235,42 @@ def run_protocol_projective(spec: ProtocolSpec) -> tuple[InterferenceResult, Pat
     return run_protocol_analytic(spec)
 
 
+def _frame_steps(thetas: np.ndarray | float, schedule: tuple[float, ...]):
+    """Yield the frame changes S_k = R_k R_{k-1}^dag for k = 1 .. N+1.
+
+    R_k = R(theta, phi_k) with phi_0 = 0 and phi_{N+1} = CLOSING_PHI (see
+    the module docstring).  With c = cos(theta/2), s = sin(theta/2) and
+    t = exp(-i (phi_k - phi_{k-1})) the step is
+
+        [[c^2 t + s^2,  c s (t - 1)],
+         [c s (t - 1),  s^2 t + c^2]]
+
+    in the (F, E) ordering.  It is symmetric, so each step is the triple
+    (S[F,F], S[F,E], S[E,E]) of arrays of the shape of ``thetas``.  Steps
+    are yielded one at a time, so no array has an axis of schedule length.
+    t is formed as exp(-i phi_k) * exp(i phi_{k-1}), not from the
+    difference of the azimuths, whose rounding grows with their size.
+    """
+    half = 0.5 * np.asarray(thetas, dtype=float)
+    c, s = np.cos(half), np.sin(half)
+    cc, ss, cs = c * c, s * s, c * s
+    ep_prev = 1.0
+    for phi in (*schedule, CLOSING_PHI):
+        ep = np.exp(-1j * phi)
+        t = ep * np.conj(ep_prev)
+        yield cc * t + ss, cs * (t - 1.0), ss * t + cc
+        ep_prev = ep
+
+
+def _lab_pair(thetas: np.ndarray, phi: float, a_f: np.ndarray,
+              a_e: np.ndarray) -> np.ndarray:
+    """The pair (a_f, a_e) held in the frame of the axis (theta, phi),
+    returned to the lab frame as an array of shape grid + (2,)."""
+    rot = _rotation_matrices(thetas, phi)
+    return np.einsum("...ji,...j->...i", rot.conj(),
+                     np.stack([a_f, a_e], axis=-1))
+
+
 def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength | np.ndarray,
                            n_meas: int = 6,
                            reference_weight: float = 0.5,
@@ -227,11 +280,14 @@ def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength | np.ndarray,
 
     ``strength`` is a Strength or an array of m values that broadcasts
     against ``thetas``: ``thetas[:, None]`` against a row of m evaluates a
-    (theta, m) grid.  Only the {e,f} pair (a_f, a_e) is carried; the
-    rotations keep the shape of ``thetas`` and broadcast over m.  Returns
-    the interference amplitudes.  With ``record`` it returns them together
-    with the pairs of shape grid + (n_meas + 1, 2): the initial pair
-    followed by the pair after every step.
+    (theta, m) grid.  The {e,f} pair starts at (0, sqrt(1-w)) in the frame
+    of the initial axis; each measurement is one frame change from
+    ``_frame_steps`` followed by ``a_f *= m``, and the amplitude is
+    2*sqrt(w) times the e component after the closing frame change.  The
+    steps keep the shape of ``thetas`` and broadcast over m.  Returns the
+    interference amplitudes.  With ``record`` it returns them together
+    with the lab-frame pairs of shape grid + (n_meas + 1, 2): the initial
+    pair followed by the pair after every step.
     """
     thetas = np.asarray(thetas, dtype=float)
     if np.any(thetas < 0.0) or np.any(thetas > np.pi):
@@ -241,21 +297,19 @@ def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength | np.ndarray,
     if len(schedule) != n_meas:
         raise DomainError(f"schedule length {len(schedule)} != n_meas {n_meas}")
     w = reference_weight
-    half = 0.5 * thetas
-    pair = np.empty(np.broadcast_shapes(thetas.shape, np.shape(m)) + (2,),
-                    dtype=complex)
-    pair[..., F] = np.sqrt(1.0 - w) * np.sin(half)
-    pair[..., E] = np.sqrt(1.0 - w) * np.cos(half)
+    shape = np.broadcast_shapes(thetas.shape, np.shape(m))
+    a_f = np.zeros(shape, dtype=complex)
+    a_e = np.full(shape, np.sqrt(1.0 - w), dtype=complex)
     if record:
-        pairs = np.empty(pair.shape[:-1] + (n_meas + 1, 2), dtype=complex)
-        pairs[..., 0, :] = pair
+        pairs = np.empty(shape + (n_meas + 1, 2), dtype=complex)
+        pairs[..., 0, :] = _lab_pair(thetas, 0.0, a_f, a_e)
+    steps = _frame_steps(thetas, schedule)
     for k, phi in enumerate(schedule, start=1):
-        rot = _rotation_matrices(thetas, phi)
-        pair = np.einsum("...ij,...j->...i", rot, pair)
-        pair[..., F] *= m
-        pair = np.einsum("...ji,...j->...i", rot.conj(), pair)
+        s_ff, s_fe, s_ee = next(steps)
+        a_f, a_e = s_ff * a_f + s_fe * a_e, s_fe * a_f + s_ee * a_e
+        a_f *= m
         if record:
-            pairs[..., k, :] = pair
-    close = _rotation_matrices(thetas, CLOSING_PHI)[..., E, :]
-    amps = 2.0 * np.sqrt(w) * np.einsum("...j,...j->...", close, pair)
+            pairs[..., k, :] = _lab_pair(thetas, phi, a_f, a_e)
+    _, s_fe, s_ee = next(steps)
+    amps = 2.0 * np.sqrt(w) * (s_fe * a_f + s_ee * a_e)
     return (amps, pairs) if record else amps

@@ -14,12 +14,11 @@ against the analytic product meaningful.
 
 The state is the {e,f} pair (a_f, a_e) and a real reference amplitude
 a_g: every readout Kraus operator is diagonal with real entries, so g only
-picks up a real factor.  The pair is carried in the frame of the current
-measurement, where the monitored level is its first component, and the
-rotation back from one measurement axis and onto the next is a single
-precomputed 2x2 product R_{k+1} R_k^dag per step; the last R_N^dag is
-folded into the closing row.  Each step normalizes over all three
-components, so the accumulated squared norms are the outcome density.
+picks up a real factor.  The pair steps through the frame changes of
+:mod:`geophase.protocol` (``_frame_steps``), so each readout's backaction
+is diagonal in the frame it is drawn in.  Each step normalizes over all
+three components, so the accumulated squared norms are the outcome
+density.
 
 Randomness is counter-based: sample ``i`` of a run with seed ``s`` reads
 its uniforms from the dedicated Philox substream ``key=s, counter=i<<64``,
@@ -42,10 +41,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError
-from .measurement import cloud_separation, gauss_amplitudes
-from .protocol import (CLOSING_PHI, CONTRAST_FLOOR, InterferenceResult,
-                       ProtocolSpec, initial_state)
-from .qutrit import E, F, G, QutritState, _rotation_matrices
+from .measurement import (ReadoutDistribution, cloud_separation,
+                          gauss_amplitudes)
+from .protocol import (CONTRAST_FLOOR, InterferenceResult, ProtocolSpec,
+                       _frame_steps)
+from .qutrit import QutritState, _rotation_matrices
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -211,37 +211,8 @@ def _mixture_readouts(u: np.ndarray, p_f: np.ndarray, r0: float) -> np.ndarray:
     return ndtri(v) + np.where(click, r0, 0.0)
 
 
-@dataclass(frozen=True)
-class _Kernel:
-    """The per-spec constants of the sampler, built once per call.
-
-    The {e,f} pair is carried in the frame of the current measurement, in
-    which the monitored level is its first component.  ``pair`` is the
-    initial pair rotated by R_1, ``steps[k-1] = R_{k+1} R_k^dag`` carries
-    it from the frame of measurement k to that of k + 1, ``close`` is the
-    e row of ``R_close R_N^dag`` and ``back = R_N^dag`` returns a final
-    pair to the lab frame.  ``g`` is the real initial reference amplitude.
-    """
-
-    spec: ProtocolSpec
-    pair: np.ndarray
-    g: float
-    steps: np.ndarray
-    close: np.ndarray
-    back: np.ndarray
-
-
-def _kernel(spec: ProtocolSpec) -> _Kernel:
-    rots = _rotation_matrices(np.full(spec.n_meas, spec.theta),
-                              np.asarray(spec.phi_schedule))
-    dags = rots.conj().swapaxes(-1, -2)
-    vec = initial_state(spec.theta, spec.reference_weight).vec
-    close = _rotation_matrices(spec.theta, CLOSING_PHI) @ dags[-1]
-    return _Kernel(spec=spec, pair=rots[0] @ vec[:G], g=float(vec[G].real),
-                   steps=rots[1:] @ dags[:-1], close=close[E], back=dags[-1])
-
-
-def _block_terms(kernel: _Kernel, seed: int, start: int, stop: int):
+def _block_terms(spec: ProtocolSpec, steps: list, seed: int, start: int,
+                 stop: int):
     """Interference terms of samples [start, stop), with their final pairs
     (rows a_f, a_e, in the frame of the last measurement), reference
     amplitudes, weights and readouts.  Pure function of its arguments.
@@ -249,22 +220,21 @@ def _block_terms(kernel: _Kernel, seed: int, start: int, stop: int):
     The 2x2 products are written out elementwise: a BLAS call on blocks
     this thin starts threads that compete with the worker processes.
     """
-    spec = kernel.spec
     n, n_meas = stop - start, spec.n_meas
     uniforms = _philox_uniforms(seed, np.arange(start, stop), n_meas)
 
-    a_f = np.full(n, kernel.pair[F])
-    a_e = np.full(n, kernel.pair[E])
-    g = np.full(n, kernel.g)
+    w = spec.reference_weight
+    a_f = np.zeros(n, dtype=complex)
+    a_e = np.full(n, np.sqrt(1.0 - w), dtype=complex)
+    g = np.full(n, np.sqrt(w))
     weights = np.ones(n)
     readouts = np.empty((n_meas, n))
     projective = spec.strength.is_projective
     r0 = 0.0 if projective else cloud_separation(spec.strength)
 
     for k in range(n_meas):
-        if k:
-            (s_ff, s_fe), (s_ef, s_ee) = kernel.steps[k - 1]
-            a_f, a_e = s_ff * a_f + s_fe * a_e, s_ef * a_f + s_ee * a_e
+        s_ff, s_fe, s_ee = steps[k]
+        a_f, a_e = s_ff * a_f + s_fe * a_e, s_fe * a_f + s_ee * a_e
         p_f = np.clip(a_f.real ** 2 + a_f.imag ** 2, 0.0, 1.0)
         u = uniforms[:, k]
         if projective:
@@ -288,18 +258,19 @@ def _block_terms(kernel: _Kernel, seed: int, start: int, stop: int):
         a_e *= inv_norm
         g *= inv_norm
 
-    c_f, c_e = kernel.close
-    terms = 2.0 * g * (c_f * a_f + c_e * a_e)
+    _, c_fe, c_ee = steps[-1]
+    terms = 2.0 * g * (c_fe * a_f + c_ee * a_e)
     return terms, np.stack([a_f, a_e]), g, weights, readouts.T
 
 
 def sample_trajectory(spec: ProtocolSpec, sample_id: int,
                       seed: int) -> TrajectorySample:
     """Simulate the single trajectory addressed by (seed, sample_id)."""
-    kernel = _kernel(spec)
     terms, pair, g, weights, readouts = _block_terms(
-        kernel, seed, sample_id, sample_id + 1)
-    final = np.append(kernel.back @ pair[:, 0], g[0])
+        spec, list(_frame_steps(spec.theta, spec.phi_schedule)), seed,
+        sample_id, sample_id + 1)
+    back = _rotation_matrices(spec.theta, spec.phi_schedule[-1]).conj().T
+    final = np.append(back @ pair[:, 0], g[0])
     return TrajectorySample(readouts=readouts[0],
                             final_state=QutritState(final, normalized=True),
                             probability_weight=float(weights[0]),
@@ -352,14 +323,16 @@ def _blocks(n_samples: int):
             for s in range(0, n_samples, BLOCK_SIZE)]
 
 
-def _terms(kernel: _Kernel, seed: int, start: int, stop: int) -> np.ndarray:
-    return _block_terms(kernel, seed, start, stop)[0]
+def _terms(spec: ProtocolSpec, steps: list, seed: int, start: int,
+           stop: int) -> np.ndarray:
+    return _block_terms(spec, steps, seed, start, stop)[0]
 
 
-def _moments(kernel: _Kernel, seed: int, start: int, stop: int):
+def _moments(spec: ProtocolSpec, steps: list, seed: int, start: int,
+             stop: int):
     """(count, mean, M2_re, M2_im) of one block's terms; M2 is the sum of
     squared deviations of a component from the block mean."""
-    terms = _terms(kernel, seed, start, stop)
+    terms = _terms(spec, steps, seed, start, stop)
     mean = complex(np.mean(terms))
     dev = terms - mean
     return (terms.size, mean, float(np.sum(dev.real ** 2)),
@@ -382,8 +355,8 @@ def _merge_moments(parts):
 
 
 def _block_worker(job):
-    fn, kernel, seed, start, stop = job
-    return fn(kernel, seed, start, stop)
+    fn, *args = job
+    return fn(*args)
 
 
 # Worker pools are reused across calls: fork startup costs more than a
@@ -416,9 +389,10 @@ def _pool(workers: int) -> ProcessPoolExecutor:
 
 
 def _map_blocks(fn, spec: ProtocolSpec, cfg: McConfig, workers: int) -> list:
-    """fn(kernel, seed, start, stop) for every block, in block order."""
-    kernel = _kernel(spec)
-    jobs = [(fn, kernel, cfg.seed, a, b) for a, b in _blocks(cfg.n_samples)]
+    """fn(spec, steps, seed, start, stop) for every block, in block order."""
+    steps = list(_frame_steps(spec.theta, spec.phi_schedule))
+    jobs = [(fn, spec, steps, cfg.seed, a, b)
+            for a, b in _blocks(cfg.n_samples)]
     if workers > 1 and len(jobs) > 1:
         return list(_pool(workers).map(_block_worker, jobs))
     return [_block_worker(job) for job in jobs]
@@ -528,16 +502,17 @@ def readout_histogram(spec: ProtocolSpec, cfg: McConfig,
     two-cloud mixture predicted for the initial state."""
     if spec.strength.is_projective:
         raise DomainError("readout histogram needs the Gaussian model (m > 0)")
-    p_f = float(np.clip(abs(_kernel(spec).pair[F]) ** 2, 0.0, 1.0))
+    _, s_fe, _ = next(_frame_steps(spec.theta, spec.phi_schedule))
+    p_f = float(np.clip((1.0 - spec.reference_weight) * abs(s_fe) ** 2,
+                        0.0, 1.0))
     r0 = cloud_separation(spec.strength)
 
     u = _philox_uniforms(cfg.seed, np.arange(cfg.n_samples), 1)[:, 0]
     r = _mixture_readouts(u, np.full(cfg.n_samples, p_f), r0)
 
-    from scipy.special import ndtr
     edges = np.linspace(-6.0, r0 + 6.0, n_bins + 1)
     prob = np.empty(n_bins)
-    cdf = p_f * ndtr(edges - r0) + (1.0 - p_f) * ndtr(edges)
+    cdf = ReadoutDistribution(p_f, r0).cdf(edges)
     prob[:] = np.diff(cdf)
     prob[0] += cdf[0]
     prob[-1] += 1.0 - cdf[-1]

@@ -11,7 +11,7 @@ import pytest
 
 import geophase
 from geophase import cli
-from geophase.errors import AntipodalError
+from geophase.errors import AntipodalError, TransitionNotFoundError
 from geophase.protocol import run_protocol_analytic
 from geophase.trajectories import McEstimate
 
@@ -227,6 +227,14 @@ class TestTransitionCommand:
         assert diag["nudge_retries"] >= 0
         assert seen[0] == seen[1]
 
+    def test_no_transition_exit_4(self, tmp_path, monkeypatch, capsys):
+        def none_found(*args, **kwargs):
+            raise TransitionNotFoundError("no winding flip in [0, 1]")
+        monkeypatch.setattr(cli.analysis, "find_critical_strength", none_found)
+        assert run_cli(["transition", "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == "error: no winding flip in [0, 1]\n"
+        assert not (tmp_path / "transition.json").exists()
+
     def test_jump_gate_numeric_value(self, tmp_path):
         assert run_cli(["transition", "--assert-jump", "3.141592653589793",
                         "--tol", "1e-3", "--out", str(tmp_path)]) == 0
@@ -285,12 +293,27 @@ class TestSurfaceCommand:
     def test_m_one_rejected(self, tmp_path):
         assert run_cli(["surface", "--m", "1.0", "--out", str(tmp_path)]) == 2
 
-    def test_singular_surface_exit_6(self, tmp_path, monkeypatch):
+    def test_singular_surface_exit_6(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise AntipodalError("antipodal geodesic endpoints on trajectory",
                                  theta=1.57, segment=3)
         monkeypatch.setattr(cli.analysis, "trajectory_surface", boom)
         assert run_cli(["surface", "--m", "0.5", "--out", str(tmp_path)]) == 6
+        assert capsys.readouterr().err == (
+            "error: singular surface: antipodal geodesic endpoints on "
+            "trajectory (theta=1.57, segment=3)\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["phase", "--theta", "4", "--m", "0.5"], "theta=4.0 outside [0, pi]"),
+    (["mc", "--theta", "1", "--m", "1.5"], "strength m=1.5 outside [0, 1]"),
+    (["sweep", "--grid-m", "0:2:3"], "strength grid outside [0, 1]"),
+    (["surface", "--m", "1.0"], "surface degree requires m in [0, 1)"),
+])
+def test_domain_error_exit_2(tmp_path, capsys, argv, message):
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,7 +5,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from geophase.measurement import Strength
-from geophase.protocol import ProtocolSpec, _amplitudes_for_thetas
+from geophase.protocol import (ProtocolSpec, initial_state, measure_along,
+                               _amplitudes_for_thetas)
+from geophase.qutrit import E, rotation_to_axis
 from geophase.trajectories import McConfig, interference_terms
 
 # derandomized and small, so that the suite stays deterministic and quick
@@ -53,6 +55,23 @@ def test_reference_weight_is_a_scale_factor(theta, m, n, ws):
     base = scaled(0.5)
     for w in ws:
         assert abs(scaled(w) - base) < 1e-12
+
+
+@PROPERTY
+@given(theta=thetas, m=strengths, w=weights,
+       schedule=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=8))
+def test_custom_schedule_matches_per_step_product(theta, m, w, schedule):
+    spec = ProtocolSpec(theta=theta, strength=Strength(m),
+                        n_meas=len(schedule), phi_schedule=tuple(schedule),
+                        reference_weight=w)
+    state = initial_state(theta, w)
+    for axis in spec.axes:
+        state = measure_along(state, axis, spec.strength)
+    close = rotation_to_axis(spec.closing_axis).mat
+    ref = 2 * np.sqrt(w) * (close @ state.vec)[E]
+    amp = _amplitudes_for_thetas(np.array([theta]), spec.strength, spec.n_meas,
+                                 w, spec.phi_schedule)[0]
+    assert abs(amp - ref) < 1e-12
 
 
 @PROPERTY

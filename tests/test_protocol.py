@@ -3,11 +3,11 @@ import pytest
 
 from geophase.errors import DomainError
 from geophase.measurement import Strength, kraus_null
-from geophase.protocol import (CONTRAST_FLOOR, ProtocolSpec,
-                               initial_state, measure_along,
+from geophase.protocol import (CLOSING_PHI, CONTRAST_FLOOR, ProtocolSpec,
+                               default_schedule, initial_state, measure_along,
                                run_protocol_analytic, run_protocol_projective,
-                               _amplitudes_for_thetas)
-from geophase.qutrit import (E, MeasurementAxis, Operator3, QutritState,
+                               _amplitudes_for_thetas, _frame_steps)
+from geophase.qutrit import (E, F, MeasurementAxis, Operator3, QutritState,
                              axis_state, bloch_of, rotation_to_axis)
 
 
@@ -210,6 +210,27 @@ class TestAnalyticProtocol:
                                                     0.3, record=True)
             assert amps[:, j].tobytes() == col.tobytes()
             assert pairs[:, j].tobytes() == col_pairs.tobytes()
+
+
+class TestFrameSteps:
+    THETAS = np.array([0.0, 0.7, np.pi / 2, 2.9, np.pi])
+
+    @pytest.mark.parametrize("schedule", [
+        default_schedule(1), default_schedule(3), default_schedule(6),
+        (-0.3, 12.7, -50.0, 41.9, -7.2, 3.3)])
+    def test_steps_are_the_composed_rotations(self, schedule):
+        # S_k = R_k R_{k-1}^dag with phi_0 = 0 and the closing axis last,
+        # against the {e,f} block of the 3x3 rotations
+        phis = (0.0, *schedule, CLOSING_PHI)
+        steps = list(_frame_steps(self.THETAS, schedule))
+        assert len(steps) == len(schedule) + 1
+        for k, (s_ff, s_fe, s_ee) in enumerate(steps, start=1):
+            got = np.array([[s_ff, s_fe], [s_fe, s_ee]])
+            for theta, mat in zip(self.THETAS, got.transpose(2, 0, 1)):
+                ref = (rotation_to_axis(MeasurementAxis(theta, phis[k])).mat
+                       @ rotation_to_axis(MeasurementAxis(theta, phis[k - 1]))
+                       .dagger().mat)
+                assert np.max(np.abs(mat - ref[np.ix_([F, E], [F, E])])) < 1e-15
 
 
 class TestPathRecord:
