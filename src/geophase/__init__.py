@@ -13,10 +13,9 @@ from .measurement import (ReadoutDistribution, Strength, cloud_separation,
                           readout_pdf, readout_quadrature)
 from .protocol import (CONTRAST_FLOOR, InterferenceResult, PathRecord, PathStep,
                        ProtocolSpec, default_schedule, initial_state,
-                       measure_along, run_protocol_analytic,
-                       run_protocol_projective)
+                       measure_along, run_protocol_analytic)
 from .qutrit import (BlochVector, MeasurementAxis, Operator3, QutritState,
-                     axis_from_bloch, axis_state, bloch_of, rotation_to_axis)
+                     axis_state, bloch_of, rotation_to_axis)
 from .trajectories import (McConfig, McEstimate, ReadoutHistogram,
                            TrajectorySample, mc_interference,
                            readout_histogram, sample_trajectory, z_scores)

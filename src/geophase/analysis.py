@@ -30,6 +30,7 @@ from .protocol import CONTRAST_FLOOR, _amplitudes_for_thetas
 from .qutrit import _bloch_batch
 
 DEFAULT_CURVE_NODES = 129
+TRANSITION_CURVE_NODES = 65
 MAX_CURVE_NODES = 4096
 REFINE_DELTA = 0.5 * np.pi
 FAIL_DELTA = np.pi - 1e-3
@@ -194,15 +195,13 @@ def _unwrap_defined(chi_wrapped: np.ndarray, defined: np.ndarray):
 
 def phase_vs_theta(strength: Strength, grid=None, *, n_meas: int = 6,
                    reference_weight: float = 0.5,
-                   phi_schedule: tuple[float, ...] | None = None,
-                   contrast_floor: float = CONTRAST_FLOOR,
-                   max_nodes: int = MAX_CURVE_NODES) -> PhaseCurve:
+                   phi_schedule: tuple[float, ...] | None = None) -> PhaseCurve:
     """Evaluate chi(theta) on a grid, refining until it unwraps cleanly.
 
     The grid must start at theta = 0 (the unwrap anchor).  Intervals whose
     wrapped phase step exceeds pi/2 between adjacent defined nodes are
-    bisected, up to ``max_nodes`` total nodes; nodes with contrast below
-    ``contrast_floor`` are masked and bridged by their defined neighbors.
+    bisected, up to MAX_CURVE_NODES total nodes; nodes with contrast below
+    CONTRAST_FLOOR are masked and bridged by their defined neighbors.
     """
     if grid is None:
         grid = np.linspace(0.0, np.pi, DEFAULT_CURVE_NODES)
@@ -221,12 +220,12 @@ def phase_vs_theta(strength: Strength, grid=None, *, n_meas: int = 6,
 
     chi_w, con = evaluate(thetas)
     while True:
-        didx, steps = _defined_steps(chi_w, con > contrast_floor)
+        didx, steps = _defined_steps(chi_w, con > CONTRAST_FLOOR)
         left, right = thetas[didx[:-1]], thetas[didx[1:]]
         mid = 0.5 * (left + right)
         new_nodes = mid[(np.abs(steps) >= REFINE_DELTA)
                         & (left < mid) & (mid < right)]
-        budget = max_nodes - thetas.size
+        budget = MAX_CURVE_NODES - thetas.size
         if not new_nodes.size or budget <= 0:
             break
         new_nodes = new_nodes[:budget]
@@ -236,7 +235,7 @@ def phase_vs_theta(strength: Strength, grid=None, *, n_meas: int = 6,
         chi_w = np.concatenate([chi_w, chi_new])[order]
         con = np.concatenate([con, con_new])[order]
 
-    defined = con > contrast_floor
+    defined = con > CONTRAST_FLOOR
     if not defined[0]:
         raise UnwrapError("cannot anchor: contrast at theta = 0 below floor")
     chi, unwrappable = _unwrap_defined(chi_w, defined)
@@ -425,8 +424,8 @@ def _equator_root(equator, lo: float, hi: float, a_lo: complex,
 
 def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
                            tol: float = 1e-4, *,
-                           phi_schedule: tuple[float, ...] | None = None,
-                           curve_nodes: int = 65) -> TransitionReport:
+                           phi_schedule: tuple[float, ...] | None = None
+                           ) -> TransitionReport:
     """Bisect the winding-number flip in m, then find the root of the
     equatorial amplitude inside the final bracket.
 
@@ -439,7 +438,7 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
     """
     if tol < 1e-6:
         raise DomainError("tol below the supported resolution 1e-6")
-    grid = np.linspace(0.0, np.pi, curve_nodes)
+    grid = np.linspace(0.0, np.pi, TRANSITION_CURVE_NODES)
     curves = retries = 0
 
     def chern_at(m: float) -> int:

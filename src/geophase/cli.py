@@ -4,18 +4,24 @@ Commands: phase | sweep | transition | mc | surface | schema.  Every
 command writes a JSON result envelope (and, where applicable, a CSV plus a
 gnuplot script referencing it) into the output directory.  Primary output
 files are byte-identical for identical configs and seeds.  The
-GEOPHASE_THREADS environment variable caps the worker count of ``mc``, the
-only command with worker processes, and its output does not depend on it.
-Wall times go into a separate ``*.timing.json`` sidecar and the envelope's
-``timing`` field stays null.  Files are written to a temporary
-name and renamed, so no command leaves a partial file behind.
+GEOPHASE_THREADS environment variable sets the worker count of ``mc``, the
+only command with worker processes, which starts no more of them than it
+has sample blocks or the machine has CPUs; its output does not depend on
+the count.  Wall times go into a separate ``*.timing.json`` sidecar and
+the envelope's ``timing`` field stays null.  Files are written to a
+temporary name and renamed, so no command leaves a partial file behind.
 
 Angles are radians everywhere in files; flags accept degrees with an
 explicit ``deg`` suffix (``--theta 90deg``).  Grids are ``START:STOP:COUNT``
-with inclusive endpoints.  A JSON config file may preset any option the
-command takes; flags override file values.  ``--seed`` belongs to ``mc``
-and ``--format`` to ``sweep``; ``--n-meas`` is capped at MAX_N_MEAS and
-``mc --samples`` at MAX_MC_SAMPLES.
+with inclusive endpoints, or ``{"start", "stop", "count"}`` objects in a
+JSON config file, which may preset any option the command takes; flags
+override file values.  ``--seed`` belongs to ``mc`` and ``--format`` to
+``sweep``.  Sizes are checked before anything is allocated or written: a
+malformed grid exits 2, and exit 3 bounds ``--n-meas`` (MAX_N_MEAS),
+``mc --samples`` (MAX_MC_SAMPLES) and samples x n_meas
+(MAX_MC_SAMPLE_STEPS), sweep cells (MAX_SWEEP_CELLS) and surface points,
+grid count x (n_meas + 1) x interp (MAX_SURFACE_POINTS).  Exit 1 is a
+failed gate, never an oversize grid.
 """
 
 from __future__ import annotations
@@ -39,8 +45,10 @@ from .protocol import CONTRAST_FLOOR, ProtocolSpec, run_protocol_analytic
 
 SCHEMA_VERSION = 1
 MAX_SWEEP_CELLS = 10 ** 6
+MAX_SURFACE_POINTS = 4 * 10 ** 6
 MAX_N_MEAS = 4096
 MAX_MC_SAMPLES = 10 ** 8
+MAX_MC_SAMPLE_STEPS = 6 * 10 ** 8
 
 EXIT_OK = 0
 EXIT_GATE_FAILED = 1
@@ -82,9 +90,31 @@ def parse_grid(text: str):
         count = int(parts[2])
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}") from exc
-    if count < 2:
-        raise argparse.ArgumentTypeError("grid needs at least 2 nodes")
-    return {"start": start, "stop": stop, "count": count}
+    return _check_grid({"start": start, "stop": stop, "count": count})
+
+
+def _check_grid(grid) -> dict:
+    """``grid`` itself, if it has finite ends and an integer count >= 2."""
+    try:
+        count, ends = grid["count"], (grid["start"], grid["stop"])
+        ok = (len(grid) == 3 and type(count) is int and count >= 2
+              and all(type(e) in (int, float) and math.isfinite(e)
+                      for e in ends))
+    except (KeyError, TypeError):
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(
+            "grid needs finite start, stop and an integer count >= 2, "
+            f"got {grid!r}")
+    return grid
+
+
+def _config_grid(cfg: dict, key: str) -> dict:
+    """``cfg[key]`` through parse_grid's checks, which a config file skips."""
+    try:
+        return _check_grid(cfg[key])
+    except argparse.ArgumentTypeError as exc:
+        raise CliError(EXIT_CONFIG, f"{key}: {exc}")
 
 
 def _grid_values(grid) -> np.ndarray:
@@ -338,11 +368,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "grid_m": {"start": 0.0, "stop": 1.0, "count": 64},
                 "n_meas": 6, "ref_weight": 0.5, "format": "csv"}
     cfg = _resolve_config(args, defaults)
-    thetas = _grid_values(cfg["grid_theta"])
-    ms = _grid_values(cfg["grid_m"])
-    if thetas.size * ms.size > MAX_SWEEP_CELLS:
+    grid_theta = _config_grid(cfg, "grid_theta")
+    grid_m = _config_grid(cfg, "grid_m")
+    cells = grid_theta["count"] * grid_m["count"]
+    if cells > MAX_SWEEP_CELLS:
         raise CliError(EXIT_OVERSIZE,
-                       f"grid of {thetas.size * ms.size} cells exceeds {MAX_SWEEP_CELLS}")
+                       f"grid of {cells} cells exceeds {MAX_SWEEP_CELLS}")
+    thetas, ms = _grid_values(grid_theta), _grid_values(grid_m)
     t0 = time.perf_counter()
     pm = analysis.sweep_phase_map(thetas, ms, n_meas=_n_meas(cfg),
                                   reference_weight=float(cfg["ref_weight"]))
@@ -424,6 +456,10 @@ def cmd_mc(args: argparse.Namespace) -> int:
     if n > MAX_MC_SAMPLES:
         raise CliError(EXIT_OVERSIZE,
                        f"{n} samples exceed the maximum {MAX_MC_SAMPLES}")
+    if n * spec.n_meas > MAX_MC_SAMPLE_STEPS:
+        raise CliError(EXIT_OVERSIZE,
+                       f"{n} samples x {spec.n_meas} measurements exceed "
+                       f"{MAX_MC_SAMPLE_STEPS} sample-steps")
     t0 = time.perf_counter()
     reference, _ = run_protocol_analytic(spec)
     ref_amp = reference.contrast * complex(math.cos(reference.phase),
@@ -461,10 +497,16 @@ def cmd_surface(args: argparse.Namespace) -> int:
     if cfg["m"] is None and cfg["gamma_tau"] is None:
         raise CliError(EXIT_CONFIG, "measurement strength required (--m or --gamma-tau)")
     strength = _resolve_strength(cfg)
+    grid = _config_grid(cfg, "grid_theta")
+    n_meas, interp = _n_meas(cfg), int(cfg["interp"])
+    points = grid["count"] * (n_meas + 1) * interp
+    if points > MAX_SURFACE_POINTS:
+        raise CliError(EXIT_OVERSIZE,
+                       f"surface of {points} points exceeds {MAX_SURFACE_POINTS}")
     t0 = time.perf_counter()
     degree, thetas, loops = analysis.trajectory_surface(
-        strength, _grid_values(cfg["grid_theta"]), int(cfg["interp"]),
-        n_meas=_n_meas(cfg), reference_weight=float(cfg["ref_weight"]))
+        strength, _grid_values(grid), interp, n_meas=n_meas,
+        reference_weight=float(cfg["ref_weight"]))
     wall = time.perf_counter() - t0
     out_dir = Path(cfg["out"])
     lines = ["theta,step,x,y,z"]

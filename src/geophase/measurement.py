@@ -35,11 +35,8 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 from .qutrit import F, Operator3, QutritState
 
-# Readout coordinates are plain floats in units of the per-cloud standard
-# deviation of |Psi|^2.
-ReadoutSample = float
-
 DEFAULT_QUADRATURE_NODES = 64
+QUADRATURE_RESIDUAL_TOL = 1e-8
 _GAUSS_NORM = (2.0 * np.pi) ** -0.25
 
 
@@ -109,23 +106,20 @@ def gauss_amplitudes(s: Strength, r):
     return psit, psi
 
 
-def kraus_readout(s: Strength, r: ReadoutSample) -> Operator3:
+def kraus_readout(s: Strength, r: float) -> Operator3:
     """Outcome-resolved Kraus operator diag(Psit(r), Psi(r), Psi(r))."""
     psit, psi = gauss_amplitudes(s, float(r))
     return Operator3(np.diag([psit, psi, psi]).astype(complex))
 
 
-@lru_cache(maxsize=8)
-def readout_quadrature(n_nodes: int = DEFAULT_QUADRATURE_NODES):
+@lru_cache(maxsize=1)
+def readout_quadrature():
     """Nodes and weights with sum(w_i * f(r_i)) ~ integral f(r) dr.
 
     Gauss-Hermite rescaled to the unit-variance clouds used here; exact for
     f = (Gaussian of variance 1 centered anywhere reachable) x polynomial.
-    Node counts above ~256 underflow the raw Hermite weights.
     """
-    if not (2 <= n_nodes <= 256):
-        raise DomainError(f"n_nodes={n_nodes!r} outside [2, 256]")
-    x, w = np.polynomial.hermite.hermgauss(n_nodes)
+    x, w = np.polynomial.hermite.hermgauss(DEFAULT_QUADRATURE_NODES)
     r = np.sqrt(2.0) * x
     wt = np.sqrt(2.0) * w * np.exp(x ** 2)
     r.setflags(write=False)
@@ -133,34 +127,33 @@ def readout_quadrature(n_nodes: int = DEFAULT_QUADRATURE_NODES):
     return r, wt
 
 
-def completeness_residual(s: Strength, n_nodes: int = DEFAULT_QUADRATURE_NODES) -> float:
+def completeness_residual(s: Strength) -> float:
     """Max entrywise residual of integral M(r)^dag M(r) dr against the identity."""
-    r, wt = readout_quadrature(n_nodes)
+    r, wt = readout_quadrature()
     psit, psi = gauss_amplitudes(s, r)
     ff = float(np.sum(wt * psit ** 2))
     ee = float(np.sum(wt * psi ** 2))
     return max(abs(ff - 1.0), abs(ee - 1.0))
 
 
-def effective_kraus_from_integral(s: Strength,
-                                  n_nodes: int = DEFAULT_QUADRATURE_NODES,
-                                  residual_tol: float = 1e-8) -> Operator3:
+def effective_kraus_from_integral(s: Strength) -> Operator3:
     """Numerically evaluate integral Psi*(r) M(r) dr.
 
     This is the reference-amplitude-weighted readout average; it must
     reproduce kraus_null(s), which is what callers verify.  The e/g entries
     have the exactly known value 1, so they double as an internal
     convergence check: a QuadratureError (with the residual) is raised if
-    they miss it by more than ``residual_tol``.
+    they miss it by more than QUADRATURE_RESIDUAL_TOL.
     """
-    r, wt = readout_quadrature(n_nodes)
+    r, wt = readout_quadrature()
     psit, psi = gauss_amplitudes(s, r)
     ff = float(np.sum(wt * psi * psit))
     ee = float(np.sum(wt * psi * psi))
     residual = abs(ee - 1.0)
-    if residual > residual_tol:
+    if residual > QUADRATURE_RESIDUAL_TOL:
         raise QuadratureError(
-            f"readout quadrature with {n_nodes} nodes did not converge", residual)
+            f"readout quadrature with {DEFAULT_QUADRATURE_NODES} nodes did "
+            "not converge", residual)
     return Operator3(np.diag([ff, ee, ee]).astype(complex))
 
 

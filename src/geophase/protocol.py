@@ -222,19 +222,6 @@ def run_protocol_analytic(spec: ProtocolSpec) -> tuple[InterferenceResult, PathR
     return result, PathRecord(tuple(steps))
 
 
-def run_protocol_projective(spec: ProtocolSpec) -> tuple[InterferenceResult, PathRecord]:
-    """The m = 0 protocol with exact projectors.
-
-    Kept as a named entry point because the outcome-resolved Gaussian model
-    excludes m = 0; algebraically diag(0,1,1) is already the projector, so
-    this shares the analytic product.
-    """
-    if not spec.strength.is_projective:
-        raise DomainError(
-            f"projective protocol requires m = 0, got m={spec.strength.m!r}")
-    return run_protocol_analytic(spec)
-
-
 def _frame_steps(thetas: np.ndarray | float, schedule: tuple[float, ...]):
     """Yield the frame changes S_k = R_k R_{k-1}^dag for k = 1 .. N+1.
 

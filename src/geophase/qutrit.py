@@ -58,10 +58,6 @@ class QutritState:
         return cls(np.array([a_f, a_e, a_g], dtype=complex), normalized)
 
     @property
-    def a_f(self) -> complex:
-        return complex(self.vec[F])
-
-    @property
     def a_e(self) -> complex:
         return complex(self.vec[E])
 
@@ -77,16 +73,6 @@ class QutritState:
     def ef_norm(self) -> float:
         """Norm of the {e,f}-manifold component."""
         return float(np.hypot(abs(self.vec[F]), abs(self.vec[E])))
-
-    def unit(self) -> "QutritState":
-        n = self.norm
-        if n < _EF_FLOOR:
-            raise DomainError("cannot normalize a (numerically) zero state")
-        return QutritState(self.vec / n, normalized=True)
-
-    def overlap(self, other: "QutritState") -> complex:
-        """<self|other>."""
-        return complex(np.vdot(self.vec, other.vec))
 
 
 @dataclass(frozen=True)
@@ -111,15 +97,6 @@ class Operator3:
     def apply(self, state: QutritState) -> QutritState:
         return QutritState(self.mat @ state.vec)
 
-    def is_unitary(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.mat.conj().T @ self.mat - np.eye(3))) <= tol)
-
-    def is_block_diagonal(self, tol: float = 1e-15) -> bool:
-        """No coupling between g and the {e,f} manifold."""
-        coupling = max(abs(self.mat[F, G]), abs(self.mat[E, G]),
-                       abs(self.mat[G, F]), abs(self.mat[G, E]))
-        return bool(coupling <= tol)
-
 
 @dataclass(frozen=True)
 class MeasurementAxis:
@@ -137,9 +114,6 @@ class MeasurementAxis:
             raise DomainError(f"theta={self.theta!r} outside [0, pi]")
         if not np.isfinite(self.phi):
             raise DomainError(f"phi={self.phi!r} is not finite")
-
-    def antipode(self) -> "MeasurementAxis":
-        return MeasurementAxis(np.pi - self.theta, self.phi + np.pi)
 
 
 @dataclass(frozen=True)
@@ -200,13 +174,6 @@ def bloch_of(state: QutritState) -> BlochVector:
     xy = 2.0 * a_e * np.conj(a_f)
     return BlochVector(float(xy.real), float(xy.imag),
                        float(abs(a_e) ** 2 - abs(a_f) ** 2))
-
-
-def axis_from_bloch(b: BlochVector) -> MeasurementAxis:
-    """The inverse of ``bloch_of . axis_state`` (away from the poles)."""
-    theta = float(np.arccos(np.clip(b.z, -1.0, 1.0)))
-    phi = float(-np.arctan2(b.y, b.x))
-    return MeasurementAxis(theta, phi)
 
 
 def _rotation_matrices(thetas: np.ndarray, phi) -> np.ndarray:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import atexit
 import math
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -43,8 +44,7 @@ import numpy as np
 from .errors import DomainError
 from .measurement import (ReadoutDistribution, cloud_separation,
                           gauss_amplitudes)
-from .protocol import (CONTRAST_FLOOR, InterferenceResult, ProtocolSpec,
-                       _frame_steps)
+from .protocol import ProtocolSpec, _frame_steps
 from .qutrit import QutritState, _rotation_matrices
 
 if TYPE_CHECKING:
@@ -56,6 +56,9 @@ BLOCK_SIZE = 4096
 
 #: Minimum sample count below which estimates are flagged insufficient.
 MIN_SAMPLES = 100
+
+#: Bins of the readout histogram before sparse bins are merged.
+HISTOGRAM_BINS = 40
 
 
 @dataclass(frozen=True)
@@ -311,12 +314,6 @@ class McEstimate:
         return float(np.hypot(self.mean.imag * self.stderr_re,
                               self.mean.real * self.stderr_im) / c ** 2)
 
-    def to_interference_result(self) -> InterferenceResult:
-        return InterferenceResult(contrast=self.contrast, phase=self.phase,
-                                  method="monte-carlo",
-                                  stderr=self.contrast_stderr,
-                                  phase_defined=self.contrast > CONTRAST_FLOOR)
-
 
 def _blocks(n_samples: int):
     return [(s, min(s + BLOCK_SIZE, n_samples))
@@ -389,11 +386,15 @@ def _pool(workers: int) -> ProcessPoolExecutor:
 
 
 def _map_blocks(fn, spec: ProtocolSpec, cfg: McConfig, workers: int) -> list:
-    """fn(spec, steps, seed, start, stop) for every block, in block order."""
+    """fn(spec, steps, seed, start, stop) for every block, in block order.
+
+    A pool forks all its workers on its first submit, so it gets no more
+    of them than there are blocks or CPUs."""
     steps = list(_frame_steps(spec.theta, spec.phi_schedule))
     jobs = [(fn, spec, steps, cfg.seed, a, b)
             for a, b in _blocks(cfg.n_samples)]
-    if workers > 1 and len(jobs) > 1:
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         return list(_pool(workers).map(_block_worker, jobs))
     return [_block_worker(job) for job in jobs]
 
@@ -496,8 +497,7 @@ def _chi2_sf(x: float, dof: int) -> float:
     return total
 
 
-def readout_histogram(spec: ProtocolSpec, cfg: McConfig,
-                      n_bins: int = 40) -> ReadoutHistogram:
+def readout_histogram(spec: ProtocolSpec, cfg: McConfig) -> ReadoutHistogram:
     """Histogram the first readout of every sample and test it against the
     two-cloud mixture predicted for the initial state."""
     if spec.strength.is_projective:
@@ -510,21 +510,21 @@ def readout_histogram(spec: ProtocolSpec, cfg: McConfig,
     u = _philox_uniforms(cfg.seed, np.arange(cfg.n_samples), 1)[:, 0]
     r = _mixture_readouts(u, np.full(cfg.n_samples, p_f), r0)
 
-    edges = np.linspace(-6.0, r0 + 6.0, n_bins + 1)
-    prob = np.empty(n_bins)
+    edges = np.linspace(-6.0, r0 + 6.0, HISTOGRAM_BINS + 1)
+    prob = np.empty(HISTOGRAM_BINS)
     cdf = ReadoutDistribution(p_f, r0).cdf(edges)
     prob[:] = np.diff(cdf)
     prob[0] += cdf[0]
     prob[-1] += 1.0 - cdf[-1]
     counts = np.bincount(np.searchsorted(edges[1:-1], r),
-                         minlength=n_bins).astype(float)
+                         minlength=HISTOGRAM_BINS).astype(float)
 
     # Merge bins until every expected count supports the chi-square form.
     min_expected = 5.0
     m_edges = [edges[0]]
     m_prob, m_counts = [], []
     acc_p = acc_c = 0.0
-    for k in range(n_bins):
+    for k in range(HISTOGRAM_BINS):
         acc_p += prob[k]
         acc_c += counts[k]
         if acc_p * cfg.n_samples >= min_expected:

@@ -5,9 +5,9 @@ from geophase import analysis as an
 from geophase.errors import (AntipodalError, DomainError,
                              UnwrapError)
 from geophase.measurement import Strength
-from geophase.protocol import (ProtocolSpec, run_protocol_projective,
+from geophase.protocol import (ProtocolSpec, run_protocol_analytic,
                                _amplitudes_for_thetas)
-from geophase.qutrit import MeasurementAxis, axis_from_bloch, axis_state, bloch_of
+from geophase.qutrit import MeasurementAxis, axis_state, bloch_of
 
 
 def circ_diff(a, b):
@@ -176,11 +176,10 @@ class TestProjectiveConsistency:
     @pytest.mark.parametrize("theta", np.linspace(0.15, np.pi - 0.15, 9))
     def test_three_routes_agree(self, theta):
         spec = ProtocolSpec(theta=float(theta), strength=Strength(0.0))
-        result, record = run_protocol_projective(spec)
+        result, record = run_protocol_analytic(spec)
 
         vertices = record.loop_vertices()
-        states = [axis_state(axis_from_bloch(bloch_of_arr))
-                  for bloch_of_arr in map(_as_bloch, vertices)]
+        states = [axis_state(_axis_of(b)) for b in map(_as_bloch, vertices)]
         states.append(states[0])
         pan = an.pancharatnam_phase(states)
         half_omega = 0.5 * an.solid_angle_polygon(vertices)
@@ -193,6 +192,12 @@ def _as_bloch(arr):
     from geophase.qutrit import BlochVector
     v = arr / np.linalg.norm(arr)
     return BlochVector(float(v[0]), float(v[1]), float(v[2]))
+
+
+def _axis_of(b):
+    """The axis whose state has Bloch vector b (mirrored azimuth)."""
+    theta = float(np.arccos(np.clip(b.z, -1.0, 1.0)))
+    return MeasurementAxis(theta, float(-np.arctan2(b.y, b.x)))
 
 
 class TestSurfaceDegree:

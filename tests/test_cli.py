@@ -360,6 +360,98 @@ def test_samples_bound_is_inclusive(tmp_path, monkeypatch):
     assert seen == [cli.MAX_MC_SAMPLES]
 
 
+def test_sample_steps_bound_is_inclusive(tmp_path, monkeypatch):
+    # the sampler is stubbed: only the bound on samples x n_meas is under test
+    seen = []
+
+    def exact_estimate(spec, cfg, workers=1):
+        seen.append(cfg.n_samples)
+        res, _ = run_protocol_analytic(spec)
+        mean = res.contrast * complex(math.cos(res.phase), math.sin(res.phase))
+        return McEstimate(mean=mean, stderr_re=1e-3, stderr_im=1e-3,
+                          n_samples=cfg.n_samples, insufficient=False)
+
+    monkeypatch.setattr(cli.trajectories, "mc_interference", exact_estimate)
+    n_meas = cli.MAX_N_MEAS
+    inside = cli.MAX_MC_SAMPLE_STEPS // n_meas
+    base = ["mc", "--theta", "1", "--m", "0.5", "--n-meas", str(n_meas),
+            "--samples"]
+    over = tmp_path / "over"
+    assert run_cli(base + [str(inside + 1), "--out", str(over)]) == 3
+    assert not over.exists()
+    assert run_cli(base + [str(inside), "--out", str(tmp_path / "in")]) == 0
+    assert seen == [inside]
+
+
+def _no_grid(grid):
+    pytest.fail(f"grid {grid} allocated")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--grid-theta", "0:1:10000000000000"],
+    ["surface", "--m", "0.5", "--grid-theta", "0:3.14159:10000000000000"],
+])
+def test_huge_grid_count_exit_3_before_allocation(tmp_path, monkeypatch, argv):
+    monkeypatch.setattr(cli, "_grid_values", _no_grid)
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 3
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [["sweep"], ["surface", "--m", "0.5"]])
+@pytest.mark.parametrize("grid", [
+    {"start": 0, "stop": 1, "count": 1.5},
+    {"start": 0, "stop": 1, "count": "64"},
+    {"start": 0, "stop": 1, "count": True},
+    {"start": 0, "stop": 1, "count": 1},
+    {"start": 0, "stop": 1},
+    {"start": 0, "stop": 1, "count": 64, "step": 0.1},
+    {"start": "0", "stop": 1, "count": 64},
+    {"start": 0, "stop": float("inf"), "count": 64},
+    [0, 1, 64],
+])
+def test_malformed_config_grid_exit_2(tmp_path, monkeypatch, capsys, command,
+                                      grid):
+    monkeypatch.setattr(cli, "_grid_values", _no_grid)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"grid_theta": grid}))
+    out = tmp_path / "out"
+    assert run_cli(command + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: grid_theta: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["sweep"], ["surface", "--m", "0.5"]])
+def test_oversize_config_grid_exit_3(tmp_path, monkeypatch, command):
+    monkeypatch.setattr(cli, "_grid_values", _no_grid)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(
+        {"grid_theta": {"start": 0, "stop": 3, "count": 10 ** 13}}))
+    out = tmp_path / "out"
+    assert run_cli(command + ["--config", str(cfg), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_surface_points_bound_is_inclusive(tmp_path, monkeypatch):
+    # the surface is stubbed: only the bound on its points is under test
+    seen = []
+
+    def one_point(strength, thetas, interp, *, n_meas, reference_weight):
+        seen.append((thetas.size, n_meas, interp))
+        return 1, thetas[:1], np.array([[[0.0, 0.0, 1.0]]])
+
+    monkeypatch.setattr(cli.analysis, "trajectory_surface", one_point)
+    base = ["surface", "--m", "0.5", "--n-meas", "4", "--interp", "8",
+            "--out", str(tmp_path), "--grid-theta"]
+    count = cli.MAX_SURFACE_POINTS // (5 * 8)
+    assert count * 5 * 8 == cli.MAX_SURFACE_POINTS
+    assert run_cli(base + [f"0:3.141592653589793:{count + 1}"]) == 3
+    assert run_cli(base + [f"0:3.141592653589793:{count}"]) == 0
+    # the default grid and interp still run at the largest n_meas
+    assert run_cli(["surface", "--m", "0.5", "--n-meas", str(cli.MAX_N_MEAS),
+                    "--out", str(tmp_path)]) == 0
+    assert seen == [(count, 4, 8), (64, cli.MAX_N_MEAS, 8)]
+
+
 def _fresh_interpreter(code):
     """Run ``code`` in a new interpreter with the package on its path."""
     src = str(Path(geophase.__file__).resolve().parents[1])

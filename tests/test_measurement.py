@@ -148,9 +148,3 @@ class TestQuadratureRule:
     def test_gaussian_integral_exact(self):
         r, wt = readout_quadrature()
         assert abs(np.sum(wt * np.exp(-r ** 2 / 2) / np.sqrt(2 * np.pi)) - 1.0) < 1e-14
-
-    def test_node_count_bounds(self):
-        with pytest.raises(DomainError):
-            readout_quadrature(1)
-        with pytest.raises(DomainError):
-            readout_quadrature(512)

@@ -5,8 +5,8 @@ from geophase.errors import DomainError
 from geophase.measurement import Strength, kraus_null
 from geophase.protocol import (CLOSING_PHI, CONTRAST_FLOOR, ProtocolSpec,
                                default_schedule, initial_state, measure_along,
-                               run_protocol_analytic, run_protocol_projective,
-                               _amplitudes_for_thetas, _frame_steps)
+                               run_protocol_analytic, _amplitudes_for_thetas,
+                               _frame_steps)
 from geophase.qutrit import (E, F, MeasurementAxis, Operator3, QutritState,
                              axis_state, bloch_of, rotation_to_axis)
 
@@ -284,12 +284,8 @@ class TestPathRecord:
 
 
 class TestProjectiveProtocol:
-    def test_requires_m_zero(self):
-        with pytest.raises(DomainError):
-            run_protocol_projective(ProtocolSpec(theta=1.0, strength=Strength(0.5)))
-
     def test_equatorial_hexagon(self):
-        res, _ = run_protocol_projective(
+        res, _ = run_protocol_analytic(
             ProtocolSpec(theta=np.pi / 2, strength=Strength(0.0)))
         assert abs(res.contrast - 27 / 64) < 1e-12
         assert circ_diff(res.phase, np.pi) < 1e-10
@@ -298,13 +294,13 @@ class TestProjectiveProtocol:
         # two antipodal equatorial projections wipe out the qubit component
         spec = ProtocolSpec(theta=np.pi / 2, strength=Strength(0.0), n_meas=2,
                             phi_schedule=(-np.pi, -2 * np.pi))
-        res, _ = run_protocol_projective(spec)
+        res, _ = run_protocol_analytic(spec)
         assert res.contrast < CONTRAST_FLOOR
         assert not res.phase_defined
 
     def test_north_pole_any_n(self):
         for n in [1, 4, 13]:
-            res, _ = run_protocol_projective(
+            res, _ = run_protocol_analytic(
                 ProtocolSpec(theta=0.0, strength=Strength(0.0), n_meas=n))
             assert abs(res.contrast - 1.0) < 1e-12
             assert circ_diff(res.phase, 0.0) < 1e-12

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from geophase import trajectories
 from geophase.errors import DomainError
 from geophase.measurement import Strength, kraus_readout
 from geophase.protocol import (ProtocolSpec, initial_state,
@@ -199,6 +200,28 @@ class TestMcInterference:
         est1, est2, est3 = (mc_interference(spec, cfg, workers=w)
                             for w in (1, 2, 3))
         assert est1 == est2 == est3
+
+    @pytest.mark.parametrize("cpus, expect", [(8, [3]), (2, [2]), (None, [])])
+    def test_worker_count_capped_by_blocks_and_cpus(self, monkeypatch, cpus,
+                                                    expect):
+        # _pool is stubbed to record its size and map serially, so no
+        # worker process is started whatever count is asked for
+        asked = []
+
+        class SerialPool:
+            map = staticmethod(map)
+
+        def fake_pool(workers):
+            asked.append(workers)
+            return SerialPool()
+
+        monkeypatch.setattr(trajectories, "_pool", fake_pool)
+        monkeypatch.setattr(trajectories.os, "cpu_count", lambda: cpus)
+        spec = ProtocolSpec(theta=2.2, strength=Strength(0.7))
+        cfg = McConfig(n_samples=2 * BLOCK_SIZE + 17, seed=4)
+        est = mc_interference(spec, cfg, workers=100000)
+        assert asked == expect
+        assert est == mc_interference(spec, cfg, workers=1)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
