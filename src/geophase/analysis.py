@@ -436,8 +436,8 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
     change, resolved to adjacent floats (for the uniform schedule the
     amplitude is real and this is its root).
     """
-    if tol < 1e-6:
-        raise DomainError("tol below the supported resolution 1e-6")
+    if not tol >= 1e-6:
+        raise DomainError(f"tol={tol!r} below the supported resolution 1e-6")
     grid = np.linspace(0.0, np.pi, TRANSITION_CURVE_NODES)
     curves = retries = 0
 

@@ -1,27 +1,26 @@
 """Command-line front end with bit-stable CSV/JSON emission.
 
-Commands: phase | sweep | transition | mc | surface | schema.  Every
-command writes a JSON result envelope (and, where applicable, a CSV plus a
-gnuplot script referencing it) into the output directory.  Primary output
-files are byte-identical for identical configs and seeds.  The
-GEOPHASE_THREADS environment variable sets the worker count of ``mc``, the
-only command with worker processes, which starts no more of them than it
-has sample blocks or the machine has CPUs; its output does not depend on
-the count.  Wall times go into a separate ``*.timing.json`` sidecar and
-the envelope's ``timing`` field stays null.  Files are written to a
-temporary name and renamed, so no command leaves a partial file behind.
+Commands: phase | sweep | transition | mc | surface | schema.  Each writes
+a JSON result envelope into ``--out``, and sweep and surface also a CSV
+plus a gnuplot script; primary files are byte-identical for identical
+configs and seeds.  GEOPHASE_THREADS sets the worker count of ``mc``; its
+output does not depend on the count.  Wall times go to a ``*.timing.json``
+sidecar, and files are written to a temporary name and renamed.
 
-Angles are radians everywhere in files; flags accept degrees with an
-explicit ``deg`` suffix (``--theta 90deg``).  Grids are ``START:STOP:COUNT``
-with inclusive endpoints, or ``{"start", "stop", "count"}`` objects in a
-JSON config file, which may preset any option the command takes; flags
-override file values.  ``--seed`` belongs to ``mc`` and ``--format`` to
-``sweep``.  Sizes are checked before anything is allocated or written: a
-malformed grid exits 2, and exit 3 bounds ``--n-meas`` (MAX_N_MEAS),
-``mc --samples`` (MAX_MC_SAMPLES) and samples x n_meas
-(MAX_MC_SAMPLE_STEPS), sweep cells (MAX_SWEEP_CELLS) and surface points,
-grid count x (n_meas + 1) x interp (MAX_SURFACE_POINTS).  Exit 1 is a
-failed gate, never an oversize grid.
+OPTIONS declares each option once: its parser, default and help.  A JSON
+``--config`` file may preset any option of the command, and flags
+override it.  A config value passes its flag's parser: a string is read
+as the flag's text (``"90deg"``), a number as its decimal text (so 6.7 is
+no count), and null leaves the default.  ``projective`` takes a JSON
+bool, a grid also a ``{"start", "stop", "count"}`` object, and
+``phi_schedule`` (config only) a list of angles.  Angles are radians in
+files; flags take a ``deg`` suffix.  Grid endpoints are inclusive.
+
+A value that does not parse exits 2 before any work.  Exit 3 bounds, before
+anything is allocated, ``--n-meas`` (MAX_N_MEAS), ``mc --samples``
+(MAX_MC_SAMPLES), samples x n_meas (MAX_MC_SAMPLE_STEPS), sweep cells
+(MAX_SWEEP_CELLS) and surface points, grid count x (n_meas + 1) x interp
+(MAX_SURFACE_POINTS).  Exit 1 is a failed gate and nothing else.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from importlib import resources
 from pathlib import Path
 
@@ -66,7 +66,7 @@ class CliError(GeophaseError):
 
 
 # ---------------------------------------------------------------------------
-# Option parsing helpers
+# Options: one parser each, for the flag's text and the config-file value
 
 
 def parse_angle(text: str) -> float:
@@ -80,21 +80,26 @@ def parse_angle(text: str) -> float:
         raise argparse.ArgumentTypeError(f"bad angle {text!r}") from exc
 
 
-def parse_grid(text: str):
-    """START:STOP:COUNT with inclusive endpoints; angles may carry ``deg``."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"grid must be START:STOP:COUNT, got {text!r}")
-    try:
-        start, stop = parse_angle(parts[0]), parse_angle(parts[1])
-        count = int(parts[2])
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise argparse.ArgumentTypeError(f"bad grid {text!r}") from exc
-    return _check_grid({"start": start, "stop": stop, "count": count})
+def _expect(ok: bool, value, what: str):
+    """``value`` if ``ok``, else the parse error naming ``what`` it should be."""
+    if not ok:
+        raise argparse.ArgumentTypeError(f"expected {what}, got {value!r}")
+    return value
 
 
-def _check_grid(grid) -> dict:
-    """``grid`` itself, if it has finite ends and an integer count >= 2."""
+def parse_grid(text) -> dict:
+    """START:STOP:COUNT with inclusive endpoints (angles may carry ``deg``),
+    or a config file's ``{"start", "stop", "count"}`` object; the ends must
+    be finite and the count an integer >= 2."""
+    grid = text
+    if isinstance(text, str):
+        try:
+            start, stop, count = text.split(":")
+            grid = {"start": parse_angle(start), "stop": parse_angle(stop),
+                    "count": int(count)}
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise argparse.ArgumentTypeError(
+                f"grid must be START:STOP:COUNT, got {text!r}") from exc
     try:
         count, ends = grid["count"], (grid["start"], grid["stop"])
         ok = (len(grid) == 3 and type(count) is int and count >= 2
@@ -102,23 +107,88 @@ def _check_grid(grid) -> dict:
                       for e in ends))
     except (KeyError, TypeError):
         ok = False
-    if not ok:
-        raise argparse.ArgumentTypeError(
-            "grid needs finite start, stop and an integer count >= 2, "
-            f"got {grid!r}")
-    return grid
-
-
-def _config_grid(cfg: dict, key: str) -> dict:
-    """``cfg[key]`` through parse_grid's checks, which a config file skips."""
-    try:
-        return _check_grid(cfg[key])
-    except argparse.ArgumentTypeError as exc:
-        raise CliError(EXIT_CONFIG, f"{key}: {exc}")
+    return _expect(ok, grid, "finite start, stop and an integer count >= 2")
 
 
 def _grid_values(grid) -> np.ndarray:
     return np.linspace(grid["start"], grid["stop"], grid["count"])
+
+
+def _jump_target(text: str) -> float:
+    """The jump a ``transition`` gate expects: 'pi' or a finite value in rad."""
+    try:
+        target = math.pi if text.strip().lower() == "pi" else float(text)
+    except ValueError:
+        target = math.nan
+    _expect(math.isfinite(target), text, "'pi' or a finite jump in rad")
+    return target
+
+
+def _jump_text(text: str) -> str:
+    """``text`` once it reads as a jump target; the config echoes it as given."""
+    _jump_target(text)
+    return text
+
+
+def _sweep_format(text: str) -> str:
+    return _expect(text in ("csv", "json", "both"), text, "csv, json or both")
+
+
+def _switch(value) -> bool:
+    """A flag without a value; in a config file, a JSON bool."""
+    return _expect(type(value) is bool, value, "true or false")
+
+
+def _schedule(value) -> tuple[float, ...]:
+    """A JSON list of measurement azimuths in rad (config file only)."""
+    _expect(isinstance(value, list) and all(type(p) in (int, float) for p in value),
+            value, "a list of angles in rad")
+    return tuple(map(float, value))
+
+
+#: ``parse`` reads the flag's text and the config-file value; an option
+#: with no ``help`` is a config-file key without a flag.
+_Option = namedtuple("_Option", "parse default help")
+
+OPTIONS = {
+    "out": _Option(str, "geophase_out", "output directory"),
+    "theta": _Option(parse_angle, None, "polar angle (radians, or e.g. 90deg)"),
+    "m": _Option(float, None, "null-outcome attenuation in [0, 1]"),
+    "gamma_tau": _Option(float, None, "integrated dephasing; m = exp(-gamma*tau)"),
+    "projective": _Option(_switch, False, "use the projective (m = 0) protocol"),
+    "n_meas": _Option(int, 6, "measurements per sequence"),
+    "ref_weight": _Option(float, 0.5, "initial reference-level population"),
+    "phi_schedule": _Option(_schedule, None, None),
+    "grid_theta": _Option(parse_grid, {"start": 0.0, "stop": math.pi, "count": 64},
+                          "theta grid START:STOP:COUNT"),
+    "grid_m": _Option(parse_grid, {"start": 0.0, "stop": 1.0, "count": 64},
+                      "strength grid START:STOP:COUNT"),
+    "format": _Option(_sweep_format, "csv",
+                      "embed the map in sweep.json too: json or both"),
+    "tol": _Option(float, 1e-4, "bracket width in m"),
+    "assert_jump": _Option(_jump_text, None,
+                           "gate the equatorial jump ('pi' or a value in rad)"),
+    "samples": _Option(int, 10000, "trajectory count"),
+    "seed": _Option(int, 42, "random seed"),
+    "interp": _Option(int, 8, "interpolation per segment"),
+}
+
+#: Parsers that take a config file's JSON object, bool or list as such;
+#: every other option takes a string or a number there.
+_JSON_PARSERS = (parse_grid, _switch, _schedule)
+
+_PROTOCOL = ("theta", "m", "gamma_tau", "projective", "n_meas", "ref_weight",
+             "phi_schedule")
+
+#: The options of each command that has a ``--config``, in --help order.
+COMMAND_OPTIONS = {
+    "phase": _PROTOCOL + ("out",),
+    "sweep": ("grid_theta", "grid_m", "n_meas", "ref_weight", "format", "out"),
+    "transition": ("n_meas", "ref_weight", "tol", "assert_jump", "out"),
+    "mc": _PROTOCOL + ("samples", "seed", "out"),
+    "surface": ("m", "gamma_tau", "grid_theta", "interp", "n_meas",
+                "ref_weight", "out"),
+}
 
 
 def workers_from_env() -> int:
@@ -133,53 +203,68 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-# ---------------------------------------------------------------------------
-# Config resolution: defaults <- config file <- explicit flags
+def _config_value(key: str, value):
+    """A config-file value read by its flag's parser, as the flag's text."""
+    parse = OPTIONS[key].parse
+    if type(value) in (int, float):
+        value = repr(value)  # so 6.7 is no int, as --n-meas 6.7 is not
+    try:
+        return parse(_expect(isinstance(value, str) or parse in _JSON_PARSERS,
+                             value, "a string or a number"))
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise CliError(EXIT_CONFIG, f"{key}: {exc}")
 
 
-def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
-    cfg = dict(defaults)
-    path = getattr(args, "config", None)
-    if path is not None:
+def _resolve_config(args: argparse.Namespace) -> dict:
+    """The command's options: defaults <- config file <- given flags."""
+    keys = COMMAND_OPTIONS[args.command]
+    cfg = {key: OPTIONS[key].default for key in keys}
+    if args.config is not None:
         try:
-            loaded = json.loads(Path(path).read_text(encoding="utf-8"))
+            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(EXIT_CONFIG, f"cannot read config {path}: {exc}")
-        unknown = set(loaded) - set(defaults)
+            raise CliError(EXIT_CONFIG, f"cannot read config {args.config}: {exc}")
+        if not isinstance(loaded, dict):
+            raise CliError(EXIT_CONFIG, f"config {args.config} is not a JSON object")
+        unknown = set(loaded) - set(keys)
         if unknown:
-            raise CliError(EXIT_CONFIG,
-                           f"unknown config keys: {sorted(unknown)}")
-        cfg.update(loaded)
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
+            raise CliError(EXIT_CONFIG, f"unknown config keys: {sorted(unknown)}")
+        # null leaves the default, as persisted configs write it
+        cfg.update((key, _config_value(key, value))
+                   for key, value in loaded.items() if value is not None)
+    cfg.update((key, value) for key in keys
+               if (value := getattr(args, key, None)) is not None)
     return cfg
 
 
 def _resolve_strength(cfg: dict) -> Strength:
-    m, gamma_tau = cfg.get("m"), cfg.get("gamma_tau")
-    projective = bool(cfg.get("projective"))
-    if m is not None and gamma_tau is not None:
+    m, gamma_tau = cfg["m"], cfg["gamma_tau"]
+    if gamma_tau is not None:
+        if not gamma_tau >= 0.0:
+            raise CliError(EXIT_CONFIG, f"gamma_tau={gamma_tau!r} must be >= 0")
         # persisted configs echo both parameterizations; only actual
         # disagreement is an error
-        if abs(m - math.exp(-gamma_tau)) > 1e-12:
-            raise CliError(EXIT_CONFIG,
-                           "m and gamma_tau disagree; give one of them")
-    if m is None and gamma_tau is not None:
-        m = math.exp(-gamma_tau)
-    if m is None:
-        if not projective:
-            raise CliError(EXIT_CONFIG,
-                           "measurement strength required (--m, --gamma-tau, or --projective)")
-        m = 0.0
-    if projective and m != 0.0:
+        if m is not None and abs(m - math.exp(-gamma_tau)) > 1e-12:
+            raise CliError(EXIT_CONFIG, "m and gamma_tau disagree; give one of them")
+        m = math.exp(-gamma_tau) if m is None else m
+    projective = cfg.get("projective", False)
+    if m is None and not projective:
+        flags = ("--m, --gamma-tau or --projective" if "projective" in cfg
+                 else "--m or --gamma-tau")
+        raise CliError(EXIT_CONFIG, f"measurement strength required ({flags})")
+    if projective and m not in (None, 0.0):
         raise CliError(EXIT_CONFIG, "--projective requires m = 0")
-    return Strength(float(m))
+    return Strength(0.0 if m is None else m)
+
+
+def _strength_fields(strength: Strength) -> dict:
+    """m and gamma_tau as envelopes report them (gamma_tau null at m = 0)."""
+    return {"m": strength.m,
+            "gamma_tau": None if strength.m == 0.0 else strength.gamma_tau}
 
 
 def _n_meas(cfg: dict) -> int:
-    n = int(cfg["n_meas"])
+    n = cfg["n_meas"]
     if n < 1:
         raise CliError(EXIT_CONFIG, f"n_meas={n} must be positive")
     if n > MAX_N_MEAS:
@@ -188,24 +273,12 @@ def _n_meas(cfg: dict) -> int:
     return n
 
 
-def _protocol_spec(cfg: dict, strength: Strength) -> ProtocolSpec:
-    schedule = cfg.get("phi_schedule")
-    return ProtocolSpec(theta=float(cfg["theta"]), strength=strength,
-                        n_meas=_n_meas(cfg),
-                        phi_schedule=tuple(schedule) if schedule else None,
-                        reference_weight=float(cfg["ref_weight"]))
-
-
-def _echo_config(cfg: dict, strength: Strength | None = None) -> dict:
-    echo = {}
-    for key, value in sorted(cfg.items()):
-        if isinstance(value, tuple):
-            value = list(value)
-        echo[key] = value
-    if strength is not None:
-        echo["m"] = strength.m
-        echo["gamma_tau"] = None if strength.m == 0.0 else strength.gamma_tau
-    return echo
+def _protocol_spec(cfg: dict) -> ProtocolSpec:
+    if cfg["theta"] is None:
+        raise CliError(EXIT_CONFIG, "--theta is required")
+    return ProtocolSpec(theta=cfg["theta"], strength=_resolve_strength(cfg),
+                        n_meas=_n_meas(cfg), phi_schedule=cfg["phi_schedule"],
+                        reference_weight=cfg["ref_weight"])
 
 
 # ---------------------------------------------------------------------------
@@ -320,35 +393,17 @@ splot "surface.csv" every ::1 using 3:4:5:1 with points pt 7 ps 0.4 palette noti
 # Commands
 
 
-_COMMON_DEFAULTS = {"out": "geophase_out"}
-
-_PROTOCOL_DEFAULTS = {
-    "theta": None,
-    "m": None,
-    "gamma_tau": None,
-    "projective": False,
-    "n_meas": 6,
-    "ref_weight": 0.5,
-    "phi_schedule": None,
-}
-
-
 def cmd_phase(args: argparse.Namespace) -> int:
-    defaults = {**_COMMON_DEFAULTS, **_PROTOCOL_DEFAULTS}
-    cfg = _resolve_config(args, defaults)
-    if cfg["theta"] is None:
-        raise CliError(EXIT_CONFIG, "--theta is required")
-    strength = _resolve_strength(cfg)
-    spec = _protocol_spec(cfg, strength)
+    cfg = _resolve_config(args)
+    spec = _protocol_spec(cfg)
     t0 = time.perf_counter()
     result, record = run_protocol_analytic(spec)
     wall = time.perf_counter() - t0
-    print(f"theta={spec.theta:.12g} m={strength.m:.12g} "
+    print(f"theta={spec.theta:.12g} m={spec.strength.m:.12g} "
           f"chi={result.phase:.12g} contrast={result.contrast:.12g}")
     results = {
         "theta": spec.theta,
-        "m": strength.m,
-        "gamma_tau": None if strength.m == 0.0 else strength.gamma_tau,
+        **_strength_fields(spec.strength),
         "chi": result.phase,
         "contrast": result.contrast,
         "phase_defined": result.phase_defined,
@@ -358,18 +413,14 @@ def cmd_phase(args: argparse.Namespace) -> int:
     diagnostics = {"contrast_floor": CONTRAST_FLOOR,
                    "amplitude_factors": [s.amplitude_factor for s in record.steps]}
     write_envelope(Path(cfg["out"]), "phase", "phase",
-                   _echo_config(cfg, strength), results, diagnostics, wall)
+                   {**cfg, **_strength_fields(spec.strength)}, results,
+                   diagnostics, wall)
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    defaults = {**_COMMON_DEFAULTS,
-                "grid_theta": {"start": 0.0, "stop": math.pi, "count": 64},
-                "grid_m": {"start": 0.0, "stop": 1.0, "count": 64},
-                "n_meas": 6, "ref_weight": 0.5, "format": "csv"}
-    cfg = _resolve_config(args, defaults)
-    grid_theta = _config_grid(cfg, "grid_theta")
-    grid_m = _config_grid(cfg, "grid_m")
+    cfg = _resolve_config(args)
+    grid_theta, grid_m = cfg["grid_theta"], cfg["grid_m"]
     cells = grid_theta["count"] * grid_m["count"]
     if cells > MAX_SWEEP_CELLS:
         raise CliError(EXIT_OVERSIZE,
@@ -377,7 +428,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     thetas, ms = _grid_values(grid_theta), _grid_values(grid_m)
     t0 = time.perf_counter()
     pm = analysis.sweep_phase_map(thetas, ms, n_meas=_n_meas(cfg),
-                                  reference_weight=float(cfg["ref_weight"]))
+                                  reference_weight=cfg["ref_weight"])
     wall = time.perf_counter() - t0
     out_dir = Path(cfg["out"])
     write_sweep_csv(out_dir / "sweep.csv", pm)
@@ -398,20 +449,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "contrast": pm.contrast, "defined": pm.defined,
         }
     diagnostics = {"column_unwrappable": pm.column_unwrappable}
-    write_envelope(out_dir, "sweep", "sweep", _echo_config(cfg), results,
-                   diagnostics, wall)
+    write_envelope(out_dir, "sweep", "sweep", cfg, results, diagnostics, wall)
     print(f"sweep: {pm.n_cells} cells -> {out_dir / 'sweep.csv'}")
     return EXIT_OK
 
 
 def cmd_transition(args: argparse.Namespace) -> int:
-    defaults = {**_COMMON_DEFAULTS, "n_meas": 6, "ref_weight": 0.5,
-                "tol": 1e-4, "assert_jump": None}
-    cfg = _resolve_config(args, defaults)
+    cfg = _resolve_config(args)
     t0 = time.perf_counter()
     report = analysis.find_critical_strength(
-        n_meas=_n_meas(cfg), reference_weight=float(cfg["ref_weight"]),
-        tol=float(cfg["tol"]))
+        n_meas=_n_meas(cfg), reference_weight=cfg["ref_weight"],
+        tol=cfg["tol"])
     wall = time.perf_counter() - t0
     lo, hi = report.bracket
     results = {
@@ -428,28 +476,22 @@ def cmd_transition(args: argparse.Namespace) -> int:
     diagnostics = {"winding_curves": report.curves,
                    "nudge_retries": report.nudge_retries,
                    "root_kernel_calls": report.root_calls}
-    write_envelope(Path(cfg["out"]), "transition", "transition",
-                   _echo_config(cfg), results, diagnostics, wall)
+    write_envelope(Path(cfg["out"]), "transition", "transition", cfg,
+                   results, diagnostics, wall)
     print(f"m_star={report.m_star.m:.8g} bracket_width={hi - lo:.3g} "
           f"chern {report.chern_below}->{report.chern_above} "
           f"jump={report.jump_at_equator:.6g}")
     ok = report.chern_below == 1 and report.chern_above == 0
     gate = cfg["assert_jump"]
     if gate is not None:
-        target = math.pi if str(gate).strip().lower() == "pi" else float(gate)
-        ok = ok and abs(report.jump_at_equator - target) <= 0.05
+        ok = ok and abs(report.jump_at_equator - _jump_target(gate)) <= 0.05
     return EXIT_OK if ok else EXIT_GATE_FAILED
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
-    defaults = {**_COMMON_DEFAULTS, **_PROTOCOL_DEFAULTS,
-                "samples": 10000, "seed": 42}
-    cfg = _resolve_config(args, defaults)
-    if cfg["theta"] is None:
-        raise CliError(EXIT_CONFIG, "--theta is required")
-    strength = _resolve_strength(cfg)
-    spec = _protocol_spec(cfg, strength)
-    n = int(cfg["samples"])
+    cfg = _resolve_config(args)
+    spec = _protocol_spec(cfg)
+    n = cfg["samples"]
     if n < trajectories.MIN_SAMPLES:
         raise CliError(EXIT_INSUFFICIENT,
                        f"{n} samples below the minimum {trajectories.MIN_SAMPLES}")
@@ -465,7 +507,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
     ref_amp = reference.contrast * complex(math.cos(reference.phase),
                                            math.sin(reference.phase))
     estimate = trajectories.mc_interference(
-        spec, trajectories.McConfig(n_samples=n, seed=int(cfg["seed"])),
+        spec, trajectories.McConfig(n_samples=n, seed=cfg["seed"]),
         workers=workers_from_env())
     wall = time.perf_counter() - t0
     z_re, z_im = trajectories.z_scores(estimate, ref_amp)
@@ -481,24 +523,19 @@ def cmd_mc(args: argparse.Namespace) -> int:
         "z_scores": {"re": z_re, "im": z_im},
         "agreement": bool(z_re <= 3.0 and z_im <= 3.0),
     }
-    write_envelope(Path(cfg["out"]), "mc", "mc", _echo_config(cfg, strength),
-                   results, {"insufficient": estimate.insufficient}, wall)
+    write_envelope(Path(cfg["out"]), "mc", "mc",
+                   {**cfg, **_strength_fields(spec.strength)}, results,
+                   {"insufficient": estimate.insufficient}, wall)
     print(f"mc: z_re={z_re:.3g} z_im={z_im:.3g} "
           f"({'ok' if results['agreement'] else 'DISAGREE'})")
     return EXIT_OK if results["agreement"] else EXIT_GATE_FAILED
 
 
 def cmd_surface(args: argparse.Namespace) -> int:
-    defaults = {**_COMMON_DEFAULTS,
-                "m": None, "gamma_tau": None,
-                "grid_theta": {"start": 0.0, "stop": math.pi, "count": 64},
-                "interp": 8, "n_meas": 6, "ref_weight": 0.5}
-    cfg = _resolve_config(args, defaults)
-    if cfg["m"] is None and cfg["gamma_tau"] is None:
-        raise CliError(EXIT_CONFIG, "measurement strength required (--m or --gamma-tau)")
+    cfg = _resolve_config(args)
     strength = _resolve_strength(cfg)
-    grid = _config_grid(cfg, "grid_theta")
-    n_meas, interp = _n_meas(cfg), int(cfg["interp"])
+    grid = cfg["grid_theta"]
+    n_meas, interp = _n_meas(cfg), cfg["interp"]
     points = grid["count"] * (n_meas + 1) * interp
     if points > MAX_SURFACE_POINTS:
         raise CliError(EXIT_OVERSIZE,
@@ -506,7 +543,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     degree, thetas, loops = analysis.trajectory_surface(
         strength, _grid_values(grid), interp, n_meas=n_meas,
-        reference_weight=float(cfg["ref_weight"]))
+        reference_weight=cfg["ref_weight"])
     wall = time.perf_counter() - t0
     out_dir = Path(cfg["out"])
     lines = ["theta,step,x,y,z"]
@@ -519,8 +556,8 @@ def cmd_surface(args: argparse.Namespace) -> int:
     results = {"degree": degree, "n_loops": int(loops.shape[0]),
                "points_per_loop": int(loops.shape[1]),
                "csv": "surface.csv", "plot_script": "surface.gp"}
-    write_envelope(out_dir, "surface", "surface", _echo_config(cfg, strength),
-                   results, {}, wall)
+    write_envelope(out_dir, "surface", "surface",
+                   {**cfg, **_strength_fields(strength)}, results, {}, wall)
     print(f"surface degree={degree} ({loops.shape[0]} loops x "
           f"{loops.shape[1]} points)")
     return EXIT_OK
@@ -546,27 +583,6 @@ def envelope_schema() -> dict:
 # Parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="output directory (default geophase_out)")
-    p.add_argument("--config", help="JSON config file; flags override")
-
-
-def _add_protocol(p: argparse.ArgumentParser, with_theta: bool = True) -> None:
-    if with_theta:
-        p.add_argument("--theta", type=parse_angle,
-                       help="polar angle (radians, or e.g. 90deg)")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--m", type=float, help="null-outcome attenuation in [0, 1]")
-    group.add_argument("--gamma-tau", dest="gamma_tau", type=float,
-                       help="integrated dephasing; m = exp(-gamma*tau)")
-    p.add_argument("--projective", action="store_const", const=True,
-                   help="use the projective (m = 0) protocol")
-    p.add_argument("--n-meas", dest="n_meas", type=int,
-                   help="measurements per sequence (default 6)")
-    p.add_argument("--ref-weight", dest="ref_weight", type=float,
-                   help="initial reference-level population (default 0.5)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geophase",
@@ -574,50 +590,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "sequence evaluation, Monte Carlo cross-checks, and "
                     "topological-transition analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("phase", help="one analytic protocol evaluation")
-    _add_protocol(p)
-    _add_common(p)
-    p.set_defaults(handler=cmd_phase)
-
-    p = sub.add_parser("sweep", help="dense (theta, m) phase/contrast map")
-    p.add_argument("--grid-theta", dest="grid_theta", type=parse_grid,
-                   help="theta grid START:STOP:COUNT (default 0:pi:64)")
-    p.add_argument("--grid-m", dest="grid_m", type=parse_grid,
-                   help="strength grid START:STOP:COUNT (default 0:1:64)")
-    p.add_argument("--n-meas", dest="n_meas", type=int)
-    p.add_argument("--ref-weight", dest="ref_weight", type=float)
-    p.add_argument("--format", choices=("csv", "json", "both"),
-                   help="embed the map in sweep.json too: json or both "
-                        "(default csv)")
-    _add_common(p)
-    p.set_defaults(handler=cmd_sweep)
-
-    p = sub.add_parser("transition", help="locate the critical strength")
-    p.add_argument("--n-meas", dest="n_meas", type=int)
-    p.add_argument("--ref-weight", dest="ref_weight", type=float)
-    p.add_argument("--tol", type=float, help="bracket width in m (default 1e-4)")
-    p.add_argument("--assert-jump", dest="assert_jump",
-                   help="gate the equatorial jump ('pi' or a value in rad)")
-    _add_common(p)
-    p.set_defaults(handler=cmd_transition)
-
-    p = sub.add_parser("mc", help="Monte Carlo versus analytic comparison")
-    _add_protocol(p)
-    p.add_argument("--samples", type=int, help="trajectory count (default 10000)")
-    p.add_argument("--seed", type=int, help="random seed (default 42)")
-    _add_common(p)
-    p.set_defaults(handler=cmd_mc)
-
-    p = sub.add_parser("surface", help="Bloch trajectory surface and degree")
-    p.add_argument("--m", type=float)
-    p.add_argument("--gamma-tau", dest="gamma_tau", type=float)
-    p.add_argument("--grid-theta", dest="grid_theta", type=parse_grid)
-    p.add_argument("--interp", type=int, help="interpolation per segment (default 8)")
-    p.add_argument("--n-meas", dest="n_meas", type=int)
-    p.add_argument("--ref-weight", dest="ref_weight", type=float)
-    _add_common(p)
-    p.set_defaults(handler=cmd_surface)
+    for name, handler, summary in (
+            ("phase", cmd_phase, "one analytic protocol evaluation"),
+            ("sweep", cmd_sweep, "dense (theta, m) phase/contrast map"),
+            ("transition", cmd_transition, "locate the critical strength"),
+            ("mc", cmd_mc, "Monte Carlo versus analytic comparison"),
+            ("surface", cmd_surface, "Bloch trajectory surface and degree")):
+        p = sub.add_parser(name, help=summary)
+        for key in COMMAND_OPTIONS[name]:
+            option = OPTIONS[key]
+            if option.help is None:
+                continue
+            shown = option.default
+            if isinstance(shown, dict):
+                shown = "{start:g}:{stop:g}:{count}".format(**shown)
+            text = (option.help if shown in (None, False)
+                    else f"{option.help} (default {shown})")
+            flag = "--" + key.replace("_", "-")
+            if option.parse is _switch:
+                p.add_argument(flag, action="store_const", const=True, help=text)
+            else:
+                p.add_argument(flag, type=option.parse, help=text)
+        p.add_argument("--config", help="JSON config file; flags override")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("schema", help="print the result-envelope JSON schema")
     p.add_argument("--out", help="also write envelope.schema.json here")

@@ -279,6 +279,8 @@ def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength | np.ndarray,
     thetas = np.asarray(thetas, dtype=float)
     if np.any(thetas < 0.0) or np.any(thetas > np.pi):
         raise DomainError("thetas outside [0, pi]")
+    if not 0.0 < reference_weight < 1.0:
+        raise DomainError(f"reference_weight={reference_weight!r} outside (0, 1)")
     m = strength.m if isinstance(strength, Strength) else np.asarray(strength)
     schedule = phi_schedule if phi_schedule is not None else default_schedule(n_meas)
     if len(schedule) != n_meas:

@@ -253,6 +253,11 @@ class TestTransition:
         with pytest.raises(DomainError):
             an.find_critical_strength(tol=1e-9)
 
+    def test_nan_tol_rejected(self):
+        # a NaN width would skip the bisection and report the start bracket
+        with pytest.raises(DomainError, match="tol=nan"):
+            an.find_critical_strength(tol=float("nan"))
+
     def test_critical_strength_grows_with_sequence_length(self, transition):
         # finer wrapping needs less backaction per step, so the flip moves
         # toward weaker measurements (larger m)
@@ -318,6 +323,11 @@ class TestSweep:
             an.sweep_phase_map([0.0, 4.0], [0.5])
         with pytest.raises(DomainError):
             an.sweep_phase_map([0.0, 1.0], [1.5])
+
+    @pytest.mark.parametrize("weight", [-1.0, 0.0, 1.0, 1.5, float("nan")])
+    def test_reference_weight_outside_unit_interval(self, weight):
+        with pytest.raises(DomainError, match="reference_weight="):
+            an.sweep_phase_map([0.0, 1.0], [0.5], reference_weight=weight)
 
 
 class TestExactTransition:

@@ -316,6 +316,113 @@ def test_domain_error_exit_2(tmp_path, capsys, argv, message):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--ref-weight", "1.5"], "reference_weight=1.5 outside (0, 1)"),
+    (["sweep", "--ref-weight", "nan"], "reference_weight=nan outside (0, 1)"),
+    (["surface", "--m", "0.5", "--ref-weight", "1.5"],
+     "reference_weight=1.5 outside (0, 1)"),
+    (["transition", "--ref-weight", "1.5"],
+     "reference_weight=1.5 outside (0, 1)"),
+    (["transition", "--tol", "nan"],
+     "tol=nan below the supported resolution 1e-6"),
+    (["phase", "--theta", "1", "--gamma-tau", "-1000"],
+     "gamma_tau=-1000.0 must be >= 0"),
+    (["phase", "--theta", "1"],
+     "measurement strength required (--m, --gamma-tau or --projective)"),
+    (["surface"], "measurement strength required (--m or --gamma-tau)"),
+])
+def test_bad_value_exit_2_writes_nothing(tmp_path, capsys, argv, message):
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+_PROTOCOL_POINT = ["--theta", "1", "--m", "0.5"]
+
+
+@pytest.mark.parametrize("argv, config, key", [
+    (["phase", "--m", "0.5"], {"theta": "x"}, "theta"),
+    (["transition"], {"tol": "x"}, "tol"),
+    (["surface", "--m", "0.5"], {"interp": "x"}, "interp"),
+    (["phase", *_PROTOCOL_POINT], {"phi_schedule": "abcdef"}, "phi_schedule"),
+    (["phase", *_PROTOCOL_POINT], {"phi_schedule": ["a"] * 6}, "phi_schedule"),
+    (["phase", *_PROTOCOL_POINT], {"n_meas": 6.7}, "n_meas"),
+    (["phase", *_PROTOCOL_POINT], {"n_meas": True}, "n_meas"),
+    (["phase", "--theta", "1"], {"m": [0.5]}, "m"),
+    (["mc", *_PROTOCOL_POINT], {"samples": 1000.9}, "samples"),
+    (["mc", *_PROTOCOL_POINT], {"seed": 1.5}, "seed"),
+    (["surface", "--m", "0.5"], {"interp": 2.9}, "interp"),
+    (["sweep"], {"format": "xml"}, "format"),
+    (["sweep"], {"grid_m": "0:1"}, "grid_m"),
+    (["phase"], {"theta": 1.0, "projective": "no"}, "projective"),
+    (["phase"], {"theta": 1.0, "projective": 1}, "projective"),
+    (["transition"], {"assert_jump": "abc"}, "assert_jump"),
+    (["transition"], {"out": ["a"]}, "out"),
+])
+def test_config_value_read_by_flag_parser(tmp_path, capsys, argv, config, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("loaded", [3, [["theta", 1.0]]])
+def test_config_must_be_an_object(tmp_path, capsys, loaded):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(loaded))
+    out = tmp_path / "out"
+    assert run_cli(["phase", *_PROTOCOL_POINT, "--config", str(cfg),
+                    "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith("is not a JSON object\n")
+    assert not out.exists()
+
+
+def test_config_string_is_flag_text(tmp_path):
+    flagged, configured = tmp_path / "flag", tmp_path / "config"
+    assert run_cli(["phase", "--theta", "90deg", "--projective",
+                    "--out", str(flagged)]) == 0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"theta": "90deg", "projective": True,
+                               "out": str(flagged)}))
+    assert run_cli(["phase", "--config", str(cfg)]) == 0
+    assert run_cli(["phase", "--config", str(cfg),
+                    "--out", str(configured)]) == 0
+    first = (flagged / "phase.json").read_text()
+    assert first.replace(str(flagged), str(configured)) == (
+        configured / "phase.json").read_text()
+
+
+def test_config_null_leaves_default(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n_meas": None, "ref_weight": None,
+                               "gamma_tau": None}))
+    assert run_cli(["phase", *_PROTOCOL_POINT, "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 0
+    config = load_envelope(tmp_path / "phase.json")["config"]
+    assert config["n_meas"] == 6 and config["ref_weight"] == 0.5
+
+
+def test_bad_jump_gate_rejected_before_the_search(tmp_path, monkeypatch,
+                                                  capsys):
+    def no_search(*args, **kwargs):
+        pytest.fail("transition searched with a bad gate")
+    monkeypatch.setattr(cli.analysis, "find_critical_strength", no_search)
+    assert run_cli(["transition", "--assert-jump", "abc",
+                    "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "argument --assert-jump: expected 'pi' or a finite jump" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_jump_gate_echoed_as_given(tmp_path):
+    assert run_cli(["transition", "--assert-jump", "PI", "--tol", "1e-3",
+                    "--out", str(tmp_path)]) == 0
+    env = load_envelope(tmp_path / "transition.json")
+    assert env["config"]["assert_jump"] == "PI"
+
+
 @pytest.mark.parametrize("argv", [
     ["phase", "--theta", "1", "--m", "0.5"],
     ["sweep"],
@@ -501,6 +608,55 @@ def test_worker_pool_exits_silently():
 @pytest.mark.parametrize("command", [["sweep"], ["surface", "--m", "0.5"]])
 def test_zero_n_meas_is_config_error(tmp_path, command):
     assert run_cli(command + ["--n-meas", "0", "--out", str(tmp_path)]) == 2
+
+
+_PROTOCOL_FLAGS = {"--theta", "--m", "--gamma-tau", "--projective",
+                   "--n-meas", "--ref-weight"}
+_PROTOCOL_KEYS = {"theta", "m", "gamma_tau", "projective", "n_meas",
+                  "ref_weight", "phi_schedule"}
+_COMMAND_FLAGS = {
+    "phase": _PROTOCOL_FLAGS | {"--out", "--config"},
+    "sweep": {"--grid-theta", "--grid-m", "--n-meas", "--ref-weight",
+              "--format", "--out", "--config"},
+    "transition": {"--n-meas", "--ref-weight", "--tol", "--assert-jump",
+                   "--out", "--config"},
+    "mc": _PROTOCOL_FLAGS | {"--samples", "--seed", "--out", "--config"},
+    "surface": {"--m", "--gamma-tau", "--grid-theta", "--interp", "--n-meas",
+                "--ref-weight", "--out", "--config"},
+    "schema": {"--out"},
+}
+_COMMAND_KEYS = {
+    "phase": _PROTOCOL_KEYS | {"out"},
+    "sweep": {"grid_theta", "grid_m", "n_meas", "ref_weight", "format", "out"},
+    "transition": {"n_meas", "ref_weight", "tol", "assert_jump", "out"},
+    "mc": _PROTOCOL_KEYS | {"samples", "seed", "out"},
+    "surface": {"m", "gamma_tau", "grid_theta", "interp", "n_meas",
+                "ref_weight", "out"},
+}
+
+
+def test_command_flags_pinned():
+    parser = cli.build_parser()
+    [commands] = [a for a in parser._actions
+                  if isinstance(a, cli.argparse._SubParsersAction)]
+    flags = {name: {s for a in sub._actions for s in a.option_strings}
+             - {"-h", "--help"}
+             for name, sub in commands.choices.items()}
+    assert flags == _COMMAND_FLAGS
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_KEYS))
+def test_command_config_keys_pinned(tmp_path, capsys, command):
+    # every key any command knows, plus one none does; the unknown ones
+    # are named before any value is read
+    offered = set().union(*_COMMAND_KEYS.values()) | {"config", "bogus"}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(dict.fromkeys(offered)))
+    assert run_cli([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown config keys: ")
+    unknown = json.loads(err.split(": ", 2)[2].replace("'", '"'))
+    assert offered - set(unknown) == _COMMAND_KEYS[command]
 
 
 class TestSchemaCommand:
