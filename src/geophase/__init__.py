@@ -11,7 +11,7 @@ from .measurement import (ReadoutDistribution, Strength, cloud_separation,
                           completeness_residual, effective_kraus_from_integral,
                           gauss_amplitudes, kraus_null, kraus_readout,
                           readout_pdf, readout_quadrature)
-from .protocol import (CONTRAST_FLOOR, InterferenceResult, PathRecord, PathStep,
+from .protocol import (CONTRAST_FLOOR, InterferenceResult, PathRecord,
                        ProtocolSpec, default_schedule, initial_state,
                        measure_along, run_protocol_analytic)
 from .qutrit import (BlochVector, MeasurementAxis, Operator3, QutritState,

@@ -206,11 +206,11 @@ def phase_vs_theta(strength: Strength, grid=None, *, n_meas: int = 6,
     if grid is None:
         grid = np.linspace(0.0, np.pi, DEFAULT_CURVE_NODES)
     thetas = np.unique(np.asarray(grid, dtype=float))
-    if thetas.size < 2 or abs(thetas[0]) > 1e-15:
+    if thetas.size < 2 or not abs(thetas[0]) <= 1e-15:
         raise DomainError("theta grid must start at 0 and have >= 2 nodes")
     thetas[0] = 0.0
-    if thetas[-1] > np.pi:
-        raise DomainError("theta grid extends beyond pi")
+    if not thetas[-1] <= np.pi:
+        raise DomainError("theta grid outside [0, pi]")
 
     def evaluate(nodes: np.ndarray):
         amps = _amplitudes_for_thetas(nodes, strength, n_meas=n_meas,
@@ -320,7 +320,7 @@ def trajectory_surface(strength: Strength, theta_grid=None,
     thetas = np.unique(np.asarray(theta_grid, dtype=float))
     if thetas.size < 33:
         raise DomainError("theta grid too coarse for a surface (need >= 33 nodes)")
-    if abs(thetas[0]) > 1e-12 or abs(thetas[-1] - np.pi) > 1e-12:
+    if not (abs(thetas[0]) <= 1e-12 and abs(thetas[-1] - np.pi) <= 1e-12):
         raise DomainError("theta grid must span [0, pi] to close the surface")
     thetas[0], thetas[-1] = 0.0, np.pi
 
@@ -438,6 +438,8 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
     """
     if not tol >= 1e-6:
         raise DomainError(f"tol={tol!r} below the supported resolution 1e-6")
+    if not np.isfinite(tol):
+        raise DomainError(f"tol={tol!r} must be finite")
     grid = np.linspace(0.0, np.pi, TRANSITION_CURVE_NODES)
     curves = retries = 0
 
@@ -536,9 +538,9 @@ def sweep_phase_map(theta_grid, strength_grid, *, n_meas: int = 6,
     """
     thetas = np.unique(np.asarray(theta_grid, dtype=float))
     ms = np.asarray(strength_grid, dtype=float)
-    if np.any(thetas < 0.0) or np.any(thetas > np.pi):
+    if not np.all((thetas >= 0.0) & (thetas <= np.pi)):
         raise DomainError("theta grid outside [0, pi]")
-    if np.any(ms < 0.0) or np.any(ms > 1.0):
+    if not np.all((ms >= 0.0) & (ms <= 1.0)):
         raise DomainError("strength grid outside [0, 1]")
     base = np.unique(np.concatenate([[0.0], thetas]))
     amps = _amplitudes_for_thetas(base[:, None], ms, n_meas=n_meas,

@@ -407,11 +407,11 @@ def cmd_phase(args: argparse.Namespace) -> int:
         "chi": result.phase,
         "contrast": result.contrast,
         "phase_defined": result.phase_defined,
-        "method": result.method,
-        "bloch_path": [list(s.bloch_after.as_array()) for s in record.steps],
+        "method": "analytic",
+        "bloch_path": record.points[1:],
     }
     diagnostics = {"contrast_floor": CONTRAST_FLOOR,
-                   "amplitude_factors": [s.amplitude_factor for s in record.steps]}
+                   "amplitude_factors": record.factors}
     write_envelope(Path(cfg["out"]), "phase", "phase",
                    {**cfg, **_strength_fields(spec.strength)}, results,
                    diagnostics, wall)

@@ -33,18 +33,23 @@ times the e component after S_{N+1}.  ``_amplitudes_for_thetas`` (the
 closed form, batched over theta and m) and the Monte Carlo in
 :mod:`geophase.trajectories` both step through it; ``measure_along`` and
 ``initial_state`` keep the per-step 3x3 form as a reference.
+
+A recorded run keeps each pair in its measurement's frame while it steps
+and returns all of them to the lab frame once, after the last step.
+``run_protocol_analytic`` reports the path as a ``PathRecord`` of two
+arrays: the Bloch ``points`` of the loop and the per-step ``factors``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .measurement import Strength, kraus_null
-from .qutrit import (_EF_FLOOR, E, F, G, BlochVector, MeasurementAxis,
-                     Operator3, QutritState, _bloch_batch, _rotation_matrices,
+from .qutrit import (_EF_FLOOR, E, F, G, MeasurementAxis, Operator3,
+                     QutritState, _bloch_batch, _rotation_matrices,
                      axis_state, rotation_to_axis)
 
 #: Contrast below which the interference phase is flagged undefined.
@@ -52,6 +57,13 @@ CONTRAST_FLOOR = 1e-9
 
 #: Azimuth of the closing rotation: one full wrap below the initial meridian.
 CLOSING_PHI = -2.0 * np.pi
+
+
+def _require_int(name: str, value) -> None:
+    """Refuse a size or seed that is not a Python or numpy integer; bools
+    are refused too, although Python counts them as ints."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name}={value!r} must be an integer")
 
 
 def default_schedule(n_meas: int) -> tuple[float, ...]:
@@ -77,6 +89,7 @@ class ProtocolSpec:
     def __post_init__(self):
         if not np.isfinite(self.theta) or not (0.0 <= self.theta <= np.pi):
             raise DomainError(f"theta={self.theta!r} outside [0, pi]")
+        _require_int("n_meas", self.n_meas)
         if self.n_meas < 1:
             raise DomainError(f"n_meas={self.n_meas!r} must be positive")
         if not (0.0 < self.reference_weight < 1.0):
@@ -107,55 +120,41 @@ class InterferenceResult:
     """Contrast and phase of the reference interference.
 
     ``phase`` is reported in (-pi, pi]; it is meaningful only when
-    ``phase_defined`` (contrast above CONTRAST_FLOOR).  ``stderr`` is the
-    standard error of the contrast for Monte Carlo estimates, None for
-    analytic results.
+    ``phase_defined`` (contrast above CONTRAST_FLOOR).
     """
 
     contrast: float
     phase: float
-    method: str
-    stderr: float | None = None
     phase_defined: bool = True
 
     @classmethod
-    def from_amplitude(cls, amplitude: complex, method: str,
-                       stderr: float | None = None) -> "InterferenceResult":
+    def from_amplitude(cls, amplitude: complex) -> "InterferenceResult":
         contrast = abs(amplitude)
         return cls(contrast=float(contrast),
                    phase=float(np.angle(amplitude)),
-                   method=method,
-                   stderr=stderr,
                    phase_defined=bool(contrast > CONTRAST_FLOOR))
 
 
 @dataclass(frozen=True)
-class PathStep:
-    """One measurement: axis, Bloch vectors before/after, and the factor by
-    which the {e,f} amplitude was attenuated (1 means no backaction)."""
-
-    axis: MeasurementAxis
-    bloch_before: BlochVector
-    bloch_after: BlochVector
-    amplitude_factor: float
-
-
-@dataclass(frozen=True)
 class PathRecord:
-    """Per-step log of the normalized {e,f} trajectory."""
+    """The normalized {e,f} trajectory of one run on the Bloch sphere.
 
-    steps: tuple[PathStep, ...] = field(default_factory=tuple)
+    ``points`` has shape (N+1, 3): the initial point followed by the point
+    after each measurement.  It is the loop: the closing arc returns to the
+    first point, because the closing axis sits on the initial meridian.
+    ``factors`` has shape (N,): the factor by which each measurement
+    attenuated the {e,f} amplitude (1 means no backaction).  Both arrays
+    are read-only.
+    """
 
-    def __len__(self) -> int:
-        return len(self.steps)
+    points: np.ndarray
+    factors: np.ndarray
 
-    def loop_vertices(self) -> np.ndarray:
-        """Bloch vertices of the closed loop: the initial point followed by
-        the post-measurement points.  The closing arc returns to the first
-        vertex (the closing axis sits on the initial meridian)."""
-        pts = [self.steps[0].bloch_before.as_array()]
-        pts += [s.bloch_after.as_array() for s in self.steps]
-        return np.array(pts)
+    def __post_init__(self):
+        for name in ("points", "factors"):
+            arr = np.asarray(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def initial_state(theta: float, reference_weight: float) -> QutritState:
@@ -198,9 +197,8 @@ def run_protocol_analytic(spec: ProtocolSpec) -> tuple[InterferenceResult, PathR
         np.array([spec.theta]), spec.strength, spec.n_meas,
         spec.reference_weight, spec.phi_schedule, record=True)
     pairs = pairs[0]
-    ef = np.hypot(np.abs(pairs[:, F]), np.abs(pairs[:, E])).tolist()
-    live = [n > _EF_FLOOR for n in ef]
-    points = iter(_bloch_batch(pairs[live]).tolist())
+    live = np.hypot(np.abs(pairs[:, F]), np.abs(pairs[:, E])) > _EF_FLOOR
+    last_live = np.maximum.accumulate(np.where(live, np.arange(live.size), 0))
     # Each factor is taken in its measurement's own frame, where the step
     # only scales a_f, so it is exactly 1 at m = 1 and never above 1.
     rots = _rotation_matrices(np.full(spec.n_meas, spec.theta),
@@ -208,18 +206,9 @@ def run_protocol_analytic(spec: ProtocolSpec) -> tuple[InterferenceResult, PathR
     a_f, a_e = np.abs(np.einsum("kij,kj->ki", rots, pairs[:-1])).T
     ef_in = np.hypot(a_f, a_e)
     factors = np.divide(np.hypot(spec.strength.m * a_f, a_e), ef_in,
-                        out=np.zeros_like(ef_in), where=ef_in > 0.0).tolist()
-    bloch = BlochVector(*next(points))
-    steps = []
-    for k, axis in enumerate(spec.axes):
-        before = bloch
-        if live[k + 1]:
-            bloch = BlochVector(*next(points))
-        steps.append(PathStep(axis=axis, bloch_before=before,
-                              bloch_after=bloch, amplitude_factor=factors[k]))
-    result = InterferenceResult.from_amplitude(complex(amps[0]),
-                                               method="analytic")
-    return result, PathRecord(tuple(steps))
+                        out=np.zeros_like(ef_in), where=ef_in > 0.0)
+    return (InterferenceResult.from_amplitude(complex(amps[0])),
+            PathRecord(_bloch_batch(pairs[last_live]), factors))
 
 
 def _frame_steps(thetas: np.ndarray | float, schedule: tuple[float, ...]):
@@ -249,15 +238,6 @@ def _frame_steps(thetas: np.ndarray | float, schedule: tuple[float, ...]):
         ep_prev = ep
 
 
-def _lab_pair(thetas: np.ndarray, phi: float, a_f: np.ndarray,
-              a_e: np.ndarray) -> np.ndarray:
-    """The pair (a_f, a_e) held in the frame of the axis (theta, phi),
-    returned to the lab frame as an array of shape grid + (2,)."""
-    rot = _rotation_matrices(thetas, phi)
-    return np.einsum("...ji,...j->...i", rot.conj(),
-                     np.stack([a_f, a_e], axis=-1))
-
-
 def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength | np.ndarray,
                            n_meas: int = 6,
                            reference_weight: float = 0.5,
@@ -274,10 +254,12 @@ def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength | np.ndarray,
     steps keep the shape of ``thetas`` and broadcast over m.  Returns the
     interference amplitudes.  With ``record`` it returns them together
     with the lab-frame pairs of shape grid + (n_meas + 1, 2): the initial
-    pair followed by the pair after every step.
+    pair followed by the pair after every step.  The pairs are stored in
+    their measurements' frames and rotated to the lab frame in one batch
+    after the loop.
     """
     thetas = np.asarray(thetas, dtype=float)
-    if np.any(thetas < 0.0) or np.any(thetas > np.pi):
+    if not np.all((thetas >= 0.0) & (thetas <= np.pi)):
         raise DomainError("thetas outside [0, pi]")
     if not 0.0 < reference_weight < 1.0:
         raise DomainError(f"reference_weight={reference_weight!r} outside (0, 1)")
@@ -291,14 +273,20 @@ def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength | np.ndarray,
     a_e = np.full(shape, np.sqrt(1.0 - w), dtype=complex)
     if record:
         pairs = np.empty(shape + (n_meas + 1, 2), dtype=complex)
-        pairs[..., 0, :] = _lab_pair(thetas, 0.0, a_f, a_e)
+        pairs[..., 0, F], pairs[..., 0, E] = a_f, a_e
     steps = _frame_steps(thetas, schedule)
-    for k, phi in enumerate(schedule, start=1):
+    for k in range(1, n_meas + 1):
         s_ff, s_fe, s_ee = next(steps)
         a_f, a_e = s_ff * a_f + s_fe * a_e, s_fe * a_f + s_ee * a_e
         a_f *= m
         if record:
-            pairs[..., k, :] = _lab_pair(thetas, phi, a_f, a_e)
+            pairs[..., k, F], pairs[..., k, E] = a_f, a_e
     _, s_fe, s_ee = next(steps)
     amps = 2.0 * np.sqrt(w) * (s_fe * a_f + s_ee * a_e)
-    return (amps, pairs) if record else amps
+    if not record:
+        return amps
+    # Each pair is held in its measurement's frame; return all of them to
+    # the lab frame at once, pair k by R(theta, phi_k)^dag with phi_0 = 0.
+    rots = _rotation_matrices(thetas[..., None], np.array([0.0, *schedule]))
+    np.conjugate(rots, out=rots)
+    return amps, np.einsum("...ji,...j->...i", rots, pairs)

@@ -179,15 +179,16 @@ def bloch_of(state: QutritState) -> BlochVector:
 def _rotation_matrices(thetas: np.ndarray, phi) -> np.ndarray:
     """Batched {e,f} block of rotation_to_axis.
 
-    ``phi`` is one azimuth or an array of the shape of ``thetas``.  Returns
-    an array of shape thetas.shape + (2, 2), indexed by (F, E), with the
-    same entries as the {e,f} block of
+    ``phi`` is one azimuth or an array that broadcasts against ``thetas``.
+    Returns an array of their broadcast shape + (2, 2), indexed by (F, E),
+    with the same entries as the {e,f} block of
     ``rotation_to_axis(MeasurementAxis(theta, phi)).mat``.
     """
     thetas = np.asarray(thetas, dtype=float)
     c, s = np.cos(0.5 * thetas), np.sin(0.5 * thetas)
     ep = np.exp(-1j * phi)
-    mats = np.empty(thetas.shape + (2, 2), dtype=complex)
+    mats = np.empty(np.broadcast_shapes(thetas.shape, np.shape(ep)) + (2, 2),
+                    dtype=complex)
     mats[..., F, F] = c * ep
     mats[..., F, E] = -s
     mats[..., E, F] = s * ep

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import DomainError
 from .measurement import (ReadoutDistribution, cloud_separation,
                           gauss_amplitudes)
-from .protocol import ProtocolSpec, _frame_steps
+from .protocol import ProtocolSpec, _frame_steps, _require_int
 from .qutrit import QutritState, _rotation_matrices
 
 if TYPE_CHECKING:
@@ -73,6 +73,8 @@ class McConfig:
     seed: int
 
     def __post_init__(self):
+        _require_int("n_samples", self.n_samples)
+        _require_int("seed", self.seed)
         if self.n_samples < 1:
             raise DomainError(f"n_samples={self.n_samples!r} must be >= 1")
         if not (0 <= int(self.seed) < 2 ** 64):

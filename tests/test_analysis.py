@@ -178,7 +178,7 @@ class TestProjectiveConsistency:
         spec = ProtocolSpec(theta=float(theta), strength=Strength(0.0))
         result, record = run_protocol_analytic(spec)
 
-        vertices = record.loop_vertices()
+        vertices = record.points
         states = [axis_state(_axis_of(b)) for b in map(_as_bloch, vertices)]
         states.append(states[0])
         pan = an.pancharatnam_phase(states)
@@ -186,6 +186,21 @@ class TestProjectiveConsistency:
 
         assert circ_diff(result.phase, pan) < 1e-9
         assert circ_diff(result.phase, half_omega) < 1e-9
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _amplitudes_for_thetas(np.array([np.nan]), Strength(0.5)),
+    lambda: an.sweep_phase_map([0.0, 1.0, np.nan], [0.5]),
+    lambda: an.sweep_phase_map([0.0, 1.0], [0.5, np.nan]),
+    lambda: an.phase_vs_theta(Strength(0.5), [0.0, 1.0, np.nan]),
+    lambda: an.trajectory_surface(
+        Strength(0.3), np.append(np.linspace(0.0, np.pi, 64)[:-1], np.nan)),
+], ids=["kernel-theta", "sweep-theta", "sweep-m", "curve-theta",
+        "surface-theta"])
+def test_nan_fails_range_checks(call):
+    # NaN compares false both ways, so a check must ask for the inside
+    with pytest.raises(DomainError):
+        call()
 
 
 def _as_bloch(arr):
@@ -257,6 +272,11 @@ class TestTransition:
         # a NaN width would skip the bisection and report the start bracket
         with pytest.raises(DomainError, match="tol=nan"):
             an.find_critical_strength(tol=float("nan"))
+
+    def test_infinite_tol_rejected(self):
+        # an infinite width skips the bisection the same way
+        with pytest.raises(DomainError, match="tol=inf must be finite"):
+            an.find_critical_strength(tol=float("inf"))
 
     def test_critical_strength_grows_with_sequence_length(self, transition):
         # finer wrapping needs less backaction per step, so the flip moves

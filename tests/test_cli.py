@@ -330,6 +330,7 @@ def test_domain_error_exit_2(tmp_path, capsys, argv, message):
     (["phase", "--theta", "1"],
      "measurement strength required (--m, --gamma-tau or --projective)"),
     (["surface"], "measurement strength required (--m or --gamma-tau)"),
+    (["transition", "--tol", "inf"], "tol=inf must be finite"),
 ])
 def test_bad_value_exit_2_writes_nothing(tmp_path, capsys, argv, message):
     assert run_cli(argv + ["--out", str(tmp_path)]) == 2

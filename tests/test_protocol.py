@@ -211,6 +211,17 @@ class TestAnalyticProtocol:
             assert amps[:, j].tobytes() == col.tobytes()
             assert pairs[:, j].tobytes() == col_pairs.tobytes()
 
+    @pytest.mark.parametrize("n, schedule", [
+        (1, None), (6, None), (384, None),
+        (5, (-0.3, 12.7, -50.0, 41.9, -7.2))])
+    def test_recording_leaves_amplitude_unchanged(self, n, schedule):
+        thetas = np.linspace(0.0, np.pi, 17)[:, None]
+        ms = np.array([0.0, 0.3, 0.4725, 0.9, 1.0])
+        plain = _amplitudes_for_thetas(thetas, ms, n, 0.4, schedule)
+        recorded, _ = _amplitudes_for_thetas(thetas, ms, n, 0.4, schedule,
+                                             record=True)
+        assert recorded.tobytes() == plain.tobytes()
+
 
 class TestFrameSteps:
     THETAS = np.array([0.0, 0.7, np.pi / 2, 2.9, np.pi])
@@ -238,49 +249,51 @@ class TestPathRecord:
         for theta, m, n in [(0.7, 0.3, 6), (2.1, 0.55, 5), (1.2, 0.0, 4)]:
             spec = ProtocolSpec(theta=theta, strength=Strength(m), n_meas=n)
             _, rec = run_protocol_analytic(spec)
+            assert np.max(np.abs(np.linalg.norm(rec.points, axis=1)
+                                 - 1.0)) < 1e-12
             state = initial_state(theta, spec.reference_weight)
-            for step, ax in zip(rec.steps, spec.axes):
+            for k, ax in enumerate(spec.axes):
                 before = state
                 state = measure_along(state, ax, spec.strength)
-                assert np.max(np.abs(step.bloch_before.as_array()
+                assert np.max(np.abs(rec.points[k]
                                      - bloch_of(before).as_array())) < 1e-13
-                assert np.max(np.abs(step.bloch_after.as_array()
+                assert np.max(np.abs(rec.points[k + 1]
                                      - bloch_of(state).as_array())) < 1e-13
-                assert abs(step.amplitude_factor
+                assert abs(rec.factors[k]
                            - state.ef_norm / before.ef_norm) < 1e-13
 
     def test_annihilated_path_freezes(self):
         spec = ProtocolSpec(theta=np.pi / 2, strength=Strength(0.0), n_meas=3,
                             phi_schedule=(-np.pi, -1.5 * np.pi, -2 * np.pi))
         _, rec = run_protocol_analytic(spec)
-        start = rec.steps[0].bloch_before
-        assert [s.bloch_after for s in rec.steps] == [start] * 3
-        assert rec.steps[0].amplitude_factor < 1e-15
+        assert np.array_equal(rec.points[1:], [rec.points[0]] * 3)
+        assert rec.factors[0] < 1e-15
 
     def test_shape_and_factors(self):
         spec = ProtocolSpec(theta=np.pi / 2, strength=Strength(0.0))
         _, rec = run_protocol_analytic(spec)
-        assert len(rec) == 6
-        for step in rec.steps:
-            assert 0.0 < step.amplitude_factor <= 1.0
-            assert abs(step.amplitude_factor - np.cos(np.pi / 6)) < 1e-12
-        assert rec.loop_vertices().shape == (7, 3)
+        assert rec.factors.shape == (6,)
+        for factor in rec.factors:
+            assert 0.0 < factor <= 1.0
+            assert abs(factor - np.cos(np.pi / 6)) < 1e-12
+        assert rec.points.shape == (7, 3)
+        assert not (rec.points.flags.writeable or rec.factors.flags.writeable)
 
     def test_projective_path_visits_axes(self):
         spec = ProtocolSpec(theta=1.2, strength=Strength(0.0))
         _, rec = run_protocol_analytic(spec)
-        for step, phi in zip(rec.steps, spec.phi_schedule):
+        for point, phi in zip(rec.points[1:], spec.phi_schedule):
             expect = np.array([np.sin(1.2) * np.cos(-phi),
                                np.sin(1.2) * np.sin(-phi), np.cos(1.2)])
-            assert np.max(np.abs(step.bloch_after.as_array() - expect)) < 1e-12
+            assert np.max(np.abs(point - expect)) < 1e-12
 
     def test_weak_limit_path_stays_home(self):
         spec = ProtocolSpec(theta=1.2, strength=Strength(1.0))
         _, rec = run_protocol_analytic(spec)
-        start = rec.steps[0].bloch_before.as_array()
-        for step in rec.steps:
-            assert np.max(np.abs(step.bloch_after.as_array() - start)) < 1e-12
-            assert step.amplitude_factor == 1.0
+        start = rec.points[0]
+        for point, factor in zip(rec.points[1:], rec.factors):
+            assert np.max(np.abs(point - start)) < 1e-12
+            assert factor == 1.0
 
 
 class TestProjectiveProtocol:

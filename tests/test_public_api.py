@@ -10,7 +10,7 @@ import geophase
 PACKAGE_NAMES = [
     "AnalysisError", "AntipodalError", "BlochVector", "CONTRAST_FLOOR",
     "DomainError", "GeophaseError", "InterferenceResult", "McConfig",
-    "McEstimate", "MeasurementAxis", "Operator3", "PathRecord", "PathStep",
+    "McEstimate", "MeasurementAxis", "Operator3", "PathRecord",
     "PhaseCurve", "PhaseMap", "ProtocolSpec", "QuadratureError",
     "QutritState", "ReadoutDistribution", "ReadoutHistogram", "Strength",
     "TrajectorySample", "TransitionNotFoundError", "TransitionReport",

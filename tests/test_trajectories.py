@@ -29,6 +29,26 @@ class TestSubstreams:
             assert np.array_equal(mine, ref)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: McConfig(n_samples=100, seed=1.5),
+    lambda: McConfig(n_samples=1000.5, seed=1),
+    lambda: McConfig(n_samples=True, seed=1),
+    lambda: McConfig(n_samples=100, seed=np.float64(3.0)),
+    lambda: ProtocolSpec(theta=1.0, strength=Strength(0.5), n_meas=2.5),
+    lambda: ProtocolSpec(theta=1.0, strength=Strength(0.5), n_meas=True),
+], ids=["seed-float", "samples-float", "samples-bool", "seed-numpy-float",
+        "n_meas-float", "n_meas-bool"])
+def test_sizes_and_seeds_must_be_integers(make):
+    with pytest.raises(DomainError, match="must be an integer"):
+        make()
+
+
+def test_numpy_integers_accepted():
+    assert McConfig(n_samples=np.int64(10), seed=np.uint64(7)).n_samples == 10
+    assert ProtocolSpec(theta=1.0, strength=Strength(0.5),
+                        n_meas=np.int32(3)).n_meas == 3
+
+
 def analytic_amplitude(spec):
     res, _ = run_protocol_analytic(spec)
     return res.contrast * np.exp(1j * res.phase)
@@ -37,7 +57,7 @@ def analytic_amplitude(spec):
 class TestSampleTrajectory:
     def test_no_measurement_is_noise_only(self):
         spec = ProtocolSpec(theta=1.1, strength=Strength(1.0))
-        initial = run_protocol_analytic(spec)[1].steps[0].bloch_before.as_array()
+        initial = run_protocol_analytic(spec)[1].points[0]
         for sid in range(5):
             s = sample_trajectory(spec, sid, seed=42)
             assert abs(s.interference_term - 1.0) < 1e-12
