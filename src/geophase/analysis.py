@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (AnalysisError, AntipodalError, DomainError,
                      TransitionNotFoundError, UnwrapError)
 from .measurement import Strength
-from .protocol import CONTRAST_FLOOR, _amplitudes_for_thetas
+from .protocol import CONTRAST_FLOOR, _amplitudes_for_thetas, _require_int
 from .qutrit import _bloch_batch
 
 DEFAULT_CURVE_NODES = 129
@@ -249,7 +249,8 @@ def chern_from_curve(curve: PhaseCurve) -> int:
     """Winding number (chi(pi) - chi(0)) / 2pi, rounded with a residual check."""
     if not curve.unwrappable:
         raise UnwrapError("winding number undefined: curve is not unwrappable")
-    if abs(curve.theta[-1] - np.pi) > 1e-12 or abs(curve.theta[0]) > 1e-15:
+    if not (abs(curve.theta[-1] - np.pi) <= 1e-12
+            and abs(curve.theta[0]) <= 1e-15):
         raise DomainError("curve must span [0, pi]")
     if not (curve.defined[0] and curve.defined[-1]):
         raise UnwrapError("winding number undefined: masked endpoint")
@@ -313,6 +314,7 @@ def trajectory_surface(strength: Strength, theta_grid=None,
     """
     if not (0.0 <= strength.m < 1.0):
         raise DomainError("surface degree requires m in [0, 1)")
+    _require_int("interp_per_segment", interp_per_segment)
     if interp_per_segment < 1:
         raise DomainError("interp_per_segment must be >= 1")
     if theta_grid is None:

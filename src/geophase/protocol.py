@@ -263,6 +263,9 @@ def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength | np.ndarray,
         raise DomainError("thetas outside [0, pi]")
     if not 0.0 < reference_weight < 1.0:
         raise DomainError(f"reference_weight={reference_weight!r} outside (0, 1)")
+    _require_int("n_meas", n_meas)
+    if n_meas < 1:
+        raise DomainError(f"n_meas={n_meas!r} must be positive")
     m = strength.m if isinstance(strength, Strength) else np.asarray(strength)
     schedule = phi_schedule if phi_schedule is not None else default_schedule(n_meas)
     if len(schedule) != n_meas:

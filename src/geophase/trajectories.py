@@ -20,10 +20,11 @@ is diagonal in the frame it is drawn in.  Each step normalizes over all
 three components, so the accumulated squared norms are the outcome
 density.
 
-Randomness is counter-based: sample ``i`` of a run with seed ``s`` reads
-its uniforms from the dedicated Philox substream ``key=s, counter=i<<64``,
-one uniform per measurement, mapped through the component-wise inverse CDF
-of the readout mixture.  A trajectory is therefore a pure function of
+Randomness is counter-based: a run with seed ``s`` reads one Philox stream
+keyed by ``s``, and sample ``i`` of an ``N``-measurement run takes its N
+uniforms, one per measurement, from the 64-bit words ``i*N`` to
+``(i+1)*N - 1``; each is mapped through the component-wise inverse CDF of
+the readout mixture.  A trajectory is therefore a pure function of
 ``(seed, sample_id, spec)``.  Samples run in blocks of BLOCK_SIZE; each
 block is reduced to its count, mean and squared deviations where it is
 sampled, and the blocks are merged in block order, so results are
@@ -34,6 +35,7 @@ grow with the sample count.
 from __future__ import annotations
 
 import atexit
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -65,8 +67,9 @@ HISTOGRAM_BINS = 40
 class McConfig:
     """Size and seeding of a Monte Carlo run.
 
-    Stream policy: per-sample Philox substreams keyed by the run seed with
-    the sample id in the high counter word (see the module docstring).
+    Stream policy: one Philox stream keyed by the run seed, read in
+    consecutive runs of n_meas words per sample id (see the module
+    docstring).
     """
 
     n_samples: int
@@ -98,104 +101,26 @@ class TrajectorySample:
     interference_term: complex
 
 
-def _substream(seed: int, sample_id: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed,
-                                                counter=sample_id << 64))
+def _uniforms(seed: int, start: int, stop: int, n_draws: int) -> np.ndarray:
+    """uniforms[k, i]: draw k of sample start + i, shape (n_draws, n).
 
-
-# --- vectorized Philox4x64-10 ------------------------------------------------
-# Per-sample Generator construction costs ~25 us; across 1e5 samples that
-# dominates a run.  The block cipher itself is a pure function of
-# (key, counter), so evaluating it with array arithmetic over all sample ids
-# reproduces each substream bit for bit (asserted in the test suite) at a
-# fraction of the cost.  numpy's bit generator pre-increments the counter
-# before producing a block, hence the block counters start at 1.
-
-_PHILOX_W0 = 0x9E3779B97F4A7C15
-_PHILOX_W1 = 0xBB67AE8584CAA73B
-_MASK32 = np.uint64(0xFFFFFFFF)
-_MASK64 = (1 << 64) - 1
-_SH32 = np.uint64(32)
-_SH11 = np.uint64(11)
-_INV53 = 1.0 / 9007199254740992.0
-#: The round multipliers of the lanes (x0, x2), as a column against the
-#: lanes' rows, with their low and high 32-bit halves.
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]],
-                     dtype=np.uint64)
-_PHILOX_M_LO = _PHILOX_M & _MASK32
-_PHILOX_M_HI = _PHILOX_M >> _SH32
-#: Philox blocks (4 words each) evaluated in one pass; more would leave the
-#: temporaries outside the cache.
-_PHILOX_GROUP = 2
-
-
-def _philox_round_keys(seed: int):
-    k0, k1 = seed & _MASK64, (seed >> 64) & _MASK64
-    keys = []
-    for r in range(10):
-        if r > 0:
-            k0 = (k0 + _PHILOX_W0) & _MASK64
-            k1 = (k1 + _PHILOX_W1) & _MASK64
-        keys.append(np.array([[k0], [k1]], dtype=np.uint64))
-    return keys
-
-
-def _mulhilo64(b: np.ndarray):
-    """High and low words of the 128-bit products _PHILOX_M * b, row by row.
-
-    The low word is the wrapped uint64 product.  The high word sums the
-    32-bit partial products; each cross sum stays below 2**64, so no carry
-    is lost.  Callers silence the uint64 overflow warning.
+    Sample i reads the 64-bit words i*n_draws ... (i+1)*n_draws - 1 of the
+    one Philox stream keyed by the seed.  ``advance(d)`` skips d blocks of
+    four words, so a block of samples reaches its first word with one
+    advance and at most three discarded words.  Raw words are mapped to
+    [0, 1) by their top 53 bits here, because numpy fixes a bit
+    generator's raw output across versions but not ``Generator.random``.
+    The draws are transposed once so that each draw's uniforms are
+    contiguous.
     """
-    b0 = b & _MASK32
-    b1 = b >> _SH32
-    t = _PHILOX_M_LO * b0
-    t >>= _SH32
-    cross = _PHILOX_M_LO * b1
-    cross += t
-    np.bitwise_and(cross, _MASK32, out=t)
-    t += np.multiply(_PHILOX_M_HI, b0, out=b0)
-    hi = _PHILOX_M_HI * b1
-    cross >>= _SH32
-    hi += cross
-    t >>= _SH32
-    hi += t
-    return hi, _PHILOX_M * b
-
-
-def _philox_uniforms(seed: int, ids: np.ndarray, n_draws: int) -> np.ndarray:
-    """uniforms[i, j]: the j-th double of the substream of sample ids[i].
-
-    The lanes x0 and x2 go through the multiplications and x1 and x3
-    through the xors, so each round evaluates both multipliers in one set
-    of array operations.  The result is a transposed view: the uniforms of
-    one draw (a column) are contiguous.
-    """
-    ids = np.asarray(ids, dtype=np.uint64)
-    n = ids.size
-    keys = _philox_round_keys(seed)
-    n_blocks = -(-n_draws // 4)
-    words = np.empty((n_blocks, 4, n), dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for first in range(0, n_blocks, _PHILOX_GROUP):
-            out = words[first:first + _PHILOX_GROUP]
-            counters = np.arange(first + 1, first + len(out) + 1,
-                                 dtype=np.uint64)
-            mul = np.zeros((2, len(out), n), dtype=np.uint64)
-            mul[0] = counters[:, None]
-            xor = np.zeros_like(mul)
-            xor[0] = ids
-            mul, xor = mul.reshape(2, -1), xor.reshape(2, -1)
-            for key in keys:
-                hi, lo = _mulhilo64(mul)
-                # (x0, x1, x2, x3) <- (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0)
-                mul = hi[::-1]
-                mul ^= xor
-                mul ^= key
-                xor = lo[::-1]
-            out[:, 0::2] = mul.reshape(2, len(out), n).swapaxes(0, 1)
-            out[:, 1::2] = xor.reshape(2, len(out), n).swapaxes(0, 1)
-    return ((words.reshape(4 * n_blocks, n)[:n_draws] >> _SH11) * _INV53).T
+    first = int(start) * n_draws
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(first // 4)
+    skip = first % 4
+    words = bitgen.random_raw(skip + (stop - start) * n_draws)[skip:]
+    words = np.ascontiguousarray(words.reshape(-1, n_draws).T)
+    words >>= np.uint64(11)
+    return words * 2.0 ** -53
 
 
 def _mixture_readouts(u: np.ndarray, p_f: np.ndarray, r0: float) -> np.ndarray:
@@ -203,7 +128,9 @@ def _mixture_readouts(u: np.ndarray, p_f: np.ndarray, r0: float) -> np.ndarray:
 
     The uniform selects the cloud by its weight and its remainder is pushed
     through that cloud's Gaussian quantile, which samples the exact mixture
-    with a single draw.
+    with a single draw.  The displaced cloud takes the upper tail, u in
+    [1 - p_f, 1), and reads its remainder as (1 - u) / p_f: 1 - u is
+    exact for u >= 1/2, where u - (1 - p_f) would cancel for small p_f.
     """
     from scipy.special import ndtri
 
@@ -211,9 +138,9 @@ def _mixture_readouts(u: np.ndarray, p_f: np.ndarray, r0: float) -> np.ndarray:
     click = u >= null_w
     scale = np.where(click, np.maximum(p_f, 1e-300),
                      np.maximum(null_w, 1e-300))
-    v = np.where(click, u - null_w, u) / scale
-    v = np.clip(v, 1e-300, 1.0 - 1e-16)
-    return ndtri(v) + np.where(click, r0, 0.0)
+    v = np.where(click, 1.0 - u, u) / scale
+    q = ndtri(np.clip(v, 1e-300, 1.0 - 1e-16))
+    return np.where(click, r0 - q, q)
 
 
 def _block_terms(spec: ProtocolSpec, steps: list, seed: int, start: int,
@@ -226,7 +153,7 @@ def _block_terms(spec: ProtocolSpec, steps: list, seed: int, start: int,
     this thin starts threads that compete with the worker processes.
     """
     n, n_meas = stop - start, spec.n_meas
-    uniforms = _philox_uniforms(seed, np.arange(start, stop), n_meas)
+    uniforms = _uniforms(seed, start, stop, n_meas)
 
     w = spec.reference_weight
     a_f = np.zeros(n, dtype=complex)
@@ -241,7 +168,7 @@ def _block_terms(spec: ProtocolSpec, steps: list, seed: int, start: int,
         s_ff, s_fe, s_ee = steps[k]
         a_f, a_e = s_ff * a_f + s_fe * a_e, s_fe * a_f + s_ee * a_e
         p_f = np.clip(a_f.real ** 2 + a_f.imag ** 2, 0.0, 1.0)
-        u = uniforms[:, k]
+        u = uniforms[k]
         if projective:
             click = u >= 1.0 - p_f
             readouts[k] = click
@@ -271,6 +198,9 @@ def _block_terms(spec: ProtocolSpec, steps: list, seed: int, start: int,
 def sample_trajectory(spec: ProtocolSpec, sample_id: int,
                       seed: int) -> TrajectorySample:
     """Simulate the single trajectory addressed by (seed, sample_id)."""
+    _require_int("sample_id", sample_id)
+    if sample_id < 0:
+        raise DomainError(f"sample_id={sample_id!r} must be >= 0")
     terms, pair, g, weights, readouts = _block_terms(
         spec, list(_frame_steps(spec.theta, spec.phi_schedule)), seed,
         sample_id, sample_id + 1)
@@ -322,16 +252,11 @@ def _blocks(n_samples: int):
             for s in range(0, n_samples, BLOCK_SIZE)]
 
 
-def _terms(spec: ProtocolSpec, steps: list, seed: int, start: int,
-           stop: int) -> np.ndarray:
-    return _block_terms(spec, steps, seed, start, stop)[0]
-
-
 def _moments(spec: ProtocolSpec, steps: list, seed: int, start: int,
              stop: int):
     """(count, mean, M2_re, M2_im) of one block's terms; M2 is the sum of
     squared deviations of a component from the block mean."""
-    terms = _terms(spec, steps, seed, start, stop)
+    terms = _block_terms(spec, steps, seed, start, stop)[0]
     mean = complex(np.mean(terms))
     dev = terms - mean
     return (terms.size, mean, float(np.sum(dev.real ** 2)),
@@ -351,11 +276,6 @@ def _merge_moments(parts):
         m2_im += m2_im_b + delta.imag ** 2 * weight
         n = total
     return n, mean, m2_re, m2_im
-
-
-def _block_worker(job):
-    fn, *args = job
-    return fn(*args)
 
 
 # Worker pools are reused across calls: fork startup costs more than a
@@ -387,24 +307,25 @@ def _pool(workers: int) -> ProcessPoolExecutor:
     return pool
 
 
-def _map_blocks(fn, spec: ProtocolSpec, cfg: McConfig, workers: int) -> list:
-    """fn(spec, steps, seed, start, stop) for every block, in block order.
+def _map_blocks(spec: ProtocolSpec, cfg: McConfig, workers: int) -> list:
+    """The moments of every block, in block order.
 
     A pool forks all its workers on its first submit, so it gets no more
     of them than there are blocks or CPUs."""
     steps = list(_frame_steps(spec.theta, spec.phi_schedule))
-    jobs = [(fn, spec, steps, cfg.seed, a, b)
-            for a, b in _blocks(cfg.n_samples)]
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    starts, stops = zip(*_blocks(cfg.n_samples))
+    moments = functools.partial(_moments, spec, steps, cfg.seed)
+    workers = min(workers, len(starts), os.cpu_count() or 1)
     if workers > 1:
-        return list(_pool(workers).map(_block_worker, jobs))
-    return [_block_worker(job) for job in jobs]
+        return list(_pool(workers).map(moments, starts, stops))
+    return list(map(moments, starts, stops))
 
 
-def interference_terms(spec: ProtocolSpec, cfg: McConfig,
-                       workers: int = 1) -> np.ndarray:
+def interference_terms(spec: ProtocolSpec, cfg: McConfig) -> np.ndarray:
     """Per-sample interference terms in sample order."""
-    return np.concatenate(_map_blocks(_terms, spec, cfg, workers))
+    steps = list(_frame_steps(spec.theta, spec.phi_schedule))
+    return np.concatenate([_block_terms(spec, steps, cfg.seed, a, b)[0]
+                           for a, b in _blocks(cfg.n_samples)])
 
 
 def mc_interference(spec: ProtocolSpec, cfg: McConfig,
@@ -417,7 +338,7 @@ def mc_interference(spec: ProtocolSpec, cfg: McConfig,
     O(BLOCK_SIZE) whatever the sample count.
     """
     n, mean, m2_re, m2_im = _merge_moments(
-        _map_blocks(_moments, spec, cfg, workers))
+        _map_blocks(spec, cfg, workers))
     if n > 1:
         stderr_re = float(np.sqrt(m2_re / (n - 1)) / np.sqrt(n))
         stderr_im = float(np.sqrt(m2_im / (n - 1)) / np.sqrt(n))
@@ -500,8 +421,14 @@ def _chi2_sf(x: float, dof: int) -> float:
 
 
 def readout_histogram(spec: ProtocolSpec, cfg: McConfig) -> ReadoutHistogram:
-    """Histogram the first readout of every sample and test it against the
-    two-cloud mixture predicted for the initial state."""
+    """Histogram n_samples draws of the first readout and test them against
+    the two-cloud mixture predicted for the initial state.
+
+    Draw i reads word i of the seed's stream, as sample i of a
+    one-measurement run would.  The draws are therefore not the first
+    readouts of an n_meas-measurement Monte Carlo run with the same seed,
+    whose samples read n_meas words each.
+    """
     if spec.strength.is_projective:
         raise DomainError("readout histogram needs the Gaussian model (m > 0)")
     _, s_fe, _ = next(_frame_steps(spec.theta, spec.phi_schedule))
@@ -509,7 +436,7 @@ def readout_histogram(spec: ProtocolSpec, cfg: McConfig) -> ReadoutHistogram:
                         0.0, 1.0))
     r0 = cloud_separation(spec.strength)
 
-    u = _philox_uniforms(cfg.seed, np.arange(cfg.n_samples), 1)[:, 0]
+    u = _uniforms(cfg.seed, 0, cfg.n_samples, 1)[0]
     r = _mixture_readouts(u, np.full(cfg.n_samples, p_f), r0)
 
     edges = np.linspace(-6.0, r0 + 6.0, HISTOGRAM_BINS + 1)

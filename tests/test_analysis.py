@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from geophase.measurement import Strength
 from geophase.protocol import (ProtocolSpec, run_protocol_analytic,
                                _amplitudes_for_thetas)
 from geophase.qutrit import MeasurementAxis, axis_state, bloch_of
+from geophase.trajectories import sample_trajectory
 
 
 def circ_diff(a, b):
@@ -148,6 +151,13 @@ class TestPhaseCurve:
         with pytest.raises(DomainError):
             an.chern_from_curve(curve)
 
+    def test_chern_rejects_nan_endpoint(self):
+        curve = an.phase_vs_theta(Strength(0.5))
+        theta = curve.theta.copy()
+        theta[-1] = np.nan
+        with pytest.raises(DomainError):
+            an.chern_from_curve(dataclasses.replace(curve, theta=theta))
+
     def test_chern_rejects_non_unwrappable(self):
         curve = an.phase_vs_theta(Strength(0.5))
         broken = an.PhaseCurve(theta=curve.theta, chi_wrapped=curve.chi_wrapped,
@@ -199,6 +209,32 @@ class TestProjectiveConsistency:
         "surface-theta"])
 def test_nan_fails_range_checks(call):
     # NaN compares false both ways, so a check must ask for the inside
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _amplitudes_for_thetas(np.array([1.0]), Strength(0.5), n_meas=0),
+    lambda: _amplitudes_for_thetas(np.array([1.0]), Strength(0.5),
+                                   n_meas=True),
+    lambda: _amplitudes_for_thetas(np.array([1.0]), Strength(0.5),
+                                   n_meas=2.5),
+    lambda: an.phase_vs_theta(Strength(0.5), n_meas=0),
+    lambda: an.sweep_phase_map(np.linspace(0.0, np.pi, 33), [0.3, 0.6],
+                               n_meas=0),
+    lambda: an.find_critical_strength(n_meas=0),
+    lambda: an.surface_degree(Strength(0.3), n_meas=0),
+    lambda: an.surface_degree(Strength(0.3), interp_per_segment=0),
+    lambda: an.surface_degree(Strength(0.3), interp_per_segment=2.5),
+    lambda: an.surface_degree(Strength(0.3), interp_per_segment=True),
+    lambda: sample_trajectory(ProtocolSpec(theta=1.0, strength=Strength(0.5)),
+                              -1, 0),
+    lambda: sample_trajectory(ProtocolSpec(theta=1.0, strength=Strength(0.5)),
+                              1.0, 0),
+], ids=["kernel-n0", "kernel-bool", "kernel-float", "curve-n0", "sweep-n0",
+        "transition-n0", "surface-n0", "interp-0", "interp-float",
+        "interp-bool", "sample-negative", "sample-float"])
+def test_integer_arguments_checked(call):
     with pytest.raises(DomainError):
         call()
 

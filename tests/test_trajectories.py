@@ -10,23 +10,44 @@ from geophase.qutrit import E, G, rotation_to_axis
 from geophase.trajectories import (BLOCK_SIZE, McConfig, mc_interference,
                                    readout_histogram, sample_trajectory,
                                    z_scores, interference_terms,
-                                   _chi2_sf, _philox_uniforms, _substream)
+                                   _chi2_sf, _mixture_readouts, _uniforms)
 
 
-class TestSubstreams:
+def _doubles(words):
+    return (words >> np.uint64(11)) * 2.0 ** -53
+
+
+class TestUniforms:
+    @pytest.mark.parametrize("n_draws", [1, 3, 4, 5, 6, 11])
     @pytest.mark.parametrize("seed", [0, 1, 42, 2 ** 64 - 1])
-    def test_vectorized_philox_matches_numpy_bitwise(self, seed):
-        ids = np.array([0, 1, 7, 12345, 2 ** 31, 2 ** 62])
-        mine = _philox_uniforms(seed, ids, 11)
-        for row, sid in enumerate(ids):
-            ref = _substream(seed, int(sid)).random(11)
-            assert np.array_equal(mine[row], ref)
+    def test_rows_of_one_stream(self, seed, n_draws):
+        # starts 0..3 reach every value of start * n_draws mod 4, so the
+        # first word sits at every offset within a Philox block
+        stop = 9
+        ref = _doubles(np.random.Philox(key=seed).random_raw(stop * n_draws))
+        ref = ref.reshape(stop, n_draws)
+        for start in range(4):
+            got = _uniforms(seed, start, stop, n_draws)
+            assert got.shape == (n_draws, stop - start)
+            assert np.array_equal(got.T, ref[start:])
 
-    def test_draw_count_partial_block(self):
-        for n_draws in (1, 3, 4, 5, 8, 9):
-            mine = _philox_uniforms(9, np.array([3]), n_draws)[0]
-            ref = _substream(9, 3).random(n_draws)
-            assert np.array_equal(mine, ref)
+    def test_int64_start_near_2_62(self):
+        start, n_draws = np.int64(2 ** 62 + 1), 6
+        first = (2 ** 62 + 1) * n_draws
+        bitgen = np.random.Philox(key=5, counter=first // 4)
+        ref = _doubles(bitgen.random_raw(first % 4 + 3 * n_draws))
+        got = _uniforms(5, start, start + 3, n_draws)
+        assert np.array_equal(got.T, ref[first % 4:].reshape(3, n_draws))
+
+
+def test_click_readout_stable_in_p_f():
+    # a last-bit change of p_f must not move a displaced-cloud readout
+    p_f = 10.0 ** np.random.default_rng(0).uniform(-3.0, -1.0, 2000)
+    for f in (1e-3, 0.5, 1.0 - 1e-6):
+        u = 1.0 - (1.0 - f) * p_f
+        shift = (_mixture_readouts(u, np.nextafter(p_f, 1.0), 2.0)
+                 - _mixture_readouts(u, p_f, 2.0))
+        assert np.max(np.abs(shift)) <= 1e-12, f
 
 
 @pytest.mark.parametrize("make", [
@@ -142,13 +163,23 @@ class TestPerStepOracle:
 
 class TestMcInterference:
     def test_matches_single_sample_path(self):
-        # same substream, same math; block-shaped matmuls may round the last
+        # same stream, same math; block-shaped matmuls may round the last
         # bit differently, so equality is at float precision, not bitwise
         spec = ProtocolSpec(theta=1.3, strength=Strength(0.4))
         terms = interference_terms(spec, McConfig(n_samples=50, seed=3))
         for sid in (0, 13, 49):
             single = sample_trajectory(spec, sid, 3).interference_term
             assert abs(terms[sid] - single) < 1e-12
+        # the samples on both sides of each block boundary
+        cfg = McConfig(n_samples=2 * BLOCK_SIZE + 5, seed=3)
+        for n_meas in (1, 5):
+            spec = ProtocolSpec(theta=1.3, strength=Strength(0.4),
+                                n_meas=n_meas)
+            terms = interference_terms(spec, cfg)
+            for sid in (BLOCK_SIZE - 1, BLOCK_SIZE, 2 * BLOCK_SIZE - 1,
+                        2 * BLOCK_SIZE):
+                single = sample_trajectory(spec, sid, 3).interference_term
+                assert abs(terms[sid] - single) < 1e-12
 
     def test_north_pole_zero_spread(self):
         est = mc_interference(ProtocolSpec(theta=0.0, strength=Strength(0.5)),
