@@ -1,5 +1,6 @@
-"""Phase-map analysis: unwrapped curves, winding numbers, surface degree,
-critical-strength location, and the independent geometric oracles.
+"""Phase-map analysis of the uniform schedule (unwrapped curves, winding
+numbers, surface degree, critical-strength location) and the independent
+geometric oracles.  A custom schedule runs through ``protocol.ProtocolSpec``.
 
 Geometry conventions
 --------------------
@@ -194,8 +195,7 @@ def _unwrap_defined(chi_wrapped: np.ndarray, defined: np.ndarray):
 
 
 def phase_vs_theta(strength: Strength, grid=None, *, n_meas: int = 6,
-                   reference_weight: float = 0.5,
-                   phi_schedule: tuple[float, ...] | None = None) -> PhaseCurve:
+                   reference_weight: float = 0.5) -> PhaseCurve:
     """Evaluate chi(theta) on a grid, refining until it unwraps cleanly.
 
     The grid must start at theta = 0 (the unwrap anchor).  Intervals whose
@@ -214,8 +214,7 @@ def phase_vs_theta(strength: Strength, grid=None, *, n_meas: int = 6,
 
     def evaluate(nodes: np.ndarray):
         amps = _amplitudes_for_thetas(nodes, strength, n_meas=n_meas,
-                                      reference_weight=reference_weight,
-                                      phi_schedule=phi_schedule)
+                                      reference_weight=reference_weight)
         return np.angle(amps), np.abs(amps)
 
     chi_w, con = evaluate(thetas)
@@ -297,8 +296,7 @@ def _slerp_loops(vertices: np.ndarray, interp_per_segment: int,
 
 def trajectory_surface(strength: Strength, theta_grid=None,
                        interp_per_segment: int = 8, *, n_meas: int = 6,
-                       reference_weight: float = 0.5,
-                       phi_schedule: tuple[float, ...] | None = None):
+                       reference_weight: float = 0.5):
     """Closed trajectory surface and its degree.
 
     The surface is swept by the per-latitude measurement loops (post-step
@@ -328,7 +326,7 @@ def trajectory_surface(strength: Strength, theta_grid=None,
 
     _, pairs = _amplitudes_for_thetas(thetas, strength, n_meas=n_meas,
                                       reference_weight=reference_weight,
-                                      phi_schedule=phi_schedule, record=True)
+                                      record=True)
     loops = _slerp_loops(_bloch_batch(pairs), interp_per_segment, thetas)
     a = loops[:-1]
     b = loops[1:]
@@ -346,13 +344,11 @@ def trajectory_surface(strength: Strength, theta_grid=None,
 
 def surface_degree(strength: Strength, theta_grid=None,
                    interp_per_segment: int = 8, *, n_meas: int = 6,
-                   reference_weight: float = 0.5,
-                   phi_schedule: tuple[float, ...] | None = None) -> int:
+                   reference_weight: float = 0.5) -> int:
     """Degree of the closed trajectory surface (see trajectory_surface)."""
     deg, _, _ = trajectory_surface(strength, theta_grid, interp_per_segment,
                                    n_meas=n_meas,
-                                   reference_weight=reference_weight,
-                                   phi_schedule=phi_schedule)
+                                   reference_weight=reference_weight)
     return deg
 
 
@@ -425,9 +421,7 @@ def _equator_root(equator, lo: float, hi: float, a_lo: complex,
 
 
 def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
-                           tol: float = 1e-4, *,
-                           phi_schedule: tuple[float, ...] | None = None
-                           ) -> TransitionReport:
+                           tol: float = 1e-4) -> TransitionReport:
     """Bisect the winding-number flip in m, then find the root of the
     equatorial amplitude inside the final bracket.
 
@@ -452,8 +446,7 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
             try:
                 curve = phase_vs_theta(Strength(m + nudge), grid,
                                        n_meas=n_meas,
-                                       reference_weight=reference_weight,
-                                       phi_schedule=phi_schedule)
+                                       reference_weight=reference_weight)
                 return chern_from_curve(curve)
             except UnwrapError:
                 retries += 1
@@ -474,8 +467,7 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
     def equator(ms) -> np.ndarray:
         return _amplitudes_for_thetas(np.array([0.5 * np.pi]), np.asarray(ms),
                                       n_meas=n_meas,
-                                      reference_weight=reference_weight,
-                                      phi_schedule=phi_schedule)
+                                      reference_weight=reference_weight)
 
     a_lo, a_hi = equator([lo, hi])
     jump = float(abs(wrap_angle(np.angle(a_hi) - np.angle(a_lo))))

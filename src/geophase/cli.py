@@ -3,9 +3,10 @@
 Commands: phase | sweep | transition | mc | surface | schema.  Each writes
 a JSON result envelope into ``--out``, and sweep and surface also a CSV
 plus a gnuplot script; primary files are byte-identical for identical
-configs and seeds.  GEOPHASE_THREADS sets the worker count of ``mc``; its
-output does not depend on the count.  Wall times go to a ``*.timing.json``
-sidecar, and files are written to a temporary name and renamed.
+configs and seeds.  GEOPHASE_THREADS (an integer >= 1) sets the worker
+count of ``mc``; its output does not depend on the count.  Wall times go
+to a ``*.timing.json`` sidecar, and files are written to a temporary name
+and renamed.
 
 OPTIONS declares each option once: its parser, default and help.  A JSON
 ``--config`` file may preset any option of the command, and flags
@@ -16,7 +17,8 @@ bool, a grid also a ``{"start", "stop", "count"}`` object, and
 ``phi_schedule`` (config only) a list of angles.  Angles are radians in
 files; flags take a ``deg`` suffix.  Grid endpoints are inclusive.
 
-A value that does not parse exits 2 before any work.  Exit 3 bounds, before
+A value that does not parse, or an ``--out`` that is a file, lies under
+one or cannot be created, exits 2 before any work.  Exit 3 bounds, before
 anything is allocated, ``--n-meas`` (MAX_N_MEAS), ``mc --samples``
 (MAX_MC_SAMPLES), samples x n_meas (MAX_MC_SAMPLE_STEPS), sweep cells
 (MAX_SWEEP_CELLS) and surface points, grid count x (n_meas + 1) x interp
@@ -43,7 +45,7 @@ from .errors import (AnalysisError, AntipodalError, DomainError, GeophaseError,
 from .measurement import Strength
 from .protocol import CONTRAST_FLOOR, ProtocolSpec, run_protocol_analytic
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 MAX_SWEEP_CELLS = 10 ** 6
 MAX_SURFACE_POINTS = 4 * 10 ** 6
 MAX_N_MEAS = 4096
@@ -194,13 +196,12 @@ COMMAND_OPTIONS = {
 def workers_from_env() -> int:
     raw = os.environ.get("GEOPHASE_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        raise CliError(EXIT_CONFIG, f"GEOPHASE_THREADS={raw!r} is not an integer")
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+        workers = 0
+    if workers < 1:
+        raise CliError(EXIT_CONFIG, f"GEOPHASE_THREADS={raw!r} is not an integer >= 1")
+    return workers
 
 
 def _config_value(key: str, value):
@@ -285,6 +286,16 @@ def _protocol_spec(cfg: dict) -> ProtocolSpec:
 # Output writers
 
 
+def _out_dir(text: str) -> Path:
+    """``--out`` if it is, or can be made, a writable directory (makes none)."""
+    out = Path(text)
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
+        raise CliError(EXIT_CONFIG,
+                       f"--out {out}: {nearest} is not a writable directory")
+    return out
+
+
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
@@ -312,35 +323,29 @@ def _jsonify(obj):
     return obj
 
 
-def write_envelope(out_dir: Path, name: str, command: str, config: dict,
-                   results: dict, diagnostics: dict,
-                   wall_seconds: float) -> Path:
+def write_envelope(out_dir: Path, command: str, config: dict, results: dict,
+                   diagnostics: dict, wall_seconds: float) -> None:
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "config": _jsonify(config),
         "results": _jsonify(results),
         "diagnostics": _jsonify(diagnostics),
-        "timing": None,
     }
-    path = out_dir / f"{name}.json"
-    _atomic_write(path, json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+    _atomic_write(out_dir / f"{command}.json",
+                  json.dumps(envelope, indent=2, sort_keys=True) + "\n")
     sidecar = {"command": command, "wall_seconds": wall_seconds}
-    _atomic_write(out_dir / f"{name}.timing.json",
+    _atomic_write(out_dir / f"{command}.timing.json",
                   json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-    return path
 
 
-def write_sweep_csv(path: Path, pm: analysis.PhaseMap) -> None:
-    lines = ["theta,gamma_tau,m,chi_wrapped,chi_unwrapped,contrast,defined"]
-    for i, theta in enumerate(pm.theta_grid):
-        for j, m in enumerate(pm.strength_grid):
-            gamma = math.inf if m == 0.0 else -math.log(m)
-            lines.append(",".join((
-                _fmt(theta), _fmt(gamma), _fmt(m),
-                _fmt(pm.chi_wrapped[i, j]), _fmt(pm.chi_unwrapped[i, j]),
-                _fmt(pm.contrast[i, j]), str(int(pm.defined[i, j])))))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, row_format: str, columns) -> None:
+    """``header``, then ``row_format % row`` for each row of ``columns``."""
+    chunks, line, step = [header + "\n"], row_format + "\n", 2 ** 16
+    for start in range(0, len(columns[0]), step):
+        rows = zip(*(c[start:start + step].tolist() for c in columns))
+        chunks.append("".join(line % row for row in rows))
+    _atomic_write(path, "".join(chunks))
 
 
 def read_sweep_csv(path: Path) -> dict:
@@ -396,6 +401,7 @@ splot "surface.csv" every ::1 using 3:4:5:1 with points pt 7 ps 0.4 palette noti
 def cmd_phase(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     spec = _protocol_spec(cfg)
+    out_dir = _out_dir(cfg["out"])
     t0 = time.perf_counter()
     result, record = run_protocol_analytic(spec)
     wall = time.perf_counter() - t0
@@ -412,9 +418,8 @@ def cmd_phase(args: argparse.Namespace) -> int:
     }
     diagnostics = {"contrast_floor": CONTRAST_FLOOR,
                    "amplitude_factors": record.factors}
-    write_envelope(Path(cfg["out"]), "phase", "phase",
-                   {**cfg, **_strength_fields(spec.strength)}, results,
-                   diagnostics, wall)
+    write_envelope(out_dir, "phase", {**cfg, **_strength_fields(spec.strength)},
+                   results, diagnostics, wall)
     return EXIT_OK
 
 
@@ -425,13 +430,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if cells > MAX_SWEEP_CELLS:
         raise CliError(EXIT_OVERSIZE,
                        f"grid of {cells} cells exceeds {MAX_SWEEP_CELLS}")
+    n_meas, out_dir = _n_meas(cfg), _out_dir(cfg["out"])
     thetas, ms = _grid_values(grid_theta), _grid_values(grid_m)
     t0 = time.perf_counter()
-    pm = analysis.sweep_phase_map(thetas, ms, n_meas=_n_meas(cfg),
+    pm = analysis.sweep_phase_map(thetas, ms, n_meas=n_meas,
                                   reference_weight=cfg["ref_weight"])
     wall = time.perf_counter() - t0
-    out_dir = Path(cfg["out"])
-    write_sweep_csv(out_dir / "sweep.csv", pm)
+    n_theta, n_m = pm.contrast.shape
+    # math.log per m: np.log may differ from it in the last bit
+    gammas = [math.inf if m == 0.0 else -math.log(m)
+              for m in pm.strength_grid.tolist()]
+    _write_csv(out_dir / "sweep.csv",
+               "theta,gamma_tau,m,chi_wrapped,chi_unwrapped,contrast,defined",
+               "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d",
+               [np.repeat(pm.theta_grid, n_m), np.tile(gammas, n_theta),
+                np.tile(pm.strength_grid, n_theta), pm.chi_wrapped.ravel(),
+                pm.chi_unwrapped.ravel(), pm.contrast.ravel(),
+                pm.defined.ravel()])
     _atomic_write(out_dir / "sweep.gp", _SWEEP_GP)
     imin, jmin = np.unravel_index(np.nanargmin(pm.contrast), pm.contrast.shape)
     results = {
@@ -449,17 +464,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "contrast": pm.contrast, "defined": pm.defined,
         }
     diagnostics = {"column_unwrappable": pm.column_unwrappable}
-    write_envelope(out_dir, "sweep", "sweep", cfg, results, diagnostics, wall)
+    write_envelope(out_dir, "sweep", cfg, results, diagnostics, wall)
     print(f"sweep: {pm.n_cells} cells -> {out_dir / 'sweep.csv'}")
     return EXIT_OK
 
 
 def cmd_transition(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
+    n_meas, out_dir = _n_meas(cfg), _out_dir(cfg["out"])
     t0 = time.perf_counter()
     report = analysis.find_critical_strength(
-        n_meas=_n_meas(cfg), reference_weight=cfg["ref_weight"],
-        tol=cfg["tol"])
+        n_meas=n_meas, reference_weight=cfg["ref_weight"], tol=cfg["tol"])
     wall = time.perf_counter() - t0
     lo, hi = report.bracket
     results = {
@@ -476,8 +491,7 @@ def cmd_transition(args: argparse.Namespace) -> int:
     diagnostics = {"winding_curves": report.curves,
                    "nudge_retries": report.nudge_retries,
                    "root_kernel_calls": report.root_calls}
-    write_envelope(Path(cfg["out"]), "transition", "transition", cfg,
-                   results, diagnostics, wall)
+    write_envelope(out_dir, "transition", cfg, results, diagnostics, wall)
     print(f"m_star={report.m_star.m:.8g} bracket_width={hi - lo:.3g} "
           f"chern {report.chern_below}->{report.chern_above} "
           f"jump={report.jump_at_equator:.6g}")
@@ -502,13 +516,14 @@ def cmd_mc(args: argparse.Namespace) -> int:
         raise CliError(EXIT_OVERSIZE,
                        f"{n} samples x {spec.n_meas} measurements exceed "
                        f"{MAX_MC_SAMPLE_STEPS} sample-steps")
+    workers, out_dir = workers_from_env(), _out_dir(cfg["out"])
     t0 = time.perf_counter()
     reference, _ = run_protocol_analytic(spec)
     ref_amp = reference.contrast * complex(math.cos(reference.phase),
                                            math.sin(reference.phase))
     estimate = trajectories.mc_interference(
         spec, trajectories.McConfig(n_samples=n, seed=cfg["seed"]),
-        workers=workers_from_env())
+        workers=workers)
     wall = time.perf_counter() - t0
     z_re, z_im = trajectories.z_scores(estimate, ref_amp)
     results = {
@@ -523,9 +538,8 @@ def cmd_mc(args: argparse.Namespace) -> int:
         "z_scores": {"re": z_re, "im": z_im},
         "agreement": bool(z_re <= 3.0 and z_im <= 3.0),
     }
-    write_envelope(Path(cfg["out"]), "mc", "mc",
-                   {**cfg, **_strength_fields(spec.strength)}, results,
-                   {"insufficient": estimate.insufficient}, wall)
+    write_envelope(out_dir, "mc", {**cfg, **_strength_fields(spec.strength)},
+                   results, {"insufficient": estimate.insufficient}, wall)
     print(f"mc: z_re={z_re:.3g} z_im={z_im:.3g} "
           f"({'ok' if results['agreement'] else 'DISAGREE'})")
     return EXIT_OK if results["agreement"] else EXIT_GATE_FAILED
@@ -540,36 +554,33 @@ def cmd_surface(args: argparse.Namespace) -> int:
     if points > MAX_SURFACE_POINTS:
         raise CliError(EXIT_OVERSIZE,
                        f"surface of {points} points exceeds {MAX_SURFACE_POINTS}")
+    out_dir = _out_dir(cfg["out"])
     t0 = time.perf_counter()
     degree, thetas, loops = analysis.trajectory_surface(
         strength, _grid_values(grid), interp, n_meas=n_meas,
         reference_weight=cfg["ref_weight"])
     wall = time.perf_counter() - t0
-    out_dir = Path(cfg["out"])
-    lines = ["theta,step,x,y,z"]
-    for i, theta in enumerate(thetas):
-        for j in range(loops.shape[1]):
-            x, y, z = loops[i, j]
-            lines.append(f"{_fmt(theta)},{j},{_fmt(x)},{_fmt(y)},{_fmt(z)}")
-    _atomic_write(out_dir / "surface.csv", "\n".join(lines) + "\n")
+    n_loops, per_loop = loops.shape[:2]
+    _write_csv(out_dir / "surface.csv", "theta,step,x,y,z",
+               "%.17g,%d,%.17g,%.17g,%.17g",
+               [np.repeat(thetas, per_loop), np.tile(np.arange(per_loop), n_loops),
+                *loops.reshape(-1, 3).T])
     _atomic_write(out_dir / "surface.gp", _SURFACE_GP)
-    results = {"degree": degree, "n_loops": int(loops.shape[0]),
-               "points_per_loop": int(loops.shape[1]),
+    results = {"degree": degree, "n_loops": n_loops,
+               "points_per_loop": per_loop,
                "csv": "surface.csv", "plot_script": "surface.gp"}
-    write_envelope(out_dir, "surface", "surface",
-                   {**cfg, **_strength_fields(strength)}, results, {}, wall)
-    print(f"surface degree={degree} ({loops.shape[0]} loops x "
-          f"{loops.shape[1]} points)")
+    write_envelope(out_dir, "surface", {**cfg, **_strength_fields(strength)},
+                   results, {}, wall)
+    print(f"surface degree={degree} ({n_loops} loops x {per_loop} points)")
     return EXIT_OK
 
 
 def cmd_schema(args: argparse.Namespace) -> int:
     text = resources.files("geophase").joinpath(
         "schema/envelope.schema.json").read_text(encoding="utf-8")
+    if args.out is not None:
+        _atomic_write(_out_dir(args.out) / "envelope.schema.json", text)
     print(text, end="")
-    out = getattr(args, "out", None)
-    if out is not None:
-        _atomic_write(Path(out) / "envelope.schema.json", text)
     return EXIT_OK
 
 

@@ -409,15 +409,38 @@ class TestExactTransition:
         m_stars = [r.m_star.m for r in reports]
         assert max(m_stars) - min(m_stars) < 1e-15
 
-    def test_custom_schedule_root_in_bracket(self):
-        schedule = (-0.9, -2.0, -3.2, -4.1, -5.2, -2.0 * np.pi)
-        report = an.find_critical_strength(phi_schedule=schedule)
-        lo, hi = report.bracket
-        assert lo <= report.m_star.m <= hi
-        a_star = abs(self.equator(report.m_star.m, phi_schedule=schedule))
-        assert a_star == report.contrast_min
-        assert a_star <= min(abs(self.equator(lo, phi_schedule=schedule)),
-                             abs(self.equator(hi, phi_schedule=schedule)))
+    # a non-uniform schedule and the winding bracket of its flip, found by
+    # bisecting winding curves of this schedule to width 1e-4
+    SCHEDULE = (-0.9, -2.0, -3.2, -4.1, -5.2, -2.0 * np.pi)
+    SCHEDULE_BRACKET = (0.4659495849609375, 0.466010498046875)
+
+    @classmethod
+    def schedule_root(cls, phase=1.0):
+        def equator(ms):
+            return phase * _amplitudes_for_thetas(
+                np.array([0.5 * np.pi]), np.asarray(ms),
+                phi_schedule=cls.SCHEDULE)
+        return an._equator_root(equator, 1e-3, 0.999, *equator([1e-3, 0.999]))
+
+    def test_equator_root_of_custom_schedule_in_bracket(self):
+        m_star, a_star, calls = self.schedule_root()
+        lo, hi = self.SCHEDULE_BRACKET
+        assert lo < m_star < hi
+        assert abs(m_star - 0.46598935667814856) < 1e-12
+        assert 0 < calls <= 12
+        assert abs(a_star) == abs(self.equator(m_star,
+                                               phi_schedule=self.SCHEDULE))
+        assert abs(a_star) <= min(
+            abs(self.equator(lo, phi_schedule=self.SCHEDULE)),
+            abs(self.equator(hi, phi_schedule=self.SCHEDULE)))
+
+    @pytest.mark.parametrize("phase", [0.7, 0.5 * np.pi])
+    def test_equator_root_ignores_a_constant_phase(self, phase):
+        # the schedule's equatorial amplitude is real; a constant phase is
+        # what only the projection onto conj(a_lo) takes out
+        plain, _, _ = self.schedule_root()
+        turned, _, _ = self.schedule_root(np.exp(1j * phase))
+        assert abs(turned - plain) <= 1e-15
 
     def test_counters(self):
         report = an.find_critical_strength(tol=1e-4)

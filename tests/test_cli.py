@@ -606,6 +606,64 @@ def test_worker_pool_exits_silently():
     assert _fresh_interpreter(code).stderr == ""
 
 
+def _no_compute(*args, **kwargs):
+    pytest.fail("computed with an unusable --out")
+
+
+@pytest.mark.parametrize("argv, computes", [
+    (["phase", *_PROTOCOL_POINT], ["run_protocol_analytic"]),
+    (["sweep", "--grid-theta", "0:3:8", "--grid-m", "0:1:3"],
+     ["analysis.sweep_phase_map"]),
+    (["transition"], ["analysis.find_critical_strength"]),
+    (["mc", *_PROTOCOL_POINT],
+     ["run_protocol_analytic", "trajectories.mc_interference"]),
+    (["surface", "--m", "0.5"], ["analysis.trajectory_surface"]),
+    (["schema"], []),
+])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_unusable_out_exit_2_before_work(tmp_path, monkeypatch, capsys,
+                                          argv, computes, below):
+    for name in computes:
+        monkeypatch.setattr(f"geophase.cli.{name}", _no_compute)
+    blocker = tmp_path / "F"
+    blocker.write_text("keep")
+    out = blocker / below if below else blocker
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: --out {out}: {blocker} is not a "
+                            f"writable directory\n")
+    assert captured.out == ""
+    assert blocker.read_text() == "keep"
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-4", "two"])
+def test_bad_worker_count_exit_2_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                threads):
+    monkeypatch.setenv("GEOPHASE_THREADS", threads)
+    monkeypatch.setattr(cli.trajectories, "mc_interference", _no_compute)
+    out = tmp_path / "out"
+    assert run_cli(["mc", *_PROTOCOL_POINT, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: GEOPHASE_THREADS={threads!r} is not an integer >= 1\n")
+    assert not out.exists()
+
+
+def test_csv_rows_format_each_value_as_before(tmp_path):
+    floats = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300,
+                       0.1, -2.0 / 3.0, np.pi])
+    ints = np.arange(floats.size) * 1000 - 3
+    flags = floats > 0.0
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, "a,b,c,d", "%.17g,%d,%d,%.17g",
+                   [floats, ints, flags, floats[::-1].copy()])
+    expected = ["a,b,c,d"] + [
+        ",".join((format(float(a), ".17g"), str(int(b)), str(int(c)),
+                  format(float(d), ".17g")))
+        for a, b, c, d in zip(floats, ints, flags, floats[::-1])]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
 @pytest.mark.parametrize("command", [["sweep"], ["surface", "--m", "0.5"]])
 def test_zero_n_meas_is_config_error(tmp_path, command):
     assert run_cli(command + ["--n-meas", "0", "--out", str(tmp_path)]) == 2
