@@ -52,6 +52,9 @@ COMMANDS = [
     ("sweep-both", "1", ["sweep", "--format", "both", "--n-meas", "5",
                          "--ref-weight", "0.3", "--grid-theta", "0:3.14159:16",
                          "--grid-m", "0:1:9"]),
+    ("transition-n4096", "1", ["transition", "--n-meas", "4096"]),
+    ("sweep-n4096", "1", ["sweep", "--n-meas", "4096",
+                          "--grid-theta", "0:3.14159:64", "--grid-m", "0:1:64"]),
 ]
 
 

@@ -2,6 +2,11 @@
 numbers, surface degree, critical-strength location) and the independent
 geometric oracles.  A custom schedule runs through ``protocol.ProtocolSpec``.
 
+Curves, maps and the equatorial root evaluate the uniform schedule's
+transfer-matrix power (``protocol._uniform_amplitudes``), in O(log N) per
+node; only the trajectory surface, which needs every step's Bloch point,
+runs the recording step loop.
+
 Geometry conventions
 --------------------
 Signed solid angles use the right-hand rule with the outward normal:
@@ -27,7 +32,8 @@ import numpy as np
 from .errors import (AnalysisError, AntipodalError, DomainError,
                      TransitionNotFoundError, UnwrapError)
 from .measurement import Strength
-from .protocol import CONTRAST_FLOOR, _amplitudes_for_thetas, _require_int
+from .protocol import (CONTRAST_FLOOR, _amplitudes_for_thetas, _require_int,
+                       _uniform_amplitudes)
 from .qutrit import _bloch_batch
 
 DEFAULT_CURVE_NODES = 129
@@ -213,8 +219,8 @@ def phase_vs_theta(strength: Strength, grid=None, *, n_meas: int = 6,
         raise DomainError("theta grid outside [0, pi]")
 
     def evaluate(nodes: np.ndarray):
-        amps = _amplitudes_for_thetas(nodes, strength, n_meas=n_meas,
-                                      reference_weight=reference_weight)
+        amps = _uniform_amplitudes(nodes, strength, n_meas=n_meas,
+                                   reference_weight=reference_weight)
         return np.angle(amps), np.abs(amps)
 
     chi_w, con = evaluate(thetas)
@@ -465,9 +471,9 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
             hi = mid
 
     def equator(ms) -> np.ndarray:
-        return _amplitudes_for_thetas(np.array([0.5 * np.pi]), np.asarray(ms),
-                                      n_meas=n_meas,
-                                      reference_weight=reference_weight)
+        return _uniform_amplitudes(np.array([0.5 * np.pi]), np.asarray(ms),
+                                   n_meas=n_meas,
+                                   reference_weight=reference_weight)
 
     a_lo, a_hi = equator([lo, hi])
     jump = float(abs(wrap_angle(np.angle(a_hi) - np.angle(a_lo))))
@@ -537,8 +543,8 @@ def sweep_phase_map(theta_grid, strength_grid, *, n_meas: int = 6,
     if not np.all((ms >= 0.0) & (ms <= 1.0)):
         raise DomainError("strength grid outside [0, 1]")
     base = np.unique(np.concatenate([[0.0], thetas]))
-    amps = _amplitudes_for_thetas(base[:, None], ms, n_meas=n_meas,
-                                  reference_weight=reference_weight)
+    amps = _uniform_amplitudes(base[:, None], ms, n_meas=n_meas,
+                               reference_weight=reference_weight)
     chi_w, con = np.angle(amps), np.abs(amps)
     defined = con > CONTRAST_FLOOR
     chi_u = np.empty_like(chi_w)

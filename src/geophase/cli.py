@@ -28,6 +28,7 @@ anything is allocated, ``--n-meas`` (MAX_N_MEAS), ``mc --samples``
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -296,14 +297,24 @@ def _out_dir(text: str) -> Path:
     return out
 
 
-def _atomic_write(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: Path):
+    """A text file open at a temporary name beside ``path``.  It replaces
+    ``path`` only when the block completes and is removed either way, so a
+    failure part way leaves no partial file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     try:
-        tmp.write_text(text, encoding="utf-8", newline="\n")
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(text)
 
 
 def _jsonify(obj):
@@ -340,28 +351,15 @@ def write_envelope(out_dir: Path, command: str, config: dict, results: dict,
 
 
 def _write_csv(path: Path, header: str, row_format: str, columns) -> None:
-    """``header``, then ``row_format % row`` for each row of ``columns``."""
-    chunks, line, step = [header + "\n"], row_format + "\n", 2 ** 16
-    for start in range(0, len(columns[0]), step):
-        rows = zip(*(c[start:start + step].tolist() for c in columns))
-        chunks.append("".join(line % row for row in rows))
-    _atomic_write(path, "".join(chunks))
-
-
-def read_sweep_csv(path: Path) -> dict:
-    """Parse a sweep CSV back into arrays keyed like the PhaseMap fields."""
-    rows = Path(path).read_text(encoding="utf-8").strip().split("\n")
-    header = rows[0].split(",")
-    data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-    thetas = np.unique(data[:, 0])
-    ms_count = data.shape[0] // thetas.size
-    shape = (thetas.size, ms_count)
-    out = {"theta_grid": thetas, "strength_grid": data[:ms_count, 2]}
-    for k, name in enumerate(header):
-        if k >= 3:
-            out[name] = data[:, k].reshape(shape)
-    out["defined"] = out.pop("defined").astype(bool)
-    return out
+    """``header``, then ``row_format % row`` for each row of ``columns``.
+    Rows are formatted and written in chunks, so the whole file is never
+    held as one string."""
+    line, step = row_format + "\n", 2 ** 16
+    with _atomic_file(path) as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(columns[0]), step):
+            rows = zip(*(c[start:start + step].tolist() for c in columns))
+            fh.write("".join(line % row for row in rows))
 
 
 _SWEEP_GP = """\

@@ -56,23 +56,11 @@ class Strength:
             raise DomainError(f"gamma*tau={gamma_tau!r} must be >= 0")
         return cls(float(np.exp(-gamma_tau)))
 
-    @classmethod
-    def from_r0_sigma(cls, r0_over_sigma: float) -> "Strength":
-        if not r0_over_sigma >= 0.0:
-            raise DomainError(f"r0/sigma={r0_over_sigma!r} must be >= 0")
-        return cls(float(np.exp(-0.25 * r0_over_sigma ** 2)))
-
     @property
     def gamma_tau(self) -> float:
         if self.m == 0.0:
             return np.inf
         return float(-np.log(self.m))
-
-    @property
-    def r0_over_sigma(self) -> float:
-        """Cloud separation in units of the amplitude-profile sigma convention
-        exp(-r^2 / (2 sigma^2)), i.e. m = exp(-(r0/sigma)^2/4)."""
-        return float(2.0 * np.sqrt(self.gamma_tau))
 
     @property
     def is_projective(self) -> bool:

@@ -30,9 +30,21 @@ CLOSING_PHI, the run is the sequence of frame changes
 which ``_frame_steps`` yields.  R(theta, 0) maps the initial axis state to
 |e>, so the pair starts at (0, sqrt(1-w)), and the amplitude is 2*sqrt(w)
 times the e component after S_{N+1}.  ``_amplitudes_for_thetas`` (the
-closed form, batched over theta and m) and the Monte Carlo in
-:mod:`geophase.trajectories` both step through it; ``measure_along`` and
-``initial_state`` keep the per-step 3x3 form as a reference.
+closed form for any schedule, batched over theta and m) and the Monte
+Carlo in :mod:`geophase.trajectories` both step through it;
+``measure_along`` and ``initial_state`` keep the per-step 3x3 form as a
+reference.
+
+For the uniform schedule every S_1 .. S_N is the same S, with
+phi_k - phi_{k-1} = -2*pi/N, and the closing step is the identity,
+because phi_{N+1} = CLOSING_PHI = -2*pi = phi_N.  With D = diag(m, 1) in
+the (F, E) ordering the run is one matrix power,
+
+    c * exp(i*chi) = 2 * sqrt(w*(1-w)) * [(D S)^N]_EE = 2 * sqrt(w*(1-w)) * [K^N]_EE,
+
+where K = D^(1/2) S D^(1/2) is similar to D S (D^(1/2) leaves e alone) and,
+like S, complex symmetric.  ``_uniform_amplitudes`` evaluates it by
+repeated squaring, which is what the analysis layer calls.
 
 A recorded run keeps each pair in its measurement's frame while it steps
 and returns all of them to the lab frame once, after the last step.
@@ -238,6 +250,21 @@ def _frame_steps(thetas: np.ndarray | float, schedule: tuple[float, ...]):
         ep_prev = ep
 
 
+def _kernel_args(thetas, strength, n_meas: int, reference_weight: float):
+    """Checked kernel arguments: thetas as a float array and m as the
+    Strength's value or an array that broadcasts against thetas."""
+    thetas = np.asarray(thetas, dtype=float)
+    if not np.all((thetas >= 0.0) & (thetas <= np.pi)):
+        raise DomainError("thetas outside [0, pi]")
+    if not 0.0 < reference_weight < 1.0:
+        raise DomainError(f"reference_weight={reference_weight!r} outside (0, 1)")
+    _require_int("n_meas", n_meas)
+    if n_meas < 1:
+        raise DomainError(f"n_meas={n_meas!r} must be positive")
+    m = strength.m if isinstance(strength, Strength) else np.asarray(strength)
+    return thetas, m
+
+
 def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength | np.ndarray,
                            n_meas: int = 6,
                            reference_weight: float = 0.5,
@@ -258,15 +285,7 @@ def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength | np.ndarray,
     their measurements' frames and rotated to the lab frame in one batch
     after the loop.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    if not np.all((thetas >= 0.0) & (thetas <= np.pi)):
-        raise DomainError("thetas outside [0, pi]")
-    if not 0.0 < reference_weight < 1.0:
-        raise DomainError(f"reference_weight={reference_weight!r} outside (0, 1)")
-    _require_int("n_meas", n_meas)
-    if n_meas < 1:
-        raise DomainError(f"n_meas={n_meas!r} must be positive")
-    m = strength.m if isinstance(strength, Strength) else np.asarray(strength)
+    thetas, m = _kernel_args(thetas, strength, n_meas, reference_weight)
     schedule = phi_schedule if phi_schedule is not None else default_schedule(n_meas)
     if len(schedule) != n_meas:
         raise DomainError(f"schedule length {len(schedule)} != n_meas {n_meas}")
@@ -293,3 +312,51 @@ def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength | np.ndarray,
     rots = _rotation_matrices(thetas[..., None], np.array([0.0, *schedule]))
     np.conjugate(rots, out=rots)
     return amps, np.einsum("...ji,...j->...i", rots, pairs)
+
+
+def _uniform_amplitudes(thetas: np.ndarray, strength: Strength | np.ndarray,
+                        n_meas: int = 6,
+                        reference_weight: float = 0.5) -> np.ndarray:
+    """The closed-form product of the uniform schedule, batched over theta
+    and m as ``_amplitudes_for_thetas`` is, in O(log N) steps.
+
+    The amplitude is 2*sqrt(w*(1-w)) * [K^N]_EE for the symmetric K of the
+    module docstring.  Powers of K are symmetric, so K is carried as the
+    three arrays (K[F,F], K[F,E], K[E,E]), squared in place, and applied to
+    the vector K^j e_E on the set bits of N.  Equals the step loop to a
+    rounding error that grows about like N * eps.
+    """
+    thetas, m = _kernel_args(thetas, strength, n_meas, reference_weight)
+    w = reference_weight
+    s_ff, s_fe, s_ee = next(_frame_steps(thetas, (-2.0 * np.pi / n_meas,)))
+    shape = np.broadcast_shapes(thetas.shape, np.shape(m))
+    k_ff = np.empty(shape, dtype=complex)
+    k_fe = np.empty(shape, dtype=complex)
+    k_ee = np.empty(shape, dtype=complex)
+    k_ff[...] = m * s_ff
+    k_fe[...] = np.sqrt(m) * s_fe
+    k_ee[...] = s_ee
+    a, b = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    v_f = v_e = None
+    n = n_meas
+    while True:
+        if n & 1:
+            if v_f is None:
+                v_f, v_e = k_fe.copy(), k_ee.copy()
+            else:
+                np.multiply(k_fe, v_f, out=a)
+                v_f *= k_ff
+                v_f += np.multiply(k_fe, v_e, out=b)
+                v_e *= k_ee
+                v_e += a
+        n >>= 1
+        if not n:
+            break
+        np.multiply(k_fe, k_fe, out=b)
+        k_fe *= np.add(k_ff, k_ee, out=a)
+        k_ff *= k_ff
+        k_ff += b
+        k_ee *= k_ee
+        k_ee += b
+    v_e *= 2.0 * np.sqrt(w * (1.0 - w))
+    return v_e

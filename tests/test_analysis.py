@@ -8,7 +8,7 @@ from geophase.errors import (AntipodalError, DomainError,
                              UnwrapError)
 from geophase.measurement import Strength
 from geophase.protocol import (ProtocolSpec, run_protocol_analytic,
-                               _amplitudes_for_thetas)
+                               _amplitudes_for_thetas, _uniform_amplitudes)
 from geophase.qutrit import MeasurementAxis, axis_state, bloch_of
 from geophase.trajectories import sample_trajectory
 
@@ -205,8 +205,9 @@ class TestProjectiveConsistency:
     lambda: an.phase_vs_theta(Strength(0.5), [0.0, 1.0, np.nan]),
     lambda: an.trajectory_surface(
         Strength(0.3), np.append(np.linspace(0.0, np.pi, 64)[:-1], np.nan)),
+    lambda: _uniform_amplitudes(np.array([np.nan]), Strength(0.5)),
 ], ids=["kernel-theta", "sweep-theta", "sweep-m", "curve-theta",
-        "surface-theta"])
+        "surface-theta", "uniform-theta"])
 def test_nan_fails_range_checks(call):
     # NaN compares false both ways, so a check must ask for the inside
     with pytest.raises(DomainError):
@@ -231,9 +232,12 @@ def test_nan_fails_range_checks(call):
                               -1, 0),
     lambda: sample_trajectory(ProtocolSpec(theta=1.0, strength=Strength(0.5)),
                               1.0, 0),
+    lambda: _uniform_amplitudes(np.array([1.0]), Strength(0.5), n_meas=0),
+    lambda: _uniform_amplitudes(np.array([1.0]), Strength(0.5), n_meas=2.5),
 ], ids=["kernel-n0", "kernel-bool", "kernel-float", "curve-n0", "sweep-n0",
         "transition-n0", "surface-n0", "interp-0", "interp-float",
-        "interp-bool", "sample-negative", "sample-float"])
+        "interp-bool", "sample-negative", "sample-float", "uniform-n0",
+        "uniform-float"])
 def test_integer_arguments_checked(call):
     with pytest.raises(DomainError):
         call()
@@ -399,6 +403,20 @@ class TestExactTransition:
     def test_n3_pin(self, tol):
         report = an.find_critical_strength(n_meas=3, tol=tol)
         assert abs(report.m_star.m - self.M_STAR_N3) < 1e-14
+
+    def test_n3_root_of_the_transfer_matrix(self):
+        # 1/(3 + 2*sqrt(3)) is 2/sqrt(3) - 1 without the cancellation, so it
+        # rounds to within an ulp of the root of 3m^2 + 6m - 1
+        exact = 1.0 / (3.0 + 2.0 * np.sqrt(3.0))
+
+        def equator(ms):
+            return _uniform_amplitudes(np.array([0.5 * np.pi]),
+                                       np.asarray(ms), n_meas=3)
+
+        m_star, a_star, _ = an._equator_root(equator, 1e-3, 0.999,
+                                             *equator([1e-3, 0.999]))
+        assert abs(m_star - exact) <= 4 * np.spacing(exact)
+        assert abs(a_star) < 1e-15
 
     @pytest.mark.parametrize("n_meas", [3, 6, 24])
     def test_contrast_vanishes_and_root_is_weight_free(self, n_meas):

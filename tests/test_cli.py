@@ -23,6 +23,22 @@ def run_cli(argv):
         return exc.code
 
 
+def read_sweep_csv(path):
+    """Parse a sweep CSV back into arrays keyed like the PhaseMap fields."""
+    rows = Path(path).read_text(encoding="utf-8").strip().split("\n")
+    header = rows[0].split(",")
+    data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+    thetas = np.unique(data[:, 0])
+    ms_count = data.shape[0] // thetas.size
+    shape = (thetas.size, ms_count)
+    out = {"theta_grid": thetas, "strength_grid": data[:ms_count, 2]}
+    for k, name in enumerate(header):
+        if k >= 3:
+            out[name] = data[:, k].reshape(shape)
+    out["defined"] = out.pop("defined").astype(bool)
+    return out
+
+
 def load_envelope(path):
     envelope = json.loads(path.read_text(encoding="utf-8"))
     jsonschema.validate(envelope, cli.envelope_schema())
@@ -157,7 +173,7 @@ class TestSweepCommand:
         assert header == "theta,gamma_tau,m,chi_wrapped,chi_unwrapped,contrast,defined"
         assert (tmp_path / "sweep.gp").exists()
 
-        back = cli.read_sweep_csv(csv_path)
+        back = read_sweep_csv(csv_path)
         pm = cli.analysis.sweep_phase_map(np.linspace(0, np.pi, 12),
                                           np.linspace(0, 1, 7))
         assert np.array_equal(back["theta_grid"], pm.theta_grid)
@@ -662,6 +678,35 @@ def test_csv_rows_format_each_value_as_before(tmp_path):
                   format(float(d), ".17g")))
         for a, b, c, d in zip(floats, ints, flags, floats[::-1])]
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+class _FailsAfterFirstChunk:
+    """A CSV column whose rows after the first chunk cannot be formatted.
+    On that failure it records the size the temporary file had reached."""
+
+    def __init__(self, values, path):
+        self.values, self.path, self.tmp_sizes = values, path, []
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, rows):
+        if rows.start == 0:
+            return self.values[rows]
+        self.tmp_sizes = [p.stat().st_size for p in
+                          self.path.parent.glob(self.path.name + ".tmp*")]
+        raise RuntimeError("formatting failed")
+
+
+def test_csv_failure_part_way_leaves_no_file(tmp_path):
+    path = tmp_path / "t.csv"
+    values = np.arange(3 * 2 ** 16, dtype=float)
+    column = _FailsAfterFirstChunk(values, path)
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        cli._write_csv(path, "a,b", "%.17g,%.17g", [values, column])
+    # the first chunk had reached the temporary file before the failure
+    assert len(column.tmp_sizes) == 1 and column.tmp_sizes[0] > 0
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", [["sweep"], ["surface", "--m", "0.5"]])

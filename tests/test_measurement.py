@@ -23,12 +23,10 @@ class TestStrength:
     def test_conversion_round_trips(self, m):
         s = Strength(m)
         assert abs(Strength.from_gamma_tau(s.gamma_tau).m - m) < 1e-12
-        assert abs(Strength.from_r0_sigma(s.r0_over_sigma).m - m) < 1e-12
 
     def test_projective_limits(self):
         assert Strength(0.0).gamma_tau == np.inf
         assert Strength(1.0).gamma_tau == 0.0
-        assert Strength(1.0).r0_over_sigma == 0.0
 
     def test_attenuation_monotone_in_gamma_tau(self):
         gts = np.linspace(0.0, 6.0, 40)

@@ -2,11 +2,11 @@
 parameters."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geophase.measurement import Strength
 from geophase.protocol import (ProtocolSpec, initial_state, measure_along,
-                               _amplitudes_for_thetas)
+                               _amplitudes_for_thetas, _uniform_amplitudes)
 from geophase.qutrit import E, rotation_to_axis
 from geophase.trajectories import McConfig, interference_terms
 
@@ -42,6 +42,23 @@ def test_equator_mirror(theta, ms, n):
     ok = np.abs(eq) > 1e-6
     assert np.all(circ_diff(np.angle(a) + np.angle(b),
                             2 * np.angle(eq))[ok] < 1e-9)
+
+
+@PROPERTY
+@given(ths=st.lists(st.sampled_from([0.0, np.pi]) | thetas, min_size=1,
+                    max_size=6),
+       ms=st.lists(st.sampled_from([0.0, 1.0]) | strengths, min_size=1,
+                   max_size=6),
+       w=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       n=st.integers(1, 4096))
+@example(ths=[0.0, 0.5 * np.pi, np.pi], ms=[0.0, 0.4725, 1.0], w=0.5, n=4096)
+def test_uniform_schedule_matches_step_loop(ths, ms, w, n):
+    # both sides round at every step or squaring, so the tolerance grows
+    # like N * eps
+    grid = np.array(ths)[:, None], np.array(ms)
+    got = _uniform_amplitudes(*grid, n, w)
+    ref = _amplitudes_for_thetas(*grid, n, w)
+    assert np.max(np.abs(got - ref)) < 1e-15 + 2 * np.finfo(float).eps * n
 
 
 @PROPERTY

@@ -6,7 +6,7 @@ from geophase.measurement import Strength, kraus_null
 from geophase.protocol import (CLOSING_PHI, CONTRAST_FLOOR, ProtocolSpec,
                                default_schedule, initial_state, measure_along,
                                run_protocol_analytic, _amplitudes_for_thetas,
-                               _frame_steps)
+                               _frame_steps, _uniform_amplitudes)
 from geophase.qutrit import (E, F, MeasurementAxis, Operator3, QutritState,
                              axis_state, bloch_of, rotation_to_axis)
 
@@ -221,6 +221,30 @@ class TestAnalyticProtocol:
         recorded, _ = _amplitudes_for_thetas(thetas, ms, n, 0.4, schedule,
                                              record=True)
         assert recorded.tobytes() == plain.tobytes()
+
+
+class TestUniformSchedule:
+    THETAS = np.linspace(0.0, np.pi, 33)
+
+    @pytest.mark.parametrize("n", [1, 7, 4096])
+    def test_grid_call_equals_column_calls(self, n):
+        # sweep_phase_map copies refined single-strength curves into its map
+        ms = np.array([0.0, 0.2, 0.4725, 0.8, 1.0])
+        amps = _uniform_amplitudes(self.THETAS[:, None], ms, n, 0.3)
+        assert amps.shape == (33, 5)
+        for j, m in enumerate(ms):
+            col = _uniform_amplitudes(self.THETAS, Strength(m), n, 0.3)
+            assert amps[:, j].tobytes() == col.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 6, 384, 4096])
+    def test_projective_product(self, n):
+        # at m = 0 only K[E,E] = c^2 + s^2 exp(2 pi i/N) survives, and the
+        # amplitude is its N-th power (w = 1/2 makes the prefactor 1)
+        c, s = np.cos(0.5 * self.THETAS), np.sin(0.5 * self.THETAS)
+        z = c * c + s * s * np.exp(2j * np.pi / n)
+        exact = np.abs(z) ** n * np.exp(1j * n * np.angle(z))
+        amps = _uniform_amplitudes(self.THETAS, Strength(0.0), n, 0.5)
+        assert np.max(np.abs(amps - exact)) < 4 * np.finfo(float).eps * n
 
 
 class TestFrameSteps:
