@@ -33,7 +33,8 @@ from pathlib import Path
 TREE = Path(__file__).resolve().parent.parent
 
 #: (label, GEOPHASE_THREADS, arguments): the six README commands, mc again
-#: under two workers, and runs at large n_meas and with every sweep format.
+#: under two workers, runs at large n_meas and with every sweep format, the
+#: weak limit (every step factor exactly 1) and a projective mc reference.
 COMMANDS = [
     ("phase", "1", ["phase", "--theta", "90deg", "--projective"]),
     ("sweep", "1", ["sweep", "--grid-theta", "0:3.14159:64",
@@ -55,6 +56,9 @@ COMMANDS = [
     ("transition-n4096", "1", ["transition", "--n-meas", "4096"]),
     ("sweep-n4096", "1", ["sweep", "--n-meas", "4096",
                           "--grid-theta", "0:3.14159:64", "--grid-m", "0:1:64"]),
+    ("phase-weak", "1", ["phase", "--theta", "1.2", "--m", "1"]),
+    ("mc-projective", "1", ["mc", "--theta", "1.2", "--projective",
+                            "--samples", "100000", "--seed", "42"]),
 ]
 
 

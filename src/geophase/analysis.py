@@ -314,7 +314,10 @@ def trajectory_surface(strength: Strength, theta_grid=None,
     reads +1).
 
     Returns (degree, thetas, loops) with loops of shape
-    (n_theta, (n_meas+1)*interp_per_segment, 3).
+    (n_theta, (n_meas+1)*interp_per_segment, 3).  A projective surface at
+    n_meas = 2 raises AntipodalError on any grid: its two axes are
+    antipodal at theta = pi/2, where the first step annihilates the {e,f}
+    component, so the surface does not close.
     """
     if not (0.0 <= strength.m < 1.0):
         raise DomainError("surface degree requires m in [0, 1)")
@@ -329,10 +332,13 @@ def trajectory_surface(strength: Strength, theta_grid=None,
     if not (abs(thetas[0]) <= 1e-12 and abs(thetas[-1] - np.pi) <= 1e-12):
         raise DomainError("theta grid must span [0, pi] to close the surface")
     thetas[0], thetas[-1] = 0.0, np.pi
+    if strength.m == 0.0 and n_meas == 2:
+        raise AntipodalError("consecutive measurement axes are antipodal",
+                             theta=0.5 * np.pi, segment=0)
 
-    _, pairs = _amplitudes_for_thetas(thetas, strength, n_meas=n_meas,
-                                      reference_weight=reference_weight,
-                                      record=True)
+    _, pairs, _ = _amplitudes_for_thetas(thetas, strength, n_meas=n_meas,
+                                         reference_weight=reference_weight,
+                                         record=True)
     loops = _slerp_loops(_bloch_batch(pairs), interp_per_segment, thetas)
     a = loops[:-1]
     b = loops[1:]

@@ -17,12 +17,13 @@ bool, a grid also a ``{"start", "stop", "count"}`` object, and
 ``phi_schedule`` (config only) a list of angles.  Angles are radians in
 files; flags take a ``deg`` suffix.  Grid endpoints are inclusive.
 
-A value that does not parse, or an ``--out`` that is a file, lies under
-one or cannot be created, exits 2 before any work.  Exit 3 bounds, before
-anything is allocated, ``--n-meas`` (MAX_N_MEAS), ``mc --samples``
-(MAX_MC_SAMPLES), samples x n_meas (MAX_MC_SAMPLE_STEPS), sweep cells
-(MAX_SWEEP_CELLS) and surface points, grid count x (n_meas + 1) x interp
-(MAX_SURFACE_POINTS).  Exit 1 is a failed gate and nothing else.
+A value that does not parse, a sweep theta grid with repeated nodes, or
+an ``--out`` that is a file, lies under one or cannot be created, exits 2
+before any work.  Exit 3 bounds, before anything is allocated,
+``--n-meas`` (MAX_N_MEAS), ``mc --samples`` (MAX_MC_SAMPLES), samples x
+n_meas (MAX_MC_SAMPLE_STEPS), sweep cells (MAX_SWEEP_CELLS) and surface
+points, grid count x (n_meas + 1) x interp (MAX_SURFACE_POINTS).  Exit 1
+is a failed gate and nothing else.
 """
 
 from __future__ import annotations
@@ -430,6 +431,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                        f"grid of {cells} cells exceeds {MAX_SWEEP_CELLS}")
     n_meas, out_dir = _n_meas(cfg), _out_dir(cfg["out"])
     thetas, ms = _grid_values(grid_theta), _grid_values(grid_m)
+    if np.unique(thetas).size < thetas.size:
+        # the map keeps one row per distinct theta, so a repeat would
+        # silently drop rows that the grid echoed
+        raise CliError(EXIT_CONFIG, "grid_theta: nodes of {start!r}:{stop!r}:"
+                       "{count} are not distinct".format(**grid_theta))
     t0 = time.perf_counter()
     pm = analysis.sweep_phase_map(thetas, ms, n_meas=n_meas,
                                   reference_weight=cfg["ref_weight"])
@@ -517,8 +523,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
     workers, out_dir = workers_from_env(), _out_dir(cfg["out"])
     t0 = time.perf_counter()
     reference, _ = run_protocol_analytic(spec)
-    ref_amp = reference.contrast * complex(math.cos(reference.phase),
-                                           math.sin(reference.phase))
+    ref_amp = reference.amplitude
     estimate = trajectories.mc_interference(
         spec, trajectories.McConfig(n_samples=n, seed=cfg["seed"]),
         workers=workers)

@@ -46,10 +46,10 @@ where K = D^(1/2) S D^(1/2) is similar to D S (D^(1/2) leaves e alone) and,
 like S, complex symmetric.  ``_uniform_amplitudes`` evaluates it by
 repeated squaring, which is what the analysis layer calls.
 
-A recorded run keeps each pair in its measurement's frame while it steps
-and returns all of them to the lab frame once, after the last step.
-``run_protocol_analytic`` reports the path as a ``PathRecord`` of two
-arrays: the Bloch ``points`` of the loop and the per-step ``factors``.
+A recorded run stores each pair in its measurement's frame before that
+step's ``a_f *= m``, takes each step's factor from it, and returns all
+pairs to the lab frame once, after the last step.  ``run_protocol_analytic``
+reports that one pass's amplitude, Bloch ``points`` and step ``factors``.
 """
 
 from __future__ import annotations
@@ -129,22 +129,23 @@ class ProtocolSpec:
 
 @dataclass(frozen=True)
 class InterferenceResult:
-    """Contrast and phase of the reference interference.
+    """The reference interference ``amplitude`` c * exp(i*chi) of one run:
+    ``contrast`` is c and ``phase`` is chi in (-pi, pi], meaningful only
+    when ``phase_defined`` (contrast above CONTRAST_FLOOR)."""
 
-    ``phase`` is reported in (-pi, pi]; it is meaningful only when
-    ``phase_defined`` (contrast above CONTRAST_FLOOR).
-    """
+    amplitude: complex
 
-    contrast: float
-    phase: float
-    phase_defined: bool = True
+    @property
+    def contrast(self) -> float:
+        return float(abs(self.amplitude))
 
-    @classmethod
-    def from_amplitude(cls, amplitude: complex) -> "InterferenceResult":
-        contrast = abs(amplitude)
-        return cls(contrast=float(contrast),
-                   phase=float(np.angle(amplitude)),
-                   phase_defined=bool(contrast > CONTRAST_FLOOR))
+    @property
+    def phase(self) -> float:
+        return float(np.angle(self.amplitude))
+
+    @property
+    def phase_defined(self) -> bool:
+        return self.contrast > CONTRAST_FLOOR
 
 
 @dataclass(frozen=True)
@@ -205,21 +206,12 @@ def run_protocol_analytic(spec: ProtocolSpec) -> tuple[InterferenceResult, PathR
     (orthogonal consecutive axes), the trajectory freezes at its last
     defined point and the zero contrast carries the flag.
     """
-    amps, pairs = _amplitudes_for_thetas(
+    (amp,), (pairs,), (factors,) = _amplitudes_for_thetas(
         np.array([spec.theta]), spec.strength, spec.n_meas,
         spec.reference_weight, spec.phi_schedule, record=True)
-    pairs = pairs[0]
     live = np.hypot(np.abs(pairs[:, F]), np.abs(pairs[:, E])) > _EF_FLOOR
     last_live = np.maximum.accumulate(np.where(live, np.arange(live.size), 0))
-    # Each factor is taken in its measurement's own frame, where the step
-    # only scales a_f, so it is exactly 1 at m = 1 and never above 1.
-    rots = _rotation_matrices(np.full(spec.n_meas, spec.theta),
-                              np.asarray(spec.phi_schedule))
-    a_f, a_e = np.abs(np.einsum("kij,kj->ki", rots, pairs[:-1])).T
-    ef_in = np.hypot(a_f, a_e)
-    factors = np.divide(np.hypot(spec.strength.m * a_f, a_e), ef_in,
-                        out=np.zeros_like(ef_in), where=ef_in > 0.0)
-    return (InterferenceResult.from_amplitude(complex(amps[0])),
+    return (InterferenceResult(complex(amp)),
             PathRecord(_bloch_batch(pairs[last_live]), factors))
 
 
@@ -280,10 +272,10 @@ def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength | np.ndarray,
     2*sqrt(w) times the e component after the closing frame change.  The
     steps keep the shape of ``thetas`` and broadcast over m.  Returns the
     interference amplitudes.  With ``record`` it returns them together
-    with the lab-frame pairs of shape grid + (n_meas + 1, 2): the initial
-    pair followed by the pair after every step.  The pairs are stored in
-    their measurements' frames and rotated to the lab frame in one batch
-    after the loop.
+    with the lab-frame pairs of shape grid + (n_meas + 1, 2), the initial
+    pair followed by the pair after every step, and the step factors of
+    shape grid + (n_meas,).  The pairs are stored in their measurements'
+    frames and rotated to the lab frame in one batch after the loop.
     """
     thetas, m = _kernel_args(thetas, strength, n_meas, reference_weight)
     schedule = phi_schedule if phi_schedule is not None else default_schedule(n_meas)
@@ -300,18 +292,25 @@ def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength | np.ndarray,
     for k in range(1, n_meas + 1):
         s_ff, s_fe, s_ee = next(steps)
         a_f, a_e = s_ff * a_f + s_fe * a_e, s_fe * a_f + s_ee * a_e
-        a_f *= m
         if record:
             pairs[..., k, F], pairs[..., k, E] = a_f, a_e
+        a_f *= m
     _, s_fe, s_ee = next(steps)
     amps = 2.0 * np.sqrt(w) * (s_fe * a_f + s_ee * a_e)
     if not record:
         return amps
-    # Each pair is held in its measurement's frame; return all of them to
-    # the lab frame at once, pair k by R(theta, phi_k)^dag with phi_0 = 0.
+    # Pair k sits in frame k before a_f *= m, where the step only scales a_f,
+    # so its factor is exactly 1 at m = 1 and never above 1.  Attenuate, then
+    # take pair k to the lab frame by R(theta, phi_k)^dag with phi_0 = 0.
+    a_f, a_e = np.abs(pairs[..., 1:, F]), np.abs(pairs[..., 1:, E])
+    m = np.asarray(m)[..., None]
+    ef_in = np.hypot(a_f, a_e)
+    factors = np.divide(np.hypot(m * a_f, a_e), ef_in,
+                        out=np.zeros_like(ef_in), where=ef_in > 0.0)
+    pairs[..., 1:, F] *= m
     rots = _rotation_matrices(thetas[..., None], np.array([0.0, *schedule]))
     np.conjugate(rots, out=rots)
-    return amps, np.einsum("...ji,...j->...i", rots, pairs)
+    return amps, np.einsum("...ji,...j->...i", rots, pairs), factors
 
 
 def _uniform_amplitudes(thetas: np.ndarray, strength: Strength | np.ndarray,

@@ -278,6 +278,15 @@ class TestSurfaceDegree:
         with pytest.raises(DomainError):
             an.surface_degree(Strength(0.5), np.linspace(0, np.pi, 8))
 
+    @pytest.mark.parametrize("grid", [None, np.linspace(0, np.pi, 33)])
+    def test_projective_n2_is_singular(self, grid):
+        # the two axes are antipodal on the equator, where the first step
+        # annihilates the {e,f} component; the default grid misses pi/2
+        with pytest.raises(AntipodalError) as err:
+            an.trajectory_surface(Strength(0.0), grid, n_meas=2)
+        assert err.value.theta == 0.5 * np.pi
+        assert err.value.segment == 0
+
     def test_antipodal_segment_reported(self):
         loops = np.array([[[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]]])
         with pytest.raises(AntipodalError) as err:
@@ -368,6 +377,25 @@ class TestSweep:
 
         # weak edge: flat zero
         assert np.nanmax(np.abs(pm.chi_wrapped[:, -1])) < 1e-6
+
+    @pytest.mark.parametrize("n_meas, weight", [(6, 0.37), (24, 0.6)])
+    def test_every_column_is_its_curve(self, n_meas, weight):
+        # sweep_phase_map refines only some columns (two and one here); each
+        # column must still equal its own phase_vs_theta curve at the nodes
+        thetas, ms = np.linspace(0, np.pi, 64), np.linspace(0, 1, 64)
+        pm = an.sweep_phase_map(thetas, ms, n_meas=n_meas,
+                                reference_weight=weight)
+        for j, m in enumerate(ms):
+            curve = an.phase_vs_theta(Strength(float(m)), thetas,
+                                      n_meas=n_meas, reference_weight=weight)
+            at = curve.at(thetas)
+            for name in ("chi_wrapped", "contrast"):
+                assert (getattr(pm, name)[:, j].tobytes()
+                        == getattr(curve, name)[at].tobytes())
+            assert np.array_equal(pm.chi_unwrapped[:, j], curve.chi[at],
+                                  equal_nan=True)
+            assert np.array_equal(pm.defined[:, j], curve.defined[at])
+            assert pm.column_unwrappable[j] == curve.unwrappable
 
     def test_workers_produce_identical_maps(self):
         thetas = np.linspace(0, np.pi, 21)

@@ -309,6 +309,17 @@ class TestSurfaceCommand:
     def test_m_one_rejected(self, tmp_path):
         assert run_cli(["surface", "--m", "1.0", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("grid", [[], ["--grid-theta",
+                                           "0:3.141592653589793:33"]])
+    def test_projective_n2_surface_exit_6(self, tmp_path, capsys, grid):
+        out = tmp_path / "out"
+        assert run_cli(["surface", "--m", "0", "--n-meas", "2", *grid,
+                        "--out", str(out)]) == 6
+        assert capsys.readouterr().err == (
+            "error: singular surface: consecutive measurement axes are "
+            "antipodal (theta=1.5708, segment=0)\n")
+        assert not out.exists()
+
     def test_singular_surface_exit_6(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise AntipodalError("antipodal geodesic endpoints on trajectory",
@@ -347,6 +358,9 @@ def test_domain_error_exit_2(tmp_path, capsys, argv, message):
      "measurement strength required (--m, --gamma-tau or --projective)"),
     (["surface"], "measurement strength required (--m or --gamma-tau)"),
     (["transition", "--tol", "inf"], "tol=inf must be finite"),
+    # a map has one row per distinct theta, so 0:0:3 would write one row
+    (["sweep", "--grid-theta", "0:0:3", "--grid-m", "0:1:2"],
+     "grid_theta: nodes of 0.0:0.0:3 are not distinct"),
 ])
 def test_bad_value_exit_2_writes_nothing(tmp_path, capsys, argv, message):
     assert run_cli(argv + ["--out", str(tmp_path)]) == 2
@@ -375,6 +389,8 @@ _PROTOCOL_POINT = ["--theta", "1", "--m", "0.5"]
     (["phase"], {"theta": 1.0, "projective": 1}, "projective"),
     (["transition"], {"assert_jump": "abc"}, "assert_jump"),
     (["transition"], {"out": ["a"]}, "out"),
+    (["sweep"], {"grid_theta": {"start": 0.0, "stop": 0.0, "count": 3}},
+     "grid_theta"),
 ])
 def test_config_value_read_by_flag_parser(tmp_path, capsys, argv, config, key):
     cfg = tmp_path / "run.json"

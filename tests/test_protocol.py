@@ -202,12 +202,12 @@ class TestAnalyticProtocol:
     def test_grid_call_equals_column_calls(self):
         thetas = np.linspace(0.0, np.pi, 33)
         ms = np.array([0.0, 0.2, 0.4725, 0.8, 1.0])
-        amps, pairs = _amplitudes_for_thetas(thetas[:, None], ms, 7, 0.3,
-                                             record=True)
+        amps, pairs, _ = _amplitudes_for_thetas(thetas[:, None], ms, 7, 0.3,
+                                                record=True)
         assert amps.shape == (33, 5) and pairs.shape == (33, 5, 8, 2)
         for j, m in enumerate(ms):
-            col, col_pairs = _amplitudes_for_thetas(thetas, Strength(m), 7,
-                                                    0.3, record=True)
+            col, col_pairs, _ = _amplitudes_for_thetas(thetas, Strength(m),
+                                                       7, 0.3, record=True)
             assert amps[:, j].tobytes() == col.tobytes()
             assert pairs[:, j].tobytes() == col_pairs.tobytes()
 
@@ -218,8 +218,8 @@ class TestAnalyticProtocol:
         thetas = np.linspace(0.0, np.pi, 17)[:, None]
         ms = np.array([0.0, 0.3, 0.4725, 0.9, 1.0])
         plain = _amplitudes_for_thetas(thetas, ms, n, 0.4, schedule)
-        recorded, _ = _amplitudes_for_thetas(thetas, ms, n, 0.4, schedule,
-                                             record=True)
+        recorded, _, _ = _amplitudes_for_thetas(thetas, ms, n, 0.4, schedule,
+                                                record=True)
         assert recorded.tobytes() == plain.tobytes()
 
 

@@ -61,6 +61,9 @@ def test_cli_functions():
     # from_r0_sigma and r0_over_sigma went: no flag or caller reached them
     (geophase.Strength, ["from_gamma_tau", "gamma_tau", "is_projective",
                          "m"]),
+    # from_amplitude went: the result holds the kernel's amplitude itself
+    (geophase.InterferenceResult, ["amplitude", "contrast", "phase",
+                                   "phase_defined"]),
 ])
 def test_class_members(cls, names):
     assert public(set(vars(cls)) | set(cls.__dataclass_fields__)) == names
