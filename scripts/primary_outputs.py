@@ -34,7 +34,8 @@ TREE = Path(__file__).resolve().parent.parent
 
 #: (label, GEOPHASE_THREADS, arguments): the six README commands, mc again
 #: under two workers, runs at large n_meas and with every sweep format, the
-#: weak limit (every step factor exactly 1) and a projective mc reference.
+#: weak limit (every step factor exactly 1), a projective mc reference and
+#: the coarsest surface, whose mesh triangles are the largest.
 COMMANDS = [
     ("phase", "1", ["phase", "--theta", "90deg", "--projective"]),
     ("sweep", "1", ["sweep", "--grid-theta", "0:3.14159:64",
@@ -59,6 +60,9 @@ COMMANDS = [
     ("phase-weak", "1", ["phase", "--theta", "1.2", "--m", "1"]),
     ("mc-projective", "1", ["mc", "--theta", "1.2", "--projective",
                             "--samples", "100000", "--seed", "42"]),
+    ("surface-coarse", "1", ["surface", "--m", "0.1", "--n-meas", "3",
+                             "--grid-theta", "0:3.141592653589793:33",
+                             "--interp", "3"]),
 ]
 
 

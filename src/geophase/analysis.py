@@ -5,7 +5,7 @@ geometric oracles.  A custom schedule runs through ``protocol.ProtocolSpec``.
 Curves, maps and the equatorial root evaluate the uniform schedule's
 transfer-matrix power (``protocol._uniform_amplitudes``), in O(log N) per
 node; only the trajectory surface, which needs every step's Bloch point,
-runs the recording step loop.
+runs the step loop.  A curve and every map column share one refinement.
 
 Geometry conventions
 --------------------
@@ -32,8 +32,8 @@ import numpy as np
 from .errors import (AnalysisError, AntipodalError, DomainError,
                      TransitionNotFoundError, UnwrapError)
 from .measurement import Strength
-from .protocol import (CONTRAST_FLOOR, _amplitudes_for_thetas, _require_int,
-                       _uniform_amplitudes)
+from .protocol import (CONTRAST_FLOOR, _amplitudes_for_thetas, _ReadOnlyArrays,
+                       _require_int, _uniform_amplitudes)
 from .qutrit import _bloch_batch
 
 DEFAULT_CURVE_NODES = 129
@@ -147,7 +147,7 @@ def _triangle_solid_angles(a, b, c):
 
 
 @dataclass(frozen=True)
-class PhaseCurve:
+class PhaseCurve(_ReadOnlyArrays):
     """chi and contrast along ascending theta at fixed strength.
 
     ``theta`` includes any nodes inserted by adaptive refinement.  ``chi``
@@ -166,12 +166,6 @@ class PhaseCurve:
     n_meas: int
     reference_weight: float
     unwrappable: bool
-
-    def __post_init__(self):
-        for name in ("theta", "chi_wrapped", "chi", "contrast", "defined"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     def at(self, theta_values) -> np.ndarray:
         """Indices of the given theta values in the curve grid."""
@@ -200,6 +194,30 @@ def _unwrap_defined(chi_wrapped: np.ndarray, defined: np.ndarray):
     return chi, bool(np.all(np.abs(steps) < FAIL_DELTA))
 
 
+def _refine(thetas: np.ndarray, chi_w: np.ndarray, con: np.ndarray,
+            evaluate):
+    """Bisect the intervals between defined nodes whose wrapped phase step
+    reaches REFINE_DELTA, up to MAX_CURVE_NODES nodes; ``evaluate`` maps new
+    nodes to amplitudes.  Returns the nodes, wrapped phases and contrasts."""
+    while thetas.size < MAX_CURVE_NODES:
+        didx, steps = _defined_steps(chi_w, con > CONTRAST_FLOOR)
+        wide = np.flatnonzero(np.abs(steps) >= REFINE_DELTA)
+        if not wide.size:
+            break
+        left, right = thetas[didx[wide]], thetas[didx[wide + 1]]
+        mid = 0.5 * (left + right)
+        new_nodes = mid[(left < mid) & (mid < right)]
+        if not new_nodes.size:
+            break
+        new_nodes = new_nodes[:MAX_CURVE_NODES - thetas.size]
+        amps_new = evaluate(new_nodes)
+        order = np.argsort(np.concatenate([thetas, new_nodes]), kind="stable")
+        thetas = np.concatenate([thetas, new_nodes])[order]
+        chi_w = np.concatenate([chi_w, np.angle(amps_new)])[order]
+        con = np.concatenate([con, np.abs(amps_new)])[order]
+    return thetas, chi_w, con
+
+
 def phase_vs_theta(strength: Strength, grid=None, *, n_meas: int = 6,
                    reference_weight: float = 0.5) -> PhaseCurve:
     """Evaluate chi(theta) on a grid, refining until it unwraps cleanly.
@@ -218,28 +236,13 @@ def phase_vs_theta(strength: Strength, grid=None, *, n_meas: int = 6,
     if not thetas[-1] <= np.pi:
         raise DomainError("theta grid outside [0, pi]")
 
-    def evaluate(nodes: np.ndarray):
-        amps = _uniform_amplitudes(nodes, strength, n_meas=n_meas,
+    def evaluate(nodes: np.ndarray) -> np.ndarray:
+        return _uniform_amplitudes(nodes, strength, n_meas=n_meas,
                                    reference_weight=reference_weight)
-        return np.angle(amps), np.abs(amps)
 
-    chi_w, con = evaluate(thetas)
-    while True:
-        didx, steps = _defined_steps(chi_w, con > CONTRAST_FLOOR)
-        left, right = thetas[didx[:-1]], thetas[didx[1:]]
-        mid = 0.5 * (left + right)
-        new_nodes = mid[(np.abs(steps) >= REFINE_DELTA)
-                        & (left < mid) & (mid < right)]
-        budget = MAX_CURVE_NODES - thetas.size
-        if not new_nodes.size or budget <= 0:
-            break
-        new_nodes = new_nodes[:budget]
-        chi_new, con_new = evaluate(new_nodes)
-        order = np.argsort(np.concatenate([thetas, new_nodes]), kind="stable")
-        thetas = np.concatenate([thetas, new_nodes])[order]
-        chi_w = np.concatenate([chi_w, chi_new])[order]
-        con = np.concatenate([con, con_new])[order]
-
+    amps = evaluate(thetas)
+    thetas, chi_w, con = _refine(thetas, np.angle(amps), np.abs(amps),
+                                 evaluate)
     defined = con > CONTRAST_FLOOR
     if not defined[0]:
         raise UnwrapError("cannot anchor: contrast at theta = 0 below floor")
@@ -305,16 +308,16 @@ def trajectory_surface(strength: Strength, theta_grid=None,
                        reference_weight: float = 0.5):
     """Closed trajectory surface and its degree.
 
-    The surface is swept by the per-latitude measurement loops (post-step
-    Bloch points geodesically interpolated, closed back to the initial
-    meridian) over theta in [0, pi]; at the poles the loops pinch to
-    points, closing the surface.  The degree is the total signed area of
-    the quad mesh over 4*pi, with quads oriented by ascending theta x
-    ascending path parameter (outward for a wrapping surface, so wrapping
-    reads +1).
+    The surface is swept by the per-latitude measurement loops (the N+1
+    Bloch points, closed back to the initial meridian) over theta in
+    [0, pi]; at the poles the loops pinch to points, closing the surface.
+    The degree is the total signed area of their quad mesh over 4*pi, with
+    quads oriented by ascending theta x ascending step (outward for a
+    wrapping surface, so wrapping reads +1); interpolation cannot change it.
 
-    Returns (degree, thetas, loops) with loops of shape
-    (n_theta, (n_meas+1)*interp_per_segment, 3).  A projective surface at
+    Returns (degree, thetas, loops) with the loops geodesically
+    interpolated, of shape (n_theta, (n_meas+1)*interp_per_segment, 3).  A
+    projective surface at
     n_meas = 2 raises AntipodalError on any grid: its two axes are
     antipodal at theta = pi/2, where the first step annihilates the {e,f}
     component, so the surface does not close.
@@ -337,11 +340,10 @@ def trajectory_surface(strength: Strength, theta_grid=None,
                              theta=0.5 * np.pi, segment=0)
 
     _, pairs, _ = _amplitudes_for_thetas(thetas, strength, n_meas=n_meas,
-                                         reference_weight=reference_weight,
-                                         record=True)
-    loops = _slerp_loops(_bloch_batch(pairs), interp_per_segment, thetas)
-    a = loops[:-1]
-    b = loops[1:]
+                                         reference_weight=reference_weight)
+    vertices = _bloch_batch(pairs)
+    loops = _slerp_loops(vertices, interp_per_segment, thetas)
+    a, b = vertices[:-1], vertices[1:]
     c = np.roll(b, -1, axis=1)
     d = np.roll(a, -1, axis=1)
     total = (np.sum(_triangle_solid_angles(a, b, c))
@@ -354,12 +356,10 @@ def trajectory_surface(strength: Strength, theta_grid=None,
     return deg, thetas, loops
 
 
-def surface_degree(strength: Strength, theta_grid=None,
-                   interp_per_segment: int = 8, *, n_meas: int = 6,
+def surface_degree(strength: Strength, theta_grid=None, *, n_meas: int = 6,
                    reference_weight: float = 0.5) -> int:
     """Degree of the closed trajectory surface (see trajectory_surface)."""
-    deg, _, _ = trajectory_surface(strength, theta_grid, interp_per_segment,
-                                   n_meas=n_meas,
+    deg, _, _ = trajectory_surface(strength, theta_grid, 1, n_meas=n_meas,
                                    reference_weight=reference_weight)
     return deg
 
@@ -499,7 +499,7 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
 
 
 @dataclass(frozen=True)
-class PhaseMap:
+class PhaseMap(_ReadOnlyArrays):
     """chi and contrast over a theta x strength grid.
 
     Matrices are indexed [theta, strength]; ``chi_unwrapped`` is unwrapped
@@ -518,14 +518,6 @@ class PhaseMap:
     n_meas: int
     reference_weight: float
 
-    def __post_init__(self):
-        for name in ("theta_grid", "strength_grid", "chi_wrapped",
-                     "chi_unwrapped", "contrast", "defined",
-                     "column_unwrappable"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
     @property
     def n_cells(self) -> int:
         return int(self.theta_grid.size * self.strength_grid.size)
@@ -536,11 +528,11 @@ def sweep_phase_map(theta_grid, strength_grid, *, n_meas: int = 6,
                     workers: int = 1) -> PhaseMap:
     """Dense (theta, m) evaluation with per-column unwrapping.
 
-    The whole grid, plus the theta = 0 anchor, is one kernel call.  A
-    column whose wrapped phase steps reach REFINE_DELTA is re-evaluated as
-    an adaptively refined phase_vs_theta curve, so every column equals that
-    curve on the grid nodes.  ``workers`` has no effect; it is kept only for
-    callers that still pass it (the benchmark's analytic-map workload).
+    The whole grid, plus the theta = 0 anchor, is one kernel call; each
+    column then goes through phase_vs_theta's refinement and unwrap, so it
+    equals that curve on the grid nodes.  ``workers`` has no effect; it is
+    kept only for callers that still pass it (the benchmark's analytic-map
+    workload).
     """
     thetas = np.unique(np.asarray(theta_grid, dtype=float))
     ms = np.asarray(strength_grid, dtype=float)
@@ -556,15 +548,17 @@ def sweep_phase_map(theta_grid, strength_grid, *, n_meas: int = 6,
     chi_u = np.empty_like(chi_w)
     unwrappable = np.empty(ms.size, dtype=bool)
     for j, m in enumerate(ms):
-        _, steps = _defined_steps(chi_w[:, j], defined[:, j])
-        if np.any(np.abs(steps) >= REFINE_DELTA):
-            curve = phase_vs_theta(Strength(float(m)), base, n_meas=n_meas,
-                                   reference_weight=reference_weight)
-            chi_u[:, j] = curve.chi[curve.at(base)]
-            unwrappable[j] = curve.unwrappable
-        else:
-            chi_u[:, j], unwrappable[j] = _unwrap_defined(chi_w[:, j],
-                                                          defined[:, j])
+        def evaluate(nodes: np.ndarray, m=float(m)) -> np.ndarray:
+            return _uniform_amplitudes(nodes, Strength(m), n_meas=n_meas,
+                                       reference_weight=reference_weight)
+
+        nodes, chi_nodes, con_nodes = _refine(base, chi_w[:, j], con[:, j],
+                                              evaluate)
+        chi, unwrappable[j] = _unwrap_defined(chi_nodes,
+                                              con_nodes > CONTRAST_FLOOR)
+        # refinement only inserts nodes, so the grid's are found among them
+        chi_u[:, j] = (chi if nodes.size == base.size
+                       else chi[np.searchsorted(nodes, base)])
     idx = np.searchsorted(base, thetas)
     return PhaseMap(theta_grid=thetas, strength_grid=ms,
                     chi_wrapped=chi_w[idx], chi_unwrapped=chi_u[idx],

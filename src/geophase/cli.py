@@ -21,8 +21,9 @@ A value that does not parse, a sweep theta grid with repeated nodes, or
 an ``--out`` that is a file, lies under one or cannot be created, exits 2
 before any work.  Exit 3 bounds, before anything is allocated,
 ``--n-meas`` (MAX_N_MEAS), ``mc --samples`` (MAX_MC_SAMPLES), samples x
-n_meas (MAX_MC_SAMPLE_STEPS), sweep cells (MAX_SWEEP_CELLS) and surface
-points, grid count x (n_meas + 1) x interp (MAX_SURFACE_POINTS).  Exit 1
+n_meas (MAX_MC_SAMPLE_STEPS), sweep cells (MAX_SWEEP_CELLS, or
+MAX_SWEEP_JSON_CELLS for a map built as JSON) and surface points, grid
+count x (n_meas + 1) x interp (MAX_SURFACE_POINTS).  Exit 1
 is a failed gate and nothing else.
 """
 
@@ -49,6 +50,7 @@ from .protocol import CONTRAST_FLOOR, ProtocolSpec, run_protocol_analytic
 
 SCHEMA_VERSION = 2
 MAX_SWEEP_CELLS = 10 ** 6
+MAX_SWEEP_JSON_CELLS = 2 ** 17
 MAX_SURFACE_POINTS = 4 * 10 ** 6
 MAX_N_MEAS = 4096
 MAX_MC_SAMPLES = 10 ** 8
@@ -426,9 +428,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     grid_theta, grid_m = cfg["grid_theta"], cfg["grid_m"]
     cells = grid_theta["count"] * grid_m["count"]
-    if cells > MAX_SWEEP_CELLS:
-        raise CliError(EXIT_OVERSIZE,
-                       f"grid of {cells} cells exceeds {MAX_SWEEP_CELLS}")
+    limit = MAX_SWEEP_CELLS if cfg["format"] == "csv" else MAX_SWEEP_JSON_CELLS
+    if cells > limit:
+        raise CliError(EXIT_OVERSIZE, f"grid of {cells} cells exceeds {limit} "
+                       f"for --format {cfg['format']}")
     n_meas, out_dir = _n_meas(cfg), _out_dir(cfg["out"])
     thetas, ms = _grid_values(grid_theta), _grid_values(grid_m)
     if np.unique(thetas).size < thetas.size:

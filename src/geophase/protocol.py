@@ -46,7 +46,7 @@ where K = D^(1/2) S D^(1/2) is similar to D S (D^(1/2) leaves e alone) and,
 like S, complex symmetric.  ``_uniform_amplitudes`` evaluates it by
 repeated squaring, which is what the analysis layer calls.
 
-A recorded run stores each pair in its measurement's frame before that
+The step loop stores each pair in its measurement's frame before that
 step's ``a_f *= m``, takes each step's factor from it, and returns all
 pairs to the lab frame once, after the last step.  ``run_protocol_analytic``
 reports that one pass's amplitude, Bloch ``points`` and step ``factors``.
@@ -54,7 +54,7 @@ reports that one pass's amplitude, Bloch ``points`` and step ``factors``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,6 +76,17 @@ def _require_int(name: str, value) -> None:
     are refused too, although Python counts them as ints."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name}={value!r} must be an integer")
+
+
+class _ReadOnlyArrays:
+    """Base of the frozen result dataclasses: their array fields are made
+    read-only on construction."""
+
+    def __post_init__(self):
+        for field in fields(self):
+            arr = getattr(self, field.name)
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
 
 
 def default_schedule(n_meas: int) -> tuple[float, ...]:
@@ -149,7 +160,7 @@ class InterferenceResult:
 
 
 @dataclass(frozen=True)
-class PathRecord:
+class PathRecord(_ReadOnlyArrays):
     """The normalized {e,f} trajectory of one run on the Bloch sphere.
 
     ``points`` has shape (N+1, 3): the initial point followed by the point
@@ -162,12 +173,6 @@ class PathRecord:
 
     points: np.ndarray
     factors: np.ndarray
-
-    def __post_init__(self):
-        for name in ("points", "factors"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 def initial_state(theta: float, reference_weight: float) -> QutritState:
@@ -208,7 +213,7 @@ def run_protocol_analytic(spec: ProtocolSpec) -> tuple[InterferenceResult, PathR
     """
     (amp,), (pairs,), (factors,) = _amplitudes_for_thetas(
         np.array([spec.theta]), spec.strength, spec.n_meas,
-        spec.reference_weight, spec.phi_schedule, record=True)
+        spec.reference_weight, spec.phi_schedule)
     live = np.hypot(np.abs(pairs[:, F]), np.abs(pairs[:, E])) > _EF_FLOOR
     last_live = np.maximum.accumulate(np.where(live, np.arange(live.size), 0))
     return (InterferenceResult(complex(amp)),
@@ -260,8 +265,7 @@ def _kernel_args(thetas, strength, n_meas: int, reference_weight: float):
 def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength | np.ndarray,
                            n_meas: int = 6,
                            reference_weight: float = 0.5,
-                           phi_schedule: tuple[float, ...] | None = None, *,
-                           record: bool = False):
+                           phi_schedule: tuple[float, ...] | None = None):
     """The closed-form null-outcome product, batched over theta and m.
 
     ``strength`` is a Strength or an array of m values that broadcasts
@@ -271,11 +275,11 @@ def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength | np.ndarray,
     ``_frame_steps`` followed by ``a_f *= m``, and the amplitude is
     2*sqrt(w) times the e component after the closing frame change.  The
     steps keep the shape of ``thetas`` and broadcast over m.  Returns the
-    interference amplitudes.  With ``record`` it returns them together
-    with the lab-frame pairs of shape grid + (n_meas + 1, 2), the initial
-    pair followed by the pair after every step, and the step factors of
-    shape grid + (n_meas,).  The pairs are stored in their measurements'
-    frames and rotated to the lab frame in one batch after the loop.
+    interference amplitudes, the lab-frame pairs of shape
+    grid + (n_meas + 1, 2), the initial pair followed by the pair after
+    every step, and the step factors of shape grid + (n_meas,).  The pairs
+    are stored in their measurements' frames and rotated to the lab frame
+    in one batch after the loop.
     """
     thetas, m = _kernel_args(thetas, strength, n_meas, reference_weight)
     schedule = phi_schedule if phi_schedule is not None else default_schedule(n_meas)
@@ -285,20 +289,16 @@ def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength | np.ndarray,
     shape = np.broadcast_shapes(thetas.shape, np.shape(m))
     a_f = np.zeros(shape, dtype=complex)
     a_e = np.full(shape, np.sqrt(1.0 - w), dtype=complex)
-    if record:
-        pairs = np.empty(shape + (n_meas + 1, 2), dtype=complex)
-        pairs[..., 0, F], pairs[..., 0, E] = a_f, a_e
+    pairs = np.empty(shape + (n_meas + 1, 2), dtype=complex)
+    pairs[..., 0, F], pairs[..., 0, E] = a_f, a_e
     steps = _frame_steps(thetas, schedule)
     for k in range(1, n_meas + 1):
         s_ff, s_fe, s_ee = next(steps)
         a_f, a_e = s_ff * a_f + s_fe * a_e, s_fe * a_f + s_ee * a_e
-        if record:
-            pairs[..., k, F], pairs[..., k, E] = a_f, a_e
+        pairs[..., k, F], pairs[..., k, E] = a_f, a_e
         a_f *= m
     _, s_fe, s_ee = next(steps)
     amps = 2.0 * np.sqrt(w) * (s_fe * a_f + s_ee * a_e)
-    if not record:
-        return amps
     # Pair k sits in frame k before a_f *= m, where the step only scales a_f,
     # so its factor is exactly 1 at m = 1 and never above 1.  Attenuate, then
     # take pair k to the lab frame by R(theta, phi_k)^dag with phi_0 = 0.

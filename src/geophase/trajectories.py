@@ -46,7 +46,7 @@ import numpy as np
 from .errors import DomainError
 from .measurement import (ReadoutDistribution, cloud_separation,
                           gauss_amplitudes)
-from .protocol import ProtocolSpec, _frame_steps, _require_int
+from .protocol import ProtocolSpec, _frame_steps, _ReadOnlyArrays, _require_int
 from .qutrit import QutritState, _rotation_matrices
 
 if TYPE_CHECKING:
@@ -85,7 +85,7 @@ class McConfig:
 
 
 @dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(_ReadOnlyArrays):
     """One simulated readout sequence.
 
     ``readouts`` holds the readout coordinates (for a projective run, the
@@ -170,18 +170,15 @@ def _block_terms(spec: ProtocolSpec, steps: list, seed: int, start: int,
         p_f = np.clip(a_f.real ** 2 + a_f.imag ** 2, 0.0, 1.0)
         u = uniforms[k]
         if projective:
-            click = u >= 1.0 - p_f
-            readouts[k] = click
-            a_f *= click
-            a_e *= ~click
-            g *= ~click
+            r = u >= 1.0 - p_f
+            psit, psi = r, ~r
         else:
             r = _mixture_readouts(u, p_f, r0)
-            readouts[k] = r
             psit, psi = gauss_amplitudes(spec.strength, r)
-            a_f *= psit
-            a_e *= psi
-            g *= psi
+        readouts[k] = r
+        a_f *= psit
+        a_e *= psi
+        g *= psi
         norm_sq = (a_f.real ** 2 + a_f.imag ** 2
                    + (a_e.real ** 2 + a_e.imag ** 2) + g * g)
         weights *= norm_sq
@@ -374,7 +371,7 @@ def z_scores(estimate: McEstimate, reference: complex) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class ReadoutHistogram:
+class ReadoutHistogram(_ReadOnlyArrays):
     """First-measurement readout histogram against its exact mixture law.
 
     ``edges`` are the (post-merge) bin edges; the first and last bins absorb

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -225,9 +226,9 @@ def test_nan_fails_range_checks(call):
                                n_meas=0),
     lambda: an.find_critical_strength(n_meas=0),
     lambda: an.surface_degree(Strength(0.3), n_meas=0),
-    lambda: an.surface_degree(Strength(0.3), interp_per_segment=0),
-    lambda: an.surface_degree(Strength(0.3), interp_per_segment=2.5),
-    lambda: an.surface_degree(Strength(0.3), interp_per_segment=True),
+    lambda: an.trajectory_surface(Strength(0.3), interp_per_segment=0),
+    lambda: an.trajectory_surface(Strength(0.3), interp_per_segment=2.5),
+    lambda: an.trajectory_surface(Strength(0.3), interp_per_segment=True),
     lambda: sample_trajectory(ProtocolSpec(theta=1.0, strength=Strength(0.5)),
                               -1, 0),
     lambda: sample_trajectory(ProtocolSpec(theta=1.0, strength=Strength(0.5)),
@@ -269,6 +270,18 @@ class TestSurfaceDegree:
         deg = an.surface_degree(Strength(float(m)))
         chern = an.chern_from_curve(an.phase_vs_theta(Strength(float(m))))
         assert deg == chern
+
+    @pytest.mark.parametrize("grid", [np.linspace(0.0, np.pi, 33), None],
+                             ids=["33-nodes", "default-grid"])
+    def test_degree_does_not_depend_on_interpolation(self, grid):
+        # geodesic interpolation of the measured loops cannot change the
+        # degree, which is why surface_degree takes it on the loops alone
+        for n, w, m in itertools.product((3, 5, 24), (0.2, 0.8),
+                                         (0.1, 0.45, 0.5, 0.9)):
+            degrees = [an.trajectory_surface(Strength(m), grid, interp,
+                                             n_meas=n, reference_weight=w)[0]
+                       for interp in (1, 3, 8)]
+            assert len(set(degrees)) == 1, (n, w, m, degrees)
 
     def test_rejects_m_one(self):
         with pytest.raises(DomainError):
@@ -341,17 +354,17 @@ class TestEquatorSymmetry:
     @pytest.mark.parametrize("m", [0.15, 0.55, 0.85])
     def test_contrast_mirror(self, m):
         thetas = np.linspace(0.1, np.pi / 2, 15)
-        a = np.abs(_amplitudes_for_thetas(thetas, Strength(m)))
-        b = np.abs(_amplitudes_for_thetas(np.pi - thetas, Strength(m)))
+        a = np.abs(_amplitudes_for_thetas(thetas, Strength(m))[0])
+        b = np.abs(_amplitudes_for_thetas(np.pi - thetas, Strength(m))[0])
         assert np.max(np.abs(a - b)) < 1e-9
 
     @pytest.mark.parametrize("m", [0.15, 0.55, 0.85])
     def test_phase_mirror(self, m):
         thetas = np.linspace(0.1, np.pi / 2, 15)
-        a = np.angle(_amplitudes_for_thetas(thetas, Strength(m)))
-        b = np.angle(_amplitudes_for_thetas(np.pi - thetas, Strength(m)))
+        a = np.angle(_amplitudes_for_thetas(thetas, Strength(m))[0])
+        b = np.angle(_amplitudes_for_thetas(np.pi - thetas, Strength(m))[0])
         eq = np.angle(_amplitudes_for_thetas(np.array([np.pi / 2]),
-                                             Strength(m)))[0]
+                                             Strength(m))[0])[0]
         assert np.max(circ_diff(a + b, 2 * eq)) < 1e-9
 
 
@@ -425,7 +438,7 @@ class TestExactTransition:
     def equator(m, n_meas=6, w=0.5, phi_schedule=None):
         return complex(_amplitudes_for_thetas(
             np.array([0.5 * np.pi]), np.array([m]), n_meas=n_meas,
-            reference_weight=w, phi_schedule=phi_schedule)[0])
+            reference_weight=w, phi_schedule=phi_schedule)[0][0])
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-6])
     def test_n3_pin(self, tol):
@@ -465,7 +478,7 @@ class TestExactTransition:
         def equator(ms):
             return phase * _amplitudes_for_thetas(
                 np.array([0.5 * np.pi]), np.asarray(ms),
-                phi_schedule=cls.SCHEDULE)
+                phi_schedule=cls.SCHEDULE)[0]
         return an._equator_root(equator, 1e-3, 0.999, *equator([1e-3, 0.999]))
 
     def test_equator_root_of_custom_schedule_in_bracket(self):

@@ -571,6 +571,41 @@ def test_oversize_config_grid_exit_3(tmp_path, monkeypatch, command):
     assert not out.exists()
 
 
+class _Reached(Exception):
+    pass
+
+
+def _reached(grid):
+    raise _Reached
+
+
+@pytest.mark.parametrize("fmt", ["json", "both"])
+def test_oversize_json_sweep_exit_3(tmp_path, monkeypatch, fmt):
+    # 2**16 + 1 thetas x 2 ms: over the JSON bound, far under MAX_SWEEP_CELLS
+    monkeypatch.setattr(cli, "_grid_values", _no_grid)
+    assert 2 * (2 ** 16 + 1) > cli.MAX_SWEEP_JSON_CELLS
+    out = tmp_path / "flag"
+    assert run_cli(["sweep", "--format", fmt, "--grid-theta",
+                    f"0:3:{2 ** 16 + 1}", "--grid-m", "0:1:2",
+                    "--out", str(out)]) == 3
+    assert not out.exists()
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(
+        {"format": fmt, "grid_theta": {"start": 0, "stop": 3,
+                                       "count": 2 ** 16 + 1},
+         "grid_m": {"start": 0, "stop": 1, "count": 2}}))
+    out = tmp_path / "config"
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
+    assert not out.exists()
+    # the bound is inclusive, and csv keeps the larger MAX_SWEEP_CELLS
+    monkeypatch.setattr(cli, "_grid_values", _reached)
+    for fmt_, count in ((fmt, 2 ** 16), ("csv", 2 ** 16 + 1)):
+        with pytest.raises(_Reached):
+            run_cli(["sweep", "--format", fmt_, "--grid-theta",
+                     f"0:3:{count}", "--grid-m", "0:1:2",
+                     "--out", str(tmp_path / "in")])
+
+
 def test_surface_points_bound_is_inclusive(tmp_path, monkeypatch):
     # the surface is stubbed: only the bound on its points is under test
     seen = []

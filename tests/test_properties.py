@@ -27,7 +27,7 @@ def circ_diff(a, b):
 @PROPERTY
 @given(theta=thetas, m=strengths, w=weights, n=lengths)
 def test_contrast_bounded_by_reference(theta, m, w, n):
-    amp = _amplitudes_for_thetas(np.array([theta]), Strength(m), n, w)[0]
+    amp = _amplitudes_for_thetas(np.array([theta]), Strength(m), n, w)[0][0]
     assert abs(amp) <= 2 * np.sqrt(w * (1 - w)) + 1e-12
 
 
@@ -36,7 +36,7 @@ def test_contrast_bounded_by_reference(theta, m, w, n):
        n=lengths)
 def test_equator_mirror(theta, ms, n):
     nodes = np.array([theta, np.pi - theta, 0.5 * np.pi])
-    a, b, eq = _amplitudes_for_thetas(nodes[:, None], np.array(ms), n)
+    a, b, eq = _amplitudes_for_thetas(nodes[:, None], np.array(ms), n)[0]
     assert np.max(np.abs(np.abs(a) - np.abs(b))) < 1e-12
     # the phase mirror is about the equatorial phase, defined off m*
     ok = np.abs(eq) > 1e-6
@@ -57,7 +57,7 @@ def test_uniform_schedule_matches_step_loop(ths, ms, w, n):
     # like N * eps
     grid = np.array(ths)[:, None], np.array(ms)
     got = _uniform_amplitudes(*grid, n, w)
-    ref = _amplitudes_for_thetas(*grid, n, w)
+    ref = _amplitudes_for_thetas(*grid, n, w)[0]
     assert np.max(np.abs(got - ref)) < 1e-15 + 2 * np.finfo(float).eps * n
 
 
@@ -66,7 +66,7 @@ def test_uniform_schedule_matches_step_loop(ths, ms, w, n):
        ws=st.lists(weights, min_size=1, max_size=6))
 def test_reference_weight_is_a_scale_factor(theta, m, n, ws):
     def scaled(w):
-        amp = _amplitudes_for_thetas(np.array([theta]), Strength(m), n, w)[0]
+        amp = _amplitudes_for_thetas(np.array([theta]), Strength(m), n, w)[0][0]
         return amp / (2 * np.sqrt(w * (1 - w)))
 
     base = scaled(0.5)
@@ -87,7 +87,7 @@ def test_custom_schedule_matches_per_step_product(theta, m, w, schedule):
     close = rotation_to_axis(spec.closing_axis).mat
     ref = 2 * np.sqrt(w) * (close @ state.vec)[E]
     amp = _amplitudes_for_thetas(np.array([theta]), spec.strength, spec.n_meas,
-                                 w, spec.phi_schedule)[0]
+                                 w, spec.phi_schedule)[0][0]
     assert abs(amp - ref) < 1e-12
 
 

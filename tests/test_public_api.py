@@ -1,9 +1,11 @@
 """The public surface of the package, pinned: a name added or removed here
 is an API change and has to be made on purpose."""
 
+import dataclasses
 import inspect
 import types
 
+import numpy as np
 import pytest
 
 import geophase
@@ -67,3 +69,24 @@ def test_cli_functions():
 ])
 def test_class_members(cls, names):
     assert public(set(vars(cls)) | set(cls.__dataclass_fields__)) == names
+
+
+_SPEC = geophase.ProtocolSpec(theta=1.0, strength=geophase.Strength(0.5))
+_CFG = geophase.McConfig(n_samples=200, seed=1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: geophase.run_protocol_analytic(_SPEC)[1],
+    lambda: geophase.phase_vs_theta(geophase.Strength(0.5)),
+    lambda: geophase.sweep_phase_map(np.linspace(0.0, np.pi, 5), [0.2, 0.8]),
+    lambda: geophase.readout_histogram(_SPEC, _CFG),
+    lambda: geophase.sample_trajectory(_SPEC, 3, 1),
+], ids=["PathRecord", "PhaseCurve", "PhaseMap", "ReadoutHistogram",
+        "TrajectorySample"])
+def test_every_array_field_is_read_only(make):
+    # the README promises immutable value types, arrays included
+    value = make()
+    arrays = [f.name for f in dataclasses.fields(value)
+              if isinstance(getattr(value, f.name), np.ndarray)]
+    assert arrays
+    assert [n for n in arrays if getattr(value, n).flags.writeable] == []
