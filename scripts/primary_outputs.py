@@ -34,8 +34,9 @@ TREE = Path(__file__).resolve().parent.parent
 
 #: (label, GEOPHASE_THREADS, arguments): the six README commands, mc again
 #: under two workers, runs at large n_meas and with every sweep format, the
-#: weak limit (every step factor exactly 1), a projective mc reference and
-#: the coarsest surface, whose mesh triangles are the largest.
+#: weak limit (every step factor exactly 1), a projective mc reference, the
+#: coarsest surface, whose mesh triangles are the largest, and a sweep
+#: column at m*(6), whose refinement meets the masked equator node.
 COMMANDS = [
     ("phase", "1", ["phase", "--theta", "90deg", "--projective"]),
     ("sweep", "1", ["sweep", "--grid-theta", "0:3.14159:64",
@@ -63,6 +64,8 @@ COMMANDS = [
     ("surface-coarse", "1", ["surface", "--m", "0.1", "--n-meas", "3",
                              "--grid-theta", "0:3.141592653589793:33",
                              "--interp", "3"]),
+    ("sweep-mstar", "1", ["sweep", "--grid-theta", "0:3.141592653589793:65",
+                          "--grid-m", "0.47254618927362685:1:2"]),
 ]
 
 

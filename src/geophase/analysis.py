@@ -5,7 +5,9 @@ geometric oracles.  A custom schedule runs through ``protocol.ProtocolSpec``.
 Curves, maps and the equatorial root evaluate the uniform schedule's
 transfer-matrix power (``protocol._uniform_amplitudes``), in O(log N) per
 node; only the trajectory surface, which needs every step's Bloch point,
-runs the step loop.  A curve and every map column share one refinement.
+runs the step loop.  A curve and every map column go through one
+refine-and-unwrap routine over the kernel's amplitudes, which inserts each
+node once.
 
 Geometry conventions
 --------------------
@@ -42,6 +44,8 @@ MAX_CURVE_NODES = 4096
 REFINE_DELTA = 0.5 * np.pi
 FAIL_DELTA = np.pi - 1e-3
 CHERN_RESIDUAL_TOL = 0.05
+#: Largest number of interpolated points _slerp_loops forms at once.
+_SLERP_BLOCK_POINTS = 2 ** 16
 _ANTIPODAL_TOL = 1e-12
 
 
@@ -177,45 +181,31 @@ class PhaseCurve(_ReadOnlyArrays):
         return idx
 
 
-def _defined_steps(chi_wrapped: np.ndarray, defined: np.ndarray):
-    """Indices of the defined nodes and the wrapped phase steps between
-    neighbouring ones."""
-    didx = np.flatnonzero(defined)
-    return didx, wrap_angle(np.diff(chi_wrapped[didx]))
-
-
-def _unwrap_defined(chi_wrapped: np.ndarray, defined: np.ndarray):
-    """Cumulative unwrap over defined nodes, anchored to 0 at the first."""
-    chi = np.full(chi_wrapped.shape, np.nan)
-    didx, steps = _defined_steps(chi_wrapped, defined)
-    if didx.size == 0:
-        return chi, False
-    chi[didx] = np.concatenate([[0.0], np.cumsum(steps)])
-    return chi, bool(np.all(np.abs(steps) < FAIL_DELTA))
-
-
-def _refine(thetas: np.ndarray, chi_w: np.ndarray, con: np.ndarray,
-            evaluate):
+def _refine(thetas: np.ndarray, amps: np.ndarray, evaluate):
     """Bisect the intervals between defined nodes whose wrapped phase step
-    reaches REFINE_DELTA, up to MAX_CURVE_NODES nodes; ``evaluate`` maps new
-    nodes to amplitudes.  Returns the nodes, wrapped phases and contrasts."""
-    while thetas.size < MAX_CURVE_NODES:
-        didx, steps = _defined_steps(chi_w, con > CONTRAST_FLOOR)
+    reaches REFINE_DELTA, up to MAX_CURVE_NODES nodes, inserting only the
+    midpoints that are not nodes yet; ``evaluate`` maps them to amplitudes.
+    Returns the nodes, their amplitudes, chi (the last pass's steps summed
+    over the defined nodes from 0, NaN where masked) and whether every step
+    stays below FAIL_DELTA."""
+    while True:
+        didx = np.flatnonzero(np.abs(amps) > CONTRAST_FLOOR)
+        steps = wrap_angle(np.diff(np.angle(amps[didx])))
         wide = np.flatnonzero(np.abs(steps) >= REFINE_DELTA)
-        if not wide.size:
+        mid = 0.5 * (thetas[didx[wide]] + thetas[didx[wide + 1]])
+        # mid <= thetas[-1], so searchsorted always indexes a node
+        new = mid[thetas[np.searchsorted(thetas, mid)] != mid]
+        new = new[:max(MAX_CURVE_NODES - thetas.size, 0)]
+        if not new.size:
             break
-        left, right = thetas[didx[wide]], thetas[didx[wide + 1]]
-        mid = 0.5 * (left + right)
-        new_nodes = mid[(left < mid) & (mid < right)]
-        if not new_nodes.size:
-            break
-        new_nodes = new_nodes[:MAX_CURVE_NODES - thetas.size]
-        amps_new = evaluate(new_nodes)
-        order = np.argsort(np.concatenate([thetas, new_nodes]), kind="stable")
-        thetas = np.concatenate([thetas, new_nodes])[order]
-        chi_w = np.concatenate([chi_w, np.angle(amps_new)])[order]
-        con = np.concatenate([con, np.abs(amps_new)])[order]
-    return thetas, chi_w, con
+        order = np.argsort(np.concatenate([thetas, new]), kind="stable")
+        thetas = np.concatenate([thetas, new])[order]
+        amps = np.concatenate([amps, evaluate(new)])[order]
+    chi = np.full(thetas.shape, np.nan)
+    if didx.size == 0:
+        return thetas, amps, chi, False
+    chi[didx] = np.concatenate([[0.0], np.cumsum(steps)])
+    return thetas, amps, chi, bool(np.all(np.abs(steps) < FAIL_DELTA))
 
 
 def phase_vs_theta(strength: Strength, grid=None, *, n_meas: int = 6,
@@ -224,8 +214,9 @@ def phase_vs_theta(strength: Strength, grid=None, *, n_meas: int = 6,
 
     The grid must start at theta = 0 (the unwrap anchor).  Intervals whose
     wrapped phase step exceeds pi/2 between adjacent defined nodes are
-    bisected, up to MAX_CURVE_NODES total nodes; nodes with contrast below
-    CONTRAST_FLOOR are masked and bridged by their defined neighbors.
+    bisected, up to MAX_CURVE_NODES total nodes, and each node is inserted
+    once; nodes with contrast below CONTRAST_FLOOR (at the critical
+    strength, the equator) are masked and bridged by their defined neighbors.
     """
     if grid is None:
         grid = np.linspace(0.0, np.pi, DEFAULT_CURVE_NODES)
@@ -240,16 +231,15 @@ def phase_vs_theta(strength: Strength, grid=None, *, n_meas: int = 6,
         return _uniform_amplitudes(nodes, strength, n_meas=n_meas,
                                    reference_weight=reference_weight)
 
-    amps = evaluate(thetas)
-    thetas, chi_w, con = _refine(thetas, np.angle(amps), np.abs(amps),
-                                 evaluate)
+    thetas, amps, chi, unwrappable = _refine(thetas, evaluate(thetas),
+                                             evaluate)
+    con = np.abs(amps)
     defined = con > CONTRAST_FLOOR
     if not defined[0]:
         raise UnwrapError("cannot anchor: contrast at theta = 0 below floor")
-    chi, unwrappable = _unwrap_defined(chi_w, defined)
-    return PhaseCurve(theta=thetas, chi_wrapped=chi_w, chi=chi, contrast=con,
-                      defined=defined, strength=strength, n_meas=n_meas,
-                      reference_weight=reference_weight,
+    return PhaseCurve(theta=thetas, chi_wrapped=np.angle(amps), chi=chi,
+                      contrast=con, defined=defined, strength=strength,
+                      n_meas=n_meas, reference_weight=reference_weight,
                       unwrappable=unwrappable)
 
 
@@ -291,15 +281,21 @@ def _slerp_loops(vertices: np.ndarray, interp_per_segment: int,
         i, j = bad[0]
         raise AntipodalError("antipodal geodesic endpoints on trajectory",
                              theta=float(thetas[i]), segment=int(j))
-    gamma = np.arccos(dots)[..., None, None]
+    n_loops, n_vertices, _ = vertices.shape
     t = (np.arange(interp_per_segment) / interp_per_segment)[None, None, :, None]
-    small = gamma < 1e-9
-    sin_gamma = np.where(small, 1.0, np.sin(gamma))
-    w0 = np.where(small, 1.0 - t, np.sin((1.0 - t) * gamma) / sin_gamma)
-    w1 = np.where(small, t, np.sin(t * gamma) / sin_gamma)
-    pts = w0 * vertices[:, :, None, :] + w1 * nxt[:, :, None, :]
-    pts /= np.linalg.norm(pts, axis=3, keepdims=True)
-    n_loops = vertices.shape[0]
+    pts = np.empty((n_loops, n_vertices, interp_per_segment, 3))
+    # loops a block at a time, so the temporaries stay block-sized
+    step = max(1, _SLERP_BLOCK_POINTS // (n_vertices * interp_per_segment))
+    for lo in range(0, n_loops, step):
+        block = slice(lo, lo + step)
+        gamma = np.arccos(dots[block])[..., None, None]
+        small = gamma < 1e-9
+        sin_gamma = np.where(small, 1.0, np.sin(gamma))
+        w0 = np.where(small, 1.0 - t, np.sin((1.0 - t) * gamma) / sin_gamma)
+        w1 = np.where(small, t, np.sin(t * gamma) / sin_gamma)
+        out = np.multiply(w0, vertices[block, :, None, :], out=pts[block])
+        out += w1 * nxt[block, :, None, :]
+        out /= np.linalg.norm(out, axis=3, keepdims=True)
     return pts.reshape(n_loops, -1, 3)
 
 
@@ -529,8 +525,9 @@ def sweep_phase_map(theta_grid, strength_grid, *, n_meas: int = 6,
     """Dense (theta, m) evaluation with per-column unwrapping.
 
     The whole grid, plus the theta = 0 anchor, is one kernel call; each
-    column then goes through phase_vs_theta's refinement and unwrap, so it
-    equals that curve on the grid nodes.  ``workers`` has no effect; it is
+    column's amplitudes then go through phase_vs_theta's refine-and-unwrap
+    routine, which evaluates only the nodes it inserts, so the column equals
+    that curve on the grid nodes.  ``workers`` has no effect; it is
     kept only for callers that still pass it (the benchmark's analytic-map
     workload).
     """
@@ -543,25 +540,22 @@ def sweep_phase_map(theta_grid, strength_grid, *, n_meas: int = 6,
     base = np.unique(np.concatenate([[0.0], thetas]))
     amps = _uniform_amplitudes(base[:, None], ms, n_meas=n_meas,
                                reference_weight=reference_weight)
-    chi_w, con = np.angle(amps), np.abs(amps)
-    defined = con > CONTRAST_FLOOR
-    chi_u = np.empty_like(chi_w)
+    chi_u = np.empty(amps.shape)
     unwrappable = np.empty(ms.size, dtype=bool)
     for j, m in enumerate(ms):
         def evaluate(nodes: np.ndarray, m=float(m)) -> np.ndarray:
             return _uniform_amplitudes(nodes, Strength(m), n_meas=n_meas,
                                        reference_weight=reference_weight)
 
-        nodes, chi_nodes, con_nodes = _refine(base, chi_w[:, j], con[:, j],
-                                              evaluate)
-        chi, unwrappable[j] = _unwrap_defined(chi_nodes,
-                                              con_nodes > CONTRAST_FLOOR)
+        nodes, _, chi, unwrappable[j] = _refine(base, amps[:, j], evaluate)
         # refinement only inserts nodes, so the grid's are found among them
         chi_u[:, j] = (chi if nodes.size == base.size
                        else chi[np.searchsorted(nodes, base)])
     idx = np.searchsorted(base, thetas)
+    amps = amps[idx]
+    con = np.abs(amps)
     return PhaseMap(theta_grid=thetas, strength_grid=ms,
-                    chi_wrapped=chi_w[idx], chi_unwrapped=chi_u[idx],
-                    contrast=con[idx], defined=defined[idx],
+                    chi_wrapped=np.angle(amps), chi_unwrapped=chi_u[idx],
+                    contrast=con, defined=con > CONTRAST_FLOOR,
                     column_unwrappable=unwrappable, n_meas=n_meas,
                     reference_weight=reference_weight)

@@ -249,9 +249,10 @@ def _resolve_strength(cfg: dict) -> Strength:
             raise CliError(EXIT_CONFIG, f"gamma_tau={gamma_tau!r} must be >= 0")
         # persisted configs echo both parameterizations; only actual
         # disagreement is an error
-        if m is not None and abs(m - math.exp(-gamma_tau)) > 1e-12:
+        m_gamma = Strength.from_gamma_tau(gamma_tau).m
+        if m is not None and abs(m - m_gamma) > 1e-12:
             raise CliError(EXIT_CONFIG, "m and gamma_tau disagree; give one of them")
-        m = math.exp(-gamma_tau) if m is None else m
+        m = m_gamma if m is None else m
     projective = cfg.get("projective", False)
     if m is None and not projective:
         flags = ("--m, --gamma-tau or --projective" if "projective" in cfg
@@ -444,9 +445,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                   reference_weight=cfg["ref_weight"])
     wall = time.perf_counter() - t0
     n_theta, n_m = pm.contrast.shape
-    # math.log per m: np.log may differ from it in the last bit
-    gammas = [math.inf if m == 0.0 else -math.log(m)
-              for m in pm.strength_grid.tolist()]
+    gammas = [Strength(m).gamma_tau for m in pm.strength_grid.tolist()]
     _write_csv(out_dir / "sweep.csv",
                "theta,gamma_tau,m,chi_wrapped,chi_unwrapped,contrast,defined",
                "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d",
@@ -488,7 +487,7 @@ def cmd_transition(args: argparse.Namespace) -> int:
         "m_star": report.m_star.m,
         "gamma_tau_star": report.m_star.gamma_tau,
         "bracket_m": [lo, hi],
-        "bracket_gamma_tau": [-math.log(hi), -math.log(lo)],
+        "bracket_gamma_tau": [Strength(hi).gamma_tau, Strength(lo).gamma_tau],
         "bracket_width": hi - lo,
         "contrast_min": report.contrast_min,
         "chern_below": report.chern_below,

@@ -27,6 +27,7 @@ informational phase backaction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,13 +55,11 @@ class Strength:
     def from_gamma_tau(cls, gamma_tau: float) -> "Strength":
         if not gamma_tau >= 0.0:
             raise DomainError(f"gamma*tau={gamma_tau!r} must be >= 0")
-        return cls(float(np.exp(-gamma_tau)))
+        return cls(math.exp(-gamma_tau))
 
     @property
     def gamma_tau(self) -> float:
-        if self.m == 0.0:
-            return np.inf
-        return float(-np.log(self.m))
+        return math.inf if self.m == 0.0 else -math.log(self.m)
 
     @property
     def is_projective(self) -> bool:

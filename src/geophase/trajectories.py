@@ -195,6 +195,7 @@ def _block_terms(spec: ProtocolSpec, steps: list, seed: int, start: int,
 def sample_trajectory(spec: ProtocolSpec, sample_id: int,
                       seed: int) -> TrajectorySample:
     """Simulate the single trajectory addressed by (seed, sample_id)."""
+    McConfig(n_samples=1, seed=seed)
     _require_int("sample_id", sample_id)
     if sample_id < 0:
         raise DomainError(f"sample_id={sample_id!r} must be >= 0")

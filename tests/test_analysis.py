@@ -137,6 +137,37 @@ class TestPhaseCurve:
         assert curve.theta.size > an.DEFAULT_CURVE_NODES  # midpoints inserted
         assert an.chern_from_curve(curve) == 1
 
+    def test_masked_midpoint_inserted_once(self, transition):
+        # at m* the equator is masked and is the midpoint of the wide
+        # interval that bridges it: it must not be inserted again
+        grid = np.linspace(0, np.pi, 65)
+        curve = an.phase_vs_theta(transition.m_star, grid)
+        assert not curve.defined[32] and curve.theta[32] == 0.5 * np.pi
+        assert np.array_equal(curve.theta, grid)
+        assert curve.unwrappable
+        assert an.chern_from_curve(curve) == 0
+
+    @pytest.mark.parametrize("dm", [0.0, -1e-6, 1e-8])
+    def test_refine_evaluates_only_inserted_nodes(self, transition, dm):
+        strength = Strength(transition.m_star.m + dm)
+        grid = np.linspace(0, np.pi, 65)
+        evaluated = []
+
+        def evaluate(nodes):
+            evaluated.append(nodes)
+            return an._uniform_amplitudes(nodes, strength)
+
+        nodes, amps, chi, ok = an._refine(grid, evaluate(grid), evaluate)
+        inserted = np.concatenate(evaluated[1:] or [np.empty(0)])
+        assert inserted.size == nodes.size - grid.size
+        assert np.array_equal(nodes, np.unique(np.concatenate([grid,
+                                                               inserted])))
+        curve = an.phase_vs_theta(strength, grid)
+        assert np.array_equal(nodes, curve.theta)
+        assert np.array_equal(np.angle(amps), curve.chi_wrapped)
+        assert np.array_equal(chi, curve.chi, equal_nan=True)
+        assert ok == curve.unwrappable
+
     def test_curves_survive_a_hair_from_critical(self, transition):
         for dm in (1e-8, -1e-8):
             curve = an.phase_vs_theta(Strength(transition.m_star.m + dm))
@@ -299,6 +330,28 @@ class TestSurfaceDegree:
             an.trajectory_surface(Strength(0.0), grid, n_meas=2)
         assert err.value.theta == 0.5 * np.pi
         assert err.value.segment == 0
+
+    def test_blocked_interpolation_equals_one_shot(self):
+        # 40 loops of 7 vertices at 512 points per segment span three
+        # blocks; a repeated vertex takes the small-angle branch
+        rng = np.random.default_rng(3)
+        vertices = rng.normal(size=(40, 7, 3))
+        vertices[:, 3] = vertices[:, 2]
+        vertices /= np.linalg.norm(vertices, axis=2, keepdims=True)
+        interp = 512
+        assert vertices.shape[0] * 7 * interp > 2 * an._SLERP_BLOCK_POINTS
+        nxt = np.roll(vertices, -1, axis=1)
+        dots = np.clip(np.sum(vertices * nxt, axis=2), -1.0, 1.0)
+        gamma = np.arccos(dots)[..., None, None]
+        t = (np.arange(interp) / interp)[None, None, :, None]
+        small = gamma < 1e-9
+        sin_gamma = np.where(small, 1.0, np.sin(gamma))
+        w0 = np.where(small, 1.0 - t, np.sin((1.0 - t) * gamma) / sin_gamma)
+        w1 = np.where(small, t, np.sin(t * gamma) / sin_gamma)
+        pts = w0 * vertices[:, :, None, :] + w1 * nxt[:, :, None, :]
+        pts /= np.linalg.norm(pts, axis=3, keepdims=True)
+        loops = an._slerp_loops(vertices, interp, np.zeros(40))
+        assert np.array_equal(loops, pts.reshape(40, -1, 3))
 
     def test_antipodal_segment_reported(self):
         loops = np.array([[[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]]])

@@ -101,6 +101,13 @@ class TestPhaseCommand:
         env = load_envelope(tmp_path / "phase.json")
         assert env["results"]["theta"] == pytest.approx(np.pi / 2)
 
+    def test_gamma_tau_converted_by_strength(self, tmp_path):
+        # math.exp and np.exp differ in the last bit at gamma*tau = 0.302
+        assert run_cli(["phase", "--theta", "1.0", "--gamma-tau", "0.302",
+                        "--out", str(tmp_path)]) == 0
+        env = load_envelope(tmp_path / "phase.json")
+        assert env["results"]["m"] == geophase.Strength.from_gamma_tau(0.302).m
+
     def test_missing_strength_is_config_error(self, tmp_path):
         assert run_cli(["phase", "--theta", "1", "--out", str(tmp_path)]) == 2
 
@@ -195,6 +202,18 @@ class TestSweepCommand:
                 assert math.isinf(gamma)
             else:
                 assert gamma == pytest.approx(-math.log(m), abs=1e-15)
+
+    def test_gamma_tau_column_is_strengths(self, tmp_path):
+        # one conversion for the column and the envelopes: the libms
+        # differ in the last bit at m = 0.9714285714285714 (node 35 of 36)
+        run_cli(["sweep", "--grid-theta", "0:3.141592653589793:2",
+                 "--grid-m", "0:1:36", "--out", str(tmp_path)])
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 72
+        for row in rows:
+            fields = row.split(",")
+            strength = geophase.Strength(float(fields[2]))
+            assert float(fields[1]) == strength.gamma_tau
 
     def test_oversize_grid_exit_3(self, tmp_path):
         assert run_cli(["sweep", "--grid-theta", "0:3:2000",

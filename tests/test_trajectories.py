@@ -105,6 +105,12 @@ class TestSampleTrajectory:
         s = sample_trajectory(spec, 3, seed=4)
         assert set(np.unique(s.readouts)) <= {0.0, 1.0}
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3", 2 ** 64, -1])
+    def test_seed_checked_as_mc_config_checks_it(self, seed):
+        spec = ProtocolSpec(theta=1.3, strength=Strength(0.4))
+        with pytest.raises(DomainError):
+            sample_trajectory(spec, 0, seed=seed)
+
     def test_pure_function_of_seed_and_id(self):
         spec = ProtocolSpec(theta=1.3, strength=Strength(0.4))
         a = sample_trajectory(spec, 29, seed=9)
