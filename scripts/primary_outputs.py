@@ -35,8 +35,10 @@ TREE = Path(__file__).resolve().parent.parent
 #: (label, GEOPHASE_THREADS, arguments): the six README commands, mc again
 #: under two workers, runs at large n_meas and with every sweep format, the
 #: weak limit (every step factor exactly 1), a projective mc reference, the
-#: coarsest surface, whose mesh triangles are the largest, and a sweep
-#: column at m*(6), whose refinement meets the masked equator node.
+#: coarsest surface, whose mesh triangles are the largest, a sweep
+#: column at m*(6), whose refinement meets the masked equator node, a
+#: phase given by gamma*tau just above gamma*tau*(6), and a sweep whose
+#: grid has no theta = 0 node, so its anchor row is added.
 COMMANDS = [
     ("phase", "1", ["phase", "--theta", "90deg", "--projective"]),
     ("sweep", "1", ["sweep", "--grid-theta", "0:3.14159:64",
@@ -66,6 +68,9 @@ COMMANDS = [
                              "--interp", "3"]),
     ("sweep-mstar", "1", ["sweep", "--grid-theta", "0:3.141592653589793:65",
                           "--grid-m", "0.47254618927362685:1:2"]),
+    ("phase-gamma", "1", ["phase", "--theta", "1.1", "--gamma-tau", "0.75"]),
+    ("sweep-offset", "1", ["sweep", "--grid-theta", "0.5:3.14159:33",
+                           "--grid-m", "0.1:0.9:9"]),
 ]
 
 

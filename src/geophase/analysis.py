@@ -224,8 +224,6 @@ def phase_vs_theta(strength: Strength, grid=None, *, n_meas: int = 6,
     if thetas.size < 2 or not abs(thetas[0]) <= 1e-15:
         raise DomainError("theta grid must start at 0 and have >= 2 nodes")
     thetas[0] = 0.0
-    if not thetas[-1] <= np.pi:
-        raise DomainError("theta grid outside [0, pi]")
 
     def evaluate(nodes: np.ndarray) -> np.ndarray:
         return _uniform_amplitudes(nodes, strength, n_meas=n_meas,
@@ -533,10 +531,6 @@ def sweep_phase_map(theta_grid, strength_grid, *, n_meas: int = 6,
     """
     thetas = np.unique(np.asarray(theta_grid, dtype=float))
     ms = np.asarray(strength_grid, dtype=float)
-    if not np.all((thetas >= 0.0) & (thetas <= np.pi)):
-        raise DomainError("theta grid outside [0, pi]")
-    if not np.all((ms >= 0.0) & (ms <= 1.0)):
-        raise DomainError("strength grid outside [0, 1]")
     base = np.unique(np.concatenate([[0.0], thetas]))
     amps = _uniform_amplitudes(base[:, None], ms, n_meas=n_meas,
                                reference_weight=reference_weight)
@@ -544,7 +538,7 @@ def sweep_phase_map(theta_grid, strength_grid, *, n_meas: int = 6,
     unwrappable = np.empty(ms.size, dtype=bool)
     for j, m in enumerate(ms):
         def evaluate(nodes: np.ndarray, m=float(m)) -> np.ndarray:
-            return _uniform_amplitudes(nodes, Strength(m), n_meas=n_meas,
+            return _uniform_amplitudes(nodes, m, n_meas=n_meas,
                                        reference_weight=reference_weight)
 
         nodes, _, chi, unwrappable[j] = _refine(base, amps[:, j], evaluate)

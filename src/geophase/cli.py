@@ -245,8 +245,6 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 def _resolve_strength(cfg: dict) -> Strength:
     m, gamma_tau = cfg["m"], cfg["gamma_tau"]
     if gamma_tau is not None:
-        if not gamma_tau >= 0.0:
-            raise CliError(EXIT_CONFIG, f"gamma_tau={gamma_tau!r} must be >= 0")
         # persisted configs echo both parameterizations; only actual
         # disagreement is an error
         m_gamma = Strength.from_gamma_tau(gamma_tau).m
@@ -522,13 +520,12 @@ def cmd_mc(args: argparse.Namespace) -> int:
         raise CliError(EXIT_OVERSIZE,
                        f"{n} samples x {spec.n_meas} measurements exceed "
                        f"{MAX_MC_SAMPLE_STEPS} sample-steps")
+    mc_cfg = trajectories.McConfig(n_samples=n, seed=cfg["seed"])
     workers, out_dir = workers_from_env(), _out_dir(cfg["out"])
     t0 = time.perf_counter()
     reference, _ = run_protocol_analytic(spec)
     ref_amp = reference.amplitude
-    estimate = trajectories.mc_interference(
-        spec, trajectories.McConfig(n_samples=n, seed=cfg["seed"]),
-        workers=workers)
+    estimate = trajectories.mc_interference(spec, mc_cfg, workers=workers)
     wall = time.perf_counter() - t0
     z_re, z_im = trajectories.z_scores(estimate, ref_amp)
     results = {
@@ -555,6 +552,8 @@ def cmd_surface(args: argparse.Namespace) -> int:
     strength = _resolve_strength(cfg)
     grid = cfg["grid_theta"]
     n_meas, interp = _n_meas(cfg), cfg["interp"]
+    if interp < 1:
+        raise CliError(EXIT_CONFIG, f"interp={interp} must be positive")
     points = grid["count"] * (n_meas + 1) * interp
     if points > MAX_SURFACE_POINTS:
         raise CliError(EXIT_OVERSIZE,

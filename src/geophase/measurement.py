@@ -54,7 +54,7 @@ class Strength:
     @classmethod
     def from_gamma_tau(cls, gamma_tau: float) -> "Strength":
         if not gamma_tau >= 0.0:
-            raise DomainError(f"gamma*tau={gamma_tau!r} must be >= 0")
+            raise DomainError(f"gamma_tau={gamma_tau!r} must be >= 0")
         return cls(math.exp(-gamma_tau))
 
     @property

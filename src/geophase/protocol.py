@@ -112,12 +112,8 @@ class ProtocolSpec:
     def __post_init__(self):
         if not np.isfinite(self.theta) or not (0.0 <= self.theta <= np.pi):
             raise DomainError(f"theta={self.theta!r} outside [0, pi]")
-        _require_int("n_meas", self.n_meas)
-        if self.n_meas < 1:
-            raise DomainError(f"n_meas={self.n_meas!r} must be positive")
-        if not (0.0 < self.reference_weight < 1.0):
-            raise DomainError(
-                f"reference_weight={self.reference_weight!r} outside (0, 1)")
+        _kernel_args(self.theta, self.strength, self.n_meas,
+                     self.reference_weight)
         if self.phi_schedule is None:
             object.__setattr__(self, "phi_schedule", default_schedule(self.n_meas))
         else:
@@ -248,17 +244,24 @@ def _frame_steps(thetas: np.ndarray | float, schedule: tuple[float, ...]):
 
 
 def _kernel_args(thetas, strength, n_meas: int, reference_weight: float):
-    """Checked kernel arguments: thetas as a float array and m as the
+    """The closed form's argument rules, stated only here and checked in
+    this order: thetas in [0, pi], an m array in [0, 1] (a Strength checked
+    its own m), reference_weight in (0, 1) and n_meas a positive integer;
+    NaN fails each range.  The callers are the two kernels,
+    ``_amplitudes_for_thetas`` and ``_uniform_amplitudes``, and
+    ``ProtocolSpec``.  Returns thetas as a float array and m as the
     Strength's value or an array that broadcasts against thetas."""
     thetas = np.asarray(thetas, dtype=float)
     if not np.all((thetas >= 0.0) & (thetas <= np.pi)):
-        raise DomainError("thetas outside [0, pi]")
+        raise DomainError("theta grid outside [0, pi]")
+    m = strength.m if isinstance(strength, Strength) else np.asarray(strength)
+    if isinstance(m, np.ndarray) and not np.all((m >= 0.0) & (m <= 1.0)):
+        raise DomainError("strength grid outside [0, 1]")
     if not 0.0 < reference_weight < 1.0:
         raise DomainError(f"reference_weight={reference_weight!r} outside (0, 1)")
     _require_int("n_meas", n_meas)
     if n_meas < 1:
         raise DomainError(f"n_meas={n_meas!r} must be positive")
-    m = strength.m if isinstance(strength, Strength) else np.asarray(strength)
     return thetas, m
 
 

@@ -123,8 +123,10 @@ def _uniforms(seed: int, start: int, stop: int, n_draws: int) -> np.ndarray:
     return words * 2.0 ** -53
 
 
-def _mixture_readouts(u: np.ndarray, p_f: np.ndarray, r0: float) -> np.ndarray:
-    """Inverse-CDF draw from the readout mixture, one uniform per draw.
+def _mixture_readouts(u: np.ndarray, p_f: np.ndarray | float,
+                      r0: float) -> np.ndarray:
+    """Inverse-CDF draw from the readout mixture, one uniform per draw;
+    ``p_f`` broadcasts against ``u``.
 
     The uniform selects the cloud by its weight and its remainder is pushed
     through that cloud's Gaussian quantile, which samples the exact mixture
@@ -435,12 +437,11 @@ def readout_histogram(spec: ProtocolSpec, cfg: McConfig) -> ReadoutHistogram:
     r0 = cloud_separation(spec.strength)
 
     u = _uniforms(cfg.seed, 0, cfg.n_samples, 1)[0]
-    r = _mixture_readouts(u, np.full(cfg.n_samples, p_f), r0)
+    r = _mixture_readouts(u, p_f, r0)
 
     edges = np.linspace(-6.0, r0 + 6.0, HISTOGRAM_BINS + 1)
-    prob = np.empty(HISTOGRAM_BINS)
     cdf = ReadoutDistribution(p_f, r0).cdf(edges)
-    prob[:] = np.diff(cdf)
+    prob = np.diff(cdf)
     prob[0] += cdf[0]
     prob[-1] += 1.0 - cdf[-1]
     counts = np.bincount(np.searchsorted(edges[1:-1], r),

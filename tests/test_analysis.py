@@ -174,6 +174,11 @@ class TestPhaseCurve:
             assert curve.unwrappable
             assert an.chern_from_curve(curve) == (1 if dm < 0 else 0)
 
+    def test_theta_grid_above_pi(self):
+        with pytest.raises(DomainError) as err:
+            an.phase_vs_theta(Strength(0.5), [0.0, 1.0, 4.0])
+        assert str(err.value) == "theta grid outside [0, pi]"
+
     def test_grid_must_start_at_zero(self):
         with pytest.raises(DomainError):
             an.phase_vs_theta(Strength(0.5), np.linspace(0.1, np.pi, 20))
@@ -477,6 +482,15 @@ class TestSweep:
             an.sweep_phase_map([0.0, 4.0], [0.5])
         with pytest.raises(DomainError):
             an.sweep_phase_map([0.0, 1.0], [1.5])
+
+    @pytest.mark.parametrize("thetas, ms, message", [
+        ([0.0, 1.0, 4.0], [0.5], "theta grid outside [0, pi]"),
+        ([0.0, 1.0], [0.5, 1.5], "strength grid outside [0, 1]"),
+    ])
+    def test_grid_messages(self, thetas, ms, message):
+        with pytest.raises(DomainError) as err:
+            an.sweep_phase_map(thetas, ms)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("weight", [-1.0, 0.0, 1.0, 1.5, float("nan")])
     def test_reference_weight_outside_unit_interval(self, weight):

@@ -556,6 +556,32 @@ def test_huge_grid_count_exit_3_before_allocation(tmp_path, monkeypatch, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("interp", [0, -1])
+def test_interp_below_one_exit_2_before_allocation(tmp_path, monkeypatch,
+                                                   capsys, interp):
+    # an interp below 1 would make the points bound's product <= 0
+    monkeypatch.setattr(cli, "_grid_values", _no_grid)
+    out = tmp_path / "out"
+    assert run_cli(["surface", "--m", "0.3", "--grid-theta",
+                    "0:3.14159:1000000000000", "--interp", str(interp),
+                    "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: interp={interp} must be positive\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_mc_seed_checked_before_reference(tmp_path, monkeypatch, capsys, seed):
+    def no_reference(spec):
+        pytest.fail("analytic reference computed")
+
+    monkeypatch.setattr(cli, "run_protocol_analytic", no_reference)
+    out = tmp_path / "out"
+    assert run_cli(["mc", *_PROTOCOL_POINT, "--seed", str(seed),
+                    "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must fit in 64 bits\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["sweep"], ["surface", "--m", "0.5"]])
 @pytest.mark.parametrize("grid", [
     {"start": 0, "stop": 1, "count": 1.5},

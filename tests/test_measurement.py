@@ -24,6 +24,12 @@ class TestStrength:
         s = Strength(m)
         assert abs(Strength.from_gamma_tau(s.gamma_tau).m - m) < 1e-12
 
+    @pytest.mark.parametrize("gamma_tau", [-1.0, float("nan")])
+    def test_from_gamma_tau_refuses_negative(self, gamma_tau):
+        with pytest.raises(DomainError) as err:
+            Strength.from_gamma_tau(gamma_tau)
+        assert str(err.value) == f"gamma_tau={gamma_tau!r} must be >= 0"
+
     def test_projective_limits(self):
         assert Strength(0.0).gamma_tau == np.inf
         assert Strength(1.0).gamma_tau == 0.0

@@ -46,6 +46,15 @@ class TestSpec:
         with pytest.raises(DomainError):
             ProtocolSpec(theta=1.0, strength=Strength(0.5), reference_weight=0.0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_meas": 0}, "n_meas=0 must be positive"),
+        ({"reference_weight": 1.0}, "reference_weight=1.0 outside (0, 1)"),
+    ])
+    def test_kernel_rule_messages(self, kwargs, message):
+        with pytest.raises(DomainError) as err:
+            ProtocolSpec(theta=1.0, strength=Strength(0.5), **kwargs)
+        assert str(err.value) == message
+
 
 class TestMeasureAlong:
     def test_state_on_axis_unchanged(self):
@@ -234,6 +243,22 @@ class TestUniformSchedule:
         exact = np.abs(z) ** n * np.exp(1j * n * np.angle(z))
         amps = _uniform_amplitudes(self.THETAS, Strength(0.0), n, 0.5)
         assert np.max(np.abs(amps - exact)) < 4 * np.finfo(float).eps * n
+
+
+class TestKernelArgs:
+    @pytest.mark.parametrize("kernel", [_uniform_amplitudes,
+                                        _amplitudes_for_thetas])
+    @pytest.mark.parametrize("m", [1.5, -0.5, np.nan])
+    def test_strength_array_outside_unit_interval(self, kernel, m):
+        # a Strength has checked its own m; an m array is checked by the kernel
+        with pytest.raises(DomainError) as err:
+            kernel(np.array([1.0]), np.array([0.5, m]))
+        assert str(err.value) == "strength grid outside [0, 1]"
+
+    def test_theta_grid_message(self):
+        with pytest.raises(DomainError) as err:
+            _uniform_amplitudes(np.array([0.0, 4.0]), Strength(0.5))
+        assert str(err.value) == "theta grid outside [0, pi]"
 
 
 class TestFrameSteps:
