@@ -5,8 +5,9 @@ a JSON result envelope into ``--out``, and sweep and surface also a CSV
 plus a gnuplot script; primary files are byte-identical for identical
 configs and seeds.  GEOPHASE_THREADS (an integer >= 1) sets the worker
 count of ``mc``; its output does not depend on the count.  Wall times go
-to a ``*.timing.json`` sidecar, and files are written to a temporary name
-and renamed.
+to a ``*.timing.json`` sidecar, whose ``wall_seconds`` cover the command's
+checks and compute, not its file writes.  Files are written to a
+temporary name and renamed.
 
 OPTIONS declares each option once: its parser, default and help.  A JSON
 ``--config`` file may preset any option of the command, and flags
@@ -19,7 +20,9 @@ files; flags take a ``deg`` suffix.  Grid endpoints are inclusive.
 
 A value that does not parse, a sweep theta grid with repeated nodes, or
 an ``--out`` that is a file, lies under one or cannot be created, exits 2
-before any work.  Exit 3 bounds, before anything is allocated,
+before any work; ``--out`` is checked first, before each command's own
+inputs.  A file that cannot be written under ``--out`` also exits 2.
+Exit 3 bounds, before anything is allocated,
 ``--n-meas`` (MAX_N_MEAS), ``mc --samples`` (MAX_MC_SAMPLES), samples x
 n_meas (MAX_MC_SAMPLE_STEPS), sweep cells (MAX_SWEEP_CELLS, or
 MAX_SWEEP_JSON_CELLS for a map built as JSON) and surface points, grid
@@ -303,13 +306,17 @@ def _out_dir(text: str) -> Path:
 def _atomic_file(path: Path):
     """A text file open at a temporary name beside ``path``.  It replaces
     ``path`` only when the block completes and is removed either way, so a
-    failure part way leaves no partial file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    failure part way leaves no partial file.  A file that cannot be
+    written is a CliError (exit 2)."""
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
         os.replace(tmp, path)
+    except OSError as exc:
+        raise CliError(EXIT_CONFIG,
+                       f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -334,22 +341,6 @@ def _jsonify(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
     return obj
-
-
-def write_envelope(out_dir: Path, command: str, config: dict, results: dict,
-                   diagnostics: dict, wall_seconds: float) -> None:
-    envelope = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": _jsonify(config),
-        "results": _jsonify(results),
-        "diagnostics": _jsonify(diagnostics),
-    }
-    _atomic_write(out_dir / f"{command}.json",
-                  json.dumps(envelope, indent=2, sort_keys=True) + "\n")
-    sidecar = {"command": command, "wall_seconds": wall_seconds}
-    _atomic_write(out_dir / f"{command}.timing.json",
-                  json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header: str, row_format: str, columns) -> None:
@@ -395,18 +386,20 @@ splot "surface.csv" every ::1 using 3:4:5:1 with points pt 7 ps 0.4 palette noti
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each checks its own inputs and computes; _run_command does the rest
 
 
-def cmd_phase(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+#: What a command returns to ``_run_command``: the config its envelope
+#: echoes, the envelope's results and diagnostics, the ``_write_csv``
+#: arguments of its CSV (None for no CSV), its summary line and exit code.
+_Run = namedtuple("_Run", "config results diagnostics csv summary code")
+
+_PLOT_SCRIPTS = {"sweep": _SWEEP_GP, "surface": _SURFACE_GP}
+
+
+def cmd_phase(cfg: dict) -> _Run:
     spec = _protocol_spec(cfg)
-    out_dir = _out_dir(cfg["out"])
-    t0 = time.perf_counter()
     result, record = run_protocol_analytic(spec)
-    wall = time.perf_counter() - t0
-    print(f"theta={spec.theta:.12g} m={spec.strength.m:.12g} "
-          f"chi={result.phase:.12g} contrast={result.contrast:.12g}")
     results = {
         "theta": spec.theta,
         **_strength_fields(spec.strength),
@@ -418,48 +411,42 @@ def cmd_phase(args: argparse.Namespace) -> int:
     }
     diagnostics = {"contrast_floor": CONTRAST_FLOOR,
                    "amplitude_factors": record.factors}
-    write_envelope(out_dir, "phase", {**cfg, **_strength_fields(spec.strength)},
-                   results, diagnostics, wall)
-    return EXIT_OK
+    return _Run({**cfg, **_strength_fields(spec.strength)}, results,
+                diagnostics, None,
+                f"theta={spec.theta:.12g} m={spec.strength.m:.12g} "
+                f"chi={result.phase:.12g} contrast={result.contrast:.12g}",
+                EXIT_OK)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def cmd_sweep(cfg: dict) -> _Run:
     grid_theta, grid_m = cfg["grid_theta"], cfg["grid_m"]
     cells = grid_theta["count"] * grid_m["count"]
     limit = MAX_SWEEP_CELLS if cfg["format"] == "csv" else MAX_SWEEP_JSON_CELLS
     if cells > limit:
         raise CliError(EXIT_OVERSIZE, f"grid of {cells} cells exceeds {limit} "
                        f"for --format {cfg['format']}")
-    n_meas, out_dir = _n_meas(cfg), _out_dir(cfg["out"])
+    n_meas = _n_meas(cfg)
     thetas, ms = _grid_values(grid_theta), _grid_values(grid_m)
     if np.unique(thetas).size < thetas.size:
         # the map keeps one row per distinct theta, so a repeat would
         # silently drop rows that the grid echoed
         raise CliError(EXIT_CONFIG, "grid_theta: nodes of {start!r}:{stop!r}:"
                        "{count} are not distinct".format(**grid_theta))
-    t0 = time.perf_counter()
     pm = analysis.sweep_phase_map(thetas, ms, n_meas=n_meas,
                                   reference_weight=cfg["ref_weight"])
-    wall = time.perf_counter() - t0
     n_theta, n_m = pm.contrast.shape
     gammas = [Strength(m).gamma_tau for m in pm.strength_grid.tolist()]
-    _write_csv(out_dir / "sweep.csv",
-               "theta,gamma_tau,m,chi_wrapped,chi_unwrapped,contrast,defined",
-               "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d",
-               [np.repeat(pm.theta_grid, n_m), np.tile(gammas, n_theta),
-                np.tile(pm.strength_grid, n_theta), pm.chi_wrapped.ravel(),
-                pm.chi_unwrapped.ravel(), pm.contrast.ravel(),
-                pm.defined.ravel()])
-    _atomic_write(out_dir / "sweep.gp", _SWEEP_GP)
+    csv = ("theta,gamma_tau,m,chi_wrapped,chi_unwrapped,contrast,defined",
+           "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d",
+           [np.repeat(pm.theta_grid, n_m), np.tile(gammas, n_theta),
+            np.tile(pm.strength_grid, n_theta), pm.chi_wrapped.ravel(),
+            pm.chi_unwrapped.ravel(), pm.contrast.ravel(), pm.defined.ravel()])
     imin, jmin = np.unravel_index(np.nanargmin(pm.contrast), pm.contrast.shape)
     results = {
         "cells": pm.n_cells,
         "contrast_min": float(pm.contrast[imin, jmin]),
         "contrast_min_theta": float(pm.theta_grid[imin]),
         "contrast_min_m": float(pm.strength_grid[jmin]),
-        "csv": "sweep.csv",
-        "plot_script": "sweep.gp",
     }
     if cfg["format"] in ("json", "both"):
         results["map"] = {
@@ -467,19 +454,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "chi_wrapped": pm.chi_wrapped, "chi_unwrapped": pm.chi_unwrapped,
             "contrast": pm.contrast, "defined": pm.defined,
         }
-    diagnostics = {"column_unwrappable": pm.column_unwrappable}
-    write_envelope(out_dir, "sweep", cfg, results, diagnostics, wall)
-    print(f"sweep: {pm.n_cells} cells -> {out_dir / 'sweep.csv'}")
-    return EXIT_OK
+    return _Run(cfg, results, {"column_unwrappable": pm.column_unwrappable},
+                csv, f"sweep: {pm.n_cells} cells -> "
+                f"{Path(cfg['out']) / 'sweep.csv'}", EXIT_OK)
 
 
-def cmd_transition(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    n_meas, out_dir = _n_meas(cfg), _out_dir(cfg["out"])
-    t0 = time.perf_counter()
+def cmd_transition(cfg: dict) -> _Run:
     report = analysis.find_critical_strength(
-        n_meas=n_meas, reference_weight=cfg["ref_weight"], tol=cfg["tol"])
-    wall = time.perf_counter() - t0
+        n_meas=_n_meas(cfg), reference_weight=cfg["ref_weight"], tol=cfg["tol"])
     lo, hi = report.bracket
     results = {
         "m_star": report.m_star.m,
@@ -495,19 +477,18 @@ def cmd_transition(args: argparse.Namespace) -> int:
     diagnostics = {"winding_curves": report.curves,
                    "nudge_retries": report.nudge_retries,
                    "root_kernel_calls": report.root_calls}
-    write_envelope(out_dir, "transition", cfg, results, diagnostics, wall)
-    print(f"m_star={report.m_star.m:.8g} bracket_width={hi - lo:.3g} "
-          f"chern {report.chern_below}->{report.chern_above} "
-          f"jump={report.jump_at_equator:.6g}")
     ok = report.chern_below == 1 and report.chern_above == 0
     gate = cfg["assert_jump"]
     if gate is not None:
         ok = ok and abs(report.jump_at_equator - _jump_target(gate)) <= 0.05
-    return EXIT_OK if ok else EXIT_GATE_FAILED
+    return _Run(cfg, results, diagnostics, None,
+                f"m_star={report.m_star.m:.8g} bracket_width={hi - lo:.3g} "
+                f"chern {report.chern_below}->{report.chern_above} "
+                f"jump={report.jump_at_equator:.6g}",
+                EXIT_OK if ok else EXIT_GATE_FAILED)
 
 
-def cmd_mc(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def cmd_mc(cfg: dict) -> _Run:
     spec = _protocol_spec(cfg)
     n = cfg["samples"]
     if n < trajectories.MIN_SAMPLES:
@@ -521,12 +502,10 @@ def cmd_mc(args: argparse.Namespace) -> int:
                        f"{n} samples x {spec.n_meas} measurements exceed "
                        f"{MAX_MC_SAMPLE_STEPS} sample-steps")
     mc_cfg = trajectories.McConfig(n_samples=n, seed=cfg["seed"])
-    workers, out_dir = workers_from_env(), _out_dir(cfg["out"])
-    t0 = time.perf_counter()
+    workers = workers_from_env()
     reference, _ = run_protocol_analytic(spec)
     ref_amp = reference.amplitude
     estimate = trajectories.mc_interference(spec, mc_cfg, workers=workers)
-    wall = time.perf_counter() - t0
     z_re, z_im = trajectories.z_scores(estimate, ref_amp)
     results = {
         "analytic": {"re": ref_amp.real, "im": ref_amp.imag,
@@ -540,15 +519,14 @@ def cmd_mc(args: argparse.Namespace) -> int:
         "z_scores": {"re": z_re, "im": z_im},
         "agreement": bool(z_re <= 3.0 and z_im <= 3.0),
     }
-    write_envelope(out_dir, "mc", {**cfg, **_strength_fields(spec.strength)},
-                   results, {"insufficient": estimate.insufficient}, wall)
-    print(f"mc: z_re={z_re:.3g} z_im={z_im:.3g} "
-          f"({'ok' if results['agreement'] else 'DISAGREE'})")
-    return EXIT_OK if results["agreement"] else EXIT_GATE_FAILED
+    return _Run({**cfg, **_strength_fields(spec.strength)}, results,
+                {"insufficient": estimate.insufficient}, None,
+                f"mc: z_re={z_re:.3g} z_im={z_im:.3g} "
+                f"({'ok' if results['agreement'] else 'DISAGREE'})",
+                EXIT_OK if results["agreement"] else EXIT_GATE_FAILED)
 
 
-def cmd_surface(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def cmd_surface(cfg: dict) -> _Run:
     strength = _resolve_strength(cfg)
     grid = cfg["grid_theta"]
     n_meas, interp = _n_meas(cfg), cfg["interp"]
@@ -558,25 +536,46 @@ def cmd_surface(args: argparse.Namespace) -> int:
     if points > MAX_SURFACE_POINTS:
         raise CliError(EXIT_OVERSIZE,
                        f"surface of {points} points exceeds {MAX_SURFACE_POINTS}")
-    out_dir = _out_dir(cfg["out"])
-    t0 = time.perf_counter()
     degree, thetas, loops = analysis.trajectory_surface(
         strength, _grid_values(grid), interp, n_meas=n_meas,
         reference_weight=cfg["ref_weight"])
-    wall = time.perf_counter() - t0
     n_loops, per_loop = loops.shape[:2]
-    _write_csv(out_dir / "surface.csv", "theta,step,x,y,z",
-               "%.17g,%d,%.17g,%.17g,%.17g",
-               [np.repeat(thetas, per_loop), np.tile(np.arange(per_loop), n_loops),
-                *loops.reshape(-1, 3).T])
-    _atomic_write(out_dir / "surface.gp", _SURFACE_GP)
+    csv = ("theta,step,x,y,z", "%.17g,%d,%.17g,%.17g,%.17g",
+           [np.repeat(thetas, per_loop), np.tile(np.arange(per_loop), n_loops),
+            *loops.reshape(-1, 3).T])
     results = {"degree": degree, "n_loops": n_loops,
-               "points_per_loop": per_loop,
-               "csv": "surface.csv", "plot_script": "surface.gp"}
-    write_envelope(out_dir, "surface", {**cfg, **_strength_fields(strength)},
-                   results, {}, wall)
-    print(f"surface degree={degree} ({n_loops} loops x {per_loop} points)")
-    return EXIT_OK
+               "points_per_loop": per_loop}
+    return _Run({**cfg, **_strength_fields(strength)}, results, {}, csv,
+                f"surface degree={degree} ({n_loops} loops x {per_loop} points)",
+                EXIT_OK)
+
+
+def _run_command(args: argparse.Namespace) -> int:
+    """Resolve the command's config and check ``--out``, then time the
+    command's own checks and compute.  Only then write its CSV and plot
+    script, its envelope and the timing sidecar, and print its summary."""
+    command = args.command
+    cfg = _resolve_config(args)
+    out_dir = _out_dir(cfg["out"])
+    t0 = time.perf_counter()
+    run = args.command_fn(cfg)
+    wall = time.perf_counter() - t0
+    results = run.results
+    if run.csv is not None:
+        _write_csv(out_dir / f"{command}.csv", *run.csv)
+        _atomic_write(out_dir / f"{command}.gp", _PLOT_SCRIPTS[command])
+        results = {**results, "csv": f"{command}.csv",
+                   "plot_script": f"{command}.gp"}
+    envelope = {"schema_version": SCHEMA_VERSION, "command": command,
+                "config": run.config, "results": results,
+                "diagnostics": run.diagnostics}
+    sidecar = {"command": command, "wall_seconds": wall}
+    for name, doc in ((f"{command}.json", envelope),
+                      (f"{command}.timing.json", sidecar)):
+        _atomic_write(out_dir / name,
+                      json.dumps(_jsonify(doc), indent=2, sort_keys=True) + "\n")
+    print(run.summary)
+    return run.code
 
 
 def cmd_schema(args: argparse.Namespace) -> int:
@@ -627,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 p.add_argument(flag, type=option.parse, help=text)
         p.add_argument("--config", help="JSON config file; flags override")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=_run_command, command_fn=handler)
 
     p = sub.add_parser("schema", help="print the result-envelope JSON schema")
     p.add_argument("--out", help="also write envelope.schema.json here")

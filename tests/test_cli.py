@@ -731,6 +731,10 @@ def _no_compute(*args, **kwargs):
      ["run_protocol_analytic", "trajectories.mc_interference"]),
     (["surface", "--m", "0.5"], ["analysis.trajectory_surface"]),
     (["schema"], []),
+    # --out is checked before the command's own inputs: 50 samples alone
+    # exit 5
+    (["mc", *_PROTOCOL_POINT, "--samples", "50"],
+     ["run_protocol_analytic", "trajectories.mc_interference"]),
 ])
 @pytest.mark.parametrize("below", ["", "sub"])
 def test_unusable_out_exit_2_before_work(tmp_path, monkeypatch, capsys,
@@ -747,6 +751,46 @@ def test_unusable_out_exit_2_before_work(tmp_path, monkeypatch, capsys,
     assert captured.out == ""
     assert blocker.read_text() == "keep"
     assert [p.name for p in tmp_path.iterdir()] == ["F"]
+
+
+_SMALL_RUNS = [
+    ["phase", *_PROTOCOL_POINT],
+    ["sweep", "--grid-theta", "0:3:8", "--grid-m", "0:1:3"],
+    ["transition", "--tol", "1e-3"],
+    ["mc", *_PROTOCOL_POINT, "--samples", "500"],
+    ["surface", "--m", "0.5", "--grid-theta", "0:3.141592653589793:33",
+     "--interp", "1"],
+]
+
+
+@pytest.mark.parametrize("argv, first", [
+    *zip(_SMALL_RUNS, ["phase.json", "sweep.csv", "transition.json",
+                       "mc.json", "surface.csv"]),
+    (["schema"], "envelope.schema.json"),
+], ids=["phase", "sweep", "transition", "mc", "surface", "schema"])
+def test_unwritable_file_exit_2(tmp_path, capsys, argv, first):
+    # a directory holds the name of the first file the command writes
+    blocker = tmp_path / first
+    blocker.mkdir()
+    (blocker / "keep").write_text("keep")
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {blocker}: Is a directory\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == [first]
+    assert [p.name for p in blocker.iterdir()] == ["keep"]
+    assert (blocker / "keep").read_text() == "keep"
+
+
+@pytest.mark.parametrize("argv", _SMALL_RUNS,
+                         ids=lambda argv: argv[0])
+def test_timing_sidecar(tmp_path, argv):
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 0
+    sidecar = json.loads((tmp_path / f"{argv[0]}.timing.json").read_text())
+    assert set(sidecar) == {"command", "wall_seconds"}
+    assert sidecar["command"] == argv[0]
+    assert math.isfinite(sidecar["wall_seconds"])
+    assert sidecar["wall_seconds"] >= 0
 
 
 @pytest.mark.parametrize("threads", ["0", "-4", "two"])
@@ -866,6 +910,8 @@ class TestSchemaCommand:
         schema = json.loads(text)
         jsonschema.Draft7Validator.check_schema(schema)
         assert (tmp_path / "envelope.schema.json").read_text() == text
+        # no timing sidecar
+        assert [p.name for p in tmp_path.iterdir()] == ["envelope.schema.json"]
 
 
 class TestDeterminism:

@@ -29,11 +29,12 @@ PACKAGE_NAMES = [
     "sweep_phase_map", "trajectory_surface", "wrap_angle", "z_scores",
 ]
 
-# read_sweep_csv left the CLI: only the tests read a sweep CSV back
+# read_sweep_csv left the CLI: only the tests read a sweep CSV back;
+# write_envelope went into the private command driver, its only caller
 CLI_FUNCTIONS = [
     "build_parser", "cmd_mc", "cmd_phase", "cmd_schema", "cmd_surface",
     "cmd_sweep", "cmd_transition", "envelope_schema", "main", "parse_angle",
-    "parse_grid", "workers_from_env", "write_envelope",
+    "parse_grid", "workers_from_env",
 ]
 
 
