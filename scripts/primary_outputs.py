@@ -37,8 +37,9 @@ TREE = Path(__file__).resolve().parent.parent
 #: weak limit (every step factor exactly 1), a projective mc reference, the
 #: coarsest surface, whose mesh triangles are the largest, a sweep
 #: column at m*(6), whose refinement meets the masked equator node, a
-#: phase given by gamma*tau just above gamma*tau*(6), and a sweep whose
-#: grid has no theta = 0 node, so its anchor row is added.
+#: phase given by gamma*tau just above gamma*tau*(6), a sweep whose
+#: grid has no theta = 0 node, so its anchor row is added, and a surface
+#: whose loops are interpolated and written in three blocks.
 COMMANDS = [
     ("phase", "1", ["phase", "--theta", "90deg", "--projective"]),
     ("sweep", "1", ["sweep", "--grid-theta", "0:3.14159:64",
@@ -71,6 +72,8 @@ COMMANDS = [
     ("phase-gamma", "1", ["phase", "--theta", "1.1", "--gamma-tau", "0.75"]),
     ("sweep-offset", "1", ["sweep", "--grid-theta", "0.5:3.14159:33",
                            "--grid-m", "0.1:0.9:9"]),
+    ("surface-blocks", "1", ["surface", "--m", "0.3", "--n-meas", "2048",
+                             "--interp", "1"]),
 ]
 
 

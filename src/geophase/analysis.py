@@ -35,7 +35,7 @@ from .errors import (AnalysisError, AntipodalError, DomainError,
                      TransitionNotFoundError, UnwrapError)
 from .measurement import Strength
 from .protocol import (CONTRAST_FLOOR, _amplitudes_for_thetas, _ReadOnlyArrays,
-                       _require_int, _uniform_amplitudes)
+                       _uniform_amplitudes)
 from .qutrit import _bloch_batch
 
 DEFAULT_CURVE_NODES = 129
@@ -44,8 +44,6 @@ MAX_CURVE_NODES = 4096
 REFINE_DELTA = 0.5 * np.pi
 FAIL_DELTA = np.pi - 1e-3
 CHERN_RESIDUAL_TOL = 0.05
-#: Largest number of interpolated points _slerp_loops forms at once.
-_SLERP_BLOCK_POINTS = 2 ** 16
 _ANTIPODAL_TOL = 1e-12
 
 
@@ -263,42 +261,7 @@ def chern_from_curve(curve: PhaseCurve) -> int:
 # Trajectory surface and its degree
 
 
-def _slerp_loops(vertices: np.ndarray, interp_per_segment: int,
-                 thetas: np.ndarray) -> np.ndarray:
-    """Geodesic-interpolate closed loops.
-
-    ``vertices`` has shape (n_loops, n_vertices, 3); segment k runs from
-    vertex k to vertex k+1 (wrapping), each sampled at interp_per_segment
-    points excluding its endpoint.  Antipodal segment endpoints raise
-    AntipodalError naming the loop's theta and segment.
-    """
-    nxt = np.roll(vertices, -1, axis=1)
-    dots = np.clip(np.sum(vertices * nxt, axis=2), -1.0, 1.0)
-    bad = np.argwhere(dots <= -1.0 + _ANTIPODAL_TOL)
-    if bad.size:
-        i, j = bad[0]
-        raise AntipodalError("antipodal geodesic endpoints on trajectory",
-                             theta=float(thetas[i]), segment=int(j))
-    n_loops, n_vertices, _ = vertices.shape
-    t = (np.arange(interp_per_segment) / interp_per_segment)[None, None, :, None]
-    pts = np.empty((n_loops, n_vertices, interp_per_segment, 3))
-    # loops a block at a time, so the temporaries stay block-sized
-    step = max(1, _SLERP_BLOCK_POINTS // (n_vertices * interp_per_segment))
-    for lo in range(0, n_loops, step):
-        block = slice(lo, lo + step)
-        gamma = np.arccos(dots[block])[..., None, None]
-        small = gamma < 1e-9
-        sin_gamma = np.where(small, 1.0, np.sin(gamma))
-        w0 = np.where(small, 1.0 - t, np.sin((1.0 - t) * gamma) / sin_gamma)
-        w1 = np.where(small, t, np.sin(t * gamma) / sin_gamma)
-        out = np.multiply(w0, vertices[block, :, None, :], out=pts[block])
-        out += w1 * nxt[block, :, None, :]
-        out /= np.linalg.norm(out, axis=3, keepdims=True)
-    return pts.reshape(n_loops, -1, 3)
-
-
-def trajectory_surface(strength: Strength, theta_grid=None,
-                       interp_per_segment: int = 8, *, n_meas: int = 6,
+def trajectory_surface(strength: Strength, theta_grid=None, *, n_meas: int = 6,
                        reference_weight: float = 0.5):
     """Closed trajectory surface and its degree.
 
@@ -307,20 +270,18 @@ def trajectory_surface(strength: Strength, theta_grid=None,
     [0, pi]; at the poles the loops pinch to points, closing the surface.
     The degree is the total signed area of their quad mesh over 4*pi, with
     quads oriented by ascending theta x ascending step (outward for a
-    wrapping surface, so wrapping reads +1); interpolation cannot change it.
+    wrapping surface, so wrapping reads +1).
 
-    Returns (degree, thetas, loops) with the loops geodesically
-    interpolated, of shape (n_theta, (n_meas+1)*interp_per_segment, 3).  A
-    projective surface at
-    n_meas = 2 raises AntipodalError on any grid: its two axes are
-    antipodal at theta = pi/2, where the first step annihilates the {e,f}
-    component, so the surface does not close.
+    Returns (degree, thetas, vertices), the measured loops with vertices
+    of shape (n_theta, n_meas+1, 3).  Consecutive antipodal vertices leave
+    the geodesic between them undefined and raise AntipodalError naming
+    the loop's theta and segment.  A projective surface at n_meas = 2
+    raises it on any grid: its two axes are antipodal at theta = pi/2,
+    where the first step annihilates the {e,f} component, so the surface
+    does not close.
     """
     if not (0.0 <= strength.m < 1.0):
         raise DomainError("surface degree requires m in [0, 1)")
-    _require_int("interp_per_segment", interp_per_segment)
-    if interp_per_segment < 1:
-        raise DomainError("interp_per_segment must be >= 1")
     if theta_grid is None:
         theta_grid = np.linspace(0.0, np.pi, 64)
     thetas = np.unique(np.asarray(theta_grid, dtype=float))
@@ -336,10 +297,13 @@ def trajectory_surface(strength: Strength, theta_grid=None,
     _, pairs, _ = _amplitudes_for_thetas(thetas, strength, n_meas=n_meas,
                                          reference_weight=reference_weight)
     vertices = _bloch_batch(pairs)
-    loops = _slerp_loops(vertices, interp_per_segment, thetas)
-    a, b = vertices[:-1], vertices[1:]
-    c = np.roll(b, -1, axis=1)
-    d = np.roll(a, -1, axis=1)
+    nxt = np.roll(vertices, -1, axis=1)
+    bad = np.argwhere(np.sum(vertices * nxt, axis=2) <= -1.0 + _ANTIPODAL_TOL)
+    if bad.size:
+        i, j = bad[0]
+        raise AntipodalError("antipodal geodesic endpoints on trajectory",
+                             theta=float(thetas[i]), segment=int(j))
+    a, b, c, d = vertices[:-1], vertices[1:], nxt[1:], nxt[:-1]
     total = (np.sum(_triangle_solid_angles(a, b, c))
              + np.sum(_triangle_solid_angles(a, c, d)))
     raw = total / (4.0 * np.pi)
@@ -347,15 +311,14 @@ def trajectory_surface(strength: Strength, theta_grid=None,
     residual = abs(raw - deg)
     if residual >= 0.05:
         raise AnalysisError(f"surface degree residual {residual:.3g} too large")
-    return deg, thetas, loops
+    return deg, thetas, vertices
 
 
 def surface_degree(strength: Strength, theta_grid=None, *, n_meas: int = 6,
                    reference_weight: float = 0.5) -> int:
     """Degree of the closed trajectory surface (see trajectory_surface)."""
-    deg, _, _ = trajectory_surface(strength, theta_grid, 1, n_meas=n_meas,
-                                   reference_weight=reference_weight)
-    return deg
+    return trajectory_surface(strength, theta_grid, n_meas=n_meas,
+                              reference_weight=reference_weight)[0]
 
 
 # ---------------------------------------------------------------------------

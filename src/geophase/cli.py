@@ -6,8 +6,9 @@ plus a gnuplot script; primary files are byte-identical for identical
 configs and seeds.  GEOPHASE_THREADS (an integer >= 1) sets the worker
 count of ``mc``; its output does not depend on the count.  Wall times go
 to a ``*.timing.json`` sidecar, whose ``wall_seconds`` cover the command's
-checks and compute, not its file writes.  Files are written to a
-temporary name and renamed.
+checks and compute, not its file writes (surface.csv's loops are
+interpolated as it is written).  A run's files are written to temporary
+names and renamed once all are written.
 
 OPTIONS declares each option once: its parser, default and help.  A JSON
 ``--config`` file may preset any option of the command, and flags
@@ -21,7 +22,8 @@ files; flags take a ``deg`` suffix.  Grid endpoints are inclusive.
 A value that does not parse, a sweep theta grid with repeated nodes, or
 an ``--out`` that is a file, lies under one or cannot be created, exits 2
 before any work; ``--out`` is checked first, before each command's own
-inputs.  A file that cannot be written under ``--out`` also exits 2.
+inputs.  A file that cannot be written under ``--out`` also exits 2,
+and leaves none of the run's files.
 Exit 3 bounds, before anything is allocated,
 ``--n-meas`` (MAX_N_MEAS), ``mc --samples`` (MAX_MC_SAMPLES), samples x
 n_meas (MAX_MC_SAMPLE_STEPS), sweep cells (MAX_SWEEP_CELLS, or
@@ -33,7 +35,6 @@ is a failed gate and nothing else.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -302,28 +303,31 @@ def _out_dir(text: str) -> Path:
     return out
 
 
-@contextlib.contextmanager
-def _atomic_file(path: Path):
-    """A text file open at a temporary name beside ``path``.  It replaces
-    ``path`` only when the block completes and is removed either way, so a
-    failure part way leaves no partial file.  A file that cannot be
-    written is a CliError (exit 2)."""
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+def _write_files(out_dir: Path, files: dict) -> None:
+    """Write the strings of each ``name: chunks`` of ``files`` under
+    ``out_dir``, all at temporary names first, then rename them.  A failure
+    removes the temporary files and those already renamed, so a run leaves
+    all its files or none.  A file that cannot be written exits 2."""
+    staged, renamed = [], []
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-        os.replace(tmp, path)
+        for name, chunks in files.items():
+            path = out_dir / name
+            staged.append(path.with_name(f"{name}.tmp{os.getpid()}"))
+            out_dir.mkdir(parents=True, exist_ok=True)
+            with open(staged[-1], "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(chunks)
+        for tmp, name in zip(staged, files):
+            path = out_dir / name
+            os.replace(tmp, path)
+            renamed.append(path)
     except OSError as exc:
+        for done in renamed:
+            done.unlink(missing_ok=True)
         raise CliError(EXIT_CONFIG,
                        f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    with _atomic_file(path) as fh:
-        fh.write(text)
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
 
 
 def _jsonify(obj):
@@ -343,16 +347,22 @@ def _jsonify(obj):
     return obj
 
 
-def _write_csv(path: Path, header: str, row_format: str, columns) -> None:
-    """``header``, then ``row_format % row`` for each row of ``columns``.
-    Rows are formatted and written in chunks, so the whole file is never
-    held as one string."""
-    line, step = row_format + "\n", 2 ** 16
-    with _atomic_file(path) as fh:
-        fh.write(header + "\n")
-        for start in range(0, len(columns[0]), step):
-            rows = zip(*(c[start:start + step].tolist() for c in columns))
-            fh.write("".join(line % row for row in rows))
+#: Most rows _csv_text formats at once; _surface_blocks yields about as many.
+_CSV_BLOCK_ROWS = 2 ** 16
+
+
+def _csv_text(header: str, row_format: str, blocks):
+    """The text of a CSV, in pieces: ``header``, then ``row_format % row``
+    for each row of each block of ``blocks``, an iterable of column lists.
+    At most _CSV_BLOCK_ROWS rows are formatted at once, so the whole file
+    is never held as one string."""
+    line = row_format + "\n"
+    yield header + "\n"
+    for columns in blocks:
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            rows = zip(*(c[start:start + _CSV_BLOCK_ROWS].tolist()
+                         for c in columns))
+            yield "".join(line % row for row in rows)
 
 
 _SWEEP_GP = """\
@@ -390,7 +400,7 @@ splot "surface.csv" every ::1 using 3:4:5:1 with points pt 7 ps 0.4 palette noti
 
 
 #: What a command returns to ``_run_command``: the config its envelope
-#: echoes, the envelope's results and diagnostics, the ``_write_csv``
+#: echoes, the envelope's results and diagnostics, the ``_csv_text``
 #: arguments of its CSV (None for no CSV), its summary line and exit code.
 _Run = namedtuple("_Run", "config results diagnostics csv summary code")
 
@@ -438,9 +448,9 @@ def cmd_sweep(cfg: dict) -> _Run:
     gammas = [Strength(m).gamma_tau for m in pm.strength_grid.tolist()]
     csv = ("theta,gamma_tau,m,chi_wrapped,chi_unwrapped,contrast,defined",
            "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d",
-           [np.repeat(pm.theta_grid, n_m), np.tile(gammas, n_theta),
-            np.tile(pm.strength_grid, n_theta), pm.chi_wrapped.ravel(),
-            pm.chi_unwrapped.ravel(), pm.contrast.ravel(), pm.defined.ravel()])
+           [[np.repeat(pm.theta_grid, n_m), np.tile(gammas, n_theta),
+             np.tile(pm.strength_grid, n_theta), pm.chi_wrapped.ravel(),
+             pm.chi_unwrapped.ravel(), pm.contrast.ravel(), pm.defined.ravel()]])
     imin, jmin = np.unravel_index(np.nanargmin(pm.contrast), pm.contrast.shape)
     results = {
         "cells": pm.n_cells,
@@ -526,6 +536,30 @@ def cmd_mc(cfg: dict) -> _Run:
                 EXIT_OK if results["agreement"] else EXIT_GATE_FAILED)
 
 
+def _surface_blocks(thetas, vertices, interp: int):
+    """surface.csv's columns, whole loops up to about _CSV_BLOCK_ROWS rows
+    at a time.  Each loop of ``vertices`` is geodesically interpolated:
+    segment k runs from vertex k to vertex k+1 (wrapping), sampled at
+    ``interp`` points excluding its endpoint."""
+    n_vertices = vertices.shape[1]
+    steps = np.arange(n_vertices * interp)
+    t = (np.arange(interp) / interp)[None, None, :, None]
+    per_block = max(1, _CSV_BLOCK_ROWS // steps.size)
+    for lo in range(0, len(thetas), per_block):
+        loops = vertices[lo:lo + per_block]
+        nxt = np.roll(loops, -1, axis=1)
+        dots = np.clip(np.sum(loops * nxt, axis=2), -1.0, 1.0)
+        gamma = np.arccos(dots)[..., None, None]
+        small = gamma < 1e-9
+        sin_gamma = np.where(small, 1.0, np.sin(gamma))
+        w0 = np.where(small, 1.0 - t, np.sin((1.0 - t) * gamma) / sin_gamma)
+        w1 = np.where(small, t, np.sin(t * gamma) / sin_gamma)
+        pts = w0 * loops[:, :, None, :] + w1 * nxt[:, :, None, :]
+        pts /= np.linalg.norm(pts, axis=3, keepdims=True)
+        yield [np.repeat(thetas[lo:lo + per_block], steps.size),
+               np.tile(steps, len(loops)), *pts.reshape(-1, 3).T]
+
+
 def cmd_surface(cfg: dict) -> _Run:
     strength = _resolve_strength(cfg)
     grid = cfg["grid_theta"]
@@ -536,13 +570,12 @@ def cmd_surface(cfg: dict) -> _Run:
     if points > MAX_SURFACE_POINTS:
         raise CliError(EXIT_OVERSIZE,
                        f"surface of {points} points exceeds {MAX_SURFACE_POINTS}")
-    degree, thetas, loops = analysis.trajectory_surface(
-        strength, _grid_values(grid), interp, n_meas=n_meas,
+    degree, thetas, vertices = analysis.trajectory_surface(
+        strength, _grid_values(grid), n_meas=n_meas,
         reference_weight=cfg["ref_weight"])
-    n_loops, per_loop = loops.shape[:2]
+    n_loops, per_loop = thetas.size, (n_meas + 1) * interp
     csv = ("theta,step,x,y,z", "%.17g,%d,%.17g,%.17g,%.17g",
-           [np.repeat(thetas, per_loop), np.tile(np.arange(per_loop), n_loops),
-            *loops.reshape(-1, 3).T])
+           _surface_blocks(thetas, vertices, interp))
     results = {"degree": degree, "n_loops": n_loops,
                "points_per_loop": per_loop}
     return _Run({**cfg, **_strength_fields(strength)}, results, {}, csv,
@@ -560,10 +593,10 @@ def _run_command(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     run = args.command_fn(cfg)
     wall = time.perf_counter() - t0
-    results = run.results
+    results, files = run.results, {}
     if run.csv is not None:
-        _write_csv(out_dir / f"{command}.csv", *run.csv)
-        _atomic_write(out_dir / f"{command}.gp", _PLOT_SCRIPTS[command])
+        files[f"{command}.csv"] = _csv_text(*run.csv)
+        files[f"{command}.gp"] = [_PLOT_SCRIPTS[command]]
         results = {**results, "csv": f"{command}.csv",
                    "plot_script": f"{command}.gp"}
     envelope = {"schema_version": SCHEMA_VERSION, "command": command,
@@ -572,8 +605,9 @@ def _run_command(args: argparse.Namespace) -> int:
     sidecar = {"command": command, "wall_seconds": wall}
     for name, doc in ((f"{command}.json", envelope),
                       (f"{command}.timing.json", sidecar)):
-        _atomic_write(out_dir / name,
-                      json.dumps(_jsonify(doc), indent=2, sort_keys=True) + "\n")
+        files[name] = [json.dumps(_jsonify(doc), indent=2, sort_keys=True)
+                       + "\n"]
+    _write_files(out_dir, files)
     print(run.summary)
     return run.code
 
@@ -582,7 +616,7 @@ def cmd_schema(args: argparse.Namespace) -> int:
     text = resources.files("geophase").joinpath(
         "schema/envelope.schema.json").read_text(encoding="utf-8")
     if args.out is not None:
-        _atomic_write(_out_dir(args.out) / "envelope.schema.json", text)
+        _write_files(_out_dir(args.out), {"envelope.schema.json": [text]})
     print(text, end="")
     return EXIT_OK
 

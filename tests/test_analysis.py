@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from geophase import analysis as an
+from geophase import cli
 from geophase.errors import (AntipodalError, DomainError,
                              UnwrapError)
 from geophase.measurement import Strength
@@ -262,9 +263,6 @@ def test_nan_fails_range_checks(call):
                                n_meas=0),
     lambda: an.find_critical_strength(n_meas=0),
     lambda: an.surface_degree(Strength(0.3), n_meas=0),
-    lambda: an.trajectory_surface(Strength(0.3), interp_per_segment=0),
-    lambda: an.trajectory_surface(Strength(0.3), interp_per_segment=2.5),
-    lambda: an.trajectory_surface(Strength(0.3), interp_per_segment=True),
     lambda: sample_trajectory(ProtocolSpec(theta=1.0, strength=Strength(0.5)),
                               -1, 0),
     lambda: sample_trajectory(ProtocolSpec(theta=1.0, strength=Strength(0.5)),
@@ -272,9 +270,8 @@ def test_nan_fails_range_checks(call):
     lambda: _uniform_amplitudes(np.array([1.0]), Strength(0.5), n_meas=0),
     lambda: _uniform_amplitudes(np.array([1.0]), Strength(0.5), n_meas=2.5),
 ], ids=["kernel-n0", "kernel-bool", "kernel-float", "curve-n0", "sweep-n0",
-        "transition-n0", "surface-n0", "interp-0", "interp-float",
-        "interp-bool", "sample-negative", "sample-float", "uniform-n0",
-        "uniform-float"])
+        "transition-n0", "surface-n0", "sample-negative", "sample-float",
+        "uniform-n0", "uniform-float"])
 def test_integer_arguments_checked(call):
     with pytest.raises(DomainError):
         call()
@@ -307,18 +304,6 @@ class TestSurfaceDegree:
         chern = an.chern_from_curve(an.phase_vs_theta(Strength(float(m))))
         assert deg == chern
 
-    @pytest.mark.parametrize("grid", [np.linspace(0.0, np.pi, 33), None],
-                             ids=["33-nodes", "default-grid"])
-    def test_degree_does_not_depend_on_interpolation(self, grid):
-        # geodesic interpolation of the measured loops cannot change the
-        # degree, which is why surface_degree takes it on the loops alone
-        for n, w, m in itertools.product((3, 5, 24), (0.2, 0.8),
-                                         (0.1, 0.45, 0.5, 0.9)):
-            degrees = [an.trajectory_surface(Strength(m), grid, interp,
-                                             n_meas=n, reference_weight=w)[0]
-                       for interp in (1, 3, 8)]
-            assert len(set(degrees)) == 1, (n, w, m, degrees)
-
     def test_rejects_m_one(self):
         with pytest.raises(DomainError):
             an.surface_degree(Strength(1.0))
@@ -337,33 +322,52 @@ class TestSurfaceDegree:
         assert err.value.segment == 0
 
     def test_blocked_interpolation_equals_one_shot(self):
-        # 40 loops of 7 vertices at 512 points per segment span three
-        # blocks; a repeated vertex takes the small-angle branch
+        # the CLI interpolates surface.csv's loops a block at a time: 40
+        # loops of 7 vertices at 512 points per segment span three blocks,
+        # and a repeated vertex takes the small-angle branch
         rng = np.random.default_rng(3)
         vertices = rng.normal(size=(40, 7, 3))
         vertices[:, 3] = vertices[:, 2]
         vertices /= np.linalg.norm(vertices, axis=2, keepdims=True)
         interp = 512
-        assert vertices.shape[0] * 7 * interp > 2 * an._SLERP_BLOCK_POINTS
         nxt = np.roll(vertices, -1, axis=1)
         dots = np.clip(np.sum(vertices * nxt, axis=2), -1.0, 1.0)
         gamma = np.arccos(dots)[..., None, None]
         t = (np.arange(interp) / interp)[None, None, :, None]
         small = gamma < 1e-9
+        assert small.any()
         sin_gamma = np.where(small, 1.0, np.sin(gamma))
         w0 = np.where(small, 1.0 - t, np.sin((1.0 - t) * gamma) / sin_gamma)
         w1 = np.where(small, t, np.sin(t * gamma) / sin_gamma)
         pts = w0 * vertices[:, :, None, :] + w1 * nxt[:, :, None, :]
         pts /= np.linalg.norm(pts, axis=3, keepdims=True)
-        loops = an._slerp_loops(vertices, interp, np.zeros(40))
-        assert np.array_equal(loops, pts.reshape(40, -1, 3))
+        thetas = np.linspace(0.0, np.pi, 40)
+        blocks = list(cli._surface_blocks(thetas, vertices, interp))
+        assert len(blocks) == 3
+        theta, step, *xyz = (np.concatenate(c) for c in zip(*blocks))
+        assert np.array_equal(theta, np.repeat(thetas, 7 * interp))
+        assert np.array_equal(step, np.tile(np.arange(7 * interp), 40))
+        assert np.array_equal(np.stack(xyz, axis=1), pts.reshape(-1, 3))
 
-    def test_antipodal_segment_reported(self):
-        loops = np.array([[[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]]])
+    def test_antipodal_segment_reported(self, monkeypatch):
+        # vertex 5 of the loop at the third node is the antipode of vertex
+        # 4, so the geodesic of segment 4 is undefined
+        bloch_batch = an._bloch_batch
+
+        def antipodal(pairs):
+            vertices = bloch_batch(pairs)
+            vertices[2, 5] = -vertices[2, 4]
+            return vertices
+
+        monkeypatch.setattr(an, "_bloch_batch", antipodal)
+        grid = np.linspace(0.0, np.pi, 33)
         with pytest.raises(AntipodalError) as err:
-            an._slerp_loops(loops, 4, np.array([0.7]))
-        assert err.value.segment == 0
-        assert err.value.theta == 0.7
+            an.trajectory_surface(Strength(0.3), grid)
+        assert err.value.theta == grid[2]
+        assert err.value.segment == 4
+        assert str(err.value) == (
+            "antipodal geodesic endpoints on trajectory "
+            f"(theta={grid[2]:.6g}, segment=4)")
 
 
 class TestTransition:

@@ -12,6 +12,7 @@ import pytest
 import geophase
 from geophase import cli
 from geophase.errors import AntipodalError, TransitionNotFoundError
+from geophase.measurement import Strength
 from geophase.protocol import run_protocol_analytic
 from geophase.trajectories import McEstimate
 
@@ -319,6 +320,26 @@ class TestSurfaceCommand:
         pts = np.array([[float(v) for v in r.split(",")[2:]] for r in rows[1:]])
         assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) < 1e-12
         assert (tmp_path / "surface.gp").exists()
+
+    def test_csv_holds_measured_loops(self, tmp_path):
+        # at --interp 1 the CSV rows are the loops the library measured,
+        # and interpolation does not reach the degree
+        args = ["surface", "--m", "0.3", "--n-meas", "5", "--ref-weight",
+                "0.3", "--grid-theta", "0:3.141592653589793:33"]
+        for interp in ("1", "3"):
+            assert run_cli(args + ["--interp", interp,
+                                   "--out", str(tmp_path / interp)]) == 0
+        degree, thetas, vertices = cli.analysis.trajectory_surface(
+            Strength(0.3), np.linspace(0.0, np.pi, 33), n_meas=5,
+            reference_weight=0.3)
+        rows = np.loadtxt(tmp_path / "1" / "surface.csv", delimiter=",",
+                          skiprows=1)
+        assert np.array_equal(rows[:, 0], np.repeat(thetas, 6))
+        assert np.array_equal(rows[:, 1], np.tile(np.arange(6), 33))
+        unit = vertices / np.linalg.norm(vertices, axis=2, keepdims=True)
+        assert np.max(np.abs(rows[:, 2:] - unit.reshape(-1, 3))) <= 1e-15
+        assert [load_envelope(tmp_path / interp / "surface.json")
+                ["results"]["degree"] for interp in ("1", "3")] == [degree] * 2
 
     def test_non_wrapping_surface(self, tmp_path):
         run_cli(["surface", "--m", "0.95", "--out", str(tmp_path)])
@@ -655,8 +676,8 @@ def test_surface_points_bound_is_inclusive(tmp_path, monkeypatch):
     # the surface is stubbed: only the bound on its points is under test
     seen = []
 
-    def one_point(strength, thetas, interp, *, n_meas, reference_weight):
-        seen.append((thetas.size, n_meas, interp))
+    def one_point(strength, thetas, *, n_meas, reference_weight):
+        seen.append((thetas.size, n_meas))
         return 1, thetas[:1], np.array([[[0.0, 0.0, 1.0]]])
 
     monkeypatch.setattr(cli.analysis, "trajectory_surface", one_point)
@@ -669,7 +690,7 @@ def test_surface_points_bound_is_inclusive(tmp_path, monkeypatch):
     # the default grid and interp still run at the largest n_meas
     assert run_cli(["surface", "--m", "0.5", "--n-meas", str(cli.MAX_N_MEAS),
                     "--out", str(tmp_path)]) == 0
-    assert seen == [(count, 4, 8), (64, cli.MAX_N_MEAS, 8)]
+    assert seen == [(count, 4), (64, cli.MAX_N_MEAS)]
 
 
 def _fresh_interpreter(code):
@@ -763,21 +784,27 @@ _SMALL_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("argv, first", [
+@pytest.mark.parametrize("argv, blocked", [
     *zip(_SMALL_RUNS, ["phase.json", "sweep.csv", "transition.json",
                        "mc.json", "surface.csv"]),
     (["schema"], "envelope.schema.json"),
-], ids=["phase", "sweep", "transition", "mc", "surface", "schema"])
-def test_unwritable_file_exit_2(tmp_path, capsys, argv, first):
-    # a directory holds the name of the first file the command writes
-    blocker = tmp_path / first
+    (_SMALL_RUNS[1], "sweep.json"),
+    (_SMALL_RUNS[4], "surface.json"),
+    *((argv, f"{argv[0]}.timing.json") for argv in _SMALL_RUNS),
+], ids=["phase", "sweep", "transition", "mc", "surface", "schema",
+        "sweep-json", "surface-json", *(f"{argv[0]}-timing"
+                                        for argv in _SMALL_RUNS)])
+def test_unwritable_file_exit_2(tmp_path, capsys, argv, blocked):
+    # a directory holds the name of a file the command writes: its first,
+    # or one written after others, which must not stay behind either
+    blocker = tmp_path / blocked
     blocker.mkdir()
     (blocker / "keep").write_text("keep")
     assert run_cli(argv + ["--out", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: cannot write {blocker}: Is a directory\n"
     assert captured.out == ""
-    assert [p.name for p in tmp_path.iterdir()] == [first]
+    assert [p.name for p in tmp_path.iterdir()] == [blocked]
     assert [p.name for p in blocker.iterdir()] == ["keep"]
     assert (blocker / "keep").read_text() == "keep"
 
@@ -811,8 +838,9 @@ def test_csv_rows_format_each_value_as_before(tmp_path):
     ints = np.arange(floats.size) * 1000 - 3
     flags = floats > 0.0
     path = tmp_path / "t.csv"
-    cli._write_csv(path, "a,b,c,d", "%.17g,%d,%d,%.17g",
-                   [floats, ints, flags, floats[::-1].copy()])
+    cli._write_files(tmp_path, {"t.csv": cli._csv_text(
+        "a,b,c,d", "%.17g,%d,%d,%.17g",
+        [[floats, ints, flags, floats[::-1].copy()]])})
     expected = ["a,b,c,d"] + [
         ",".join((format(float(a), ".17g"), str(int(b)), str(int(c)),
                   format(float(d), ".17g")))
@@ -843,7 +871,8 @@ def test_csv_failure_part_way_leaves_no_file(tmp_path):
     values = np.arange(3 * 2 ** 16, dtype=float)
     column = _FailsAfterFirstChunk(values, path)
     with pytest.raises(RuntimeError, match="formatting failed"):
-        cli._write_csv(path, "a,b", "%.17g,%.17g", [values, column])
+        cli._write_files(tmp_path, {"t.csv": cli._csv_text(
+            "a,b", "%.17g,%.17g", [[values, column]])})
     # the first chunk had reached the temporary file before the failure
     assert len(column.tmp_sizes) == 1 and column.tmp_sizes[0] > 0
     assert list(tmp_path.iterdir()) == []
