@@ -13,12 +13,15 @@ trajectory; postselection-free averaging is what makes the comparison
 against the analytic product meaningful.
 
 The state is the {e,f} pair (a_f, a_e) and a real reference amplitude
-a_g: every readout Kraus operator is diagonal with real entries, so g only
-picks up a real factor.  The pair steps through the frame changes of
-:mod:`geophase.protocol` (``_frame_steps``), so each readout's backaction
-is diagonal in the frame it is drawn in.  Each step normalizes over all
-three components, so the accumulated squared norms are the outcome
-density.
+a_g.  The pair steps through the frame changes of :mod:`geophase.protocol`
+(``_frame_steps``), so each readout's Kraus operator is diagonal in the
+frame it is drawn in: diag(Psit(r), Psi(r), Psi(r)), with real entries.
+Each step normalizes over all three components, so the state depends on a
+readout only through the likelihood ratio Psit(r)/Psi(r), and the
+estimators' kernel scales a_f by that one factor and keeps neither
+readouts nor weights.  ``sample_trajectory`` is the one-sample replay that
+reports them: it applies the full amplitudes, whose accumulated squared
+norms are the outcome density.
 
 Randomness is counter-based: a run with seed ``s`` reads one Philox stream
 keyed by ``s``, and sample ``i`` of an ``N``-measurement run takes its N
@@ -123,33 +126,60 @@ def _uniforms(seed: int, start: int, stop: int, n_draws: int) -> np.ndarray:
     return words * 2.0 ** -53
 
 
-def _mixture_readouts(u: np.ndarray, p_f: np.ndarray | float,
-                      r0: float) -> np.ndarray:
-    """Inverse-CDF draw from the readout mixture, one uniform per draw;
-    ``p_f`` broadcasts against ``u``.
+def _cloud_quantiles(u: np.ndarray | float, p_f: np.ndarray | float):
+    """(q, click): one inverse-CDF draw from the readout mixture per
+    uniform; ``p_f`` broadcasts against ``u``.
 
     The uniform selects the cloud by its weight and its remainder is pushed
-    through that cloud's Gaussian quantile, which samples the exact mixture
-    with a single draw.  The displaced cloud takes the upper tail, u in
-    [1 - p_f, 1), and reads its remainder as (1 - u) / p_f: 1 - u is
-    exact for u >= 1/2, where u - (1 - p_f) would cancel for small p_f.
+    through the unit Gaussian quantile q, which samples the exact mixture
+    with a single draw: the readout is r = q in the null cloud and
+    r = r0 - q in the displaced one.  The displaced cloud takes the upper
+    tail, u in [1 - p_f, 1), and reads its remainder as (1 - u) / p_f:
+    1 - u is exact for u >= 1/2, where u - (1 - p_f) would cancel for small
+    p_f.  Neither divisor can be 0: a click means p_f > 0, and no click
+    means 1 - p_f > u >= 0.
     """
     from scipy.special import ndtri
 
     null_w = 1.0 - p_f
     click = u >= null_w
-    scale = np.where(click, np.maximum(p_f, 1e-300),
-                     np.maximum(null_w, 1e-300))
-    v = np.where(click, 1.0 - u, u) / scale
-    q = ndtri(np.clip(v, 1e-300, 1.0 - 1e-16))
+    v = np.where(click, 1.0 - u, u) / np.where(click, p_f, null_w)
+    return ndtri(np.clip(v, 1e-300, 1.0 - 1e-16)), click
+
+
+def _mixture_readouts(u: np.ndarray | float, p_f: np.ndarray | float,
+                      r0: float) -> np.ndarray:
+    """Readout coordinates of the draws of ``_cloud_quantiles``."""
+    q, click = _cloud_quantiles(u, p_f)
     return np.where(click, r0 - q, q)
 
 
+#: Cap on the log likelihood ratio, below the ~355 at which |a_f|^2 would
+#: overflow.  A null readout's ratio is at most about 17 (q <= 8.3), and a
+#: click's reaches 300 only for m below about 1e-41.  The capped ratio
+#: still leaves a_e and g below 2^27 e^-300 of a_f, since a click needs
+#: |a_f|^2 > 2^-54.
+_LOG_RATIO_CAP = 300.0
+
+
+def _log_ratio(q: np.ndarray, click: np.ndarray, h: float) -> np.ndarray:
+    """ln(Psit(r)/Psi(r)) = h (r - h), h = r0/2, capped at _LOG_RATIO_CAP:
+    h (q - h) at the null readout r = q and its negative at the click
+    readout r = r0 - q.  Overwrites and returns ``q``."""
+    q -= h
+    q *= np.where(click, -h, h)
+    return np.minimum(q, _LOG_RATIO_CAP, out=q)
+
+
 def _block_terms(spec: ProtocolSpec, steps: list, seed: int, start: int,
-                 stop: int):
-    """Interference terms of samples [start, stop), with their final pairs
-    (rows a_f, a_e, in the frame of the last measurement), reference
-    amplitudes, weights and readouts.  Pure function of its arguments.
+                 stop: int) -> np.ndarray:
+    """Interference terms of samples [start, stop).  Pure function of its
+    arguments.
+
+    The state is carried as (a_f, a_e, g) in the frame of the current
+    measurement.  Since every step renormalizes, a readout acts only
+    through its likelihood ratio (``_log_ratio``): one exp of it scales a_f
+    alone.  Readouts and outcome densities are not kept.
 
     The 2x2 products are written out elementwise: a BLAS call on blocks
     this thin starts threads that compete with the worker processes.
@@ -161,55 +191,76 @@ def _block_terms(spec: ProtocolSpec, steps: list, seed: int, start: int,
     a_f = np.zeros(n, dtype=complex)
     a_e = np.full(n, np.sqrt(1.0 - w), dtype=complex)
     g = np.full(n, np.sqrt(w))
-    weights = np.ones(n)
-    readouts = np.empty((n_meas, n))
     projective = spec.strength.is_projective
-    r0 = 0.0 if projective else cloud_separation(spec.strength)
+    h = 0.0 if projective else 0.5 * cloud_separation(spec.strength)
 
     for k in range(n_meas):
         s_ff, s_fe, s_ee = steps[k]
         a_f, a_e = s_ff * a_f + s_fe * a_e, s_fe * a_f + s_ee * a_e
-        p_f = np.clip(a_f.real ** 2 + a_f.imag ** 2, 0.0, 1.0)
-        u = uniforms[k]
+        p_f = np.minimum(a_f.real ** 2 + a_f.imag ** 2, 1.0)
         if projective:
-            r = u >= 1.0 - p_f
-            psit, psi = r, ~r
+            click = uniforms[k] >= 1.0 - p_f
+            a_f *= click
+            a_e *= ~click
+            g *= ~click
         else:
-            r = _mixture_readouts(u, p_f, r0)
-            psit, psi = gauss_amplitudes(spec.strength, r)
-        readouts[k] = r
-        a_f *= psit
-        a_e *= psi
-        g *= psi
-        norm_sq = (a_f.real ** 2 + a_f.imag ** 2
-                   + (a_e.real ** 2 + a_e.imag ** 2) + g * g)
-        weights *= norm_sq
-        inv_norm = 1.0 / np.sqrt(norm_sq)
+            x = _log_ratio(*_cloud_quantiles(uniforms[k], p_f), h)
+            a_f *= np.exp(x, out=x)
+        inv_norm = 1.0 / np.sqrt(a_f.real ** 2 + a_f.imag ** 2
+                                 + (a_e.real ** 2 + a_e.imag ** 2) + g * g)
         a_f *= inv_norm
         a_e *= inv_norm
         g *= inv_norm
 
     _, c_fe, c_ee = steps[-1]
-    terms = 2.0 * g * (c_fe * a_f + c_ee * a_e)
-    return terms, np.stack([a_f, a_e]), g, weights, readouts.T
+    return 2.0 * g * (c_fe * a_f + c_ee * a_e)
 
 
 def sample_trajectory(spec: ProtocolSpec, sample_id: int,
                       seed: int) -> TrajectorySample:
-    """Simulate the single trajectory addressed by (seed, sample_id)."""
+    """Replay the single trajectory addressed by (seed, sample_id).
+
+    This is the one-sample replay that reports readouts and weights: it
+    draws from the same uniforms as the estimators' kernel, which keeps
+    only the likelihood ratio, and applies the full Kraus amplitudes
+    (Psit(r), Psi(r), Psi(r)), whose squared norms multiply to the joint
+    outcome density.
+    """
     McConfig(n_samples=1, seed=seed)
     _require_int("sample_id", sample_id)
     if sample_id < 0:
         raise DomainError(f"sample_id={sample_id!r} must be >= 0")
-    terms, pair, g, weights, readouts = _block_terms(
-        spec, list(_frame_steps(spec.theta, spec.phi_schedule)), seed,
-        sample_id, sample_id + 1)
+    steps = list(_frame_steps(spec.theta, spec.phi_schedule))
+    uniforms = _uniforms(seed, sample_id, sample_id + 1, spec.n_meas)[:, 0]
+    w = spec.reference_weight
+    state = np.array([0.0, np.sqrt(1.0 - w), np.sqrt(w)], dtype=complex)
+    readouts = np.empty(spec.n_meas)
+    weight = 1.0
+    projective = spec.strength.is_projective
+    r0 = 0.0 if projective else cloud_separation(spec.strength)
+    for k, u in enumerate(uniforms):
+        s_ff, s_fe, s_ee = steps[k]
+        a_f, a_e = state[:2]
+        state[:2] = s_ff * a_f + s_fe * a_e, s_fe * a_f + s_ee * a_e
+        p_f = min(state[0].real ** 2 + state[0].imag ** 2, 1.0)
+        if projective:
+            readouts[k] = click = u >= 1.0 - p_f
+            state *= (click, not click, not click)
+        else:
+            readouts[k] = _mixture_readouts(u, p_f, r0)
+            psit, psi = gauss_amplitudes(spec.strength, readouts[k])
+            state *= (psit, psi, psi)
+        norm_sq = np.vdot(state, state).real
+        weight *= norm_sq
+        state /= np.sqrt(norm_sq)
+    _, c_fe, c_ee = steps[-1]
+    term = 2.0 * state[2].real * (c_fe * state[0] + c_ee * state[1])
     back = _rotation_matrices(spec.theta, spec.phi_schedule[-1]).conj().T
-    final = np.append(back @ pair[:, 0], g[0])
-    return TrajectorySample(readouts=readouts[0],
-                            final_state=QutritState(final, normalized=True),
-                            probability_weight=float(weights[0]),
-                            interference_term=complex(terms[0]))
+    state[:2] = back @ state[:2]
+    return TrajectorySample(readouts=readouts,
+                            final_state=QutritState(state, normalized=True),
+                            probability_weight=float(weight),
+                            interference_term=complex(term))
 
 
 @dataclass(frozen=True)
@@ -256,7 +307,7 @@ def _moments(spec: ProtocolSpec, steps: list, seed: int, start: int,
              stop: int):
     """(count, mean, M2_re, M2_im) of one block's terms; M2 is the sum of
     squared deviations of a component from the block mean."""
-    terms = _block_terms(spec, steps, seed, start, stop)[0]
+    terms = _block_terms(spec, steps, seed, start, stop)
     mean = complex(np.mean(terms))
     dev = terms - mean
     return (terms.size, mean, float(np.sum(dev.real ** 2)),
@@ -324,7 +375,7 @@ def _map_blocks(spec: ProtocolSpec, cfg: McConfig, workers: int) -> list:
 def interference_terms(spec: ProtocolSpec, cfg: McConfig) -> np.ndarray:
     """Per-sample interference terms in sample order."""
     steps = list(_frame_steps(spec.theta, spec.phi_schedule))
-    return np.concatenate([_block_terms(spec, steps, cfg.seed, a, b)[0]
+    return np.concatenate([_block_terms(spec, steps, cfg.seed, a, b)
                            for a, b in _blocks(cfg.n_samples)])
 
 

@@ -94,6 +94,7 @@ def test_custom_schedule_matches_per_step_product(theta, m, w, schedule):
 @PROPERTY
 @given(theta=thetas, m=st.just(0.0) | strengths, w=weights, n=lengths,
        seed=st.integers(0, 2 ** 64 - 1))
+@example(theta=1.2, m=1e-300, w=0.5, n=2, seed=0)
 def test_trajectory_terms_bounded(theta, m, w, n, seed):
     # |2 a_g a_e| <= |a_g|^2 + |a_e|^2 <= 1 for every normalized final state
     spec = ProtocolSpec(theta=theta, strength=Strength(m), n_meas=n,

@@ -3,14 +3,16 @@ import pytest
 
 from geophase import trajectories
 from geophase.errors import DomainError
-from geophase.measurement import Strength, kraus_readout
+from geophase.measurement import (Strength, cloud_separation,
+                                  gauss_amplitudes, kraus_readout)
 from geophase.protocol import (ProtocolSpec, initial_state,
                                run_protocol_analytic)
 from geophase.qutrit import E, G, rotation_to_axis
 from geophase.trajectories import (BLOCK_SIZE, McConfig, mc_interference,
                                    readout_histogram, sample_trajectory,
                                    z_scores, interference_terms,
-                                   _chi2_sf, _mixture_readouts, _uniforms)
+                                   _chi2_sf, _log_ratio, _mixture_readouts,
+                                   _uniforms)
 
 
 def _doubles(words):
@@ -48,6 +50,43 @@ def test_click_readout_stable_in_p_f():
         shift = (_mixture_readouts(u, np.nextafter(p_f, 1.0), 2.0)
                  - _mixture_readouts(u, p_f, 2.0))
         assert np.max(np.abs(shift)) <= 1e-12, f
+
+
+def test_draw_guards_were_dead():
+    # The draw once floored both divisors at 1e-300 and clipped p_f from
+    # below at 0.  A click needs p_f > 0 and no click 1 - p_f > u >= 0, so
+    # neither divisor can be 0 and dropping the guards moves no readout.
+    from scipy.special import ndtri
+
+    tiny = 2.0 ** -53
+    u, p_f = np.meshgrid([0.0, tiny, 0.5, 1.0 - tiny],
+                         [0.0, tiny, 0.5, 1.0 - tiny, 1.0])
+    null_w = 1.0 - np.clip(p_f, 0.0, 1.0)
+    click = u >= null_w
+    scale = np.where(click, np.maximum(np.clip(p_f, 0.0, 1.0), 1e-300),
+                     np.maximum(null_w, 1e-300))
+    q = ndtri(np.clip(np.where(click, 1.0 - u, u) / scale, 1e-300,
+                      1.0 - 1e-16))
+    assert click.any() and not click.all()
+    for r0 in (0.5, 2.0, 40.0):
+        assert np.array_equal(_mixture_readouts(u, p_f, r0),
+                              np.where(click, r0 - q, q))
+
+
+@pytest.mark.parametrize("m", [1e-12, 0.2, 0.5, 0.9, 0.999])
+def test_log_ratio_is_the_kraus_amplitude_ratio(m):
+    # the kernel's one factor per readout is Psit(r)/Psi(r) at the readout
+    # r = q (no click) or r = r0 - q (click) that the quantile q stands for
+    s = Strength(m)
+    r0 = cloud_separation(s)
+    q = np.linspace(-8.3, 8.3, 167)
+    for click in (np.zeros(q.size, bool), np.ones(q.size, bool),
+                  np.arange(q.size) % 3 == 0):
+        factor = np.exp(_log_ratio(q.copy(), click, 0.5 * r0))
+        psit, psi = gauss_amplitudes(s, np.where(click, r0 - q, q))
+        # on this grid both amplitudes are finite and nonzero everywhere
+        assert np.all(psit > 0.0) and np.all(psi > 0.0)
+        assert np.max(np.abs(factor / (psit / psi) - 1.0)) <= 1e-13
 
 
 @pytest.mark.parametrize("make", [
@@ -165,6 +204,23 @@ class TestPerStepOracle:
         spec = ProtocolSpec(theta=1.2, strength=Strength(0.4), n_meas=5,
                             phi_schedule=(-0.3, -1.9, -2.2, -4.0, -6.0))
         self.check(spec, range(8), seed=5)
+
+
+@pytest.mark.parametrize("m", [5e-324, 1e-300, 1e-100])
+@pytest.mark.parametrize("n_meas", [1, 24, 256])
+def test_extreme_strengths(m, n_meas):
+    # a click here has a log likelihood ratio of r0^2/4 - r0 q/2, up to
+    # about 1800, which the kernel caps (N = 24 draws clicks; N = 1 and
+    # N = 256 mostly test the null side); the terms stay finite, bounded
+    # and equal to the per-step replay of the same readouts
+    spec = ProtocolSpec(theta=1.2, strength=Strength(m), n_meas=n_meas,
+                        reference_weight=0.37)
+    terms = interference_terms(spec, McConfig(n_samples=256, seed=7))
+    assert np.all(np.isfinite(terms))
+    assert np.max(np.abs(terms)) <= 1.0 + 1e-12
+    for sid in range(0, 256, 16):
+        s = sample_trajectory(spec, sid, seed=7)
+        assert abs(terms[sid] - per_step_replay(spec, s.readouts)[0]) <= 1e-12
 
 
 class TestMcInterference:
