@@ -17,11 +17,11 @@ a_g.  The pair steps through the frame changes of :mod:`geophase.protocol`
 (``_frame_steps``), so each readout's Kraus operator is diagonal in the
 frame it is drawn in: diag(Psit(r), Psi(r), Psi(r)), with real entries.
 Each step normalizes over all three components, so the state depends on a
-readout only through the likelihood ratio Psit(r)/Psi(r), and the
-estimators' kernel scales a_f by that one factor and keeps neither
-readouts nor weights.  ``sample_trajectory`` is the one-sample replay that
-reports them: it applies the full amplitudes, whose accumulated squared
-norms are the outcome density.
+readout only through the likelihood ratio Psit(r)/Psi(r), and the one
+step kernel (``_walk``) scales a_f by that one factor.  The estimators
+keep neither readouts nor weights; ``sample_trajectory`` runs the same
+kernel on one sample and reports them, its weight the product of the
+per-readout mixture densities.
 
 Randomness is counter-based: a run with seed ``s`` reads one Philox stream
 keyed by ``s``, and sample ``i`` of an ``N``-measurement run takes its N
@@ -47,8 +47,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError
-from .measurement import (ReadoutDistribution, cloud_separation,
-                          gauss_amplitudes)
+from .measurement import ReadoutDistribution, cloud_separation
 from .protocol import ProtocolSpec, _frame_steps, _ReadOnlyArrays, _require_int
 from .qutrit import QutritState, _rotation_matrices
 
@@ -165,28 +164,28 @@ _LOG_RATIO_CAP = 300.0
 def _log_ratio(q: np.ndarray, click: np.ndarray, h: float) -> np.ndarray:
     """ln(Psit(r)/Psi(r)) = h (r - h), h = r0/2, capped at _LOG_RATIO_CAP:
     h (q - h) at the null readout r = q and its negative at the click
-    readout r = r0 - q.  Overwrites and returns ``q``."""
-    q -= h
-    q *= np.where(click, -h, h)
-    return np.minimum(q, _LOG_RATIO_CAP, out=q)
+    readout r = r0 - q."""
+    x = q - h
+    x *= np.where(click, -h, h)
+    return np.minimum(x, _LOG_RATIO_CAP, out=x)
 
 
-def _block_terms(spec: ProtocolSpec, steps: list, seed: int, start: int,
-                 stop: int) -> np.ndarray:
-    """Interference terms of samples [start, stop).  Pure function of its
-    arguments.
+def _walk(spec: ProtocolSpec, steps: list, seed: int, start: int, stop: int):
+    """Measure samples [start, stop) one readout at a time.  Pure function
+    of its arguments.
 
     The state is carried as (a_f, a_e, g) in the frame of the current
     measurement.  Since every step renormalizes, a readout acts only
     through its likelihood ratio (``_log_ratio``): one exp of it scales a_f
-    alone.  Readouts and outcome densities are not kept.
+    alone.  Each measurement yields the normalized (a_f, a_e, g), the p_f
+    it was drawn at, the cloud quantile q (None if projective) and the
+    click mask; g is updated in place by the next step.
 
     The 2x2 products are written out elementwise: a BLAS call on blocks
     this thin starts threads that compete with the worker processes.
     """
-    n, n_meas = stop - start, spec.n_meas
-    uniforms = _uniforms(seed, start, stop, n_meas)
-
+    n = stop - start
+    uniforms = _uniforms(seed, start, stop, spec.n_meas)
     w = spec.reference_weight
     a_f = np.zeros(n, dtype=complex)
     a_e = np.full(n, np.sqrt(1.0 - w), dtype=complex)
@@ -194,72 +193,73 @@ def _block_terms(spec: ProtocolSpec, steps: list, seed: int, start: int,
     projective = spec.strength.is_projective
     h = 0.0 if projective else 0.5 * cloud_separation(spec.strength)
 
-    for k in range(n_meas):
-        s_ff, s_fe, s_ee = steps[k]
+    for (s_ff, s_fe, s_ee), u in zip(steps, uniforms):
         a_f, a_e = s_ff * a_f + s_fe * a_e, s_fe * a_f + s_ee * a_e
         p_f = np.minimum(a_f.real ** 2 + a_f.imag ** 2, 1.0)
         if projective:
-            click = uniforms[k] >= 1.0 - p_f
+            q, click = None, u >= 1.0 - p_f
             a_f *= click
             a_e *= ~click
             g *= ~click
         else:
-            x = _log_ratio(*_cloud_quantiles(uniforms[k], p_f), h)
+            q, click = _cloud_quantiles(u, p_f)
+            x = _log_ratio(q, click, h)
             a_f *= np.exp(x, out=x)
         inv_norm = 1.0 / np.sqrt(a_f.real ** 2 + a_f.imag ** 2
                                  + (a_e.real ** 2 + a_e.imag ** 2) + g * g)
         a_f *= inv_norm
         a_e *= inv_norm
         g *= inv_norm
+        yield a_f, a_e, g, p_f, q, click
 
+
+def _terms(steps: list, a_f, a_e, g) -> np.ndarray:
+    """Interference terms 2 g <e|R_close|psi> of the walk's final states."""
     _, c_fe, c_ee = steps[-1]
     return 2.0 * g * (c_fe * a_f + c_ee * a_e)
+
+
+def _block_terms(spec: ProtocolSpec, steps: list, seed: int, start: int,
+                 stop: int) -> np.ndarray:
+    """Interference terms of samples [start, stop), nothing else kept."""
+    for a_f, a_e, g, _, _, _ in _walk(spec, steps, seed, start, stop):
+        pass
+    return _terms(steps, a_f, a_e, g)
 
 
 def sample_trajectory(spec: ProtocolSpec, sample_id: int,
                       seed: int) -> TrajectorySample:
     """Replay the single trajectory addressed by (seed, sample_id).
 
-    This is the one-sample replay that reports readouts and weights: it
-    draws from the same uniforms as the estimators' kernel, which keeps
-    only the likelihood ratio, and applies the full Kraus amplitudes
-    (Psit(r), Psi(r), Psi(r)), whose squared norms multiply to the joint
-    outcome density.
+    It runs the estimators' own ``_walk`` on the block [sample_id,
+    sample_id + 1), so its term is theirs bit for bit, and records what
+    they do not keep: the readouts r = q, or r0 - q on a click (projective:
+    the clicks), and the joint outcome density.  The state is normalized
+    before every readout, so that is the product of the two-cloud mixture
+    densities at p_f (projective: of p_f or 1 - p_f).
     """
     McConfig(n_samples=1, seed=seed)
     _require_int("sample_id", sample_id)
     if sample_id < 0:
         raise DomainError(f"sample_id={sample_id!r} must be >= 0")
     steps = list(_frame_steps(spec.theta, spec.phi_schedule))
-    uniforms = _uniforms(seed, sample_id, sample_id + 1, spec.n_meas)[:, 0]
-    w = spec.reference_weight
-    state = np.array([0.0, np.sqrt(1.0 - w), np.sqrt(w)], dtype=complex)
-    readouts = np.empty(spec.n_meas)
-    weight = 1.0
-    projective = spec.strength.is_projective
-    r0 = 0.0 if projective else cloud_separation(spec.strength)
-    for k, u in enumerate(uniforms):
-        s_ff, s_fe, s_ee = steps[k]
-        a_f, a_e = state[:2]
-        state[:2] = s_ff * a_f + s_fe * a_e, s_fe * a_f + s_ee * a_e
-        p_f = min(state[0].real ** 2 + state[0].imag ** 2, 1.0)
-        if projective:
-            readouts[k] = click = u >= 1.0 - p_f
-            state *= (click, not click, not click)
+    readouts, weight = np.empty(spec.n_meas), 1.0
+    r0 = cloud_separation(spec.strength)
+    walk = _walk(spec, steps, seed, sample_id, sample_id + 1)
+    for k, (a_f, a_e, g, p_f, q, click) in enumerate(walk):
+        p_f, click = float(p_f[0]), bool(click[0])
+        if q is None:
+            readouts[k] = click
+            weight *= p_f if click else 1.0 - p_f
         else:
-            readouts[k] = _mixture_readouts(u, p_f, r0)
-            psit, psi = gauss_amplitudes(spec.strength, readouts[k])
-            state *= (psit, psi, psi)
-        norm_sq = np.vdot(state, state).real
-        weight *= norm_sq
-        state /= np.sqrt(norm_sq)
-    _, c_fe, c_ee = steps[-1]
-    term = 2.0 * state[2].real * (c_fe * state[0] + c_ee * state[1])
+            readouts[k] = r0 - q[0] if click else q[0]
+            weight *= float(ReadoutDistribution(p_f, r0).pdf(readouts[k]))
+    term = _terms(steps, a_f, a_e, g)[0]
     back = _rotation_matrices(spec.theta, spec.phi_schedule[-1]).conj().T
-    state[:2] = back @ state[:2]
+    state = np.array([*(back @ [a_f[0], a_e[0]]), g[0]], dtype=complex)
     return TrajectorySample(readouts=readouts,
                             final_state=QutritState(state, normalized=True),
-                            probability_weight=float(weight),
+                            probability_weight=weight,
                             interference_term=complex(term))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -571,6 +572,55 @@ class TestExactTransition:
         plain, _, _ = self.schedule_root()
         turned, _, _ = self.schedule_root(np.exp(1j * phase))
         assert abs(turned - plain) <= 1e-15
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def m_star(n_meas):
+        return an.find_critical_strength(n_meas=n_meas, tol=1e-6).m_star.m
+
+    @pytest.mark.parametrize("n_meas", [3, 4, 5, 6, 8, 12, 24, 48])
+    def test_chebyshev_root(self, n_meas):
+        # at the equator the amplitude is, up to a phase,
+        # U_{N-1}(x) cos(pi/N) - sqrt(m) U_{N-2}(x) with
+        # x = (1 + m) cos(pi/N) / (2 sqrt(m)); its root is taken at 40
+        # digits so that the reference's own rounding stays far below an ulp
+        import mpmath
+
+        m = self.m_star(n_meas)
+        with mpmath.workdps(40):
+            c = mpmath.cos(mpmath.pi / n_meas)
+
+            def equator(m):
+                x = (1 + m) * c / (2 * mpmath.sqrt(m))
+                return (mpmath.chebyu(n_meas - 1, x) * c
+                        - mpmath.sqrt(m) * mpmath.chebyu(n_meas - 2, x))
+
+            exact = float(mpmath.findroot(equator, mpmath.mpf(m)))
+        assert abs(m - exact) <= 4 * np.spacing(exact)
+
+    @staticmethod
+    def gamma_star():
+        # the root of tan q = -2q/Gamma with q^2 = pi^2 - Gamma^2/4, written
+        # Gamma sin q + 2q cos q = 0 so that no pole of tan lies in the
+        # bracket; bisected down to adjacent floats
+        def f(gamma):
+            q = np.sqrt(np.pi ** 2 - 0.25 * gamma ** 2)
+            return gamma * np.sin(q) + 2.0 * q * np.cos(q)
+
+        lo, hi = 1.0, 5.4
+        assert f(lo) < 0.0 < f(hi)
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
+        return lo
+
+    def test_continuum_limit(self):
+        # with m = exp(-Gamma/N) the transition tends to Gamma* as 1/N^2
+        g_star = self.gamma_star()
+        assert abs(g_star - 4.250288821783) <= 1e-12
+        n_gamma = {n: -n * np.log(self.m_star(n)) for n in (6, 24, 48)}
+        assert n_gamma[6] > n_gamma[24] > n_gamma[48] > g_star
+        c24, c48 = (n * n * (n_gamma[n] - g_star) for n in (24, 48))
+        assert abs(c24 / c48 - 1.0) <= 0.01
 
     def test_counters(self):
         report = an.find_critical_strength(tol=1e-4)

@@ -150,6 +150,18 @@ class TestSampleTrajectory:
         with pytest.raises(DomainError):
             sample_trajectory(spec, 0, seed=seed)
 
+    @pytest.mark.parametrize("m", [0.9, 0.0])
+    def test_term_is_the_estimators_term(self, m):
+        # the replay runs the estimators' step on its one-sample block, so
+        # its term is theirs bit for bit, tail readouts included
+        spec = ProtocolSpec(theta=1.2, strength=Strength(m), n_meas=24,
+                            reference_weight=0.5)
+        terms = interference_terms(spec, McConfig(n_samples=BLOCK_SIZE,
+                                                  seed=5))
+        for sid in range(0, BLOCK_SIZE, 16):
+            single = sample_trajectory(spec, sid, 5).interference_term
+            assert single == terms[sid], sid
+
     def test_pure_function_of_seed_and_id(self):
         spec = ProtocolSpec(theta=1.3, strength=Strength(0.4))
         a = sample_trajectory(spec, 29, seed=9)
@@ -181,8 +193,9 @@ def per_step_replay(spec, readouts):
 
 
 class TestPerStepOracle:
-    """The composed 2x2 kernel against the per-step 3x3 replay of the
-    readouts it drew."""
+    """The estimators' composed 2x2 kernel, run by ``sample_trajectory``,
+    against the per-step 3x3 replay of the readouts it drew: term, final
+    state and joint outcome density."""
 
     def check(self, spec, sample_ids, seed):
         for sid in sample_ids:
@@ -225,13 +238,11 @@ def test_extreme_strengths(m, n_meas):
 
 class TestMcInterference:
     def test_matches_single_sample_path(self):
-        # same stream, same math; block-shaped matmuls may round the last
-        # bit differently, so equality is at float precision, not bitwise
         spec = ProtocolSpec(theta=1.3, strength=Strength(0.4))
         terms = interference_terms(spec, McConfig(n_samples=50, seed=3))
         for sid in (0, 13, 49):
             single = sample_trajectory(spec, sid, 3).interference_term
-            assert abs(terms[sid] - single) < 1e-12
+            assert single == terms[sid]
         # the samples on both sides of each block boundary
         cfg = McConfig(n_samples=2 * BLOCK_SIZE + 5, seed=3)
         for n_meas in (1, 5):
@@ -241,7 +252,7 @@ class TestMcInterference:
             for sid in (BLOCK_SIZE - 1, BLOCK_SIZE, 2 * BLOCK_SIZE - 1,
                         2 * BLOCK_SIZE):
                 single = sample_trajectory(spec, sid, 3).interference_term
-                assert abs(terms[sid] - single) < 1e-12
+                assert single == terms[sid]
 
     def test_north_pole_zero_spread(self):
         est = mc_interference(ProtocolSpec(theta=0.0, strength=Strength(0.5)),
