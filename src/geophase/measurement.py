@@ -144,6 +144,13 @@ def effective_kraus_from_integral(s: Strength) -> Operator3:
     return Operator3(np.diag([ff, ee, ee]).astype(complex))
 
 
+def _ncdf(x: np.ndarray) -> np.ndarray:
+    """Unit Gaussian CDF, erfc(-x / sqrt(2)) / 2, one value at a time: its
+    callers pass a handful of histogram edges."""
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.flat],
+                    dtype=float).reshape(x.shape)
+
+
 @dataclass(frozen=True)
 class ReadoutDistribution:
     """Two-component Gaussian mixture of the readout coordinate.
@@ -162,9 +169,9 @@ class ReadoutDistribution:
                 + (1.0 - self.p_f) * norm * np.exp(-0.5 * r ** 2))
 
     def cdf(self, r):
-        from scipy.special import ndtr
         r = np.asarray(r, dtype=float)
-        return self.p_f * ndtr(r - self.separation) + (1.0 - self.p_f) * ndtr(r)
+        return (self.p_f * _ncdf(r - self.separation)
+                + (1.0 - self.p_f) * _ncdf(r))
 
     def mean(self) -> float:
         return self.p_f * self.separation

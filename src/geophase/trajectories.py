@@ -16,18 +16,18 @@ The state is the {e,f} pair (a_f, a_e) and a real reference amplitude
 a_g.  The pair steps through the frame changes of :mod:`geophase.protocol`
 (``_frame_steps``), so each readout's Kraus operator is diagonal in the
 frame it is drawn in: diag(Psit(r), Psi(r), Psi(r)), with real entries.
-Each step normalizes over all three components, so the state depends on a
-readout only through the likelihood ratio Psit(r)/Psi(r), and the one
-step kernel (``_walk``) scales a_f by that one factor.  The estimators
-keep neither readouts nor weights; ``sample_trajectory`` runs the same
-kernel on one sample and reports them, its weight the product of the
-per-readout mixture densities.
+Each step renormalizes, so the state depends on a readout only through the
+likelihood ratio Psit(r)/Psi(r), and the one step kernel (``_walk``)
+scales a_f by that one factor.  The estimators keep neither readouts nor
+weights; ``sample_trajectory`` runs the same kernel on one sample and
+reports them, its weight the product of the per-readout mixture densities.
 
 Randomness is counter-based: a run with seed ``s`` reads one Philox stream
 keyed by ``s``, and sample ``i`` of an ``N``-measurement run takes its N
 uniforms, one per measurement, from the 64-bit words ``i*N`` to
 ``(i+1)*N - 1``; each is mapped through the component-wise inverse CDF of
-the readout mixture.  A trajectory is therefore a pure function of
+the readout mixture, whose unit Gaussian quantile is Wichura's AS241 in
+numpy.  A trajectory is therefore a pure function of
 ``(seed, sample_id, spec)``.  Samples run in blocks of BLOCK_SIZE; each
 block is reduced to its count, mean and squared deviations where it is
 sampled, and the blocks are merged in block order, so results are
@@ -125,6 +125,84 @@ def _uniforms(seed: int, start: int, stop: int, n_draws: int) -> np.ndarray:
     return words * 2.0 ** -53
 
 
+# Wichura's AS241 (PPND16; Applied Statistics 37:477-484, 1988): the
+# numerator and denominator coefficients, lowest order first, of the
+# central rational in r = 0.180625 - (p - 1/2)^2 and of the two tail
+# rationals in sqrt(-ln p) - 1.6 and sqrt(-ln p) - 5.
+_PPND16 = {
+    "central": ((3.3871328727963666080e0, 1.3314166789178437745e+2,
+                 1.9715909503065514427e+3, 1.3731693765509461125e+4,
+                 4.5921953931549871457e+4, 6.7265770927008700853e+4,
+                 3.3430575583588128105e+4, 2.5090809287301226727e+3),
+                (1.0, 4.2313330701600911252e+1, 6.8718700749205790830e+2,
+                 5.3941960214247511077e+3, 2.1213794301586595867e+4,
+                 3.9307895800092710610e+4, 2.8729085735721942674e+4,
+                 5.2264952788528545610e+3)),
+    "tail": ((1.42343711074968357734e0, 4.63033784615654529590e0,
+              5.76949722146069140550e0, 3.64784832476320460504e0,
+              1.27045825245236838258e0, 2.41780725177450611770e-1,
+              2.27238449892691845833e-2, 7.74545014278341407640e-4),
+             (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0,
+              6.89767334985100004550e-1, 1.48103976427480074590e-1,
+              1.51986665636164571966e-2, 5.47593808499534494600e-4,
+              1.05075007164441684324e-9)),
+    "far": ((6.65790464350110377720e0, 5.46378491116411436990e0,
+             1.78482653991729133580e0, 2.96560571828504891230e-1,
+             2.65321895265761230930e-2, 1.24266094738807843860e-3,
+             2.71155556874348757815e-5, 2.01033439929228813265e-7),
+            (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
+             1.48753612908506148525e-2, 7.86869131145613259100e-4,
+             1.84631831751005468180e-5, 1.42151175831644588870e-7,
+             2.04426310338993978564e-15)),
+}
+
+
+def _horner(x, coef):
+    """sum_k coef[k] x^k, in place on one new array."""
+    out = coef[-1] * x
+    for c in coef[-2:0:-1]:
+        out += c
+        out *= x
+    out += coef[0]
+    return out
+
+
+def _rational(x, branch: str):
+    """One AS241 rational, numerator over denominator, at x."""
+    num, den = _PPND16[branch]
+    out = _horner(x, num)
+    out /= _horner(x, den)
+    return out
+
+
+def _gauss_quantile(p):
+    """Unit Gaussian quantile of p, of any shape, by AS241 (PPND16).
+
+    The central rational serves |p - 1/2| <= 0.425, and the tail rationals
+    the rest, in s = sqrt(-ln min(p, 1 - p)) up to and beyond 5.  Only the
+    tail is clipped, to p in [1e-300, 1 - 1e-16], so 0 and 1 map to finite
+    quantiles (about -37.05 and 8.21).  Within 5 ulp of the exact quantile
+    on that range.
+    """
+    p = np.asarray(p, dtype=float)
+    flat = p.reshape(-1)
+    q = flat - 0.5
+    r = q * q
+    r = np.subtract(0.180625, r, out=r)
+    x = _rational(r, "central")
+    x *= q
+    tail = np.flatnonzero(r < 0.0)
+    if tail.size:
+        pt = np.minimum(np.maximum(flat[tail], 1e-300), 1.0 - 1e-16)
+        s = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+        val = _rational(s - 1.6, "tail")
+        far = np.flatnonzero(s > 5.0)
+        if far.size:
+            val[far] = _rational(s[far] - 5.0, "far")
+        x[tail] = np.copysign(val, q[tail])
+    return x.reshape(p.shape)[()]
+
+
 def _cloud_quantiles(u: np.ndarray | float, p_f: np.ndarray | float):
     """(q, click): one inverse-CDF draw from the readout mixture per
     uniform; ``p_f`` broadcasts against ``u``.
@@ -138,12 +216,10 @@ def _cloud_quantiles(u: np.ndarray | float, p_f: np.ndarray | float):
     p_f.  Neither divisor can be 0: a click means p_f > 0, and no click
     means 1 - p_f > u >= 0.
     """
-    from scipy.special import ndtri
-
     null_w = 1.0 - p_f
     click = u >= null_w
     v = np.where(click, 1.0 - u, u) / np.where(click, p_f, null_w)
-    return ndtri(np.clip(v, 1e-300, 1.0 - 1e-16)), click
+    return _gauss_quantile(v), click
 
 
 def _mixture_readouts(u: np.ndarray | float, p_f: np.ndarray | float,
@@ -170,6 +246,12 @@ def _log_ratio(q: np.ndarray, click: np.ndarray, h: float) -> np.ndarray:
     return np.minimum(x, _LOG_RATIO_CAP, out=x)
 
 
+#: Steps between the norms that ``_walk`` sums over the components; the
+#: steps in between take it from p_f.  A step's rounding moves the norm by
+#: up to about 1e-15, so it stays within about 1e-13 of 1.
+_RESUM_EVERY = 64
+
+
 def _walk(spec: ProtocolSpec, steps: list, seed: int, start: int, stop: int):
     """Measure samples [start, stop) one readout at a time.  Pure function
     of its arguments.
@@ -177,23 +259,26 @@ def _walk(spec: ProtocolSpec, steps: list, seed: int, start: int, stop: int):
     The state is carried as (a_f, a_e, g) in the frame of the current
     measurement.  Since every step renormalizes, a readout acts only
     through its likelihood ratio (``_log_ratio``): one exp of it scales a_f
-    alone.  Each measurement yields the normalized (a_f, a_e, g), the p_f
-    it was drawn at, the cloud quantile q (None if projective) and the
-    click mask; g is updated in place by the next step.
+    alone.  The frame step is unitary, so the squared norm after a Gaussian
+    readout is 1 + p_f (e^{2x} - 1); only every _RESUM_EVERY-th step sums
+    it over the components, which stops the drift of a step that is
+    unitary only to rounding.  Each measurement yields the normalized
+    (a_f, a_e, g), the p_f it was drawn at, the cloud quantile q (None if
+    projective) and the click mask; g is updated in place by the next
+    step.  Every sample starts in the same state, so the first frame step
+    and its p_f are scalars (the in-place products of the first readout
+    turn them into arrays).
 
     The 2x2 products are written out elementwise: a BLAS call on blocks
     this thin starts threads that compete with the worker processes.
     """
-    n = stop - start
     uniforms = _uniforms(seed, start, stop, spec.n_meas)
     w = spec.reference_weight
-    a_f = np.zeros(n, dtype=complex)
-    a_e = np.full(n, np.sqrt(1.0 - w), dtype=complex)
-    g = np.full(n, np.sqrt(w))
+    a_f, a_e, g = 0j, complex(math.sqrt(1.0 - w)), math.sqrt(w)
     projective = spec.strength.is_projective
     h = 0.0 if projective else 0.5 * cloud_separation(spec.strength)
 
-    for (s_ff, s_fe, s_ee), u in zip(steps, uniforms):
+    for k, ((s_ff, s_fe, s_ee), u) in enumerate(zip(steps, uniforms), 1):
         a_f, a_e = s_ff * a_f + s_fe * a_e, s_fe * a_f + s_ee * a_e
         p_f = np.minimum(a_f.real ** 2 + a_f.imag ** 2, 1.0)
         if projective:
@@ -201,13 +286,27 @@ def _walk(spec: ProtocolSpec, steps: list, seed: int, start: int, stop: int):
             a_f *= click
             a_e *= ~click
             g *= ~click
+            inv_norm = 1.0 / np.sqrt(a_f.real ** 2 + a_f.imag ** 2
+                                     + (a_e.real ** 2 + a_e.imag ** 2)
+                                     + g * g)
+            a_f *= inv_norm
         else:
             q, click = _cloud_quantiles(u, p_f)
-            x = _log_ratio(q, click, h)
-            a_f *= np.exp(x, out=x)
-        inv_norm = 1.0 / np.sqrt(a_f.real ** 2 + a_f.imag ** 2
-                                 + (a_e.real ** 2 + a_e.imag ** 2) + g * g)
-        a_f *= inv_norm
+            factor = _log_ratio(q, click, h)
+            factor = np.exp(factor, out=factor)
+            inv_norm = factor * factor
+            if k % _RESUM_EVERY:
+                inv_norm -= 1.0
+                inv_norm *= p_f
+                inv_norm += 1.0
+            else:
+                inv_norm *= p_f
+                inv_norm += a_e.real ** 2 + a_e.imag ** 2
+                inv_norm += g * g
+            inv_norm = np.sqrt(inv_norm, out=inv_norm)
+            inv_norm = np.divide(1.0, inv_norm, out=inv_norm)
+            factor *= inv_norm
+            a_f *= factor
         a_e *= inv_norm
         g *= inv_norm
         yield a_f, a_e, g, p_f, q, click
@@ -234,9 +333,10 @@ def sample_trajectory(spec: ProtocolSpec, sample_id: int,
     It runs the estimators' own ``_walk`` on the block [sample_id,
     sample_id + 1), so its term is theirs bit for bit, and records what
     they do not keep: the readouts r = q, or r0 - q on a click (projective:
-    the clicks), and the joint outcome density.  The state is normalized
-    before every readout, so that is the product of the two-cloud mixture
-    densities at p_f (projective: of p_f or 1 - p_f).
+    the clicks), and the joint outcome density.  The state before every
+    readout is normalized to within about 1e-13 (``_RESUM_EVERY``), so that
+    is the product of the two-cloud mixture densities at p_f (projective:
+    of p_f or 1 - p_f), to the same relative precision per readout.
     """
     McConfig(n_samples=1, seed=seed)
     _require_int("sample_id", sample_id)
@@ -247,7 +347,7 @@ def sample_trajectory(spec: ProtocolSpec, sample_id: int,
     r0 = cloud_separation(spec.strength)
     walk = _walk(spec, steps, seed, sample_id, sample_id + 1)
     for k, (a_f, a_e, g, p_f, q, click) in enumerate(walk):
-        p_f, click = float(p_f[0]), bool(click[0])
+        p_f, click = p_f.item(0), bool(click[0])
         if q is None:
             readouts[k] = click
             weight *= p_f if click else 1.0 - p_f

@@ -124,3 +124,35 @@ def test_unknown_metric_and_unpaired_runs_rejected(claim):
     runs["change"].pop()
     with pytest.raises(ValueError, match="same positive number"):
         claim.decide(METRICS, "wall_s", runs)
+
+
+def test_unknown_metric_exits_2_before_any_run(claim, monkeypatch, capsys):
+    def no_process(*args, **kwargs):
+        raise AssertionError("a benchmark process was started")
+
+    monkeypatch.setattr(claim.subprocess, "run", no_process)
+    with pytest.raises(SystemExit) as exc:
+        claim.main([".", ".", "--workload", "mc-oracle", "--seed", "1",
+                    "--metric", "cells_per_s"])
+    assert exc.value.code == 2
+    assert "--metric" in capsys.readouterr().err
+
+
+def test_metric_option_names_the_claim(claim, monkeypatch, tmp_path, capsys):
+    # setup_s falls by 0.15 s in every pair while wall_s does not move
+    (tmp_path / "BENCHMARK.json").write_text(
+        (ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(claim, "TREE", tmp_path)
+    runs = {"parent": [claim.parse_run(_stdout(w)) for w in PARENT],
+            "change": [claim.parse_run(_stdout(w, setup=0.2))
+                       for w in PARENT]}
+    monkeypatch.setattr(claim, "run_pairs",
+                        lambda *args: (runs, [list(claim.SIDES)] * 10))
+    code = claim.main(["p", "c", "--workload", "mc-oracle", "--seed", "1",
+                       "--metric", "setup_s"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "setup_s gain shown; written ")
+    record = json.loads((tmp_path / "BENCH_mc-oracle.json").read_text())
+    assert record["verdict"]["claimed_metric"] == "setup_s"
+    assert record["verdict"]["metrics"]["setup_s"]["wins"] == 10

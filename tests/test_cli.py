@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -719,9 +720,38 @@ def test_transition_and_histogram_load_no_optimize_or_stats():
             "trajectories.readout_histogram(\n"
             "    ProtocolSpec(theta=1.0, strength=Strength(0.5)),\n"
             "    trajectories.McConfig(n_samples=2000, seed=1))\n"
-            "print(sorted(k for k in sys.modules\n"
-            "             if k.startswith(('scipy.optimize', 'scipy.stats'))))")
+            "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
     assert _fresh_interpreter(code).stdout.strip() == "[]"
+
+
+def test_no_scipy_at_run_time(tmp_path):
+    # no module of the package imports scipy, and neither an mc run (its
+    # pool workers included) nor a readout histogram loads it
+    src = Path(geophase.__file__).resolve().parent
+    for path in src.rglob("*.py"):
+        assert not re.search(r"^\s*(from|import)\s+scipy\b",
+                             path.read_text(encoding="utf-8"), re.M), path
+    code = ("import os, sys\n"
+            "from geophase import cli, trajectories\n"
+            "from geophase.measurement import Strength\n"
+            "from geophase.protocol import ProtocolSpec\n"
+            "def scipy_modules(_=None):\n"
+            "    return sorted(k for k in sys.modules if k.startswith('scipy'))\n"
+            "for threads in ('1', '2'):\n"
+            "    os.environ['GEOPHASE_THREADS'] = threads\n"
+            f"    out = os.path.join({str(tmp_path)!r}, 't' + threads)\n"
+            "    code = cli.main(['mc', '--theta', '1.2', '--m', '0.6',\n"
+            "                     '--samples', '10000', '--seed', '42',\n"
+            "                     '--out', out])\n"
+            "    assert code == 0, code\n"
+            "trajectories.readout_histogram(\n"
+            "    ProtocolSpec(theta=1.0, strength=Strength(0.5)),\n"
+            "    trajectories.McConfig(n_samples=2000, seed=1))\n"
+            "workers = [m for pool in trajectories._pools.values()\n"
+            "           for m in pool.map(scipy_modules, range(4))]\n"
+            "print(workers == [[]] * len(workers), scipy_modules())")
+    out = _fresh_interpreter(code).stdout.strip().splitlines()[-1]
+    assert out == "True []"
 
 
 def test_worker_pool_exits_silently():

@@ -3,16 +3,18 @@ import pytest
 
 from geophase import trajectories
 from geophase.errors import DomainError
-from geophase.measurement import (Strength, cloud_separation,
-                                  gauss_amplitudes, kraus_readout)
-from geophase.protocol import (ProtocolSpec, initial_state,
+from geophase.cli import MAX_N_MEAS
+from geophase.measurement import (ReadoutDistribution, Strength,
+                                  cloud_separation, gauss_amplitudes,
+                                  kraus_readout)
+from geophase.protocol import (ProtocolSpec, _frame_steps, initial_state,
                                run_protocol_analytic)
 from geophase.qutrit import E, G, rotation_to_axis
 from geophase.trajectories import (BLOCK_SIZE, McConfig, mc_interference,
                                    readout_histogram, sample_trajectory,
                                    z_scores, interference_terms,
-                                   _chi2_sf, _log_ratio, _mixture_readouts,
-                                   _uniforms)
+                                   _chi2_sf, _gauss_quantile, _log_ratio,
+                                   _mixture_readouts, _uniforms, _walk)
 
 
 def _doubles(words):
@@ -56,8 +58,6 @@ def test_draw_guards_were_dead():
     # The draw once floored both divisors at 1e-300 and clipped p_f from
     # below at 0.  A click needs p_f > 0 and no click 1 - p_f > u >= 0, so
     # neither divisor can be 0 and dropping the guards moves no readout.
-    from scipy.special import ndtri
-
     tiny = 2.0 ** -53
     u, p_f = np.meshgrid([0.0, tiny, 0.5, 1.0 - tiny],
                          [0.0, tiny, 0.5, 1.0 - tiny, 1.0])
@@ -65,12 +65,94 @@ def test_draw_guards_were_dead():
     click = u >= null_w
     scale = np.where(click, np.maximum(np.clip(p_f, 0.0, 1.0), 1e-300),
                      np.maximum(null_w, 1e-300))
-    q = ndtri(np.clip(np.where(click, 1.0 - u, u) / scale, 1e-300,
-                      1.0 - 1e-16))
+    q = _gauss_quantile(np.clip(np.where(click, 1.0 - u, u) / scale, 1e-300,
+                                1.0 - 1e-16))
     assert click.any() and not click.all()
     for r0 in (0.5, 2.0, 40.0):
         assert np.array_equal(_mixture_readouts(u, p_f, r0),
                               np.where(click, r0 - q, q))
+
+
+#: Probabilities for the quantile tests: the clip ends and beyond (0 and 1
+#: read as 1e-300 and 1 - 1e-16), 1/2, both sides of the 0.075 and 0.925
+#: splits between the central and tail rationals, the split of the tail
+#: rationals at sqrt(-ln p) = 5, and decades in between.
+_QUANTILE_GRID = np.array(sorted({
+    0.0, 1e-300, 5e-300, 1e-200, 1e-100, 1e-50, 1e-20, 1e-12,
+    float(np.exp(-25.0)), 1e-11, 1e-8, 1e-5, 1e-3, 0.01, 0.05,
+    float(np.nextafter(0.075, 0.0)), 0.075, float(np.nextafter(0.075, 1.0)),
+    0.1, 0.2, 0.3, 0.4, 0.45, 0.5, 0.55, 0.6, 0.7, 0.8, 0.9,
+    float(np.nextafter(0.925, 0.0)), 0.925, float(np.nextafter(0.925, 1.0)),
+    0.95, 0.99, 0.999, 1.0 - 1e-5, 1.0 - 1e-8, 1.0 - 1e-12, 1.0 - 1e-15,
+    1.0 - 1e-16, 1.0}))
+
+
+def _clipped_grid():
+    return np.clip(_QUANTILE_GRID, 1e-300, 1.0 - 1e-16)
+
+
+def test_gauss_quantile_against_40_digits():
+    import mpmath
+
+    got = _gauss_quantile(_QUANTILE_GRID)
+    with mpmath.workdps(40):
+        for p, x in zip(_clipped_grid(), got):
+            target = mpmath.mpf(float(p))
+            ref = mpmath.findroot(lambda t: mpmath.ncdf(t) - target,
+                                  mpmath.mpf(float(x)))
+            if ref == 0:
+                assert x == 0.0, p
+                continue
+            ulp = np.spacing(abs(float(ref)))
+            assert abs(mpmath.mpf(float(x)) - ref) <= 8 * ulp, (p, x, ref)
+
+
+def test_gauss_quantile_against_scipy():
+    from scipy.special import ndtri
+
+    ref = ndtri(_clipped_grid())
+    got = _gauss_quantile(_QUANTILE_GRID)
+    assert np.all(np.abs(got - ref) <= 8 * np.spacing(np.abs(ref)))
+
+
+def test_gauss_quantile_keeps_its_input_shape():
+    assert np.ndim(_gauss_quantile(0.3)) == 0
+    assert _gauss_quantile(0.5) == 0.0
+    grid = _QUANTILE_GRID[:40].reshape(5, 8)
+    assert np.array_equal(_gauss_quantile(grid),
+                          _gauss_quantile(grid.ravel()).reshape(5, 8))
+
+
+@pytest.mark.parametrize("theta", [0.3, 2.2])
+@pytest.mark.parametrize("m", [0.5, 0.999, 1e-300])
+def test_walk_stays_normalized(m, theta):
+    # most steps take the norm from p_f, not from the components; a frame
+    # step unitary only to rounding must not let it drift over the longest
+    # allowed sequence
+    spec = ProtocolSpec(theta=theta, strength=Strength(m), n_meas=MAX_N_MEAS)
+    steps = list(_frame_steps(spec.theta, spec.phi_schedule))
+    worst = 0.0
+    for a_f, a_e, g, _, _, _ in _walk(spec, steps, 11, 0, 64):
+        norm = (a_f.real ** 2 + a_f.imag ** 2 + a_e.real ** 2
+                + a_e.imag ** 2 + g * g)
+        worst = max(worst, float(np.max(np.abs(norm - 1.0))))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("p_f, r0", [(0.0, 0.5), (0.125, 2.0), (0.7, 6.3)])
+def test_readout_cdf_against_scipy(p_f, r0):
+    from scipy.special import ndtr
+
+    edges = np.linspace(-6.0, r0 + 6.0, trajectories.HISTOGRAM_BINS + 1)
+    dist = ReadoutDistribution(p_f, r0)
+    ref = p_f * ndtr(edges - r0) + (1.0 - p_f) * ndtr(edges)
+    got = dist.cdf(edges)
+    assert got.shape == edges.shape
+    assert np.max(np.abs(got - ref) / ref) <= 1e-13
+    for edge, expect in zip(edges[::8], ref[::8]):
+        one = dist.cdf(edge)
+        assert np.ndim(one) == 0
+        assert abs(one - expect) <= 1e-13 * expect
 
 
 @pytest.mark.parametrize("m", [1e-12, 0.2, 0.5, 0.9, 0.999])
