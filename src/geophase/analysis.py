@@ -44,6 +44,7 @@ MAX_CURVE_NODES = 4096
 REFINE_DELTA = 0.5 * np.pi
 FAIL_DELTA = np.pi - 1e-3
 CHERN_RESIDUAL_TOL = 0.05
+JUMP_TOL = 0.05
 _ANTIPODAL_TOL = 1e-12
 
 
@@ -309,7 +310,7 @@ def trajectory_surface(strength: Strength, theta_grid=None, *, n_meas: int = 6,
     raw = total / (4.0 * np.pi)
     deg = int(np.rint(raw))
     residual = abs(raw - deg)
-    if residual >= 0.05:
+    if residual >= CHERN_RESIDUAL_TOL:
         raise AnalysisError(f"surface degree residual {residual:.3g} too large")
     return deg, thetas, vertices
 
@@ -395,7 +396,7 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
     equatorial amplitude inside the final bracket.
 
     The flip is bracketed by winding numbers of full curves.  The
-    equatorial phase must jump by pi (within 0.05 rad) across the bracket,
+    equatorial phase must jump by pi (within JUMP_TOL) across the bracket,
     so the projection of the equatorial amplitude onto its value at the
     lower end changes sign there; the critical strength is that sign
     change, resolved to adjacent floats (for the uniform schedule the
@@ -440,9 +441,9 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
 
     a_lo, a_hi = equator([lo, hi])
     jump = float(abs(wrap_angle(np.angle(a_hi) - np.angle(a_lo))))
-    if abs(jump - np.pi) > 0.05:
+    if abs(jump - np.pi) > JUMP_TOL:
         raise AnalysisError(
-            f"equatorial phase jump {jump:.4f} not within 0.05 of pi")
+            f"equatorial phase jump {jump:.4f} not within {JUMP_TOL} of pi")
     m_star, a_star, root_calls = _equator_root(equator, lo, hi, a_lo, a_hi)
     return TransitionReport(m_star=Strength(m_star), bracket=(lo, hi),
                             contrast_min=abs(a_star), chern_below=c_lo,

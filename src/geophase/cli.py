@@ -490,7 +490,8 @@ def cmd_transition(cfg: dict) -> _Run:
     ok = report.chern_below == 1 and report.chern_above == 0
     gate = cfg["assert_jump"]
     if gate is not None:
-        ok = ok and abs(report.jump_at_equator - _jump_target(gate)) <= 0.05
+        ok = ok and (abs(report.jump_at_equator - _jump_target(gate))
+                     <= analysis.JUMP_TOL)
     return _Run(cfg, results, diagnostics, None,
                 f"m_star={report.m_star.m:.8g} bracket_width={hi - lo:.3g} "
                 f"chern {report.chern_below}->{report.chern_above} "
@@ -612,9 +613,13 @@ def _run_command(args: argparse.Namespace) -> int:
     return run.code
 
 
-def cmd_schema(args: argparse.Namespace) -> int:
-    text = resources.files("geophase").joinpath(
+def _schema_text() -> str:
+    return resources.files("geophase").joinpath(
         "schema/envelope.schema.json").read_text(encoding="utf-8")
+
+
+def cmd_schema(args: argparse.Namespace) -> int:
+    text = _schema_text()
     if args.out is not None:
         _write_files(_out_dir(args.out), {"envelope.schema.json": [text]})
     print(text, end="")
@@ -623,8 +628,7 @@ def cmd_schema(args: argparse.Namespace) -> int:
 
 def envelope_schema() -> dict:
     """The JSON schema every result envelope validates against."""
-    return json.loads(resources.files("geophase").joinpath(
-        "schema/envelope.schema.json").read_text(encoding="utf-8"))
+    return json.loads(_schema_text())
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,12 @@ The state is the {e,f} pair (a_f, a_e) and a real reference amplitude
 a_g.  The pair steps through the frame changes of :mod:`geophase.protocol`
 (``_frame_steps``), so each readout's Kraus operator is diagonal in the
 frame it is drawn in: diag(Psit(r), Psi(r), Psi(r)), with real entries.
-Each step renormalizes, so the state depends on a readout only through the
-likelihood ratio Psit(r)/Psi(r), and the one step kernel (``_walk``)
-scales a_f by that one factor.  The estimators keep neither readouts nor
-weights; ``sample_trajectory`` runs the same kernel on one sample and
-reports them, its weight the product of the per-readout mixture densities.
+Each step draws its readout r once (``_readouts``); after renormalization
+the state depends on r only through the likelihood ratio Psit(r)/Psi(r) =
+e^{h (r - h)}, h = r0/2, so the one step kernel (``_walk``) scales a_f by
+that one factor.  The estimators keep neither readouts nor weights;
+``sample_trajectory`` runs the same kernel on one sample and reports them,
+its weight the product of the per-readout mixture densities.
 
 Randomness is counter-based: a run with seed ``s`` reads one Philox stream
 keyed by ``s``, and sample ``i`` of an ``N``-measurement run takes its N
@@ -203,46 +204,39 @@ def _gauss_quantile(p):
     return x.reshape(p.shape)[()]
 
 
-def _cloud_quantiles(u: np.ndarray | float, p_f: np.ndarray | float):
-    """(q, click): one inverse-CDF draw from the readout mixture per
+def _readouts(u: np.ndarray | float, p_f: np.ndarray | float,
+              r0: float) -> np.ndarray:
+    """Readouts r, one inverse-CDF draw from the readout mixture per
     uniform; ``p_f`` broadcasts against ``u``.
 
     The uniform selects the cloud by its weight and its remainder is pushed
     through the unit Gaussian quantile q, which samples the exact mixture
-    with a single draw: the readout is r = q in the null cloud and
-    r = r0 - q in the displaced one.  The displaced cloud takes the upper
-    tail, u in [1 - p_f, 1), and reads its remainder as (1 - u) / p_f:
-    1 - u is exact for u >= 1/2, where u - (1 - p_f) would cancel for small
-    p_f.  Neither divisor can be 0: a click means p_f > 0, and no click
-    means 1 - p_f > u >= 0.
+    with a single draw: r = q in the null cloud and r = r0 - q in the
+    displaced one.  The displaced cloud takes the upper tail, u in
+    [1 - p_f, 1), and reads its remainder as (1 - u) / p_f: 1 - u is exact
+    for u >= 1/2, where u - (1 - p_f) would cancel for small p_f.  Neither
+    divisor can be 0: a click means p_f > 0, and no click means
+    1 - p_f > u >= 0.
     """
     null_w = 1.0 - p_f
     click = u >= null_w
     v = np.where(click, 1.0 - u, u) / np.where(click, p_f, null_w)
-    return _gauss_quantile(v), click
-
-
-def _mixture_readouts(u: np.ndarray | float, p_f: np.ndarray | float,
-                      r0: float) -> np.ndarray:
-    """Readout coordinates of the draws of ``_cloud_quantiles``."""
-    q, click = _cloud_quantiles(u, p_f)
+    q = _gauss_quantile(v)
     return np.where(click, r0 - q, q)
 
 
 #: Cap on the log likelihood ratio, below the ~355 at which |a_f|^2 would
-#: overflow.  A null readout's ratio is at most about 17 (q <= 8.3), and a
-#: click's reaches 300 only for m below about 1e-41.  The capped ratio
-#: still leaves a_e and g below 2^27 e^-300 of a_f, since a click needs
-#: |a_f|^2 > 2^-54.
+#: overflow.  A null-cloud readout r = q <= 8.3 has a ratio of at most
+#: about 17, and a displaced one, r = r0 - q, reaches 300 only for m below
+#: about 1e-41.  The capped ratio still leaves a_e and g below
+#: 2^27 e^-300 of a_f, since a click needs |a_f|^2 > 2^-54.
 _LOG_RATIO_CAP = 300.0
 
 
-def _log_ratio(q: np.ndarray, click: np.ndarray, h: float) -> np.ndarray:
-    """ln(Psit(r)/Psi(r)) = h (r - h), h = r0/2, capped at _LOG_RATIO_CAP:
-    h (q - h) at the null readout r = q and its negative at the click
-    readout r = r0 - q."""
-    x = q - h
-    x *= np.where(click, -h, h)
+def _log_ratio(r: np.ndarray, h: float) -> np.ndarray:
+    """ln(Psit(r)/Psi(r)) = h (r - h), h = r0/2, capped at _LOG_RATIO_CAP."""
+    x = r - h
+    x *= h
     return np.minimum(x, _LOG_RATIO_CAP, out=x)
 
 
@@ -257,17 +251,17 @@ def _walk(spec: ProtocolSpec, steps: list, seed: int, start: int, stop: int):
     of its arguments.
 
     The state is carried as (a_f, a_e, g) in the frame of the current
-    measurement.  Since every step renormalizes, a readout acts only
+    measurement.  Since every step renormalizes, a readout r acts only
     through its likelihood ratio (``_log_ratio``): one exp of it scales a_f
     alone.  The frame step is unitary, so the squared norm after a Gaussian
     readout is 1 + p_f (e^{2x} - 1); only every _RESUM_EVERY-th step sums
     it over the components, which stops the drift of a step that is
     unitary only to rounding.  Each measurement yields the normalized
-    (a_f, a_e, g), the p_f it was drawn at, the cloud quantile q (None if
-    projective) and the click mask; g is updated in place by the next
-    step.  Every sample starts in the same state, so the first frame step
-    and its p_f are scalars (the in-place products of the first readout
-    turn them into arrays).
+    (a_f, a_e, g), the p_f it was drawn at and its readouts r (projective:
+    the click mask); g is updated in place by the next step.  Every sample
+    starts in the same state, so the first frame step and its p_f are
+    scalars (the in-place products of the first readout turn them into
+    arrays).
 
     The 2x2 products are written out elementwise: a BLAS call on blocks
     this thin starts threads that compete with the worker processes.
@@ -276,23 +270,23 @@ def _walk(spec: ProtocolSpec, steps: list, seed: int, start: int, stop: int):
     w = spec.reference_weight
     a_f, a_e, g = 0j, complex(math.sqrt(1.0 - w)), math.sqrt(w)
     projective = spec.strength.is_projective
-    h = 0.0 if projective else 0.5 * cloud_separation(spec.strength)
+    r0 = cloud_separation(spec.strength)
 
     for k, ((s_ff, s_fe, s_ee), u) in enumerate(zip(steps, uniforms), 1):
         a_f, a_e = s_ff * a_f + s_fe * a_e, s_fe * a_f + s_ee * a_e
         p_f = np.minimum(a_f.real ** 2 + a_f.imag ** 2, 1.0)
         if projective:
-            q, click = None, u >= 1.0 - p_f
-            a_f *= click
-            a_e *= ~click
-            g *= ~click
+            r = u >= 1.0 - p_f
+            a_f *= r
+            a_e *= ~r
+            g *= ~r
             inv_norm = 1.0 / np.sqrt(a_f.real ** 2 + a_f.imag ** 2
                                      + (a_e.real ** 2 + a_e.imag ** 2)
                                      + g * g)
             a_f *= inv_norm
         else:
-            q, click = _cloud_quantiles(u, p_f)
-            factor = _log_ratio(q, click, h)
+            r = _readouts(u, p_f, r0)
+            factor = _log_ratio(r, 0.5 * r0)
             factor = np.exp(factor, out=factor)
             inv_norm = factor * factor
             if k % _RESUM_EVERY:
@@ -309,7 +303,7 @@ def _walk(spec: ProtocolSpec, steps: list, seed: int, start: int, stop: int):
             a_f *= factor
         a_e *= inv_norm
         g *= inv_norm
-        yield a_f, a_e, g, p_f, q, click
+        yield a_f, a_e, g, p_f, r
 
 
 def _terms(steps: list, a_f, a_e, g) -> np.ndarray:
@@ -321,7 +315,7 @@ def _terms(steps: list, a_f, a_e, g) -> np.ndarray:
 def _block_terms(spec: ProtocolSpec, steps: list, seed: int, start: int,
                  stop: int) -> np.ndarray:
     """Interference terms of samples [start, stop), nothing else kept."""
-    for a_f, a_e, g, _, _, _ in _walk(spec, steps, seed, start, stop):
+    for a_f, a_e, g, _, _ in _walk(spec, steps, seed, start, stop):
         pass
     return _terms(steps, a_f, a_e, g)
 
@@ -332,11 +326,11 @@ def sample_trajectory(spec: ProtocolSpec, sample_id: int,
 
     It runs the estimators' own ``_walk`` on the block [sample_id,
     sample_id + 1), so its term is theirs bit for bit, and records what
-    they do not keep: the readouts r = q, or r0 - q on a click (projective:
-    the clicks), and the joint outcome density.  The state before every
-    readout is normalized to within about 1e-13 (``_RESUM_EVERY``), so that
-    is the product of the two-cloud mixture densities at p_f (projective:
-    of p_f or 1 - p_f), to the same relative precision per readout.
+    they do not keep: the readouts r (projective: the clicks), and the
+    joint outcome density.  The state before every readout is normalized
+    to within about 1e-13 (``_RESUM_EVERY``), so that is the product of the
+    two-cloud mixture densities at p_f (projective: of p_f or 1 - p_f), to
+    the same relative precision per readout.
     """
     McConfig(n_samples=1, seed=seed)
     _require_int("sample_id", sample_id)
@@ -346,13 +340,11 @@ def sample_trajectory(spec: ProtocolSpec, sample_id: int,
     readouts, weight = np.empty(spec.n_meas), 1.0
     r0 = cloud_separation(spec.strength)
     walk = _walk(spec, steps, seed, sample_id, sample_id + 1)
-    for k, (a_f, a_e, g, p_f, q, click) in enumerate(walk):
-        p_f, click = p_f.item(0), bool(click[0])
-        if q is None:
-            readouts[k] = click
-            weight *= p_f if click else 1.0 - p_f
+    for k, (a_f, a_e, g, p_f, r) in enumerate(walk):
+        p_f, readouts[k] = p_f.item(0), r[0]
+        if spec.strength.is_projective:
+            weight *= p_f if readouts[k] else 1.0 - p_f
         else:
-            readouts[k] = r0 - q[0] if click else q[0]
             weight *= float(ReadoutDistribution(p_f, r0).pdf(readouts[k]))
     term = _terms(steps, a_f, a_e, g)[0]
     back = _rotation_matrices(spec.theta, spec.phi_schedule[-1]).conj().T
@@ -588,7 +580,7 @@ def readout_histogram(spec: ProtocolSpec, cfg: McConfig) -> ReadoutHistogram:
     r0 = cloud_separation(spec.strength)
 
     u = _uniforms(cfg.seed, 0, cfg.n_samples, 1)[0]
-    r = _mixture_readouts(u, p_f, r0)
+    r = _readouts(u, p_f, r0)
 
     edges = np.linspace(-6.0, r0 + 6.0, HISTOGRAM_BINS + 1)
     cdf = ReadoutDistribution(p_f, r0).cdf(edges)

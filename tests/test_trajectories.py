@@ -14,7 +14,7 @@ from geophase.trajectories import (BLOCK_SIZE, McConfig, mc_interference,
                                    readout_histogram, sample_trajectory,
                                    z_scores, interference_terms,
                                    _chi2_sf, _gauss_quantile, _log_ratio,
-                                   _mixture_readouts, _uniforms, _walk)
+                                   _readouts, _uniforms, _walk)
 
 
 def _doubles(words):
@@ -49,8 +49,8 @@ def test_click_readout_stable_in_p_f():
     p_f = 10.0 ** np.random.default_rng(0).uniform(-3.0, -1.0, 2000)
     for f in (1e-3, 0.5, 1.0 - 1e-6):
         u = 1.0 - (1.0 - f) * p_f
-        shift = (_mixture_readouts(u, np.nextafter(p_f, 1.0), 2.0)
-                 - _mixture_readouts(u, p_f, 2.0))
+        shift = (_readouts(u, np.nextafter(p_f, 1.0), 2.0)
+                 - _readouts(u, p_f, 2.0))
         assert np.max(np.abs(shift)) <= 1e-12, f
 
 
@@ -69,7 +69,7 @@ def test_draw_guards_were_dead():
                                 1.0 - 1e-16))
     assert click.any() and not click.all()
     for r0 in (0.5, 2.0, 40.0):
-        assert np.array_equal(_mixture_readouts(u, p_f, r0),
+        assert np.array_equal(_readouts(u, p_f, r0),
                               np.where(click, r0 - q, q))
 
 
@@ -132,7 +132,7 @@ def test_walk_stays_normalized(m, theta):
     spec = ProtocolSpec(theta=theta, strength=Strength(m), n_meas=MAX_N_MEAS)
     steps = list(_frame_steps(spec.theta, spec.phi_schedule))
     worst = 0.0
-    for a_f, a_e, g, _, _, _ in _walk(spec, steps, 11, 0, 64):
+    for a_f, a_e, g, _, _ in _walk(spec, steps, 11, 0, 64):
         norm = (a_f.real ** 2 + a_f.imag ** 2 + a_e.real ** 2
                 + a_e.imag ** 2 + g * g)
         worst = max(worst, float(np.max(np.abs(norm - 1.0))))
@@ -158,14 +158,13 @@ def test_readout_cdf_against_scipy(p_f, r0):
 @pytest.mark.parametrize("m", [1e-12, 0.2, 0.5, 0.9, 0.999])
 def test_log_ratio_is_the_kraus_amplitude_ratio(m):
     # the kernel's one factor per readout is Psit(r)/Psi(r) at the readout
-    # r = q (no click) or r = r0 - q (click) that the quantile q stands for
+    # r, in the null cloud (r = q) and in the displaced one (r = r0 - q)
     s = Strength(m)
     r0 = cloud_separation(s)
     q = np.linspace(-8.3, 8.3, 167)
-    for click in (np.zeros(q.size, bool), np.ones(q.size, bool),
-                  np.arange(q.size) % 3 == 0):
-        factor = np.exp(_log_ratio(q.copy(), click, 0.5 * r0))
-        psit, psi = gauss_amplitudes(s, np.where(click, r0 - q, q))
+    for r in (q, r0 - q):
+        factor = np.exp(_log_ratio(r, 0.5 * r0))
+        psit, psi = gauss_amplitudes(s, r)
         # on this grid both amplitudes are finite and nonzero everywhere
         assert np.all(psit > 0.0) and np.all(psi > 0.0)
         assert np.max(np.abs(factor / (psit / psi) - 1.0)) <= 1e-13
@@ -469,6 +468,25 @@ class TestReadoutHistogram:
         h = readout_histogram(spec, McConfig(n_samples=5000, seed=13))
         assert int(h.counts.sum()) == 5000
         assert abs(h.expected.sum() - 5000) < 1e-6
+
+    @pytest.mark.parametrize("theta, m, w", [(1.2, 0.5, 0.5),
+                                             (np.pi / 2, 0.2, 0.3),
+                                             (2.2, 0.9, 0.1)])
+    def test_draw_i_is_sample_i_of_one_measurement(self, theta, m, w):
+        # the histogram's draw i reads word i of the seed's stream, as the
+        # only readout of sample i of a one-measurement run does; the two
+        # compute p_f with different rounding
+        seed = 17
+        spec = ProtocolSpec(theta=theta, strength=Strength(m),
+                            reference_weight=w)
+        h = readout_histogram(spec, McConfig(n_samples=64, seed=seed))
+        one = ProtocolSpec(theta=theta, strength=spec.strength, n_meas=1,
+                           phi_schedule=spec.phi_schedule[:1],
+                           reference_weight=w)
+        replay = [sample_trajectory(one, i, seed).readouts[0]
+                  for i in range(64)]
+        assert h.p_f > 0.1
+        assert np.max(np.abs(h.readouts - replay)) <= 1e-12
 
     def test_projective_rejected(self):
         with pytest.raises(DomainError):
