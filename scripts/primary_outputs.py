@@ -13,11 +13,18 @@ to the checkout holding this script), in ``DIR/<n>-<command>/`` with
 tree.  The command's standard output goes to ``stdout.txt`` beside its
 files.  It exits 1 if any command exits non-zero.
 
+``write`` also records, in ``DIR/numpy-target.json``, the numpy version,
+its enabled CPU features and ``NPY_DISABLE_CPU_FEATURES``: primary files
+are byte-identical only within one numpy build and one SIMD dispatch
+target.
+
 ``compare`` prints one line per file found in either directory, skipping
-the ``*.timing.json`` wall-time sidecars: ``same``, ``only in A``, ``only
-in B``, or ``differs``.  For JSON and CSV files a difference names the
-first key or line whose structure differs and the largest absolute
-difference between numbers at the same JSON path or CSV cell.
+the ``*.timing.json`` wall-time sidecars and ``numpy-target.json``:
+``same``, ``only in A``, ``only in B``, or ``differs``.  For JSON and CSV
+files a difference names the first key or line whose structure differs
+and the largest absolute difference between numbers at the same JSON path
+or CSV cell.  It first prints a ``warning:`` line if the two numpy targets
+differ or either is not recorded.
 """
 
 from __future__ import annotations
@@ -77,8 +84,31 @@ COMMANDS = [
 ]
 
 
+#: The record of the numpy build and SIMD target, beside the run folders.
+TARGET = "numpy-target.json"
+
+
+def numpy_target() -> dict:
+    """numpy's version, enabled CPU features and NPY_DISABLE_CPU_FEATURES,
+    as a process with this environment sees them."""
+    import numpy as np
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+
+    return {"numpy": np.__version__,
+            "cpu_features": sorted(k for k, on in __cpu_features__.items()
+                                   if on),
+            "NPY_DISABLE_CPU_FEATURES": os.environ.get(
+                "NPY_DISABLE_CPU_FEATURES")}
+
+
 def write(out: Path, tree: Path) -> int:
     env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src")}
+    out.mkdir(parents=True, exist_ok=True)
+    (out / TARGET).write_text(json.dumps(numpy_target(), indent=1) + "\n",
+                              encoding="utf-8")
     failed = 0
     for n, (label, threads, args) in enumerate(COMMANDS, 1):
         run_dir = out / f"{n:02d}-{label}"
@@ -97,7 +127,25 @@ def write(out: Path, tree: Path) -> int:
 
 def _files(root: Path) -> set[str]:
     return {p.relative_to(root).as_posix() for p in root.rglob("*")
-            if p.is_file() and not p.name.endswith(".timing.json")}
+            if p.is_file() and not p.name.endswith(".timing.json")} - {TARGET}
+
+
+def _target_warning(a: Path, b: Path) -> str | None:
+    """A warning line if the two numpy targets differ or one is missing."""
+    missing = [side for side, d in (("A", a), ("B", b))
+               if not (d / TARGET).is_file()]
+    if missing:
+        return (f"warning: no {TARGET} in {' or '.join(missing)}; byte "
+                f"identity holds only within one numpy build and SIMD "
+                f"target")
+    target_a, target_b = (json.loads((d / TARGET).read_text("utf-8"))
+                          for d in (a, b))
+    if target_a != target_b:
+        keys = sorted(k for k in set(target_a) | set(target_b)
+                      if target_a.get(k) != target_b.get(k))
+        return (f"warning: numpy targets differ in {', '.join(keys)}; "
+                f"numbers may differ in their last bits")
+    return None
 
 
 class _Diff:
@@ -200,6 +248,9 @@ def compare_file(a: Path, b: Path) -> str:
 
 
 def compare(a: Path, b: Path) -> int:
+    warning = _target_warning(a, b)
+    if warning:
+        print(warning)
     files_a, files_b = _files(a), _files(b)
     for rel in sorted(files_a | files_b):
         if rel not in files_b:

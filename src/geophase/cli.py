@@ -3,7 +3,9 @@
 Commands: phase | sweep | transition | mc | surface | schema.  Each writes
 a JSON result envelope into ``--out``, and sweep and surface also a CSV
 plus a gnuplot script; primary files are byte-identical for identical
-configs and seeds.  GEOPHASE_THREADS (an integer >= 1) sets the worker
+configs and seeds on one numpy build and one SIMD dispatch target (numpy
+picks its kernels by the CPU's features, which can move last bits).
+GEOPHASE_THREADS (an integer >= 1) sets the worker
 count of ``mc``; its output does not depend on the count.  Wall times go
 to a ``*.timing.json`` sidecar, whose ``wall_seconds`` cover the command's
 checks and compute, not its file writes (surface.csv's loops are

@@ -29,11 +29,16 @@ uniforms, one per measurement, from the 64-bit words ``i*N`` to
 ``(i+1)*N - 1``; each is mapped through the component-wise inverse CDF of
 the readout mixture, whose unit Gaussian quantile is Wichura's AS241 in
 numpy.  A trajectory is therefore a pure function of
-``(seed, sample_id, spec)``.  Samples run in blocks of BLOCK_SIZE; each
-block is reduced to its count, mean and squared deviations where it is
-sampled, and the blocks are merged in block order, so results are
+``(seed, sample_id, spec)``.  Samples are reduced in blocks of BLOCK_SIZE;
+each block is reduced to its count, mean and squared deviations where it
+is sampled, and the blocks are merged in block order, so results are
 bit-identical for any worker count or evaluation order and memory does not
-grow with the sample count.
+grow with the sample count.  One walk spans a run of up to WALK_BLOCKS
+consecutive blocks (``_runs``), which spreads numpy's fixed cost per call
+over more samples.  That moves no bit: every step of the walk acts on each
+sample alone, so a sample's term does not depend on which samples share
+its walk (``sample_trajectory`` walks one alone), and each block is still
+reduced on its own BLOCK_SIZE slice of the terms.
 """
 
 from __future__ import annotations
@@ -58,6 +63,15 @@ if TYPE_CHECKING:
 #: Samples per reduction block; fixed so that the block layout (and thus the
 #: bit pattern of the result) never depends on the worker count.
 BLOCK_SIZE = 4096
+
+#: A walk (one ``_walk`` call) spans at most WALK_BLOCKS consecutive blocks
+#: and, if more than one, no more than keep its uniforms within WALK_DRAWS
+#: (8 MB).  Longer walks spread numpy's fixed cost per call over more
+#: samples; beyond four blocks a step's arrays outgrow the cache and
+#: N = 6 slows again, and the draw cap bounds a walk's memory at large
+#: n_meas.
+WALK_BLOCKS = 4
+WALK_DRAWS = 2 ** 20
 
 #: Minimum sample count below which estimates are flagged insufficient.
 MIN_SAMPLES = 100
@@ -113,17 +127,26 @@ def _uniforms(seed: int, start: int, stop: int, n_draws: int) -> np.ndarray:
     advance and at most three discarded words.  Raw words are mapped to
     [0, 1) by their top 53 bits here, because numpy fixes a bit
     generator's raw output across versions but not ``Generator.random``.
-    The draws are transposed once so that each draw's uniforms are
-    contiguous.
+    The words are read from the stream in chunks of at most WALK_DRAWS and
+    each chunk is written transposed into the output, so each draw's
+    uniforms are contiguous and only one chunk of raw words is held
+    beside them.
     """
     first = int(start) * n_draws
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(first // 4)
-    skip = first % 4
-    words = bitgen.random_raw(skip + (stop - start) * n_draws)[skip:]
-    words = np.ascontiguousarray(words.reshape(-1, n_draws).T)
-    words >>= np.uint64(11)
-    return words * 2.0 ** -53
+    bitgen.random_raw(first % 4)
+    n = int(stop - start)
+    out = np.empty((n_draws, n))
+    chunk = max(1, WALK_DRAWS // n_draws)
+    for a in range(0, n, chunk):
+        b = min(a + chunk, n)
+        words = bitgen.random_raw((b - a) * n_draws)
+        words >>= np.uint64(11)
+        np.multiply(words.reshape(-1, n_draws).T, 2.0 ** -53,
+                    out=out[:, a:b])
+        del words
+    return out
 
 
 # Wichura's AS241 (PPND16; Applied Statistics 37:477-484, 1988): the
@@ -246,6 +269,19 @@ def _log_ratio(r: np.ndarray, h: float) -> np.ndarray:
 _RESUM_EVERY = 64
 
 
+def _start(w: float):
+    """(a_f, a_e, g) of every sample before its first frame step."""
+    return 0j, complex(math.sqrt(1.0 - w)), math.sqrt(w)
+
+
+def _frame_step(step, a_f, a_e):
+    """(a_f, a_e) after the frame step (S_ff, S_fe, S_ee), and the weight
+    p_f = |a_f|^2 (at most 1) of the displaced cloud there."""
+    s_ff, s_fe, s_ee = step
+    a_f, a_e = s_ff * a_f + s_fe * a_e, s_fe * a_f + s_ee * a_e
+    return a_f, a_e, np.minimum(a_f.real ** 2 + a_f.imag ** 2, 1.0)
+
+
 def _walk(spec: ProtocolSpec, steps: list, seed: int, start: int, stop: int):
     """Measure samples [start, stop) one readout at a time.  Pure function
     of its arguments.
@@ -267,14 +303,12 @@ def _walk(spec: ProtocolSpec, steps: list, seed: int, start: int, stop: int):
     this thin starts threads that compete with the worker processes.
     """
     uniforms = _uniforms(seed, start, stop, spec.n_meas)
-    w = spec.reference_weight
-    a_f, a_e, g = 0j, complex(math.sqrt(1.0 - w)), math.sqrt(w)
+    a_f, a_e, g = _start(spec.reference_weight)
     projective = spec.strength.is_projective
     r0 = cloud_separation(spec.strength)
 
-    for k, ((s_ff, s_fe, s_ee), u) in enumerate(zip(steps, uniforms), 1):
-        a_f, a_e = s_ff * a_f + s_fe * a_e, s_fe * a_f + s_ee * a_e
-        p_f = np.minimum(a_f.real ** 2 + a_f.imag ** 2, 1.0)
+    for k, (step, u) in enumerate(zip(steps, uniforms), 1):
+        a_f, a_e, p_f = _frame_step(step, a_f, a_e)
         if projective:
             r = u >= 1.0 - p_f
             a_f *= r
@@ -395,15 +429,39 @@ def _blocks(n_samples: int):
             for s in range(0, n_samples, BLOCK_SIZE)]
 
 
-def _moments(spec: ProtocolSpec, steps: list, seed: int, start: int,
-             stop: int):
+def _moments(terms: np.ndarray):
     """(count, mean, M2_re, M2_im) of one block's terms; M2 is the sum of
     squared deviations of a component from the block mean."""
-    terms = _block_terms(spec, steps, seed, start, stop)
     mean = complex(np.mean(terms))
     dev = terms - mean
     return (terms.size, mean, float(np.sum(dev.real ** 2)),
             float(np.sum(dev.imag ** 2)))
+
+
+def _runs(blocks: list, n_meas: int, workers: int) -> list:
+    """Cut ``blocks`` into runs of consecutive blocks, one walk each.
+
+    A run holds at most max(1, min(WALK_BLOCKS, WALK_DRAWS // (BLOCK_SIZE
+    * n_meas))) blocks.  The run count is the least multiple of ``workers``
+    that allows this, or the block count if that is smaller, and run
+    lengths differ by at most one block, so every worker gets a like share.
+    """
+    k = max(1, min(WALK_BLOCKS, WALK_DRAWS // (BLOCK_SIZE * n_meas)))
+    n_runs = min(len(blocks), -(-len(blocks) // (k * workers)) * workers)
+    size, extra = divmod(len(blocks), n_runs)
+    cuts = [j * size + min(j, extra) for j in range(n_runs + 1)]
+    return [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _run_moments(spec: ProtocolSpec, steps: list, seed: int, run: list):
+    """The moments of each block of one run, in block order.
+
+    Every step of the walk is elementwise, so each BLOCK_SIZE slice of the
+    run's terms is bit for bit the terms of that block walked alone, and
+    its moments are the same."""
+    first = run[0][0]
+    terms = _block_terms(spec, steps, seed, first, run[-1][1])
+    return [_moments(terms[a - first:b - first]) for a, b in run]
 
 
 def _merge_moments(parts):
@@ -454,21 +512,26 @@ def _map_blocks(spec: ProtocolSpec, cfg: McConfig, workers: int) -> list:
     """The moments of every block, in block order.
 
     A pool forks all its workers on its first submit, so it gets no more
-    of them than there are blocks or CPUs."""
+    of them than there are blocks or CPUs.  Each job is one run of blocks
+    (``_runs``)."""
     steps = list(_frame_steps(spec.theta, spec.phi_schedule))
-    starts, stops = zip(*_blocks(cfg.n_samples))
-    moments = functools.partial(_moments, spec, steps, cfg.seed)
-    workers = min(workers, len(starts), os.cpu_count() or 1)
+    blocks = _blocks(cfg.n_samples)
+    workers = min(workers, len(blocks), os.cpu_count() or 1)
+    runs = _runs(blocks, spec.n_meas, workers)
+    moments = functools.partial(_run_moments, spec, steps, cfg.seed)
     if workers > 1:
-        return list(_pool(workers).map(moments, starts, stops))
-    return list(map(moments, starts, stops))
+        parts = _pool(workers).map(moments, runs)
+    else:
+        parts = map(moments, runs)
+    return [block for part in parts for block in part]
 
 
 def interference_terms(spec: ProtocolSpec, cfg: McConfig) -> np.ndarray:
     """Per-sample interference terms in sample order."""
     steps = list(_frame_steps(spec.theta, spec.phi_schedule))
-    return np.concatenate([_block_terms(spec, steps, cfg.seed, a, b)
-                           for a, b in _blocks(cfg.n_samples)])
+    runs = _runs(_blocks(cfg.n_samples), spec.n_meas, 1)
+    return np.concatenate([_block_terms(spec, steps, cfg.seed, run[0][0],
+                                        run[-1][1]) for run in runs])
 
 
 def mc_interference(spec: ProtocolSpec, cfg: McConfig,
@@ -477,8 +540,8 @@ def mc_interference(spec: ProtocolSpec, cfg: McConfig,
 
     Every sampled trajectory enters the mean; nothing is discarded.  The
     componentwise standard errors are the usual sqrt(var/n).  Each block
-    is reduced to its moments where it is sampled, so memory stays
-    O(BLOCK_SIZE) whatever the sample count.
+    is reduced to its moments where it is sampled, so memory stays that
+    of one walk (``_runs``) whatever the sample count.
     """
     n, mean, m2_re, m2_im = _merge_moments(
         _map_blocks(spec, cfg, workers))
@@ -574,9 +637,9 @@ def readout_histogram(spec: ProtocolSpec, cfg: McConfig) -> ReadoutHistogram:
     """
     if spec.strength.is_projective:
         raise DomainError("readout histogram needs the Gaussian model (m > 0)")
-    _, s_fe, _ = next(_frame_steps(spec.theta, spec.phi_schedule))
-    p_f = float(np.clip((1.0 - spec.reference_weight) * abs(s_fe) ** 2,
-                        0.0, 1.0))
+    a_f, a_e, _ = _start(spec.reference_weight)
+    step = next(_frame_steps(spec.theta, spec.phi_schedule))
+    p_f = float(_frame_step(step, a_f, a_e)[2])
     r0 = cloud_separation(spec.strength)
 
     u = _uniforms(cfg.seed, 0, cfg.n_samples, 1)[0]

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "primary_outputs.py"
+NO_TARGET = ("warning: no numpy-target.json in A or B; byte identity holds "
+             "only within one numpy build and SIMD target")
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +55,7 @@ def test_compare_reports_each_file(tmp_path, primary_outputs, capsys):
     })
     assert primary_outputs.main(["compare", str(a), str(b)]) == 0
     assert capsys.readouterr().out.splitlines() == [
+        NO_TARGET,
         "01-a/a.csv: same",
         "01-a/a.gp: same",
         "01-a/a.json: differs; structure: key only in A at timing; "
@@ -75,6 +78,40 @@ def test_compare_names_mismatched_values(tmp_path, primary_outputs, capsys):
         b = _tree(tmp_path / "B", {"x.json": {"r": {"m": second, "n": 3}}})
         primary_outputs.main(["compare", str(a), str(b)])
         assert capsys.readouterr().out == (
+            f"{NO_TARGET}\n"
             f"x.json: differs; structure: {message} at r.m; "
             f"max abs diff 1 at r.n\n")
 
+
+
+def test_numpy_target_recorded_and_compared(tmp_path, primary_outputs,
+                                            capsys, monkeypatch):
+    # write's record of the numpy build and SIMD target is no primary file;
+    # compare warns when the two records differ
+    monkeypatch.setattr(primary_outputs, "COMMANDS",
+                        [("schema", "1", ["schema"])])
+    monkeypatch.delenv("NPY_DISABLE_CPU_FEATURES", raising=False)
+    a, b = tmp_path / "A", tmp_path / "B"
+    for out in (a, b):
+        assert primary_outputs.main(["write", str(out)]) == 0
+    target = json.loads((a / "numpy-target.json").read_text())
+    import numpy as np
+    assert target["numpy"] == np.__version__
+    assert target["NPY_DISABLE_CPU_FEATURES"] is None
+    features = target["cpu_features"]
+    assert features == sorted(features)
+    assert all(isinstance(name, str) for name in features)
+    primary_outputs.main(["compare", str(a), str(b)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.endswith(": same") for line in lines)
+    assert not any("numpy-target" in line for line in lines)
+
+    (b / "numpy-target.json").write_text(json.dumps(
+        {**target, "cpu_features": target["cpu_features"][:1],
+         "NPY_DISABLE_CPU_FEATURES": "AVX512F"}))
+    primary_outputs.main(["compare", str(a), str(b)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("warning: numpy targets differ in "
+                        "NPY_DISABLE_CPU_FEATURES, cpu_features; numbers may "
+                        "differ in their last bits")
+    assert all(line.endswith(": same") for line in lines[1:])

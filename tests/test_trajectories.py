@@ -14,7 +14,9 @@ from geophase.trajectories import (BLOCK_SIZE, McConfig, mc_interference,
                                    readout_histogram, sample_trajectory,
                                    z_scores, interference_terms,
                                    _chi2_sf, _gauss_quantile, _log_ratio,
-                                   _readouts, _uniforms, _walk)
+                                   _blocks, _block_terms, _map_blocks,
+                                   _moments, _readouts, _runs, _uniforms,
+                                   _walk)
 
 
 def _doubles(words):
@@ -317,6 +319,101 @@ def test_extreme_strengths(m, n_meas):
         assert abs(terms[sid] - per_step_replay(spec, s.readouts)[0]) <= 1e-12
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stub ``_pool`` to record each pool's size and job count and to map
+    serially, so no worker process is started whatever count is asked
+    for."""
+
+    class SerialPool:
+        asked, jobs = [], []
+
+        @classmethod
+        def map(cls, fn, *args):
+            out = list(map(fn, *args))
+            cls.jobs.append(len(out))
+            return out
+
+    def fake_pool(workers):
+        SerialPool.asked.append(workers)
+        return SerialPool
+
+    monkeypatch.setattr(trajectories, "_pool", fake_pool)
+    return SerialPool
+
+
+def _walk_cap(n_meas):
+    return max(1, min(trajectories.WALK_BLOCKS,
+                      trajectories.WALK_DRAWS // (BLOCK_SIZE * n_meas)))
+
+
+class TestRuns:
+    """Walks that span several reduction blocks: the runs, and the moments
+    and terms of a run against those of its blocks walked one by one."""
+
+    @pytest.mark.parametrize("n_meas", [1, 6, 24, 96, 4096])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    def test_runs_partition_the_blocks(self, n_meas, workers):
+        k = _walk_cap(n_meas)
+        for n_blocks in range(workers, 40):
+            blocks = _blocks(n_blocks * BLOCK_SIZE - 3)
+            runs = _runs(blocks, n_meas, workers)
+            # every block once, in order, in runs of consecutive blocks
+            assert [b for run in runs for b in run] == blocks
+            sizes = [len(run) for run in runs]
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+            # a walk past one block holds at most WALK_DRAWS uniforms
+            assert max(sizes) <= trajectories.WALK_BLOCKS
+            assert (max(sizes) == 1 or max(sizes) * BLOCK_SIZE * n_meas
+                    <= trajectories.WALK_DRAWS)
+            # the fewest runs that is a multiple of the worker count, or
+            # one block a run when there are too few blocks for that
+            least = -(-n_blocks // (k * workers)) * workers
+            assert len(runs) == min(least, n_blocks)
+            assert len(runs) % workers == 0 or max(sizes) == 1
+
+    def test_a_1e5_cell_sends_8_jobs_to_2_workers(self, serial_pool,
+                                                  monkeypatch):
+        monkeypatch.setattr(trajectories.os, "cpu_count", lambda: 2)
+        spec = ProtocolSpec(theta=1.2, strength=Strength(0.6))
+        mc_interference(spec, McConfig(n_samples=100000, seed=42), workers=2)
+        assert serial_pool.asked == [2] and serial_pool.jobs == [8]
+
+    @pytest.mark.parametrize("n_samples", [1, BLOCK_SIZE - 1, BLOCK_SIZE,
+                                           5 * BLOCK_SIZE + 17,
+                                           9 * BLOCK_SIZE])
+    @pytest.mark.parametrize("m", [0.6, 0.0], ids=["gauss", "projective"])
+    @pytest.mark.parametrize("n_meas", [1, 6, 24, 96])
+    def test_run_moments_are_the_block_moments(self, serial_pool,
+                                               monkeypatch, n_meas, m,
+                                               n_samples):
+        monkeypatch.setattr(trajectories.os, "cpu_count", lambda: 8)
+        spec = ProtocolSpec(theta=1.2, strength=Strength(m), n_meas=n_meas,
+                            reference_weight=0.4)
+        cfg = McConfig(n_samples=n_samples, seed=23)
+        steps = list(_frame_steps(spec.theta, spec.phi_schedule))
+        blocks = _blocks(n_samples)
+        one_by_one = [_moments(_block_terms(spec, steps, 23, a, b))
+                      for a, b in blocks]
+        for workers in (1, 2, 3):
+            assert _map_blocks(spec, cfg, workers) == one_by_one, workers
+        used = [min(w, len(blocks)) for w in (2, 3) if len(blocks) > 1]
+        assert serial_pool.asked == used
+
+    @pytest.mark.parametrize("m", [0.6, 0.0], ids=["gauss", "projective"])
+    @pytest.mark.parametrize("n_meas", [1, 6, 24])
+    def test_terms_are_the_block_terms_joined(self, n_meas, m):
+        spec = ProtocolSpec(theta=2.2, strength=Strength(m), n_meas=n_meas,
+                            reference_weight=0.3)
+        steps = list(_frame_steps(spec.theta, spec.phi_schedule))
+        n_samples = 5 * BLOCK_SIZE + 17
+        joined = np.concatenate([_block_terms(spec, steps, 9, a, b)
+                                 for a, b in _blocks(n_samples)])
+        terms = interference_terms(spec, McConfig(n_samples=n_samples,
+                                                  seed=9))
+        assert np.array_equal(terms.view(float), joined.view(float))
+
+
 class TestMcInterference:
     def test_matches_single_sample_path(self):
         spec = ProtocolSpec(theta=1.3, strength=Strength(0.4))
@@ -407,25 +504,14 @@ class TestMcInterference:
         assert est1 == est2 == est3
 
     @pytest.mark.parametrize("cpus, expect", [(8, [3]), (2, [2]), (None, [])])
-    def test_worker_count_capped_by_blocks_and_cpus(self, monkeypatch, cpus,
+    def test_worker_count_capped_by_blocks_and_cpus(self, serial_pool,
+                                                    monkeypatch, cpus,
                                                     expect):
-        # _pool is stubbed to record its size and map serially, so no
-        # worker process is started whatever count is asked for
-        asked = []
-
-        class SerialPool:
-            map = staticmethod(map)
-
-        def fake_pool(workers):
-            asked.append(workers)
-            return SerialPool()
-
-        monkeypatch.setattr(trajectories, "_pool", fake_pool)
         monkeypatch.setattr(trajectories.os, "cpu_count", lambda: cpus)
         spec = ProtocolSpec(theta=2.2, strength=Strength(0.7))
         cfg = McConfig(n_samples=2 * BLOCK_SIZE + 17, seed=4)
         est = mc_interference(spec, cfg, workers=100000)
-        assert asked == expect
+        assert serial_pool.asked == expect
         assert est == mc_interference(spec, cfg, workers=1)
 
     def test_config_validation(self):
@@ -474,8 +560,8 @@ class TestReadoutHistogram:
                                              (2.2, 0.9, 0.1)])
     def test_draw_i_is_sample_i_of_one_measurement(self, theta, m, w):
         # the histogram's draw i reads word i of the seed's stream, as the
-        # only readout of sample i of a one-measurement run does; the two
-        # compute p_f with different rounding
+        # only readout of sample i of a one-measurement run does, at the
+        # p_f of the walk's own first frame step
         seed = 17
         spec = ProtocolSpec(theta=theta, strength=Strength(m),
                             reference_weight=w)
@@ -486,7 +572,7 @@ class TestReadoutHistogram:
         replay = [sample_trajectory(one, i, seed).readouts[0]
                   for i in range(64)]
         assert h.p_f > 0.1
-        assert np.max(np.abs(h.readouts - replay)) <= 1e-12
+        assert np.array_equal(h.readouts, replay)
 
     def test_projective_rejected(self):
         with pytest.raises(DomainError):
