@@ -45,8 +45,10 @@ TREE = Path(__file__).resolve().parent.parent
 #: coarsest surface, whose mesh triangles are the largest, a sweep
 #: column at m*(6), whose refinement meets the masked equator node, a
 #: phase given by gamma*tau just above gamma*tau*(6), a sweep whose
-#: grid has no theta = 0 node, so its anchor row is added, and a surface
-#: whose loops are interpolated and written in three blocks.
+#: grid has no theta = 0 node, so its anchor row is added, a surface
+#: whose loops are interpolated and written in three blocks, and a
+#: Gaussian and a projective mc at n_meas 96, whose walks pass the norm
+#: re-sum of every 64th step.
 COMMANDS = [
     ("phase", "1", ["phase", "--theta", "90deg", "--projective"]),
     ("sweep", "1", ["sweep", "--grid-theta", "0:3.14159:64",
@@ -81,6 +83,11 @@ COMMANDS = [
                            "--grid-m", "0.1:0.9:9"]),
     ("surface-blocks", "1", ["surface", "--m", "0.3", "--n-meas", "2048",
                              "--interp", "1"]),
+    ("mc-n96", "1", ["mc", "--theta", "1.2", "--m", "0.6", "--n-meas", "96",
+                     "--samples", "20000", "--seed", "42"]),
+    ("mc-projective-n96", "1", ["mc", "--theta", "1.2", "--projective",
+                                "--n-meas", "96", "--samples", "20000",
+                                "--seed", "42"]),
 ]
 
 

@@ -22,18 +22,19 @@ serves both the partial and the projective protocol.
 
 The frame convention is stated here once.  The {e,f} pair is carried in
 the frame of the current measurement, R_k = R(theta, phi_k), where each
-attenuation is diagonal: a_f *= m.  With phi_0 = 0 and phi_{N+1} =
+attenuation is diagonal, a_f -> m a_f.  With phi_0 = 0 and phi_{N+1} =
 CLOSING_PHI, the run is the sequence of frame changes
 
     S_k = R_k R_{k-1}^dag,   k = 1 .. N+1,
 
 which ``_frame_steps`` yields.  R(theta, 0) maps the initial axis state to
-|e>, so the pair starts at (0, sqrt(1-w)), and the amplitude is 2*sqrt(w)
-times the e component after S_{N+1}.  ``_amplitudes_for_thetas`` (the
-closed form for any schedule, batched over theta and m) and the Monte
-Carlo in :mod:`geophase.trajectories` both step through it;
-``measure_along`` and ``initial_state`` keep the per-step 3x3 form as a
-reference.
+|e>, so the pair starts at (0, sqrt(1-w)) beside g = sqrt(w) (``_start``);
+each S_k is one ``_frame_step``, and the amplitude is 2g times the e
+component after S_{N+1} (``_close``).  The closed form
+(``_amplitudes_for_thetas``, any schedule, batched over theta and m) and
+the Monte Carlo walk of :mod:`geophase.trajectories` share these three
+and differ only in what scales a_f between steps; ``measure_along`` and
+``initial_state`` keep the per-step 3x3 form as a reference.
 
 For the uniform schedule every S_1 .. S_N is the same S, with
 phi_k - phi_{k-1} = -2*pi/N, and the closing step is the identity,
@@ -47,7 +48,7 @@ like S, complex symmetric.  ``_uniform_amplitudes`` evaluates it by
 repeated squaring, which is what the analysis layer calls.
 
 The step loop stores each pair in its measurement's frame before that
-step's ``a_f *= m``, takes each step's factor from it, and returns all
+step scales a_f by m, takes each step's factor from it, and returns all
 pairs to the lab frame once, after the last step.  ``run_protocol_analytic``
 reports that one pass's amplitude, Bloch ``points`` and step ``factors``.
 """
@@ -243,6 +244,23 @@ def _frame_steps(thetas: np.ndarray | float, schedule: tuple[float, ...]):
         ep_prev = ep
 
 
+def _start(w: float):
+    """(a_f, a_e, g) = (0, sqrt(1-w), sqrt(w)) before the first step."""
+    return 0j, complex(np.sqrt(1.0 - w)), np.sqrt(w)
+
+
+def _frame_step(step, a_f, a_e):
+    """The pair (a_f, a_e) after the frame change (S_ff, S_fe, S_ee)."""
+    s_ff, s_fe, s_ee = step
+    return s_ff * a_f + s_fe * a_e, s_fe * a_f + s_ee * a_e
+
+
+def _close(step, a_f, a_e, g):
+    """The interference 2 g <e|S_close|a_f, a_e> of the closing ``step``."""
+    _, s_fe, s_ee = step
+    return 2.0 * g * (s_fe * a_f + s_ee * a_e)
+
+
 def _kernel_args(thetas, strength, n_meas: int, reference_weight: float):
     """The closed form's argument rules, stated only here and checked in
     this order: thetas in [0, pi], an m array in [0, 1] (a Strength checked
@@ -273,11 +291,11 @@ def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength | np.ndarray,
 
     ``strength`` is a Strength or an array of m values that broadcasts
     against ``thetas``: ``thetas[:, None]`` against a row of m evaluates a
-    (theta, m) grid.  The {e,f} pair starts at (0, sqrt(1-w)) in the frame
-    of the initial axis; each measurement is one frame change from
-    ``_frame_steps`` followed by ``a_f *= m``, and the amplitude is
-    2*sqrt(w) times the e component after the closing frame change.  The
-    steps keep the shape of ``thetas`` and broadcast over m.  Returns the
+    (theta, m) grid.  The pair starts at ``_start``, each measurement is
+    one ``_frame_step`` followed by ``a_f = a_f * m``, and ``_close`` takes
+    the amplitude after the closing frame change.  The steps keep the shape
+    of ``thetas``, and the product with m, not in place, broadcasts the
+    pair over m.  Returns the
     interference amplitudes, the lab-frame pairs of shape
     grid + (n_meas + 1, 2), the initial pair followed by the pair after
     every step, and the step factors of shape grid + (n_meas,).  The pairs
@@ -288,21 +306,17 @@ def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength | np.ndarray,
     schedule = phi_schedule if phi_schedule is not None else default_schedule(n_meas)
     if len(schedule) != n_meas:
         raise DomainError(f"schedule length {len(schedule)} != n_meas {n_meas}")
-    w = reference_weight
     shape = np.broadcast_shapes(thetas.shape, np.shape(m))
-    a_f = np.zeros(shape, dtype=complex)
-    a_e = np.full(shape, np.sqrt(1.0 - w), dtype=complex)
+    a_f, a_e, g = _start(reference_weight)
     pairs = np.empty(shape + (n_meas + 1, 2), dtype=complex)
     pairs[..., 0, F], pairs[..., 0, E] = a_f, a_e
     steps = _frame_steps(thetas, schedule)
     for k in range(1, n_meas + 1):
-        s_ff, s_fe, s_ee = next(steps)
-        a_f, a_e = s_ff * a_f + s_fe * a_e, s_fe * a_f + s_ee * a_e
+        a_f, a_e = _frame_step(next(steps), a_f, a_e)
         pairs[..., k, F], pairs[..., k, E] = a_f, a_e
-        a_f *= m
-    _, s_fe, s_ee = next(steps)
-    amps = 2.0 * np.sqrt(w) * (s_fe * a_f + s_ee * a_e)
-    # Pair k sits in frame k before a_f *= m, where the step only scales a_f,
+        a_f = a_f * m
+    amps = _close(next(steps), a_f, a_e, g)
+    # Pair k sits in frame k before a_f * m, where the step only scales a_f,
     # so its factor is exactly 1 at m = 1 and never above 1.  Attenuate, then
     # take pair k to the lab frame by R(theta, phi_k)^dag with phi_0 = 0.
     a_f, a_e = np.abs(pairs[..., 1:, F]), np.abs(pairs[..., 1:, E])

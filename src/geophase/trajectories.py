@@ -13,13 +13,14 @@ trajectory; postselection-free averaging is what makes the comparison
 against the analytic product meaningful.
 
 The state is the {e,f} pair (a_f, a_e) and a real reference amplitude
-a_g.  The pair steps through the frame changes of :mod:`geophase.protocol`
-(``_frame_steps``), so each readout's Kraus operator is diagonal in the
-frame it is drawn in: diag(Psit(r), Psi(r), Psi(r)), with real entries.
+a_g.  It starts, steps and closes by the closed form's ``_start``,
+``_frame_step`` and ``_close``, so each readout's Kraus operator is
+diagonal in the frame it is drawn in: diag(Psit(r), Psi(r), Psi(r)).
 Each step draws its readout r once (``_readouts``); after renormalization
 the state depends on r only through the likelihood ratio Psit(r)/Psi(r) =
 e^{h (r - h)}, h = r0/2, so the one step kernel (``_walk``) scales a_f by
-that one factor.  The estimators keep neither readouts nor weights;
+that one factor, or by the click mask if projective.
+The estimators keep neither readouts nor weights;
 ``sample_trajectory`` runs the same kernel on one sample and reports them,
 its weight the product of the per-readout mixture densities.
 
@@ -54,7 +55,8 @@ import numpy as np
 
 from .errors import DomainError
 from .measurement import ReadoutDistribution, cloud_separation
-from .protocol import ProtocolSpec, _frame_steps, _ReadOnlyArrays, _require_int
+from .protocol import (ProtocolSpec, _close, _frame_step, _frame_steps,
+                       _ReadOnlyArrays, _require_int, _start)
 from .qutrit import QutritState, _rotation_matrices
 
 if TYPE_CHECKING:
@@ -263,23 +265,15 @@ def _log_ratio(r: np.ndarray, h: float) -> np.ndarray:
     return np.minimum(x, _LOG_RATIO_CAP, out=x)
 
 
-#: Steps between the norms that ``_walk`` sums over the components; the
-#: steps in between take it from p_f.  A step's rounding moves the norm by
-#: up to about 1e-15, so it stays within about 1e-13 of 1.
+#: Steps between the norms that the Gaussian ``_walk`` sums over the
+#: components; the steps in between take it from p_f.  A step's rounding
+#: moves the norm by up to about 1e-15, so it stays within about 1e-13 of 1.
 _RESUM_EVERY = 64
 
 
-def _start(w: float):
-    """(a_f, a_e, g) of every sample before its first frame step."""
-    return 0j, complex(math.sqrt(1.0 - w)), math.sqrt(w)
-
-
-def _frame_step(step, a_f, a_e):
-    """(a_f, a_e) after the frame step (S_ff, S_fe, S_ee), and the weight
-    p_f = |a_f|^2 (at most 1) of the displaced cloud there."""
-    s_ff, s_fe, s_ee = step
-    a_f, a_e = s_ff * a_f + s_fe * a_e, s_fe * a_f + s_ee * a_e
-    return a_f, a_e, np.minimum(a_f.real ** 2 + a_f.imag ** 2, 1.0)
+def _p_f(a_f):
+    """The weight p_f = |a_f|^2, at most 1, of the displaced cloud."""
+    return np.minimum(a_f.real ** 2 + a_f.imag ** 2, 1.0)
 
 
 def _walk(spec: ProtocolSpec, steps: list, seed: int, start: int, stop: int):
@@ -287,17 +281,18 @@ def _walk(spec: ProtocolSpec, steps: list, seed: int, start: int, stop: int):
     of its arguments.
 
     The state is carried as (a_f, a_e, g) in the frame of the current
-    measurement.  Since every step renormalizes, a readout r acts only
-    through its likelihood ratio (``_log_ratio``): one exp of it scales a_f
-    alone.  The frame step is unitary, so the squared norm after a Gaussian
-    readout is 1 + p_f (e^{2x} - 1); only every _RESUM_EVERY-th step sums
-    it over the components, which stops the drift of a step that is
-    unitary only to rounding.  Each measurement yields the normalized
-    (a_f, a_e, g), the p_f it was drawn at and its readouts r (projective:
-    the click mask); g is updated in place by the next step.  Every sample
+    measurement.  Since every step renormalizes, a readout acts only
+    through one ``factor`` on a_f: a Gaussian readout r through its
+    likelihood ratio (one exp of ``_log_ratio``), a projective one through
+    its click mask r, after a_e and g of the clicked samples are zeroed.
+    One normalization serves both.  It sums the squared norm over the
+    components at every projective step and every _RESUM_EVERY-th
+    Gaussian one, which stops the drift of a frame step unitary only to
+    rounding; the other Gaussian steps take it as 1 + p_f (factor^2 - 1).
+    Each measurement yields the normalized (a_f, a_e, g), the p_f it was
+    drawn at and r; g is updated in place by the next step.  Every sample
     starts in the same state, so the first frame step and its p_f are
-    scalars (the in-place products of the first readout turn them into
-    arrays).
+    scalars, which the first readout's products make arrays.
 
     The 2x2 products are written out elementwise: a BLAS call on blocks
     this thin starts threads that compete with the worker processes.
@@ -308,42 +303,33 @@ def _walk(spec: ProtocolSpec, steps: list, seed: int, start: int, stop: int):
     r0 = cloud_separation(spec.strength)
 
     for k, (step, u) in enumerate(zip(steps, uniforms), 1):
-        a_f, a_e, p_f = _frame_step(step, a_f, a_e)
+        a_f, a_e = _frame_step(step, a_f, a_e)
+        p_f = _p_f(a_f)
         if projective:
             r = u >= 1.0 - p_f
-            a_f *= r
+            factor = r.astype(float)
             a_e *= ~r
             g *= ~r
-            inv_norm = 1.0 / np.sqrt(a_f.real ** 2 + a_f.imag ** 2
-                                     + (a_e.real ** 2 + a_e.imag ** 2)
-                                     + g * g)
-            a_f *= inv_norm
         else:
             r = _readouts(u, p_f, r0)
             factor = _log_ratio(r, 0.5 * r0)
             factor = np.exp(factor, out=factor)
-            inv_norm = factor * factor
-            if k % _RESUM_EVERY:
-                inv_norm -= 1.0
-                inv_norm *= p_f
-                inv_norm += 1.0
-            else:
-                inv_norm *= p_f
-                inv_norm += a_e.real ** 2 + a_e.imag ** 2
-                inv_norm += g * g
-            inv_norm = np.sqrt(inv_norm, out=inv_norm)
-            inv_norm = np.divide(1.0, inv_norm, out=inv_norm)
-            factor *= inv_norm
-            a_f *= factor
+        inv_norm = factor * factor
+        if projective or k % _RESUM_EVERY == 0:
+            inv_norm *= p_f
+            inv_norm += a_e.real ** 2 + a_e.imag ** 2
+            inv_norm += g * g
+        else:
+            inv_norm -= 1.0
+            inv_norm *= p_f
+            inv_norm += 1.0
+        inv_norm = np.sqrt(inv_norm, out=inv_norm)
+        inv_norm = np.divide(1.0, inv_norm, out=inv_norm)
+        factor *= inv_norm
+        a_f *= factor
         a_e *= inv_norm
         g *= inv_norm
         yield a_f, a_e, g, p_f, r
-
-
-def _terms(steps: list, a_f, a_e, g) -> np.ndarray:
-    """Interference terms 2 g <e|R_close|psi> of the walk's final states."""
-    _, c_fe, c_ee = steps[-1]
-    return 2.0 * g * (c_fe * a_f + c_ee * a_e)
 
 
 def _block_terms(spec: ProtocolSpec, steps: list, seed: int, start: int,
@@ -351,7 +337,7 @@ def _block_terms(spec: ProtocolSpec, steps: list, seed: int, start: int,
     """Interference terms of samples [start, stop), nothing else kept."""
     for a_f, a_e, g, _, _ in _walk(spec, steps, seed, start, stop):
         pass
-    return _terms(steps, a_f, a_e, g)
+    return _close(steps[-1], a_f, a_e, g)
 
 
 def sample_trajectory(spec: ProtocolSpec, sample_id: int,
@@ -380,7 +366,7 @@ def sample_trajectory(spec: ProtocolSpec, sample_id: int,
             weight *= p_f if readouts[k] else 1.0 - p_f
         else:
             weight *= float(ReadoutDistribution(p_f, r0).pdf(readouts[k]))
-    term = _terms(steps, a_f, a_e, g)[0]
+    term = _close(steps[-1], a_f, a_e, g)[0]
     back = _rotation_matrices(spec.theta, spec.phi_schedule[-1]).conj().T
     state = np.array([*(back @ [a_f[0], a_e[0]]), g[0]], dtype=complex)
     return TrajectorySample(readouts=readouts,
@@ -639,7 +625,7 @@ def readout_histogram(spec: ProtocolSpec, cfg: McConfig) -> ReadoutHistogram:
         raise DomainError("readout histogram needs the Gaussian model (m > 0)")
     a_f, a_e, _ = _start(spec.reference_weight)
     step = next(_frame_steps(spec.theta, spec.phi_schedule))
-    p_f = float(_frame_step(step, a_f, a_e)[2])
+    p_f = float(_p_f(_frame_step(step, a_f, a_e)[0]))
     r0 = cloud_separation(spec.strength)
 
     u = _uniforms(cfg.seed, 0, cfg.n_samples, 1)[0]

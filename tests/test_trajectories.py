@@ -126,7 +126,7 @@ def test_gauss_quantile_keeps_its_input_shape():
 
 
 @pytest.mark.parametrize("theta", [0.3, 2.2])
-@pytest.mark.parametrize("m", [0.5, 0.999, 1e-300])
+@pytest.mark.parametrize("m", [0.5, 0.999, 1e-300, 0.0])
 def test_walk_stays_normalized(m, theta):
     # most steps take the norm from p_f, not from the components; a frame
     # step unitary only to rounding must not let it drift over the longest
@@ -139,6 +139,29 @@ def test_walk_stays_normalized(m, theta):
                 + a_e.imag ** 2 + g * g)
         worst = max(worst, float(np.max(np.abs(norm - 1.0))))
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("w", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.2, np.pi / 2, 2.9, np.pi])
+@pytest.mark.parametrize("n_meas", [1, 3, 6, 24, 63, 64, 65, 200])
+def test_unmeasured_walk_is_the_closed_form(n_meas, theta, w):
+    # at m = 1 every readout's factor and norm are exactly 1, so each walk
+    # step is the closed-form step; only a re-summed norm can round
+    spec = ProtocolSpec(theta=theta, strength=Strength(1.0), n_meas=n_meas,
+                        reference_weight=w)
+    amp = run_protocol_analytic(spec)[0].amplitude
+    terms = interference_terms(spec, McConfig(n_samples=8, seed=5))
+    tol = 0.0 if n_meas < trajectories._RESUM_EVERY else 1e-13
+    assert np.max(np.abs(terms - amp)) <= tol
+
+
+def test_unmeasured_walk_is_the_closed_form_on_a_custom_schedule():
+    spec = ProtocolSpec(theta=1.9, strength=Strength(1.0), n_meas=5,
+                        phi_schedule=(-0.4, -1.9, -2.2, -4.0, -6.0),
+                        reference_weight=0.3)
+    amp = run_protocol_analytic(spec)[0].amplitude
+    terms = interference_terms(spec, McConfig(n_samples=8, seed=5))
+    assert np.all(terms == amp)
 
 
 @pytest.mark.parametrize("p_f, r0", [(0.0, 0.5), (0.125, 2.0), (0.7, 6.3)])
