@@ -7,10 +7,13 @@ configs and seeds on one numpy build and one SIMD dispatch target (numpy
 picks its kernels by the CPU's features, which can move last bits).
 GEOPHASE_THREADS (an integer >= 1) sets the worker
 count of ``mc``; its output does not depend on the count.  Wall times go
-to a ``*.timing.json`` sidecar, whose ``wall_seconds`` cover the command's
-checks and compute, not its file writes (surface.csv's loops are
-interpolated as it is written).  A run's files are written to temporary
-names and renamed once all are written.
+to a ``*.timing.json`` sidecar: ``load_seconds`` is the import of the
+package modules the command runs (COMMAND_MODULES, numpy with them), and
+``wall_seconds`` covers the command's checks and compute after that, not
+its file writes (surface.csv's loops are interpolated as it is written).
+Nothing else loads numpy, so ``schema``, ``--help`` and a flag or
+config file that does not parse exit without it.  A run's files are
+written to temporary names and renamed once all are written.
 
 OPTIONS declares each option once: its parser, default and help.  A JSON
 ``--config`` file may preset any option of the command, and flags
@@ -37,22 +40,17 @@ is a failed gate and nothing else.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
 import sys
 import time
 from collections import namedtuple
-from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from . import analysis, trajectories
 from .errors import (AnalysisError, AntipodalError, DomainError, GeophaseError,
                      TransitionNotFoundError, UnwrapError)
-from .measurement import Strength
-from .protocol import CONTRAST_FLOOR, ProtocolSpec, run_protocol_analytic
 
 SCHEMA_VERSION = 2
 MAX_SWEEP_CELLS = 10 ** 6
@@ -122,7 +120,9 @@ def parse_grid(text) -> dict:
     return _expect(ok, grid, "finite start, stop and an integer count >= 2")
 
 
-def _grid_values(grid) -> np.ndarray:
+def _grid_values(grid):
+    import numpy as np
+
     return np.linspace(grid["start"], grid["stop"], grid["count"])
 
 
@@ -202,6 +202,17 @@ COMMAND_OPTIONS = {
                 "ref_weight", "out"),
 }
 
+#: The package modules each command runs.  The driver imports them before
+#: it starts the command's clock, so a command's own imports find them
+#: loaded, and no command loads numpy or a module it does not call.
+COMMAND_MODULES = {
+    "phase": ("protocol",),
+    "sweep": ("analysis",),
+    "transition": ("analysis",),
+    "mc": ("protocol", "trajectories"),
+    "surface": ("analysis",),
+}
+
 
 def workers_from_env() -> int:
     raw = os.environ.get("GEOPHASE_THREADS", "1")
@@ -248,7 +259,9 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _resolve_strength(cfg: dict) -> Strength:
+def _resolve_strength(cfg: dict):
+    from .measurement import Strength
+
     m, gamma_tau = cfg["m"], cfg["gamma_tau"]
     if gamma_tau is not None:
         # persisted configs echo both parameterizations; only actual
@@ -267,7 +280,7 @@ def _resolve_strength(cfg: dict) -> Strength:
     return Strength(0.0 if m is None else m)
 
 
-def _strength_fields(strength: Strength) -> dict:
+def _strength_fields(strength) -> dict:
     """m and gamma_tau as envelopes report them (gamma_tau null at m = 0)."""
     return {"m": strength.m,
             "gamma_tau": None if strength.m == 0.0 else strength.gamma_tau}
@@ -283,7 +296,9 @@ def _n_meas(cfg: dict) -> int:
     return n
 
 
-def _protocol_spec(cfg: dict) -> ProtocolSpec:
+def _protocol_spec(cfg: dict):
+    from .protocol import ProtocolSpec
+
     if cfg["theta"] is None:
         raise CliError(EXIT_CONFIG, "--theta is required")
     return ProtocolSpec(theta=cfg["theta"], strength=_resolve_strength(cfg),
@@ -333,19 +348,16 @@ def _write_files(out_dir: Path, files: dict) -> None:
 
 
 def _jsonify(obj):
+    """``obj`` as plain JSON values: numpy scalars and arrays through
+    their ``tolist``, and NaN as null."""
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        return None if math.isnan(x) else x
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
+    if hasattr(obj, "tolist"):
+        return _jsonify(obj.tolist())
+    if isinstance(obj, float) and math.isnan(obj):
+        return None
     return obj
 
 
@@ -410,6 +422,8 @@ _PLOT_SCRIPTS = {"sweep": _SWEEP_GP, "surface": _SURFACE_GP}
 
 
 def cmd_phase(cfg: dict) -> _Run:
+    from .protocol import CONTRAST_FLOOR, run_protocol_analytic
+
     spec = _protocol_spec(cfg)
     result, record = run_protocol_analytic(spec)
     results = {
@@ -431,6 +445,11 @@ def cmd_phase(cfg: dict) -> _Run:
 
 
 def cmd_sweep(cfg: dict) -> _Run:
+    import numpy as np
+
+    from . import analysis
+    from .measurement import Strength
+
     grid_theta, grid_m = cfg["grid_theta"], cfg["grid_m"]
     cells = grid_theta["count"] * grid_m["count"]
     limit = MAX_SWEEP_CELLS if cfg["format"] == "csv" else MAX_SWEEP_JSON_CELLS
@@ -472,6 +491,9 @@ def cmd_sweep(cfg: dict) -> _Run:
 
 
 def cmd_transition(cfg: dict) -> _Run:
+    from . import analysis
+    from .measurement import Strength
+
     report = analysis.find_critical_strength(
         n_meas=_n_meas(cfg), reference_weight=cfg["ref_weight"], tol=cfg["tol"])
     lo, hi = report.bracket
@@ -502,6 +524,9 @@ def cmd_transition(cfg: dict) -> _Run:
 
 
 def cmd_mc(cfg: dict) -> _Run:
+    from . import trajectories
+    from .protocol import run_protocol_analytic
+
     spec = _protocol_spec(cfg)
     n = cfg["samples"]
     if n < trajectories.MIN_SAMPLES:
@@ -544,6 +569,8 @@ def _surface_blocks(thetas, vertices, interp: int):
     at a time.  Each loop of ``vertices`` is geodesically interpolated:
     segment k runs from vertex k to vertex k+1 (wrapping), sampled at
     ``interp`` points excluding its endpoint."""
+    import numpy as np
+
     n_vertices = vertices.shape[1]
     steps = np.arange(n_vertices * interp)
     t = (np.arange(interp) / interp)[None, None, :, None]
@@ -564,6 +591,8 @@ def _surface_blocks(thetas, vertices, interp: int):
 
 
 def cmd_surface(cfg: dict) -> _Run:
+    from . import analysis
+
     strength = _resolve_strength(cfg)
     grid = cfg["grid_theta"]
     n_meas, interp = _n_meas(cfg), cfg["interp"]
@@ -588,14 +617,18 @@ def cmd_surface(cfg: dict) -> _Run:
 
 def _run_command(args: argparse.Namespace) -> int:
     """Resolve the command's config and check ``--out``, then time the
-    command's own checks and compute.  Only then write its CSV and plot
-    script, its envelope and the timing sidecar, and print its summary."""
+    import of the command's modules and, apart, its own checks and compute.
+    Only then write its CSV and plot script, its envelope and the timing
+    sidecar, and print its summary."""
     command = args.command
     cfg = _resolve_config(args)
     out_dir = _out_dir(cfg["out"])
     t0 = time.perf_counter()
+    for module in COMMAND_MODULES[command]:
+        importlib.import_module(f".{module}", __package__)
+    t1 = time.perf_counter()
     run = args.command_fn(cfg)
-    wall = time.perf_counter() - t0
+    t2 = time.perf_counter()
     results, files = run.results, {}
     if run.csv is not None:
         files[f"{command}.csv"] = _csv_text(*run.csv)
@@ -605,7 +638,8 @@ def _run_command(args: argparse.Namespace) -> int:
     envelope = {"schema_version": SCHEMA_VERSION, "command": command,
                 "config": run.config, "results": results,
                 "diagnostics": run.diagnostics}
-    sidecar = {"command": command, "wall_seconds": wall}
+    sidecar = {"command": command, "load_seconds": t1 - t0,
+               "wall_seconds": t2 - t1}
     for name, doc in ((f"{command}.json", envelope),
                       (f"{command}.timing.json", sidecar)):
         files[name] = [json.dumps(_jsonify(doc), indent=2, sort_keys=True)
@@ -616,6 +650,8 @@ def _run_command(args: argparse.Namespace) -> int:
 
 
 def _schema_text() -> str:
+    from importlib import resources
+
     return resources.files("geophase").joinpath(
         "schema/envelope.schema.json").read_text(encoding="utf-8")
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import geophase
-from geophase import cli
+from geophase import analysis, cli, protocol, trajectories
 from geophase.errors import AntipodalError, TransitionNotFoundError
 from geophase.measurement import Strength
 from geophase.protocol import run_protocol_analytic
@@ -94,7 +94,7 @@ class TestPhaseCommand:
         assert code == 0
         env = load_envelope(tmp_path / "phase.json")
         assert env["results"]["contrast"] == pytest.approx(1.0, abs=1e-9)
-        assert abs(cli.analysis.wrap_angle(env["results"]["chi"])) < 1e-7
+        assert abs(analysis.wrap_angle(env["results"]["chi"])) < 1e-7
 
     def test_degrees_flag(self, tmp_path):
         code = run_cli(["phase", "--theta", "90deg", "--projective",
@@ -183,7 +183,7 @@ class TestSweepCommand:
         assert (tmp_path / "sweep.gp").exists()
 
         back = read_sweep_csv(csv_path)
-        pm = cli.analysis.sweep_phase_map(np.linspace(0, np.pi, 12),
+        pm = analysis.sweep_phase_map(np.linspace(0, np.pi, 12),
                                           np.linspace(0, 1, 7))
         assert np.array_equal(back["theta_grid"], pm.theta_grid)
         assert np.array_equal(back["strength_grid"], pm.strength_grid)
@@ -267,7 +267,7 @@ class TestTransitionCommand:
     def test_no_transition_exit_4(self, tmp_path, monkeypatch, capsys):
         def none_found(*args, **kwargs):
             raise TransitionNotFoundError("no winding flip in [0, 1]")
-        monkeypatch.setattr(cli.analysis, "find_critical_strength", none_found)
+        monkeypatch.setattr(analysis, "find_critical_strength", none_found)
         assert run_cli(["transition", "--out", str(tmp_path)]) == 4
         assert capsys.readouterr().err == "error: no winding flip in [0, 1]\n"
         assert not (tmp_path / "transition.json").exists()
@@ -330,7 +330,7 @@ class TestSurfaceCommand:
         for interp in ("1", "3"):
             assert run_cli(args + ["--interp", interp,
                                    "--out", str(tmp_path / interp)]) == 0
-        degree, thetas, vertices = cli.analysis.trajectory_surface(
+        degree, thetas, vertices = analysis.trajectory_surface(
             Strength(0.3), np.linspace(0.0, np.pi, 33), n_meas=5,
             reference_weight=0.3)
         rows = np.loadtxt(tmp_path / "1" / "surface.csv", delimiter=",",
@@ -365,7 +365,7 @@ class TestSurfaceCommand:
         def boom(*args, **kwargs):
             raise AntipodalError("antipodal geodesic endpoints on trajectory",
                                  theta=1.57, segment=3)
-        monkeypatch.setattr(cli.analysis, "trajectory_surface", boom)
+        monkeypatch.setattr(analysis, "trajectory_surface", boom)
         assert run_cli(["surface", "--m", "0.5", "--out", str(tmp_path)]) == 6
         assert capsys.readouterr().err == (
             "error: singular surface: antipodal geodesic endpoints on "
@@ -482,7 +482,7 @@ def test_bad_jump_gate_rejected_before_the_search(tmp_path, monkeypatch,
                                                   capsys):
     def no_search(*args, **kwargs):
         pytest.fail("transition searched with a bad gate")
-    monkeypatch.setattr(cli.analysis, "find_critical_strength", no_search)
+    monkeypatch.setattr(analysis, "find_critical_strength", no_search)
     assert run_cli(["transition", "--assert-jump", "abc",
                     "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -533,7 +533,7 @@ def test_samples_bound_is_inclusive(tmp_path, monkeypatch):
         return McEstimate(mean=mean, stderr_re=1e-3, stderr_im=1e-3,
                           n_samples=cfg.n_samples, insufficient=False)
 
-    monkeypatch.setattr(cli.trajectories, "mc_interference", exact_estimate)
+    monkeypatch.setattr(trajectories, "mc_interference", exact_estimate)
     base = ["mc", "--theta", "1", "--m", "0.5", "--out", str(tmp_path),
             "--samples"]
     assert run_cli(base + [str(cli.MAX_MC_SAMPLES)]) == 0
@@ -552,7 +552,7 @@ def test_sample_steps_bound_is_inclusive(tmp_path, monkeypatch):
         return McEstimate(mean=mean, stderr_re=1e-3, stderr_im=1e-3,
                           n_samples=cfg.n_samples, insufficient=False)
 
-    monkeypatch.setattr(cli.trajectories, "mc_interference", exact_estimate)
+    monkeypatch.setattr(trajectories, "mc_interference", exact_estimate)
     n_meas = cli.MAX_N_MEAS
     inside = cli.MAX_MC_SAMPLE_STEPS // n_meas
     base = ["mc", "--theta", "1", "--m", "0.5", "--n-meas", str(n_meas),
@@ -596,7 +596,7 @@ def test_mc_seed_checked_before_reference(tmp_path, monkeypatch, capsys, seed):
     def no_reference(spec):
         pytest.fail("analytic reference computed")
 
-    monkeypatch.setattr(cli, "run_protocol_analytic", no_reference)
+    monkeypatch.setattr(protocol, "run_protocol_analytic", no_reference)
     out = tmp_path / "out"
     assert run_cli(["mc", *_PROTOCOL_POINT, "--seed", str(seed),
                     "--out", str(out)]) == 2
@@ -681,7 +681,7 @@ def test_surface_points_bound_is_inclusive(tmp_path, monkeypatch):
         seen.append((thetas.size, n_meas))
         return 1, thetas[:1], np.array([[[0.0, 0.0, 1.0]]])
 
-    monkeypatch.setattr(cli.analysis, "trajectory_surface", one_point)
+    monkeypatch.setattr(analysis, "trajectory_surface", one_point)
     base = ["surface", "--m", "0.5", "--n-meas", "4", "--interp", "8",
             "--out", str(tmp_path), "--grid-theta"]
     count = cli.MAX_SURFACE_POINTS // (5 * 8)
@@ -708,6 +708,13 @@ def test_cli_import_loads_no_scipy():
     code = ("import sys, geophase.cli; "
             "print(sorted(k for k in sys.modules if k.startswith("
             "('scipy', 'multiprocessing', 'concurrent.futures.process'))))")
+    assert _fresh_interpreter(code).stdout.strip() == "[]"
+
+
+def test_package_import_loads_no_module():
+    code = ("import sys, geophase; "
+            "print(sorted(k for k in sys.modules "
+            "if k.startswith(('geophase.', 'numpy'))))")
     assert _fresh_interpreter(code).stdout.strip() == "[]"
 
 
@@ -774,24 +781,24 @@ def _no_compute(*args, **kwargs):
 
 
 @pytest.mark.parametrize("argv, computes", [
-    (["phase", *_PROTOCOL_POINT], ["run_protocol_analytic"]),
+    (["phase", *_PROTOCOL_POINT], ["protocol.run_protocol_analytic"]),
     (["sweep", "--grid-theta", "0:3:8", "--grid-m", "0:1:3"],
      ["analysis.sweep_phase_map"]),
     (["transition"], ["analysis.find_critical_strength"]),
     (["mc", *_PROTOCOL_POINT],
-     ["run_protocol_analytic", "trajectories.mc_interference"]),
+     ["protocol.run_protocol_analytic", "trajectories.mc_interference"]),
     (["surface", "--m", "0.5"], ["analysis.trajectory_surface"]),
     (["schema"], []),
     # --out is checked before the command's own inputs: 50 samples alone
     # exit 5
     (["mc", *_PROTOCOL_POINT, "--samples", "50"],
-     ["run_protocol_analytic", "trajectories.mc_interference"]),
+     ["protocol.run_protocol_analytic", "trajectories.mc_interference"]),
 ])
 @pytest.mark.parametrize("below", ["", "sub"])
 def test_unusable_out_exit_2_before_work(tmp_path, monkeypatch, capsys,
                                           argv, computes, below):
     for name in computes:
-        monkeypatch.setattr(f"geophase.cli.{name}", _no_compute)
+        monkeypatch.setattr(f"geophase.{name}", _no_compute)
     blocker = tmp_path / "F"
     blocker.write_text("keep")
     out = blocker / below if below else blocker
@@ -844,17 +851,75 @@ def test_unwritable_file_exit_2(tmp_path, capsys, argv, blocked):
 def test_timing_sidecar(tmp_path, argv):
     assert run_cli(argv + ["--out", str(tmp_path)]) == 0
     sidecar = json.loads((tmp_path / f"{argv[0]}.timing.json").read_text())
-    assert set(sidecar) == {"command", "wall_seconds"}
+    assert set(sidecar) == {"command", "load_seconds", "wall_seconds"}
     assert sidecar["command"] == argv[0]
-    assert math.isfinite(sidecar["wall_seconds"])
-    assert sidecar["wall_seconds"] >= 0
+    for key in ("load_seconds", "wall_seconds"):
+        assert math.isfinite(sidecar[key])
+        assert sidecar[key] >= 0
+
+
+_LOADS_CLI = ["geophase.cli", "geophase.errors"]
+_LOADS_PROTOCOL = [*_LOADS_CLI, "geophase.measurement", "geophase.protocol",
+                   "geophase.qutrit"]
+_LOADS_ANALYSIS = sorted([*_LOADS_PROTOCOL, "geophase.analysis"])
+
+
+@pytest.mark.parametrize("argv, code, loads", [
+    (None, None, _LOADS_CLI),
+    (["schema"], 0, _LOADS_CLI),
+    (["--help"], 0, _LOADS_CLI),
+    (["phase", "--theta", "x"], 2, _LOADS_CLI),
+    (["phase", "--config", "BAD"], 2, _LOADS_CLI),
+    (_SMALL_RUNS[0], 0, _LOADS_PROTOCOL),
+    (_SMALL_RUNS[1], 0, _LOADS_ANALYSIS),
+    (_SMALL_RUNS[2], 0, _LOADS_ANALYSIS),
+    (_SMALL_RUNS[3], 0, sorted([*_LOADS_PROTOCOL, "geophase.trajectories"])),
+    (_SMALL_RUNS[4], 0, _LOADS_ANALYSIS),
+], ids=["import", "schema", "help", "bad-flag", "bad-config", "phase",
+        "sweep", "transition", "mc", "surface"])
+def test_each_command_loads_only_its_modules(tmp_path, argv, code, loads):
+    # each process loads the package modules its command calls and no
+    # other; numpy comes with the first module that computes, and the
+    # driver has loaded them all before the command starts (late is
+    # empty; numpy's own lazy submodules are not counted)
+    bad_config = tmp_path / "bad.json"
+    bad_config.write_text('{"n_meas": 6.5}')
+    if argv is not None and argv != ["--help"]:
+        argv = [str(bad_config) if a == "BAD" else a for a in argv]
+        argv += ["--out", str(tmp_path / "out")]
+    script = ("import sys\n"
+              "from geophase import cli\n"
+              "def ours():\n"
+              "    return {k for k in sys.modules\n"
+              "            if k == 'numpy' or k.startswith('geophase.')}\n"
+              "late = set()\n"
+              "def spy(fn):\n"
+              "    def run(cfg):\n"
+              "        before = ours()\n"
+              "        try:\n"
+              "            return fn(cfg)\n"
+              "        finally:\n"
+              "            late.update(ours() - before)\n"
+              "    return run\n"
+              "for name in cli.COMMAND_MODULES:\n"
+              "    setattr(cli, 'cmd_' + name, spy(getattr(cli, 'cmd_' + name)))\n"
+              "code = None\n"
+              f"if {argv!r} is not None:\n"
+              "    try:\n"
+              f"        code = cli.main({argv!r})\n"
+              "    except SystemExit as exc:\n"
+              "        code = exc.code\n"
+              "print(code, sorted(ours() - {'numpy'}),\n"
+              "      'numpy' in sys.modules, sorted(late))")
+    last = _fresh_interpreter(script).stdout.strip().splitlines()[-1]
+    assert last == f"{code} {loads} {loads != _LOADS_CLI} []"
 
 
 @pytest.mark.parametrize("threads", ["0", "-4", "two"])
 def test_bad_worker_count_exit_2_writes_nothing(tmp_path, monkeypatch, capsys,
                                                 threads):
     monkeypatch.setenv("GEOPHASE_THREADS", threads)
-    monkeypatch.setattr(cli.trajectories, "mc_interference", _no_compute)
+    monkeypatch.setattr(trajectories, "mc_interference", _no_compute)
     out = tmp_path / "out"
     assert run_cli(["mc", *_PROTOCOL_POINT, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (

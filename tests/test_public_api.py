@@ -2,6 +2,7 @@
 is an API change and has to be made on purpose."""
 
 import dataclasses
+import importlib
 import inspect
 import types
 
@@ -43,9 +44,30 @@ def public(names):
 
 
 def test_package_exports():
-    exported = [n for n, v in vars(geophase).items()
-                if not isinstance(v, types.ModuleType)]
-    assert public(exported) == PACKAGE_NAMES
+    assert public(geophase.__all__) == PACKAGE_NAMES
+    assert public(n for n in dir(geophase)
+                  if not isinstance(getattr(geophase, n), types.ModuleType)
+                  ) == PACKAGE_NAMES
+
+
+def test_star_import_binds_the_package_names():
+    namespace = {}
+    exec("from geophase import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PACKAGE_NAMES
+
+
+@pytest.mark.parametrize("name", PACKAGE_NAMES)
+def test_package_name_is_its_defining_modules_object(name):
+    home = f"geophase.{geophase._HOME[name]}"
+    value = getattr(geophase, name)
+    assert value is getattr(importlib.import_module(home), name)
+    if inspect.isclass(value) or inspect.isfunction(value):
+        assert value.__module__ == home
+
+
+def test_unknown_package_attribute_raises_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        geophase.no_such_name
 
 
 def test_cli_functions():
