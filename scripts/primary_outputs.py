@@ -48,7 +48,8 @@ TREE = Path(__file__).resolve().parent.parent
 #: grid has no theta = 0 node, so its anchor row is added, a surface
 #: whose loops are interpolated and written in three blocks, and a
 #: Gaussian and a projective mc at n_meas 96, whose walks pass the norm
-#: re-sum of every 64th step.
+#: re-sum of every 64th step, and a transition at the finest tol, whose
+#: bisection halves the bracket most often.
 COMMANDS = [
     ("phase", "1", ["phase", "--theta", "90deg", "--projective"]),
     ("sweep", "1", ["sweep", "--grid-theta", "0:3.14159:64",
@@ -88,6 +89,8 @@ COMMANDS = [
     ("mc-projective-n96", "1", ["mc", "--theta", "1.2", "--projective",
                                 "--n-meas", "96", "--samples", "20000",
                                 "--seed", "42"]),
+    ("transition-fine", "1", ["transition", "--tol", "1e-6", "--n-meas", "24",
+                              "--ref-weight", "0.3", "--assert-jump", "pi"]),
 ]
 
 

@@ -53,6 +53,16 @@ def wrap_angle(x):
     return np.mod(np.asarray(x, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
 
 
+def _distinct(values) -> np.ndarray:
+    """Sorted distinct values as a flat float array, NaNs kept as one: what
+    np.unique returns, without the numpy.ma import of its first call."""
+    x = np.sort(np.asarray(values, dtype=float), axis=None)
+    keep = np.empty(x.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = (x[1:] != x[:-1]) & ~np.isnan(x[:-1])
+    return x[keep]
+
+
 # ---------------------------------------------------------------------------
 # Geometric oracles
 
@@ -219,7 +229,7 @@ def phase_vs_theta(strength: Strength, grid=None, *, n_meas: int = 6,
     """
     if grid is None:
         grid = np.linspace(0.0, np.pi, DEFAULT_CURVE_NODES)
-    thetas = np.unique(np.asarray(grid, dtype=float))
+    thetas = _distinct(grid)
     if thetas.size < 2 or not abs(thetas[0]) <= 1e-15:
         raise DomainError("theta grid must start at 0 and have >= 2 nodes")
     thetas[0] = 0.0
@@ -285,7 +295,7 @@ def trajectory_surface(strength: Strength, theta_grid=None, *, n_meas: int = 6,
         raise DomainError("surface degree requires m in [0, 1)")
     if theta_grid is None:
         theta_grid = np.linspace(0.0, np.pi, 64)
-    thetas = np.unique(np.asarray(theta_grid, dtype=float))
+    thetas = _distinct(theta_grid)
     if thetas.size < 33:
         raise DomainError("theta grid too coarse for a surface (need >= 33 nodes)")
     if not (abs(thetas[0]) <= 1e-12 and abs(thetas[-1] - np.pi) <= 1e-12):
@@ -330,12 +340,15 @@ def surface_degree(strength: Strength, theta_grid=None, *, n_meas: int = 6,
 class TransitionReport:
     """Located topological transition.
 
-    ``bracket`` is the final bisection interval in m (winding 1 below,
-    0 above), ``m_star`` the root of the equatorial amplitude inside it and
-    ``contrast_min`` the equatorial contrast there.  The counters record
-    the work: ``curves`` winding curves evaluated (nudged retries
-    included), ``nudge_retries`` of them retries after a curve that did not
-    unwrap, and ``root_calls`` kernel calls of the root search.
+    ``bracket`` is the final bisection interval in m, whose ends are checked
+    to read winding ``chern_below`` and ``chern_above``; ``m_star`` is the
+    root of the equatorial amplitude inside it and ``contrast_min`` the
+    equatorial contrast there.  The counters record the work: ``curves``
+    winding curves evaluated (those at 1e-3 and 0.999 and at the two
+    bracket ends, nudged retries included), ``nudge_retries`` of them
+    retries after a curve that did not unwrap, and ``root_calls`` kernel
+    calls of the two equatorial sign-change searches (over the whole
+    interval and inside the bracket).
     """
 
     m_star: Strength
@@ -361,23 +374,22 @@ class TransitionReport:
 ROOT_SECTION = 33
 
 
-def _equator_root(equator, lo: float, hi: float, a_lo: complex,
-                  a_hi: complex):
+def _sign_change(equator, lo: float, hi: float, a_lo: complex, a_hi: complex):
     """Sign change of f(m) = Re(a(m) * conj(a_lo)) in [lo, hi], narrowed
     until no float lies between the bracket ends.
 
     ``equator`` maps an array of m to the equatorial amplitudes, and
     f(lo) > 0 > f(hi) must hold.  Each pass evaluates the interior of a
     ROOT_SECTION-point section in one call and keeps the first interval
-    over which f leaves the sign of f(lo).  Returns the end with the
-    smaller contrast, its amplitude and the number of calls.
+    over which f leaves the sign of f(lo).  Returns the adjacent ends, their
+    amplitudes and the number of calls.
     """
     ref = np.conj(a_lo)
     calls = 0
     while True:
-        ms = np.unique(np.linspace(lo, hi, ROOT_SECTION))
+        ms = _distinct(np.linspace(lo, hi, ROOT_SECTION))
         if ms.size <= 2:
-            break
+            return lo, hi, a_lo, a_hi, calls
         inner = equator(ms[1:-1])
         calls += 1
         flipped = np.flatnonzero((inner * ref).real <= 0.0)
@@ -385,6 +397,13 @@ def _equator_root(equator, lo: float, hi: float, a_lo: complex,
         amps = np.concatenate([[a_lo], inner, [a_hi]])
         lo, hi = float(ms[j - 1]), float(ms[j])
         a_lo, a_hi = complex(amps[j - 1]), complex(amps[j])
+
+
+def _equator_root(equator, lo: float, hi: float, a_lo: complex,
+                  a_hi: complex):
+    """The end of ``_sign_change``'s final bracket with the smaller
+    contrast, its amplitude and the number of calls."""
+    lo, hi, a_lo, a_hi, calls = _sign_change(equator, lo, hi, a_lo, a_hi)
     if abs(a_lo) <= abs(a_hi):
         return lo, a_lo, calls
     return hi, a_hi, calls
@@ -395,12 +414,17 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
     """Bisect the winding-number flip in m, then find the root of the
     equatorial amplitude inside the final bracket.
 
-    The flip is bracketed by winding numbers of full curves.  The
-    equatorial phase must jump by pi (within JUMP_TOL) across the bracket,
-    so the projection of the equatorial amplitude onto its value at the
-    lower end changes sign there; the critical strength is that sign
-    change, resolved to adjacent floats (for the uniform schedule the
-    amplitude is real and this is its root).
+    Winding curves at m = 1e-3 and 0.999 give the two windings.  The
+    winding can change only where the equatorial amplitude vanishes, so
+    the bisection halves [1e-3, 0.999] by the sign of the projection of
+    that amplitude onto its value at 1e-3, located once to adjacent floats,
+    instead of by a curve per halving; winding curves at the two ends of
+    the final bracket must then read the two windings.  The equatorial
+    phase must jump by pi (within JUMP_TOL) across the bracket, so the
+    projection onto its value at the bracket's lower end changes sign
+    there; the critical strength is that sign change, resolved to adjacent
+    floats (for the uniform schedule the amplitude is real and this is its
+    root).
     """
     if not tol >= 1e-6:
         raise DomainError(f"tol={tol!r} below the supported resolution 1e-6")
@@ -427,17 +451,25 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
     if c_lo == c_hi:
         raise TransitionNotFoundError(
             f"no winding flip in ({lo}, {hi}): both ends give {c_lo}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if chern_at(mid) == c_lo:
-            lo = mid
-        else:
-            hi = mid
 
     def equator(ms) -> np.ndarray:
         return _uniform_amplitudes(np.array([0.5 * np.pi]), np.asarray(ms),
                                    n_meas=n_meas,
                                    reference_weight=reference_weight)
+
+    below, _, _, _, scan_calls = _sign_change(equator, lo, hi,
+                                              *equator([lo, hi]))
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= below:
+            lo = mid
+        else:
+            hi = mid
+    for m, expected in ((lo, c_lo), (hi, c_hi)):
+        found = chern_at(m)
+        if found != expected:
+            raise AnalysisError(f"winding {found} at bracket end m={m!r}, "
+                                f"not {expected}")
 
     a_lo, a_hi = equator([lo, hi])
     jump = float(abs(wrap_angle(np.angle(a_hi) - np.angle(a_lo))))
@@ -449,7 +481,7 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
                             contrast_min=abs(a_star), chern_below=c_lo,
                             chern_above=c_hi, jump_at_equator=jump,
                             curves=curves, nudge_retries=retries,
-                            root_calls=root_calls)
+                            root_calls=scan_calls + root_calls)
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +525,9 @@ def sweep_phase_map(theta_grid, strength_grid, *, n_meas: int = 6,
     kept only for callers that still pass it (the benchmark's analytic-map
     workload).
     """
-    thetas = np.unique(np.asarray(theta_grid, dtype=float))
+    thetas = _distinct(theta_grid)
     ms = np.asarray(strength_grid, dtype=float)
-    base = np.unique(np.concatenate([[0.0], thetas]))
+    base = _distinct(np.concatenate([[0.0], thetas]))
     amps = _uniform_amplitudes(base[:, None], ms, n_meas=n_meas,
                                reference_weight=reference_weight)
     chi_u = np.empty(amps.shape)

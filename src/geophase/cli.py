@@ -458,7 +458,7 @@ def cmd_sweep(cfg: dict) -> _Run:
                        f"for --format {cfg['format']}")
     n_meas = _n_meas(cfg)
     thetas, ms = _grid_values(grid_theta), _grid_values(grid_m)
-    if np.unique(thetas).size < thetas.size:
+    if analysis._distinct(thetas).size < thetas.size:
         # the map keeps one row per distinct theta, so a repeat would
         # silently drop rows that the grid echoed
         raise CliError(EXIT_CONFIG, "grid_theta: nodes of {start!r}:{stop!r}:"

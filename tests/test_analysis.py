@@ -7,7 +7,7 @@ import pytest
 
 from geophase import analysis as an
 from geophase import cli
-from geophase.errors import (AntipodalError, DomainError,
+from geophase.errors import (AnalysisError, AntipodalError, DomainError,
                              UnwrapError)
 from geophase.measurement import Strength
 from geophase.protocol import (ProtocolSpec, run_protocol_analytic,
@@ -276,6 +276,20 @@ def test_nan_fails_range_checks(call):
 def test_integer_arguments_checked(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("values", [
+    [], [2.0], [3.0, 1.0, 3.0, 2.0, 1.0], [0.0, -0.0, 1.0], [-0.0, 0.0],
+    [np.nan, 1.0, np.nan, -np.inf, np.inf, 1.0], [np.nan, np.nan],
+    np.linspace(0.0, 1e-300, 33), [[2.0, 1.0], [1.0, 0.5]],
+    np.random.default_rng(3).integers(0, 40, 200) / 7.0,
+])
+def test_distinct_is_unique(values):
+    # the same values, order and bytes (signed zeros included) as np.unique
+    expected = np.unique(np.asarray(values, dtype=float))
+    found = an._distinct(values)
+    assert found.dtype == expected.dtype and found.shape == expected.shape
+    assert found.tobytes() == expected.tobytes()
 
 
 def _as_bloch(arr):
@@ -622,12 +636,45 @@ class TestExactTransition:
         c24, c48 = (n * n * (n_gamma[n] - g_star) for n in (24, 48))
         assert abs(c24 / c48 - 1.0) <= 0.01
 
+    @staticmethod
+    def equator_of(n_meas=6, w=0.5):
+        def equator(ms):
+            return _uniform_amplitudes(np.array([0.5 * np.pi]),
+                                       np.asarray(ms), n_meas=n_meas,
+                                       reference_weight=w)
+        return equator
+
     def test_counters(self):
         report = an.find_critical_strength(tol=1e-4)
-        # two ends plus one curve per halving of the width 0.998
-        assert report.curves == 2 + int(np.ceil(np.log2(0.998 / 1e-4)))
+        # the curves at 1e-3 and 0.999 and at the two bracket ends
+        assert report.curves == 4
         assert report.nudge_retries == 0
-        assert report.root_calls > 0
+        # the sign change over the whole interval, then inside the bracket
+        equator = self.equator_of()
+        *_, scan_calls = an._sign_change(equator, 1e-3, 0.999,
+                                         *equator([1e-3, 0.999]))
+        lo, hi = report.bracket
+        *_, root_calls = an._equator_root(equator, lo, hi,
+                                          *equator([lo, hi]))
+        assert scan_calls > 0 and root_calls > 0
+        assert report.root_calls == scan_calls + root_calls
+
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_bracket_end_winding_is_checked(self, monkeypatch, end):
+        # the third and fourth curves are the bracket's ends; a winding
+        # that disagrees there is an error, not an assumption
+        real = an.chern_from_curve
+        calls = []
+
+        def wrong_at_end(curve):
+            calls.append(curve.strength.m)
+            found = real(curve)
+            return 1 - found if len(calls) == 3 + end else found
+
+        monkeypatch.setattr(an, "chern_from_curve", wrong_at_end)
+        with pytest.raises(AnalysisError, match="at bracket end m="):
+            an.find_critical_strength(tol=1e-3)
+        assert len(calls) == 3 + end
 
     def test_counters_record_nudge_retries(self, monkeypatch):
         plain = an.find_critical_strength(tol=1e-3)
@@ -646,3 +693,49 @@ class TestExactTransition:
         assert nudged.nudge_retries == 1
         assert nudged.curves == plain.curves + 1
         assert nudged.bracket == plain.bracket
+
+
+def winding_bisection(n_meas, w, tol):
+    """The transition search that bisects on a winding curve per halving,
+    kept as the reference for find_critical_strength's sign bisection."""
+    grid = np.linspace(0.0, np.pi, an.TRANSITION_CURVE_NODES)
+
+    def chern_at(m):
+        for nudge in (0.0, 1e-9, -1e-9, 1e-7, -1e-7):
+            try:
+                return an.chern_from_curve(an.phase_vs_theta(
+                    Strength(m + nudge), grid, n_meas=n_meas,
+                    reference_weight=w))
+            except UnwrapError:
+                pass
+        raise UnwrapError(f"curve not unwrappable near m={m!r}")
+
+    lo, hi = 1e-3, 1.0 - 1e-3
+    c_lo, c_hi = chern_at(lo), chern_at(hi)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if chern_at(mid) == c_lo:
+            lo = mid
+        else:
+            hi = mid
+    equator = TestExactTransition.equator_of(n_meas, w)
+    a_lo, a_hi = equator([lo, hi])
+    jump = float(abs(an.wrap_angle(np.angle(a_hi) - np.angle(a_lo))))
+    m_star, a_star, _ = an._equator_root(equator, lo, hi, a_lo, a_hi)
+    return {"bracket": (lo, hi), "m_star": m_star,
+            "contrast_min": abs(a_star), "jump_at_equator": jump,
+            "chern_below": c_lo, "chern_above": c_hi}
+
+
+@pytest.mark.parametrize("n_meas", [3, 4, 5, 6, 8, 12, 24, 48, 384, 4096])
+def test_sign_bisection_equals_winding_bisection(n_meas):
+    for w, tol in itertools.product([0.05, 0.3, 0.5, 0.95],
+                                    [1e-6, 1e-4, 1e-3]):
+        report = an.find_critical_strength(n_meas=n_meas,
+                                           reference_weight=w, tol=tol)
+        found = {"bracket": report.bracket, "m_star": report.m_star.m,
+                 "contrast_min": report.contrast_min,
+                 "jump_at_equator": report.jump_at_equator,
+                 "chern_below": report.chern_below,
+                 "chern_above": report.chern_above}
+        assert found == winding_bisection(n_meas, w, tol), (w, tol)
