@@ -6,8 +6,10 @@ Curves, maps and the equatorial root evaluate the uniform schedule's
 transfer-matrix power (``protocol._uniform_amplitudes``), in O(log N) per
 node; only the trajectory surface, which needs every step's Bloch point,
 runs the step loop.  A curve and every map column go through one
-refine-and-unwrap routine over the kernel's amplitudes, which inserts each
-node once.
+refine-and-unwrap routine over a (theta, column) block of the kernel's
+amplitudes: one vectorized unwrap settles every column that needs no node,
+and only the others are refined, one at a time, inserting each node once.
+A transition search evaluates its winding curves two per kernel call.
 
 Geometry conventions
 --------------------
@@ -28,6 +30,7 @@ jumps by pi.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -217,6 +220,96 @@ def _refine(thetas: np.ndarray, amps: np.ndarray, evaluate):
     return thetas, amps, chi, bool(np.all(np.abs(steps) < FAIL_DELTA))
 
 
+class _Unwrapped(NamedTuple):
+    """``_unwrap_columns``'s result: the wrapped and unwrapped phase and the
+    contrast of a (theta, column) block at its nodes, each column's
+    unwrappable flag, the columns left to ``_refine`` as {column: (nodes,
+    amps, chi)} and that loop's kernel calls."""
+
+    chi_wrapped: np.ndarray
+    chi: np.ndarray
+    contrast: np.ndarray
+    unwrappable: np.ndarray
+    refined: dict
+    passes: int
+
+
+def _unwrap_columns(thetas: np.ndarray, amps: np.ndarray,
+                    evaluate) -> _Unwrapped:
+    """Refine and unwrap a (theta, column) block of amplitudes at the
+    ascending nodes ``thetas``.
+
+    One vectorized pass settles every column whose nodes are all defined and
+    whose wrapped phase steps all lie strictly within +-REFINE_DELTA: the
+    steps of np.angle along theta, wrapped, then summed by np.cumsum along
+    axis 0, which adds in the order of ``_refine``'s 1-D sum, so a settled
+    column equals its ``_refine`` result bit for bit.  Each other column (a
+    wide step or a masked node) goes through ``_refine`` alone, with
+    ``evaluate(j, nodes)`` as its evaluator; its chi is read back at
+    ``thetas``.  Beyond its three float results, the pass allocates only
+    boolean temporaries.
+    """
+    contrast = np.abs(amps)
+    chi_wrapped = np.angle(amps)
+    chi = np.empty(amps.shape)
+    chi[:1] = 0.0
+    # wrap_angle(np.diff(chi_wrapped, axis=0)), operation for operation
+    steps = np.subtract(chi_wrapped[1:], chi_wrapped[:-1], out=chi[1:])
+    steps += np.pi
+    np.mod(steps, 2.0 * np.pi, out=steps)
+    steps -= np.pi
+    unwrappable = (np.all(contrast > CONTRAST_FLOOR, axis=0)
+                   & np.all(steps < REFINE_DELTA, axis=0)
+                   & np.all(steps > -REFINE_DELTA, axis=0))
+    np.cumsum(steps, axis=0, out=steps)
+    refined = {}
+    passes = 0
+    for j in np.flatnonzero(~unwrappable).tolist():
+        def column(nodes: np.ndarray, j=j) -> np.ndarray:
+            nonlocal passes
+            passes += 1
+            return evaluate(j, nodes)
+
+        nodes, col_amps, col_chi, unwrappable[j] = _refine(
+            thetas, amps[:, j], column)
+        refined[j] = nodes, col_amps, col_chi
+        # refinement only inserts nodes, so the block's are found among them
+        chi[:, j] = col_chi[np.searchsorted(nodes, thetas)]
+    return _Unwrapped(chi_wrapped, chi, contrast, unwrappable, refined,
+                      passes)
+
+
+def _phase_curves(strengths, thetas: np.ndarray, *, n_meas: int,
+                  reference_weight: float) -> list[PhaseCurve]:
+    """phase_vs_theta's curves at several strengths, from one kernel call
+    for the grid ``thetas`` (distinct, ascending, from 0) and one
+    ``_unwrap_columns`` pass; a curve masked at theta = 0 is returned, not
+    raised on."""
+    ms = np.array([s.m for s in strengths])
+    amps = _uniform_amplitudes(thetas[:, None], ms, n_meas=n_meas,
+                               reference_weight=reference_weight)
+
+    def evaluate(j: int, nodes: np.ndarray) -> np.ndarray:
+        return _uniform_amplitudes(nodes, strengths[j], n_meas=n_meas,
+                                   reference_weight=reference_weight)
+
+    block = _unwrap_columns(thetas, amps, evaluate)
+    curves = []
+    for j, strength in enumerate(strengths):
+        if j in block.refined:
+            nodes, col_amps, chi = block.refined[j]
+            wrapped, con = np.angle(col_amps), np.abs(col_amps)
+        else:
+            nodes, wrapped, chi, con = (thetas, block.chi_wrapped[:, j],
+                                        block.chi[:, j], block.contrast[:, j])
+        curves.append(PhaseCurve(
+            theta=nodes, chi_wrapped=wrapped, chi=chi, contrast=con,
+            defined=con > CONTRAST_FLOOR, strength=strength, n_meas=n_meas,
+            reference_weight=reference_weight,
+            unwrappable=bool(block.unwrappable[j])))
+    return curves
+
+
 def phase_vs_theta(strength: Strength, grid=None, *, n_meas: int = 6,
                    reference_weight: float = 0.5) -> PhaseCurve:
     """Evaluate chi(theta) on a grid, refining until it unwraps cleanly.
@@ -226,6 +319,7 @@ def phase_vs_theta(strength: Strength, grid=None, *, n_meas: int = 6,
     bisected, up to MAX_CURVE_NODES total nodes, and each node is inserted
     once; nodes with contrast below CONTRAST_FLOOR (at the critical
     strength, the equator) are masked and bridged by their defined neighbors.
+    The curve is the one-column case of the map's refine-and-unwrap pass.
     """
     if grid is None:
         grid = np.linspace(0.0, np.pi, DEFAULT_CURVE_NODES)
@@ -233,21 +327,11 @@ def phase_vs_theta(strength: Strength, grid=None, *, n_meas: int = 6,
     if thetas.size < 2 or not abs(thetas[0]) <= 1e-15:
         raise DomainError("theta grid must start at 0 and have >= 2 nodes")
     thetas[0] = 0.0
-
-    def evaluate(nodes: np.ndarray) -> np.ndarray:
-        return _uniform_amplitudes(nodes, strength, n_meas=n_meas,
-                                   reference_weight=reference_weight)
-
-    thetas, amps, chi, unwrappable = _refine(thetas, evaluate(thetas),
-                                             evaluate)
-    con = np.abs(amps)
-    defined = con > CONTRAST_FLOOR
-    if not defined[0]:
+    curve, = _phase_curves([strength], thetas, n_meas=n_meas,
+                           reference_weight=reference_weight)
+    if not curve.defined[0]:
         raise UnwrapError("cannot anchor: contrast at theta = 0 below floor")
-    return PhaseCurve(theta=thetas, chi_wrapped=np.angle(amps), chi=chi,
-                      contrast=con, defined=defined, strength=strength,
-                      n_meas=n_meas, reference_weight=reference_weight,
-                      unwrappable=unwrappable)
+    return curve
 
 
 def chern_from_curve(curve: PhaseCurve) -> int:
@@ -345,10 +429,11 @@ class TransitionReport:
     root of the equatorial amplitude inside it and ``contrast_min`` the
     equatorial contrast there.  The counters record the work: ``curves``
     winding curves evaluated (those at 1e-3 and 0.999 and at the two
-    bracket ends, nudged retries included), ``nudge_retries`` of them
-    retries after a curve that did not unwrap, and ``root_calls`` kernel
-    calls of the two equatorial sign-change searches (over the whole
-    interval and inside the bracket).
+    bracket ends, two kernel calls of two curves each, nudged retries
+    included), ``nudge_retries`` of them retries after a curve that did not
+    unwrap, and ``root_calls`` kernel calls of the equatorial sign-change
+    search over the whole interval, which stops once it has fixed the
+    bracket, and of the root search inside the bracket.
     """
 
     m_star: Strength
@@ -370,23 +455,30 @@ class TransitionReport:
 
 
 #: Points per section of the equatorial root search, ends included; each
-#: kernel call narrows the sign-change bracket 32-fold.
-ROOT_SECTION = 33
+#: kernel call narrows the sign-change bracket 128-fold.  Measured over the
+#: 21 searches of the analytic-map pass (N = 3 to 24, tol 1e-6), 129 to 513
+#: points took 0.78-0.80 of the root-search time of 33, and 1025 took 0.83.
+ROOT_SECTION = 129
 
 
-def _sign_change(equator, lo: float, hi: float, a_lo: complex, a_hi: complex):
+def _sign_change(equator, lo: float, hi: float, a_lo: complex, a_hi: complex,
+                 enough=None):
     """Sign change of f(m) = Re(a(m) * conj(a_lo)) in [lo, hi], narrowed
-    until no float lies between the bracket ends.
+    until no float lies between the bracket ends, or until ``enough(lo,
+    hi)`` holds.
 
     ``equator`` maps an array of m to the equatorial amplitudes, and
     f(lo) > 0 > f(hi) must hold.  Each pass evaluates the interior of a
     ROOT_SECTION-point section in one call and keeps the first interval
-    over which f leaves the sign of f(lo).  Returns the adjacent ends, their
+    over which f leaves the sign of f(lo), so the final lower end lies in
+    every bracket it passes through.  Returns the last bracket's ends, their
     amplitudes and the number of calls.
     """
     ref = np.conj(a_lo)
     calls = 0
     while True:
+        if enough is not None and enough(lo, hi):
+            return lo, hi, a_lo, a_hi, calls
         ms = _distinct(np.linspace(lo, hi, ROOT_SECTION))
         if ms.size <= 2:
             return lo, hi, a_lo, a_hi, calls
@@ -411,20 +503,24 @@ def _equator_root(equator, lo: float, hi: float, a_lo: complex,
 
 def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
                            tol: float = 1e-4) -> TransitionReport:
-    """Bisect the winding-number flip in m, then find the root of the
-    equatorial amplitude inside the final bracket.
+    """Bisect the winding-number flip in m on the sign of the equatorial
+    amplitude, then find that amplitude's root inside the final bracket.
 
     Winding curves at m = 1e-3 and 0.999 give the two windings.  The
     winding can change only where the equatorial amplitude vanishes, so
-    the bisection halves [1e-3, 0.999] by the sign of the projection of
-    that amplitude onto its value at 1e-3, located once to adjacent floats,
-    instead of by a curve per halving; winding curves at the two ends of
-    the final bracket must then read the two windings.  The equatorial
-    phase must jump by pi (within JUMP_TOL) across the bracket, so the
-    projection onto its value at the bracket's lower end changes sign
-    there; the critical strength is that sign change, resolved to adjacent
-    floats (for the uniform schedule the amplitude is real and this is its
-    root).
+    the bisection halves [1e-3, 0.999] by the side of the sign change of
+    its projection onto its value at 1e-3, instead of by a curve per
+    halving.  That sign change is narrowed only until its bracket decides
+    every halving, so the bracket is the one that the sign change located
+    to adjacent floats would give.
+    Winding curves at the two ends of the final bracket must then read the
+    two windings.  Each pair of winding curves is one kernel call, and a
+    curve that does not unwrap is retried alone at nudged strengths.  The
+    equatorial phase must jump by pi (within JUMP_TOL) across the bracket,
+    so the projection onto its value at the bracket's lower end changes
+    sign there; the critical strength is that sign change, resolved to
+    adjacent floats (for the uniform schedule the amplitude is real and
+    this is its root).
     """
     if not tol >= 1e-6:
         raise DomainError(f"tol={tol!r} below the supported resolution 1e-6")
@@ -433,21 +529,31 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
     grid = np.linspace(0.0, np.pi, TRANSITION_CURVE_NODES)
     curves = retries = 0
 
-    def chern_at(m: float) -> int:
+    def winding(m: float, curve: PhaseCurve) -> int:
         nonlocal curves, retries
-        for nudge in (0.0, 1e-9, -1e-9, 1e-7, -1e-7):
-            curves += 1
+        for nudge in (1e-9, -1e-9, 1e-7, -1e-7, None):
             try:
-                curve = phase_vs_theta(Strength(m + nudge), grid,
-                                       n_meas=n_meas,
-                                       reference_weight=reference_weight)
                 return chern_from_curve(curve)
             except UnwrapError:
                 retries += 1
-        raise UnwrapError(f"curve not unwrappable near m={m!r}")
+            if nudge is None:
+                raise UnwrapError(f"curve not unwrappable near m={m!r}")
+            curves += 1
+            curve, = _phase_curves([Strength(m + nudge)], grid, n_meas=n_meas,
+                                   reference_weight=reference_weight)
+
+    def windings(*ms: float):
+        """The windings at ``ms`` in order, one at a time, from one kernel
+        call for all their curves."""
+        nonlocal curves
+        curves += len(ms)
+        pair = _phase_curves([Strength(m) for m in ms], grid, n_meas=n_meas,
+                             reference_weight=reference_weight)
+        for m, curve in zip(ms, pair):
+            yield winding(m, curve)
 
     lo, hi = 1e-3, 1.0 - 1e-3
-    c_lo, c_hi = chern_at(lo), chern_at(hi)
+    c_lo, c_hi = windings(lo, hi)
     if c_lo == c_hi:
         raise TransitionNotFoundError(
             f"no winding flip in ({lo}, {hi}): both ends give {c_lo}")
@@ -457,16 +563,28 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
                                    n_meas=n_meas,
                                    reference_weight=reference_weight)
 
-    below, _, _, _, scan_calls = _sign_change(equator, lo, hi,
-                                              *equator([lo, hi]))
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= below:
-            lo = mid
-        else:
-            hi = mid
-    for m, expected in ((lo, c_lo), (hi, c_hi)):
-        found = chern_at(m)
+    bracket = [lo, hi]
+
+    def bisected(below: float, above: float) -> bool:
+        """Halve the bracket while the sign change's bracket [below, above),
+        which holds its final lower end, decides the side of each midpoint;
+        True once the bracket is within tol."""
+        lo, hi = bracket
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if mid <= below:
+                lo = mid
+            elif mid >= above:
+                hi = mid
+            else:
+                break
+        bracket[:] = lo, hi
+        return hi - lo <= tol
+
+    *_, scan_calls = _sign_change(equator, lo, hi, *equator([lo, hi]),
+                                  enough=bisected)
+    lo, hi = bracket
+    for m, expected, found in zip((lo, hi), (c_lo, c_hi), windings(lo, hi)):
         if found != expected:
             raise AnalysisError(f"winding {found} at bracket end m={m!r}, "
                                 f"not {expected}")
@@ -495,7 +613,10 @@ class PhaseMap(_ReadOnlyArrays):
     Matrices are indexed [theta, strength]; ``chi_unwrapped`` is unwrapped
     along theta per strength column (anchored at theta = 0), NaN where the
     contrast is below the floor.  ``column_unwrappable`` flags columns whose
-    unwrap is trustworthy.
+    unwrap is trustworthy.  The counters record the unwrap's work:
+    ``columns_refined`` columns that the vectorized pass left to the
+    insertion loop (a wide step or a masked node), ``nodes_inserted`` nodes
+    that loop added over all of them, and ``refine_passes`` its kernel calls.
     """
 
     theta_grid: np.ndarray
@@ -507,6 +628,9 @@ class PhaseMap(_ReadOnlyArrays):
     column_unwrappable: np.ndarray
     n_meas: int
     reference_weight: float
+    columns_refined: int
+    nodes_inserted: int
+    refine_passes: int
 
     @property
     def n_cells(self) -> int:
@@ -518,34 +642,35 @@ def sweep_phase_map(theta_grid, strength_grid, *, n_meas: int = 6,
                     workers: int = 1) -> PhaseMap:
     """Dense (theta, m) evaluation with per-column unwrapping.
 
-    The whole grid, plus the theta = 0 anchor, is one kernel call; each
-    column's amplitudes then go through phase_vs_theta's refine-and-unwrap
-    routine, which evaluates only the nodes it inserts, so the column equals
-    that curve on the grid nodes.  ``workers`` has no effect; it is
-    kept only for callers that still pass it (the benchmark's analytic-map
-    workload).
+    The whole grid, plus the theta = 0 anchor, is one kernel call, and the
+    whole block then goes through phase_vs_theta's refine-and-unwrap pass:
+    one vectorized unwrap settles every column that needs no node, and
+    only the others are refined, each evaluating only the nodes it inserts,
+    so every column equals its curve on the grid nodes.  ``workers`` has
+    no effect; it is kept only for callers that still pass it (the
+    benchmark's analytic-map workload).
     """
     thetas = _distinct(theta_grid)
     ms = np.asarray(strength_grid, dtype=float)
     base = _distinct(np.concatenate([[0.0], thetas]))
     amps = _uniform_amplitudes(base[:, None], ms, n_meas=n_meas,
                                reference_weight=reference_weight)
-    chi_u = np.empty(amps.shape)
-    unwrappable = np.empty(ms.size, dtype=bool)
-    for j, m in enumerate(ms):
-        def evaluate(nodes: np.ndarray, m=float(m)) -> np.ndarray:
-            return _uniform_amplitudes(nodes, m, n_meas=n_meas,
-                                       reference_weight=reference_weight)
 
-        nodes, _, chi, unwrappable[j] = _refine(base, amps[:, j], evaluate)
-        # refinement only inserts nodes, so the grid's are found among them
-        chi_u[:, j] = (chi if nodes.size == base.size
-                       else chi[np.searchsorted(nodes, base)])
-    idx = np.searchsorted(base, thetas)
-    amps = amps[idx]
-    con = np.abs(amps)
+    def evaluate(j: int, nodes: np.ndarray) -> np.ndarray:
+        return _uniform_amplitudes(nodes, float(ms[j]), n_meas=n_meas,
+                                   reference_weight=reference_weight)
+
+    block = _unwrap_columns(base, amps, evaluate)
+    # the kernel accepted thetas in [0, pi], so base is thetas, or 0 and them
+    rows = slice(base.size - thetas.size, None)
+    con = block.contrast[rows]
     return PhaseMap(theta_grid=thetas, strength_grid=ms,
-                    chi_wrapped=np.angle(amps), chi_unwrapped=chi_u[idx],
-                    contrast=con, defined=con > CONTRAST_FLOOR,
-                    column_unwrappable=unwrappable, n_meas=n_meas,
-                    reference_weight=reference_weight)
+                    chi_wrapped=block.chi_wrapped[rows],
+                    chi_unwrapped=block.chi[rows], contrast=con,
+                    defined=con > CONTRAST_FLOOR,
+                    column_unwrappable=block.unwrappable, n_meas=n_meas,
+                    reference_weight=reference_weight,
+                    columns_refined=len(block.refined),
+                    nodes_inserted=sum(nodes.size - base.size for nodes, _, _
+                                       in block.refined.values()),
+                    refine_passes=block.passes)

@@ -485,9 +485,13 @@ def cmd_sweep(cfg: dict) -> _Run:
             "chi_wrapped": pm.chi_wrapped, "chi_unwrapped": pm.chi_unwrapped,
             "contrast": pm.contrast, "defined": pm.defined,
         }
-    return _Run(cfg, results, {"column_unwrappable": pm.column_unwrappable},
-                csv, f"sweep: {pm.n_cells} cells -> "
-                f"{Path(cfg['out']) / 'sweep.csv'}", EXIT_OK)
+    diagnostics = {"column_unwrappable": pm.column_unwrappable,
+                   "columns_refined": pm.columns_refined,
+                   "nodes_inserted": pm.nodes_inserted,
+                   "refine_passes": pm.refine_passes}
+    return _Run(cfg, results, diagnostics, csv,
+                f"sweep: {pm.n_cells} cells -> {Path(cfg['out']) / 'sweep.csv'}",
+                EXIT_OK)
 
 
 def cmd_transition(cfg: dict) -> _Run:

@@ -170,6 +170,60 @@ class TestPhaseCurve:
         assert np.array_equal(chi, curve.chi, equal_nan=True)
         assert ok == curve.unwrappable
 
+    @staticmethod
+    def unwrap_against_columns(thetas, ms, n_meas=6, weight=0.5):
+        """_unwrap_columns on a (theta, m) block, checked bit for bit against
+        _refine on every column alone; returns the columns it refined."""
+        amps = _uniform_amplitudes(thetas[:, None], ms, n_meas, weight)
+
+        def evaluate(j, nodes):
+            return _uniform_amplitudes(nodes, float(ms[j]), n_meas, weight)
+
+        block = an._unwrap_columns(thetas, amps, evaluate)
+        for j in range(ms.size):
+            nodes, col_amps, chi, ok = an._refine(
+                thetas, amps[:, j], functools.partial(evaluate, j))
+            assert block.unwrappable[j] == ok
+            at = np.searchsorted(nodes, thetas)
+            assert block.chi[:, j].tobytes() == chi[at].tobytes()
+            assert (block.chi_wrapped[:, j].tobytes()
+                    == np.angle(amps[:, j]).tobytes())
+            assert (block.contrast[:, j].tobytes()
+                    == np.abs(amps[:, j]).tobytes())
+            if j in block.refined:
+                for got, want in zip(block.refined[j], (nodes, col_amps, chi)):
+                    assert got.tobytes() == want.tobytes()
+            else:
+                assert nodes.size == thetas.size
+        return {j: v[0].size - thetas.size for j, v in block.refined.items()}
+
+    @pytest.mark.parametrize("n_meas, weight, n_theta, n_m, refined", [
+        (6, 0.5, 256, 256, {120: 1, 121: 1}),
+        (24, 0.3, 256, 256, {}),
+        (3, 0.7, 1000, 100, {}),
+        (96, 0.2, 64, 257, {245: 1}),
+    ])
+    def test_block_unwrap_equals_column_loop(self, n_meas, weight, n_theta,
+                                             n_m, refined):
+        # columns without a wide step or a masked node are settled by the
+        # vectorized pass, the rest by the insertion loop: both give the
+        # bits of the loop over each column alone
+        thetas, ms = np.linspace(0, np.pi, n_theta), np.linspace(0, 1, n_m)
+        assert self.unwrap_against_columns(thetas, ms, n_meas,
+                                           weight) == refined
+
+    def test_block_unwrap_masked_node_and_wide_step(self, transition):
+        # the sweep-mstar column meets the masked equator node, which is
+        # bridged without a node; a hair below m* the steps are wide
+        m = transition.m_star.m
+        ms = np.array([0.0, 0.3, m, m - 1e-6, 1.0])
+        assert self.unwrap_against_columns(np.linspace(0, np.pi, 65),
+                                           ms) == {2: 0, 3: 12}
+        # at w = 1e-20 every node is masked, though no step is wide
+        assert self.unwrap_against_columns(np.linspace(0, np.pi, 33),
+                                           np.array([0.0, 0.5, 1.0]),
+                                           weight=1e-20) == {0: 0, 1: 0, 2: 0}
+
     def test_curves_survive_a_hair_from_critical(self, transition):
         for dm in (1e-8, -1e-8):
             curve = an.phase_vs_theta(Strength(transition.m_star.m + dm))
@@ -649,15 +703,32 @@ class TestExactTransition:
         # the curves at 1e-3 and 0.999 and at the two bracket ends
         assert report.curves == 4
         assert report.nudge_retries == 0
-        # the sign change over the whole interval, then inside the bracket
+        # the sign change over the whole interval, stopped once it has fixed
+        # the bracket (3 of the 8 calls that narrow it to adjacent floats),
+        # then the root inside the bracket (6 calls)
         equator = self.equator_of()
-        *_, scan_calls = an._sign_change(equator, 1e-3, 0.999,
-                                         *equator([1e-3, 0.999]))
+        *_, full_scan = an._sign_change(equator, 1e-3, 0.999,
+                                        *equator([1e-3, 0.999]))
         lo, hi = report.bracket
         *_, root_calls = an._equator_root(equator, lo, hi,
                                           *equator([lo, hi]))
-        assert scan_calls > 0 and root_calls > 0
-        assert report.root_calls == scan_calls + root_calls
+        assert (full_scan, root_calls) == (8, 6)
+        assert report.root_calls == 3 + 6
+
+    def test_winding_curves_come_in_pairs(self, monkeypatch):
+        # (1e-3, 0.999) and the bracket's ends are two columns of one
+        # kernel call each
+        real = an._uniform_amplitudes
+        grid_calls = []
+
+        def counted(thetas, strength, *args, **kwargs):
+            if np.ndim(thetas) == 2:
+                grid_calls.append(np.asarray(strength).tolist())
+            return real(thetas, strength, *args, **kwargs)
+
+        monkeypatch.setattr(an, "_uniform_amplitudes", counted)
+        report = an.find_critical_strength(tol=1e-4)
+        assert grid_calls == [[1e-3, 0.999], list(report.bracket)]
 
     @pytest.mark.parametrize("end", [0, 1])
     def test_bracket_end_winding_is_checked(self, monkeypatch, end):
@@ -678,16 +749,16 @@ class TestExactTransition:
 
     def test_counters_record_nudge_retries(self, monkeypatch):
         plain = an.find_critical_strength(tol=1e-3)
-        real = an.phase_vs_theta
+        real = an.chern_from_curve
         failed = []
 
-        def first_curve_fails(strength, *args, **kwargs):
+        def first_curve_fails(curve):
             if not failed:
-                failed.append(strength.m)
+                failed.append(curve.strength.m)
                 raise UnwrapError("forced")
-            return real(strength, *args, **kwargs)
+            return real(curve)
 
-        monkeypatch.setattr(an, "phase_vs_theta", first_curve_fails)
+        monkeypatch.setattr(an, "chern_from_curve", first_curve_fails)
         nudged = an.find_critical_strength(tol=1e-3)
         assert failed == [1e-3]
         assert nudged.nudge_retries == 1

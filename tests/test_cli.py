@@ -193,6 +193,13 @@ class TestSweepCommand:
         assert np.array_equal(back["contrast"], pm.contrast)
         assert np.array_equal(back["defined"], pm.defined)
 
+        # two columns need a node each: one insertion pass apiece
+        assert env["diagnostics"] == {
+            "column_unwrappable": [True] * 7, "columns_refined": 2,
+            "nodes_inserted": 2, "refine_passes": 2}
+        assert (pm.columns_refined, pm.nodes_inserted,
+                pm.refine_passes) == (2, 2, 2)
+
     def test_gamma_tau_column_consistent(self, tmp_path):
         run_cli(["sweep", "--grid-theta", "0:3.141592653589793:8",
                  "--grid-m", "0:1:3", "--out", str(tmp_path)])
