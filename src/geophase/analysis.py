@@ -6,10 +6,10 @@ Curves, maps and the equatorial root evaluate the uniform schedule's
 transfer-matrix power (``protocol._uniform_amplitudes``), in O(log N) per
 node; only the trajectory surface, which needs every step's Bloch point,
 runs the step loop.  A curve and every map column go through one
-refine-and-unwrap routine over a (theta, column) block of the kernel's
-amplitudes: one vectorized unwrap settles every column that needs no node,
-and only the others are refined, one at a time, inserting each node once.
-A transition search evaluates its winding curves two per kernel call.
+refine-and-unwrap routine, which makes their kernel calls: one for the
+(theta, m) block, then one per insertion pass of each column that its
+vectorized unwrap leaves unsettled.  A transition search reads its winding
+curves two per kernel call, at w = 0.5: the windings do not depend on w.
 
 Geometry conventions
 --------------------
@@ -234,21 +234,24 @@ class _Unwrapped(NamedTuple):
     passes: int
 
 
-def _unwrap_columns(thetas: np.ndarray, amps: np.ndarray,
-                    evaluate) -> _Unwrapped:
-    """Refine and unwrap a (theta, column) block of amplitudes at the
-    ascending nodes ``thetas``.
+def _unwrap_columns(thetas: np.ndarray, ms: np.ndarray, *, n_meas: int,
+                    reference_weight: float) -> _Unwrapped:
+    """Evaluate, refine and unwrap the uniform schedule's (theta, m) block
+    at the ascending nodes ``thetas`` and the strengths ``ms``.
 
-    One vectorized pass settles every column whose nodes are all defined and
-    whose wrapped phase steps all lie strictly within +-REFINE_DELTA: the
-    steps of np.angle along theta, wrapped, then summed by np.cumsum along
-    axis 0, which adds in the order of ``_refine``'s 1-D sum, so a settled
-    column equals its ``_refine`` result bit for bit.  Each other column (a
-    wide step or a masked node) goes through ``_refine`` alone, with
-    ``evaluate(j, nodes)`` as its evaluator; its chi is read back at
-    ``thetas``.  Beyond its three float results, the pass allocates only
-    boolean temporaries.
+    One kernel call evaluates the block, and one vectorized pass then
+    settles every column whose nodes are all defined and whose wrapped
+    phase steps all lie strictly within +-REFINE_DELTA: the steps of
+    np.angle along theta, wrapped, then summed by np.cumsum along axis 0,
+    which adds in the order of ``_refine``'s 1-D sum, so a settled column
+    equals its ``_refine`` result bit for bit.  Each other column (a wide
+    step or a masked node) goes through ``_refine`` alone, evaluating its
+    inserted nodes at its own Strength; its chi is read back at ``thetas``.
+    Beyond its three float results, the pass allocates only boolean
+    temporaries.
     """
+    amps = _uniform_amplitudes(thetas[:, None], ms, n_meas=n_meas,
+                               reference_weight=reference_weight)
     contrast = np.abs(amps)
     chi_wrapped = np.angle(amps)
     chi = np.empty(amps.shape)
@@ -265,10 +268,11 @@ def _unwrap_columns(thetas: np.ndarray, amps: np.ndarray,
     refined = {}
     passes = 0
     for j in np.flatnonzero(~unwrappable).tolist():
-        def column(nodes: np.ndarray, j=j) -> np.ndarray:
+        def column(nodes: np.ndarray, strength=Strength(float(ms[j]))):
             nonlocal passes
             passes += 1
-            return evaluate(j, nodes)
+            return _uniform_amplitudes(nodes, strength, n_meas=n_meas,
+                                       reference_weight=reference_weight)
 
         nodes, col_amps, col_chi, unwrappable[j] = _refine(
             thetas, amps[:, j], column)
@@ -281,19 +285,11 @@ def _unwrap_columns(thetas: np.ndarray, amps: np.ndarray,
 
 def _phase_curves(strengths, thetas: np.ndarray, *, n_meas: int,
                   reference_weight: float) -> list[PhaseCurve]:
-    """phase_vs_theta's curves at several strengths, from one kernel call
-    for the grid ``thetas`` (distinct, ascending, from 0) and one
-    ``_unwrap_columns`` pass; a curve masked at theta = 0 is returned, not
-    raised on."""
-    ms = np.array([s.m for s in strengths])
-    amps = _uniform_amplitudes(thetas[:, None], ms, n_meas=n_meas,
-                               reference_weight=reference_weight)
-
-    def evaluate(j: int, nodes: np.ndarray) -> np.ndarray:
-        return _uniform_amplitudes(nodes, strengths[j], n_meas=n_meas,
-                                   reference_weight=reference_weight)
-
-    block = _unwrap_columns(thetas, amps, evaluate)
+    """phase_vs_theta's curves at several strengths, from one
+    ``_unwrap_columns`` pass over the grid ``thetas`` (distinct, ascending,
+    from 0); a curve masked at theta = 0 is returned, not raised on."""
+    block = _unwrap_columns(thetas, np.array([s.m for s in strengths]),
+                            n_meas=n_meas, reference_weight=reference_weight)
     curves = []
     for j, strength in enumerate(strengths):
         if j in block.refined:
@@ -428,12 +424,11 @@ class TransitionReport:
     to read winding ``chern_below`` and ``chern_above``; ``m_star`` is the
     root of the equatorial amplitude inside it and ``contrast_min`` the
     equatorial contrast there.  The counters record the work: ``curves``
-    winding curves evaluated (those at 1e-3 and 0.999 and at the two
-    bracket ends, two kernel calls of two curves each, nudged retries
-    included), ``nudge_retries`` of them retries after a curve that did not
-    unwrap, and ``root_calls`` kernel calls of the equatorial sign-change
-    search over the whole interval, which stops once it has fixed the
-    bracket, and of the root search inside the bracket.
+    winding curves, 4 + ``nudge_retries`` (at 1e-3 and 0.999 and at the
+    bracket ends, two per kernel call, and one per retry after a curve that
+    did not unwrap), and ``root_calls`` kernel calls of the equatorial
+    sign-change search over the whole interval, which stops once it has
+    fixed the bracket, and of the root search inside the bracket.
     """
 
     m_star: Strength
@@ -501,6 +496,23 @@ def _equator_root(equator, lo: float, hi: float, a_lo: complex,
     return hi, a_hi, calls
 
 
+#: The strengths whose windings the transition search compares.
+_SEARCH_SPAN = (1e-3, 1.0 - 1e-3)
+
+
+def _bisection_cell(m: float, tol: float) -> tuple[float, float]:
+    """The interval within tol that halving _SEARCH_SPAN toward m reaches,
+    a midpoint at or below m becoming the lower end."""
+    lo, hi = _SEARCH_SPAN
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= m:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
                            tol: float = 1e-4) -> TransitionReport:
     """Bisect the winding-number flip in m on the sign of the equatorial
@@ -510,12 +522,12 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
     winding can change only where the equatorial amplitude vanishes, so
     the bisection halves [1e-3, 0.999] by the side of the sign change of
     its projection onto its value at 1e-3, instead of by a curve per
-    halving.  That sign change is narrowed only until its bracket decides
-    every halving, so the bracket is the one that the sign change located
-    to adjacent floats would give.
-    Winding curves at the two ends of the final bracket must then read the
-    two windings.  Each pair of winding curves is one kernel call, and a
-    curve that does not unwrap is retried alone at nudged strengths.  The
+    halving.  That sign change is narrowed only until every m in its
+    bracket falls in one ``_bisection_cell``, the bracket that the sign
+    change located to adjacent floats would give.  Winding curves at its
+    two ends must then read the two windings.  Each pair of winding curves
+    is one kernel call at w = 0.5, and a curve that does not unwrap is
+    retried alone at nudged strengths.  The
     equatorial phase must jump by pi (within JUMP_TOL) across the bracket,
     so the projection onto its value at the bracket's lower end changes
     sign there; the critical strength is that sign change, resolved to
@@ -527,10 +539,17 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
     if not np.isfinite(tol):
         raise DomainError(f"tol={tol!r} must be finite")
     grid = np.linspace(0.0, np.pi, TRANSITION_CURVE_NODES)
-    curves = retries = 0
+    retries = 0
+
+    def curves_at(*ms: float) -> list[PhaseCurve]:
+        # chi, the phase of 2 sqrt(w (1 - w)) [K^N]_EE, does not depend on
+        # w, but the absolute CONTRAST_FLOOR masks nodes where that factor
+        # is tiny: the winding curves are read at w = 0.5, where it is 1
+        return _phase_curves([Strength(m) for m in ms], grid, n_meas=n_meas,
+                             reference_weight=0.5)
 
     def winding(m: float, curve: PhaseCurve) -> int:
-        nonlocal curves, retries
+        nonlocal retries
         for nudge in (1e-9, -1e-9, 1e-7, -1e-7, None):
             try:
                 return chern_from_curve(curve)
@@ -538,22 +557,10 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
                 retries += 1
             if nudge is None:
                 raise UnwrapError(f"curve not unwrappable near m={m!r}")
-            curves += 1
-            curve, = _phase_curves([Strength(m + nudge)], grid, n_meas=n_meas,
-                                   reference_weight=reference_weight)
+            curve, = curves_at(m + nudge)
 
-    def windings(*ms: float):
-        """The windings at ``ms`` in order, one at a time, from one kernel
-        call for all their curves."""
-        nonlocal curves
-        curves += len(ms)
-        pair = _phase_curves([Strength(m) for m in ms], grid, n_meas=n_meas,
-                             reference_weight=reference_weight)
-        for m, curve in zip(ms, pair):
-            yield winding(m, curve)
-
-    lo, hi = 1e-3, 1.0 - 1e-3
-    c_lo, c_hi = windings(lo, hi)
+    lo, hi = _SEARCH_SPAN
+    c_lo, c_hi = map(winding, (lo, hi), curves_at(lo, hi))
     if c_lo == c_hi:
         raise TransitionNotFoundError(
             f"no winding flip in ({lo}, {hi}): both ends give {c_lo}")
@@ -563,29 +570,16 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
                                    n_meas=n_meas,
                                    reference_weight=reference_weight)
 
-    bracket = [lo, hi]
-
-    def bisected(below: float, above: float) -> bool:
-        """Halve the bracket while the sign change's bracket [below, above),
-        which holds its final lower end, decides the side of each midpoint;
-        True once the bracket is within tol."""
-        lo, hi = bracket
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if mid <= below:
-                lo = mid
-            elif mid >= above:
-                hi = mid
-            else:
-                break
-        bracket[:] = lo, hi
-        return hi - lo <= tol
-
-    *_, scan_calls = _sign_change(equator, lo, hi, *equator([lo, hi]),
-                                  enough=bisected)
-    lo, hi = bracket
-    for m, expected, found in zip((lo, hi), (c_lo, c_hi), windings(lo, hi)):
-        if found != expected:
+    # the sign change's final lower end lies in [b_lo, b_hi), so its cell
+    # is fixed once that range's ends share one
+    b_lo, *_, scan_calls = _sign_change(
+        equator, lo, hi, *equator([lo, hi]),
+        enough=lambda b_lo, b_hi: (
+            _bisection_cell(b_lo, tol)
+            == _bisection_cell(np.nextafter(b_hi, 0.0), tol)))
+    lo, hi = _bisection_cell(b_lo, tol)
+    for m, expected, curve in zip((lo, hi), (c_lo, c_hi), curves_at(lo, hi)):
+        if (found := winding(m, curve)) != expected:
             raise AnalysisError(f"winding {found} at bracket end m={m!r}, "
                                 f"not {expected}")
 
@@ -598,7 +592,7 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
     return TransitionReport(m_star=Strength(m_star), bracket=(lo, hi),
                             contrast_min=abs(a_star), chern_below=c_lo,
                             chern_above=c_hi, jump_at_equator=jump,
-                            curves=curves, nudge_retries=retries,
+                            curves=4 + retries, nudge_retries=retries,
                             root_calls=scan_calls + root_calls)
 
 
@@ -653,14 +647,8 @@ def sweep_phase_map(theta_grid, strength_grid, *, n_meas: int = 6,
     thetas = _distinct(theta_grid)
     ms = np.asarray(strength_grid, dtype=float)
     base = _distinct(np.concatenate([[0.0], thetas]))
-    amps = _uniform_amplitudes(base[:, None], ms, n_meas=n_meas,
-                               reference_weight=reference_weight)
-
-    def evaluate(j: int, nodes: np.ndarray) -> np.ndarray:
-        return _uniform_amplitudes(nodes, float(ms[j]), n_meas=n_meas,
-                                   reference_weight=reference_weight)
-
-    block = _unwrap_columns(base, amps, evaluate)
+    block = _unwrap_columns(base, ms, n_meas=n_meas,
+                            reference_weight=reference_weight)
     # the kernel accepted thetas in [0, pi], so base is thetas, or 0 and them
     rows = slice(base.size - thetas.size, None)
     con = block.contrast[rows]

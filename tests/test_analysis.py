@@ -179,7 +179,8 @@ class TestPhaseCurve:
         def evaluate(j, nodes):
             return _uniform_amplitudes(nodes, float(ms[j]), n_meas, weight)
 
-        block = an._unwrap_columns(thetas, amps, evaluate)
+        block = an._unwrap_columns(thetas, ms, n_meas=n_meas,
+                                   reference_weight=weight)
         for j in range(ms.size):
             nodes, col_amps, chi, ok = an._refine(
                 thetas, amps[:, j], functools.partial(evaluate, j))
@@ -471,6 +472,19 @@ class TestTransition:
         with pytest.raises(DomainError, match="tol=inf must be finite"):
             an.find_critical_strength(tol=float("inf"))
 
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6])
+    @pytest.mark.parametrize("w", [1e-8, 1e-14, 1e-300, 1.0 - 1e-10])
+    def test_extreme_reference_weight(self, w, tol):
+        # the amplitude is 2 sqrt(w (1 - w)) [K^N]_EE, so neither the
+        # windings nor the root depend on w; at such w the absolute contrast
+        # floor masked the equator node of the bracket-end curves, which then
+        # read the wrong winding, or every node of the curve at 1e-3
+        half = an.find_critical_strength(tol=tol)
+        report = an.find_critical_strength(reference_weight=w, tol=tol)
+        assert report.bracket == half.bracket
+        assert report.m_star.m == half.m_star.m
+        assert (report.chern_below, report.chern_above) == (1, 0)
+
     def test_critical_strength_grows_with_sequence_length(self, transition):
         # finer wrapping needs less backaction per step, so the flip moves
         # toward weaker measurements (larger m)
@@ -699,13 +713,21 @@ class TestExactTransition:
         return equator
 
     def test_counters(self):
+        # (curves, nudge_retries, root_calls): the curves at 1e-3 and 0.999
+        # and at the two bracket ends, with no retry, and the calls of the
+        # sign change over the whole interval, stopped once it has fixed the
+        # bracket, and of the root inside the bracket
+        for n_meas, w, tol, counters in [(6, 0.5, 1e-4, (4, 0, 9)),
+                                         (24, 0.3, 1e-6, (4, 0, 8)),
+                                         (4096, 0.5, 1e-4, (4, 0, 8)),
+                                         (3, 0.5, 1e-3, (4, 0, 9))]:
+            report = an.find_critical_strength(n_meas=n_meas,
+                                               reference_weight=w, tol=tol)
+            assert (report.curves, report.nudge_retries,
+                    report.root_calls) == counters, (n_meas, w, tol)
+        # at (6, 0.5, 1e-4) the stopped sign change makes 3 of the 8 calls
+        # that narrow it to adjacent floats, and the root search 6
         report = an.find_critical_strength(tol=1e-4)
-        # the curves at 1e-3 and 0.999 and at the two bracket ends
-        assert report.curves == 4
-        assert report.nudge_retries == 0
-        # the sign change over the whole interval, stopped once it has fixed
-        # the bracket (3 of the 8 calls that narrow it to adjacent floats),
-        # then the root inside the bracket (6 calls)
         equator = self.equator_of()
         *_, full_scan = an._sign_change(equator, 1e-3, 0.999,
                                         *equator([1e-3, 0.999]))

@@ -271,6 +271,13 @@ class TestTransitionCommand:
         assert diag["nudge_retries"] >= 0
         assert seen[0] == seen[1]
 
+    def test_tiny_reference_weight(self, tmp_path):
+        # the windings do not depend on w, and the search reads them at 0.5
+        assert run_cli(["transition", "--ref-weight", "1e-8", "--tol", "1e-6",
+                        "--out", str(tmp_path)]) == 0
+        res = load_envelope(tmp_path / "transition.json")["results"]
+        assert res["chern_below"] == 1 and res["chern_above"] == 0
+
     def test_no_transition_exit_4(self, tmp_path, monkeypatch, capsys):
         def none_found(*args, **kwargs):
             raise TransitionNotFoundError("no winding flip in [0, 1]")
