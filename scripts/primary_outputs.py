@@ -91,6 +91,8 @@ COMMANDS = [
                                 "--seed", "42"]),
     ("transition-fine", "1", ["transition", "--tol", "1e-6", "--n-meas", "24",
                               "--ref-weight", "0.3", "--assert-jump", "pi"]),
+    ("transition-w1e-8", "1", ["transition", "--ref-weight", "1e-8",
+                               "--tol", "1e-6"]),
 ]
 
 

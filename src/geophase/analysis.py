@@ -9,7 +9,9 @@ runs the step loop.  A curve and every map column go through one
 refine-and-unwrap routine, which makes their kernel calls: one for the
 (theta, m) block, then one per insertion pass of each column that its
 vectorized unwrap leaves unsettled.  A transition search reads its winding
-curves two per kernel call, at w = 0.5: the windings do not depend on w.
+curves two per kernel call, at w = 0.5 (the windings do not depend on w),
+on a theta grid clustered at the equator, where a curve near the critical
+strength turns: its vectorized unwrap settles them with no insertion pass.
 
 Geometry conventions
 --------------------
@@ -43,6 +45,16 @@ from .qutrit import _bloch_batch
 
 DEFAULT_CURVE_NODES = 129
 TRANSITION_CURVE_NODES = 65
+#: Levels K of the transition grid's equator cluster, the nodes pi/2 +-
+#: (pi/64) 2^-k for k = 1..K beside the TRANSITION_CURVE_NODES uniform
+#: ones.  A winding curve near m* turns through pi within a theta width of
+#: pi/2 that shrinks with |m - m*|; the cluster holds the nodes of that
+#: turn, so a bracket-end curve needs no insertion pass.  Measured on
+#: curves at m* +- 10^-j (N = 3 to 4096, j = 3 to 16): from K = 12 none
+#: needs an insertion pass, levels beyond 24 unwrap no further curve, and
+#: none reads a wrong winding, as the uniform grid alone does at 1e-12
+#: below m*; the search time did not change with K from 8 to 28.
+TRANSITION_EQUATOR_LEVELS = 24
 MAX_CURVE_NODES = 4096
 REFINE_DELTA = 0.5 * np.pi
 FAIL_DELTA = np.pi - 1e-3
@@ -249,7 +261,17 @@ def _unwrap_columns(thetas: np.ndarray, ms: np.ndarray, *, n_meas: int,
     inserted nodes at its own Strength; its chi is read back at ``thetas``.
     Beyond its three float results, the pass allocates only boolean
     temporaries.
+
+    The contrast is at most 2 sqrt(w (1 - w)); a reference weight that
+    puts that bound at or below CONTRAST_FLOOR leaves no node defined and
+    raises DomainError before the kernel call.
     """
+    w = reference_weight
+    if 0.0 < w < 1.0 and 2.0 * np.sqrt(w * (1.0 - w)) <= CONTRAST_FLOOR:
+        raise DomainError(
+            f"reference_weight={w!r} bounds the contrast by 2*sqrt(w*(1-w)) "
+            f"= {2.0 * np.sqrt(w * (1.0 - w)):.3g}, not above the contrast "
+            f"floor {CONTRAST_FLOOR:g}: no phase is defined")
     amps = _uniform_amplitudes(thetas[:, None], ms, n_meas=n_meas,
                                reference_weight=reference_weight)
     contrast = np.abs(amps)
@@ -526,8 +548,12 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
     bracket falls in one ``_bisection_cell``, the bracket that the sign
     change located to adjacent floats would give.  Winding curves at its
     two ends must then read the two windings.  Each pair of winding curves
-    is one kernel call at w = 0.5, and a curve that does not unwrap is
-    retried alone at nudged strengths.  The
+    is one kernel call at w = 0.5, on TRANSITION_CURVE_NODES uniform theta
+    nodes and the equator cluster of TRANSITION_EQUATOR_LEVELS: the uniform
+    nodes hold the turns of the curves at 1e-3 and 0.999, and the cluster
+    the steep turn of a bracket-end curve within tol of m*, so the
+    vectorized unwrap settles such a curve without an insertion pass; a
+    curve that does not unwrap is retried alone at nudged strengths.  The
     equatorial phase must jump by pi (within JUMP_TOL) across the bracket,
     so the projection onto its value at the bracket's lower end changes
     sign there; the critical strength is that sign change, resolved to
@@ -538,7 +564,11 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
         raise DomainError(f"tol={tol!r} below the supported resolution 1e-6")
     if not np.isfinite(tol):
         raise DomainError(f"tol={tol!r} must be finite")
-    grid = np.linspace(0.0, np.pi, TRANSITION_CURVE_NODES)
+    offsets = (np.pi / (TRANSITION_CURVE_NODES - 1)
+               * 2.0 ** -np.arange(1, TRANSITION_EQUATOR_LEVELS + 1))
+    grid = _distinct(np.concatenate([
+        np.linspace(0.0, np.pi, TRANSITION_CURVE_NODES),
+        0.5 * np.pi - offsets, 0.5 * np.pi + offsets]))
     retries = 0
 
     def curves_at(*ms: float) -> list[PhaseCurve]:

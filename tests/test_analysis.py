@@ -220,10 +220,19 @@ class TestPhaseCurve:
         ms = np.array([0.0, 0.3, m, m - 1e-6, 1.0])
         assert self.unwrap_against_columns(np.linspace(0, np.pi, 65),
                                            ms) == {2: 0, 3: 12}
-        # at w = 1e-20 every node is masked, though no step is wide
-        assert self.unwrap_against_columns(np.linspace(0, np.pi, 33),
-                                           np.array([0.0, 0.5, 1.0]),
-                                           weight=1e-20) == {0: 0, 1: 0, 2: 0}
+        # at w = 1e-20 every node is masked, though no step is wide: the
+        # contrast bound 2 sqrt(w (1 - w)) = 2e-10 lies under the floor, so
+        # the block raises before its kernel call, and _refine on such a
+        # column returns it whole, undefined and not unwrappable
+        thetas = np.linspace(0, np.pi, 33)
+        with pytest.raises(DomainError, match="not above the contrast floor"):
+            an._unwrap_columns(thetas, np.array([0.0, 0.5, 1.0]), n_meas=6,
+                               reference_weight=1e-20)
+        for m in (0.0, 0.5, 1.0):
+            amps = _uniform_amplitudes(thetas, m, 6, 1e-20)
+            nodes, col_amps, chi, ok = an._refine(thetas, amps, None)
+            assert nodes is thetas and col_amps is amps and not ok
+            assert np.all(np.isnan(chi))
 
     def test_curves_survive_a_hair_from_critical(self, transition):
         for dm in (1e-8, -1e-8):
@@ -584,6 +593,24 @@ class TestSweep:
         with pytest.raises(DomainError, match="reference_weight="):
             an.sweep_phase_map([0.0, 1.0], [0.5], reference_weight=weight)
 
+    def test_weight_that_bounds_every_contrast_below_the_floor(self):
+        # the contrast is at most 2 sqrt(w (1 - w)) = 2e-10 < CONTRAST_FLOOR
+        # at w = 1e-20, so no cell could be defined: an error, not NaNs
+        message = r"2\*sqrt\(w\*\(1-w\)\) = 2e-10, not above the contrast floor"
+        with pytest.raises(DomainError, match=message):
+            an.sweep_phase_map(np.linspace(0, np.pi, 65),
+                               np.linspace(0, 1, 11), reference_weight=1e-20)
+        with pytest.raises(DomainError, match=message):
+            an.phase_vs_theta(Strength(0.3), reference_weight=1e-20)
+
+    def test_tiny_weight_above_the_bound_keeps_its_masking(self):
+        # at w = 1e-17 the bound is 6.3e-9: the map is returned, and the
+        # cells whose contrast clears the floor are defined
+        pm = an.sweep_phase_map(np.linspace(0, np.pi, 65),
+                                np.linspace(0, 1, 11), reference_weight=1e-17)
+        assert 0 < np.count_nonzero(pm.defined) < pm.n_cells
+        assert np.all(pm.column_unwrappable)
+
 
 class TestExactTransition:
     M_STAR_N3 = 2.0 / np.sqrt(3.0) - 1.0
@@ -768,6 +795,50 @@ class TestExactTransition:
         with pytest.raises(AnalysisError, match="at bracket end m="):
             an.find_critical_strength(tol=1e-3)
         assert len(calls) == 3 + end
+
+    @pytest.mark.parametrize("w", [1e-8, 0.3])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-4, 1e-2])
+    @pytest.mark.parametrize("n_meas", [3, 6, 24, 384, 4096])
+    def test_winding_curves_need_no_refinement(self, monkeypatch, n_meas,
+                                               tol, w):
+        # the equator cluster of the transition grid holds the steep turn
+        # of the bracket-end curve, so the vectorized unwrap settles every
+        # winding curve in the kernel call that evaluates it
+        refined = []
+
+        def counted(thetas, amps, evaluate):
+            refined.append(thetas.size)
+            return real(thetas, amps, evaluate)
+
+        real = an._refine
+        monkeypatch.setattr(an, "_refine", counted)
+        an.find_critical_strength(n_meas=n_meas, reference_weight=w, tol=tol)
+        assert refined == []
+
+    @pytest.mark.parametrize("n_meas, w, tol", [(6, 0.5, 1e-4),
+                                                (24, 0.3, 1e-6),
+                                                (3, 0.5, 1e-3)])
+    def test_uniform_grid_falls_back_to_refinement(self, monkeypatch, n_meas,
+                                                   w, tol):
+        # without the cluster the bracket-end curve goes through the
+        # insertion loop, and the report is the same bit for bit
+        clustered = an.find_critical_strength(n_meas=n_meas,
+                                              reference_weight=w, tol=tol)
+        passes = []
+
+        def counted(thetas, amps, evaluate):
+            def counted_evaluate(nodes):
+                passes.append(nodes.size)
+                return evaluate(nodes)
+            return real(thetas, amps, counted_evaluate)
+
+        real = an._refine
+        monkeypatch.setattr(an, "_refine", counted)
+        monkeypatch.setattr(an, "TRANSITION_EQUATOR_LEVELS", 0)
+        uniform = an.find_critical_strength(n_meas=n_meas,
+                                            reference_weight=w, tol=tol)
+        assert passes
+        assert dataclasses.astuple(uniform) == dataclasses.astuple(clustered)
 
     def test_counters_record_nudge_retries(self, monkeypatch):
         plain = an.find_critical_strength(tol=1e-3)

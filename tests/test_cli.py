@@ -228,6 +228,18 @@ class TestSweepCommand:
         assert run_cli(["sweep", "--grid-theta", "0:3:2000",
                         "--grid-m", "0:1:2000", "--out", str(tmp_path)]) == 3
 
+    def test_weight_that_masks_every_cell_exit_2(self, tmp_path, capsys):
+        # at w = 1e-20 no contrast can reach the floor: one error line and
+        # no file, not a map of NaN phases
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--grid-theta", "0:3.14159:65",
+                        "--grid-m", "0:1:11", "--ref-weight", "1e-20",
+                        "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: reference_weight=1e-20 bounds the contrast")
+        assert not out.exists() or not list(out.iterdir())
+
     def test_json_format_embeds_map(self, tmp_path):
         run_cli(["sweep", "--grid-theta", "0:3.141592653589793:8",
                  "--grid-m", "0:1:3", "--format", "json",
