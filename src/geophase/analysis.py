@@ -267,11 +267,13 @@ def _unwrap_columns(thetas: np.ndarray, ms: np.ndarray, *, n_meas: int,
     raises DomainError before the kernel call.
     """
     w = reference_weight
-    if 0.0 < w < 1.0 and 2.0 * np.sqrt(w * (1.0 - w)) <= CONTRAST_FLOOR:
+    # a weight outside (0, 1) is left to the kernel's own range check
+    bound = 2.0 * np.sqrt(w * (1.0 - w)) if 0.0 < w < 1.0 else np.inf
+    if bound <= CONTRAST_FLOOR:
         raise DomainError(
             f"reference_weight={w!r} bounds the contrast by 2*sqrt(w*(1-w)) "
-            f"= {2.0 * np.sqrt(w * (1.0 - w)):.3g}, not above the contrast "
-            f"floor {CONTRAST_FLOOR:g}: no phase is defined")
+            f"= {bound:.3g}, not above the contrast floor "
+            f"{CONTRAST_FLOOR:g}: no phase is defined")
     amps = _uniform_amplitudes(thetas[:, None], ms, n_meas=n_meas,
                                reference_weight=reference_weight)
     contrast = np.abs(amps)

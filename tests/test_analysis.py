@@ -804,13 +804,12 @@ class TestExactTransition:
         # the equator cluster of the transition grid holds the steep turn
         # of the bracket-end curve, so the vectorized unwrap settles every
         # winding curve in the kernel call that evaluates it
-        refined = []
+        real, refined = an._refine, []
 
         def counted(thetas, amps, evaluate):
             refined.append(thetas.size)
             return real(thetas, amps, evaluate)
 
-        real = an._refine
         monkeypatch.setattr(an, "_refine", counted)
         an.find_critical_strength(n_meas=n_meas, reference_weight=w, tol=tol)
         assert refined == []
@@ -824,7 +823,7 @@ class TestExactTransition:
         # insertion loop, and the report is the same bit for bit
         clustered = an.find_critical_strength(n_meas=n_meas,
                                               reference_weight=w, tol=tol)
-        passes = []
+        real, passes = an._refine, []
 
         def counted(thetas, amps, evaluate):
             def counted_evaluate(nodes):
@@ -832,7 +831,6 @@ class TestExactTransition:
                 return evaluate(nodes)
             return real(thetas, amps, counted_evaluate)
 
-        real = an._refine
         monkeypatch.setattr(an, "_refine", counted)
         monkeypatch.setattr(an, "TRANSITION_EQUATOR_LEVELS", 0)
         uniform = an.find_critical_strength(n_meas=n_meas,

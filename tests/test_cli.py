@@ -235,9 +235,11 @@ class TestSweepCommand:
         assert run_cli(["sweep", "--grid-theta", "0:3.14159:65",
                         "--grid-m", "0:1:11", "--ref-weight", "1e-20",
                         "--out", str(out)]) == 2
-        err = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(
             "error: reference_weight=1e-20 bounds the contrast")
+        assert captured.out == ""
         assert not out.exists() or not list(out.iterdir())
 
     def test_json_format_embeds_map(self, tmp_path):
