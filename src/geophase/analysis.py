@@ -8,10 +8,12 @@ node; only the trajectory surface, which needs every step's Bloch point,
 runs the step loop.  A curve and every map column go through one
 refine-and-unwrap routine, which makes their kernel calls: one for the
 (theta, m) block, then one per insertion pass of each column that its
-vectorized unwrap leaves unsettled.  A transition search reads its winding
-curves two per kernel call, at w = 0.5 (the windings do not depend on w),
-on a theta grid clustered at the equator, where a curve near the critical
-strength turns: its vectorized unwrap settles them with no insertion pass.
+vectorized unwrap leaves unsettled.  A transition search locates the
+equatorial sign change first and then reads its four winding curves in one
+kernel call, at w = 0.5 (the windings do not depend on w), on a theta grid
+clustered at the equator, where a curve near the critical strength turns:
+its vectorized unwrap settles them with no insertion pass.  A curve that
+does not unwrap is retried a hair farther from the critical strength.
 
 Geometry conventions
 --------------------
@@ -31,6 +33,7 @@ jumps by pi.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -278,17 +281,11 @@ def _unwrap_columns(thetas: np.ndarray, ms: np.ndarray, *, n_meas: int,
                                reference_weight=reference_weight)
     contrast = np.abs(amps)
     chi_wrapped = np.angle(amps)
-    chi = np.empty(amps.shape)
-    chi[:1] = 0.0
-    # wrap_angle(np.diff(chi_wrapped, axis=0)), operation for operation
-    steps = np.subtract(chi_wrapped[1:], chi_wrapped[:-1], out=chi[1:])
-    steps += np.pi
-    np.mod(steps, 2.0 * np.pi, out=steps)
-    steps -= np.pi
+    steps = wrap_angle(np.diff(chi_wrapped, axis=0))
     unwrappable = (np.all(contrast > CONTRAST_FLOOR, axis=0)
-                   & np.all(steps < REFINE_DELTA, axis=0)
-                   & np.all(steps > -REFINE_DELTA, axis=0))
-    np.cumsum(steps, axis=0, out=steps)
+                   & np.all(np.abs(steps) < REFINE_DELTA, axis=0))
+    chi = np.concatenate([np.zeros_like(chi_wrapped[:1]),
+                          np.cumsum(steps, axis=0)])
     refined = {}
     passes = 0
     for j in np.flatnonzero(~unwrappable).tolist():
@@ -449,8 +446,9 @@ class TransitionReport:
     root of the equatorial amplitude inside it and ``contrast_min`` the
     equatorial contrast there.  The counters record the work: ``curves``
     winding curves, 4 + ``nudge_retries`` (at 1e-3 and 0.999 and at the
-    bracket ends, two per kernel call, and one per retry after a curve that
-    did not unwrap), and ``root_calls`` kernel calls of the equatorial
+    bracket ends, all four in one kernel call, and one per retry of a curve
+    that did not unwrap, 1e-9 and then 1e-7 away from the other end of its
+    pair), and ``root_calls`` kernel calls of the equatorial
     sign-change search over the whole interval, which stops once it has
     fixed the bracket, and of the root search inside the bracket.
     """
@@ -487,11 +485,15 @@ def _sign_change(equator, lo: float, hi: float, a_lo: complex, a_hi: complex,
     hi)`` holds.
 
     ``equator`` maps an array of m to the equatorial amplitudes, and
-    f(lo) > 0 > f(hi) must hold.  Each pass evaluates the interior of a
+    f(lo) > 0 > f(hi) puts a sign change in the bracket.  Each pass evaluates the interior of a
     ROOT_SECTION-point section in one call and keeps the first interval
     over which f leaves the sign of f(lo), so the final lower end lies in
-    every bracket it passes through.  Returns the last bracket's ends, their
-    amplitudes and the number of calls.
+    every bracket it passes through.  When f never changes sign (N <= 2,
+    where the winding does not flip), every pass keeps the last interval, so
+    the bracket walks to the upper end; the search's windings at 1e-3 and
+    0.999 then raise the same TransitionNotFoundError as without the scan.
+    Returns the last bracket's ends, their amplitudes and the number of
+    calls.
     """
     ref = np.conj(a_lo)
     calls = 0
@@ -537,83 +539,90 @@ def _bisection_cell(m: float, tol: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _one_cell(lo: float, hi: float, tol: float) -> bool:
+    """Whether every m in [lo, hi) falls in one ``_bisection_cell``: the
+    sign change's final lower end lies there, so its cell is then fixed."""
+    return (_bisection_cell(lo, tol)
+            == _bisection_cell(np.nextafter(hi, 0.0), tol))
+
+
+def _windings(ms, n_meas: int):
+    """Yield the winding of the curve at each strength of ``ms``, in order,
+    with the number of retries it took.
+
+    ``ms`` lists (lower end, upper end) pairs.  One kernel call evaluates
+    every curve, at w = 0.5: chi, the phase of 2 sqrt(w (1 - w)) [K^N]_EE,
+    does not depend on w, but the absolute CONTRAST_FLOOR masks nodes where
+    that factor is tiny.  The theta grid is TRANSITION_CURVE_NODES uniform
+    nodes, which hold the turns of the curves at 1e-3 and 0.999, and the
+    equator cluster of TRANSITION_EQUATOR_LEVELS, which holds the steep
+    turn of a bracket-end curve within tol of m*, so the vectorized unwrap
+    settles such a curve without an insertion pass.  A curve that does not
+    unwrap is retried alone 1e-9, then 1e-7 away from its pair's other end,
+    a lower end down and an upper end up, so a retry never crosses a root
+    that lies between the two ends.
+    """
+    offsets = (np.pi / (TRANSITION_CURVE_NODES - 1)
+               * 2.0 ** -np.arange(1, TRANSITION_EQUATOR_LEVELS + 1))
+    curves = functools.partial(_phase_curves, thetas=_distinct(np.concatenate([
+        np.linspace(0.0, np.pi, TRANSITION_CURVE_NODES),
+        0.5 * np.pi - offsets, 0.5 * np.pi + offsets])), n_meas=n_meas,
+        reference_weight=0.5)
+    for j, curve in enumerate(curves([Strength(m) for m in ms])):
+        for retries, nudge in enumerate((1e-9, 1e-7, None)):
+            try:
+                chern = chern_from_curve(curve)
+                break
+            except UnwrapError:
+                if nudge is None:
+                    raise UnwrapError(
+                        f"curve not unwrappable near m={ms[j]!r}") from None
+            curve, = curves([Strength(ms[j] + (-1.0, 1.0)[j % 2] * nudge)])
+        yield chern, retries
+
+
 def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
                            tol: float = 1e-4) -> TransitionReport:
     """Bisect the winding-number flip in m on the sign of the equatorial
     amplitude, then find that amplitude's root inside the final bracket.
 
-    Winding curves at m = 1e-3 and 0.999 give the two windings.  The
-    winding can change only where the equatorial amplitude vanishes, so
-    the bisection halves [1e-3, 0.999] by the side of the sign change of
-    its projection onto its value at 1e-3, instead of by a curve per
-    halving.  That sign change is narrowed only until every m in its
+    The winding can change only where the equatorial amplitude vanishes,
+    so the bisection halves [1e-3, 0.999] by the side of the sign change of
+    its projection onto its value at 1e-3, instead of by a winding curve
+    per halving.  That sign change is narrowed only until every m in its
     bracket falls in one ``_bisection_cell``, the bracket that the sign
-    change located to adjacent floats would give.  Winding curves at its
-    two ends must then read the two windings.  Each pair of winding curves
-    is one kernel call at w = 0.5, on TRANSITION_CURVE_NODES uniform theta
-    nodes and the equator cluster of TRANSITION_EQUATOR_LEVELS: the uniform
-    nodes hold the turns of the curves at 1e-3 and 0.999, and the cluster
-    the steep turn of a bracket-end curve within tol of m*, so the
-    vectorized unwrap settles such a curve without an insertion pass; a
-    curve that does not unwrap is retried alone at nudged strengths.  The
-    equatorial phase must jump by pi (within JUMP_TOL) across the bracket,
-    so the projection onto its value at the bracket's lower end changes
-    sign there; the critical strength is that sign change, resolved to
-    adjacent floats (for the uniform schedule the amplitude is real and
-    this is its root).
+    change located to adjacent floats would give.  Then ``_windings`` reads
+    the curves at 1e-3 and 0.999 and at the bracket's two ends in one
+    kernel call: 1e-3 and 0.999 must give two windings, and the bracket's
+    lower end and then its upper end must read them, each checked before
+    the next is read.  The equatorial phase must jump by pi (within
+    JUMP_TOL) across the bracket, so the projection onto its value at the
+    bracket's lower end changes sign there; the critical strength is that
+    sign change, resolved to adjacent floats (for the uniform schedule the
+    amplitude is real and this is its root).
     """
     if not tol >= 1e-6:
         raise DomainError(f"tol={tol!r} below the supported resolution 1e-6")
     if not np.isfinite(tol):
         raise DomainError(f"tol={tol!r} must be finite")
-    offsets = (np.pi / (TRANSITION_CURVE_NODES - 1)
-               * 2.0 ** -np.arange(1, TRANSITION_EQUATOR_LEVELS + 1))
-    grid = _distinct(np.concatenate([
-        np.linspace(0.0, np.pi, TRANSITION_CURVE_NODES),
-        0.5 * np.pi - offsets, 0.5 * np.pi + offsets]))
-    retries = 0
-
-    def curves_at(*ms: float) -> list[PhaseCurve]:
-        # chi, the phase of 2 sqrt(w (1 - w)) [K^N]_EE, does not depend on
-        # w, but the absolute CONTRAST_FLOOR masks nodes where that factor
-        # is tiny: the winding curves are read at w = 0.5, where it is 1
-        return _phase_curves([Strength(m) for m in ms], grid, n_meas=n_meas,
-                             reference_weight=0.5)
-
-    def winding(m: float, curve: PhaseCurve) -> int:
-        nonlocal retries
-        for nudge in (1e-9, -1e-9, 1e-7, -1e-7, None):
-            try:
-                return chern_from_curve(curve)
-            except UnwrapError:
-                retries += 1
-            if nudge is None:
-                raise UnwrapError(f"curve not unwrappable near m={m!r}")
-            curve, = curves_at(m + nudge)
-
-    lo, hi = _SEARCH_SPAN
-    c_lo, c_hi = map(winding, (lo, hi), curves_at(lo, hi))
+    equator = functools.partial(_uniform_amplitudes, np.array([0.5 * np.pi]),
+                                n_meas=n_meas,
+                                reference_weight=reference_weight)
+    b_lo, *_, scan_calls = _sign_change(
+        equator, *_SEARCH_SPAN, *equator(list(_SEARCH_SPAN)),
+        enough=functools.partial(_one_cell, tol=tol))
+    lo, hi = _bisection_cell(b_lo, tol)
+    windings = _windings([*_SEARCH_SPAN, lo, hi], n_meas)
+    (c_lo, r_lo), (c_hi, r_hi) = next(windings), next(windings)
     if c_lo == c_hi:
         raise TransitionNotFoundError(
-            f"no winding flip in ({lo}, {hi}): both ends give {c_lo}")
-
-    def equator(ms) -> np.ndarray:
-        return _uniform_amplitudes(np.array([0.5 * np.pi]), np.asarray(ms),
-                                   n_meas=n_meas,
-                                   reference_weight=reference_weight)
-
-    # the sign change's final lower end lies in [b_lo, b_hi), so its cell
-    # is fixed once that range's ends share one
-    b_lo, *_, scan_calls = _sign_change(
-        equator, lo, hi, *equator([lo, hi]),
-        enough=lambda b_lo, b_hi: (
-            _bisection_cell(b_lo, tol)
-            == _bisection_cell(np.nextafter(b_hi, 0.0), tol)))
-    lo, hi = _bisection_cell(b_lo, tol)
-    for m, expected, curve in zip((lo, hi), (c_lo, c_hi), curves_at(lo, hi)):
-        if (found := winding(m, curve)) != expected:
+            f"no winding flip in {_SEARCH_SPAN}: both ends give {c_lo}")
+    retries = r_lo + r_hi
+    for m, expected, (found, tries) in zip((lo, hi), (c_lo, c_hi), windings):
+        if found != expected:
             raise AnalysisError(f"winding {found} at bracket end m={m!r}, "
                                 f"not {expected}")
+        retries += tries
 
     a_lo, a_hi = equator([lo, hi])
     jump = float(abs(wrap_angle(np.angle(a_hi) - np.angle(a_lo))))

@@ -494,6 +494,18 @@ class TestTransition:
         assert report.m_star.m == half.m_star.m
         assert (report.chern_below, report.chern_above) == (1, 0)
 
+    def test_bracket_end_a_hair_below_m_star(self, monkeypatch, transition):
+        # the curve 1e-13 below m*(6) does not unwrap, and the one 1e-9
+        # above it reads winding 0; the span's lower end and the bracket's
+        # both lie there, and each is read again below it
+        m = transition.m_star.m - 1e-13
+        monkeypatch.setattr(an, "_SEARCH_SPAN", (m, 0.999))
+        report = an.find_critical_strength(tol=1e-4)
+        assert (report.chern_below, report.chern_above) == (1, 0)
+        assert report.nudge_retries == 2
+        assert report.bracket[0] == m
+        assert report.m_star.m == transition.m_star.m
+
     def test_critical_strength_grows_with_sequence_length(self, transition):
         # finer wrapping needs less backaction per step, so the flip moves
         # toward weaker measurements (larger m)
@@ -765,8 +777,8 @@ class TestExactTransition:
         assert report.root_calls == 3 + 6
 
     def test_winding_curves_come_in_pairs(self, monkeypatch):
-        # (1e-3, 0.999) and the bracket's ends are two columns of one
-        # kernel call each
+        # the pairs (1e-3, 0.999) and the bracket's ends are the four
+        # columns of one kernel call
         real = an._uniform_amplitudes
         grid_calls = []
 
@@ -777,7 +789,7 @@ class TestExactTransition:
 
         monkeypatch.setattr(an, "_uniform_amplitudes", counted)
         report = an.find_critical_strength(tol=1e-4)
-        assert grid_calls == [[1e-3, 0.999], list(report.bracket)]
+        assert grid_calls == [[1e-3, 0.999, *report.bracket]]
 
     @pytest.mark.parametrize("end", [0, 1])
     def test_bracket_end_winding_is_checked(self, monkeypatch, end):
@@ -855,6 +867,43 @@ class TestExactTransition:
         assert nudged.nudge_retries == 1
         assert nudged.curves == plain.curves + 1
         assert nudged.bracket == plain.bracket
+
+    @pytest.mark.parametrize("fails", [1, 2])
+    def test_retries_move_away_from_the_other_end(self, monkeypatch, fails):
+        # each curve fails ``fails`` reads: it is read again 1e-9, then
+        # 1e-7 below a lower end (1e-3, the bracket's lower end) or above an
+        # upper end (0.999, the bracket's upper end), never toward m*
+        plain = an.find_critical_strength(tol=1e-3)
+        real, read = an.chern_from_curve, []
+
+        def fails_per_curve(curve):
+            read.append(curve.strength.m)
+            if len(read) % (fails + 1):
+                raise UnwrapError("forced")
+            return real(curve)
+
+        monkeypatch.setattr(an, "chern_from_curve", fails_per_curve)
+        report = an.find_critical_strength(tol=1e-3)
+        lo, hi = plain.bracket
+        assert read == [m + away * nudge
+                        for m, away in [(1e-3, -1), (0.999, 1), (lo, -1),
+                                        (hi, 1)]
+                        for nudge in (0.0, 1e-9, 1e-7)[:fails + 1]]
+        assert report.nudge_retries == 4 * fails
+        assert report.curves == plain.curves + 4 * fails
+        assert report.bracket == plain.bracket
+
+    def test_curve_that_fails_every_retry(self, monkeypatch):
+        read = []
+
+        def never_unwraps(curve):
+            read.append(curve.strength.m)
+            raise UnwrapError("forced")
+
+        monkeypatch.setattr(an, "chern_from_curve", never_unwraps)
+        with pytest.raises(UnwrapError, match=r"near m=0\.001$"):
+            an.find_critical_strength(tol=1e-3)
+        assert read == [1e-3, 1e-3 - 1e-9, 1e-3 - 1e-7]
 
 
 def winding_bisection(n_meas, w, tol):

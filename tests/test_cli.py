@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import geophase
 from geophase import analysis, cli, protocol, trajectories
@@ -435,6 +438,48 @@ def test_bad_value_exit_2_writes_nothing(tmp_path, capsys, argv, message):
     assert run_cli(argv + ["--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+#: Values that no option of ``transition`` accepts as they stand, and a
+#: small valid value of each option.
+_HOSTILE = [math.nan, math.inf, -math.inf, -1, 0, 2 ** 63, 1e300, "", "x"]
+_VALID = {"tol": [1e-3, 0.05], "n_meas": [2, 3, 6],
+          "ref_weight": [1e-8, 0.3], "assert_jump": ["pi", "1.0"]}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(options=st.fixed_dictionaries({
+    key: st.none() | st.tuples(st.sampled_from(valid) | st.sampled_from(_HOSTILE),
+                               st.sampled_from(["flag", "config"]))
+    for key, valid in _VALID.items()}))
+def test_transition_inputs_exit_cleanly(tmp_path_factory, options):
+    # each option absent, valid or hostile, as a flag or a config key: the
+    # run writes a valid envelope (exit 0 or 1) or exits with one error
+    # line and no file; argparse's own exit counts as its exit code
+    root = tmp_path_factory.mktemp("transition")
+    out, argv, config = root / "out", ["transition"], {}
+    for key, given_as in options.items():
+        if given_as is None:
+            continue
+        value, route = given_as
+        if route == "config":
+            config[key] = value
+        else:
+            argv += ["--" + key.replace("_", "-"), str(value)]
+    if config:
+        (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(root / "config.json")]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run_cli(argv + ["--out", str(out)])
+    if code in (0, 1):
+        load_envelope(out / "transition.json")
+    else:
+        assert code in (2, 3, 4), (argv, config)
+        errors = [line for line in stderr.getvalue().splitlines()
+                  if "error: " in line]
+        assert len(errors) == 1, (argv, config, stderr.getvalue())
+        assert not out.exists()
 
 
 _PROTOCOL_POINT = ["--theta", "1", "--m", "0.5"]
