@@ -485,15 +485,15 @@ def _sign_change(equator, lo: float, hi: float, a_lo: complex, a_hi: complex,
     hi)`` holds.
 
     ``equator`` maps an array of m to the equatorial amplitudes, and
-    f(lo) > 0 > f(hi) puts a sign change in the bracket.  Each pass evaluates the interior of a
-    ROOT_SECTION-point section in one call and keeps the first interval
-    over which f leaves the sign of f(lo), so the final lower end lies in
-    every bracket it passes through.  When f never changes sign (N <= 2,
-    where the winding does not flip), every pass keeps the last interval, so
-    the bracket walks to the upper end; the search's windings at 1e-3 and
-    0.999 then raise the same TransitionNotFoundError as without the scan.
-    Returns the last bracket's ends, their amplitudes and the number of
-    calls.
+    f(lo) > 0 > f(hi) puts a sign change in the bracket.  Each pass
+    evaluates the interior of a ROOT_SECTION-point section in one call and
+    keeps the first interval over which f leaves the sign of f(lo), so the
+    final lower end lies in every bracket it passes through.  When f never
+    changes sign (N <= 2, where the winding does not flip), every pass
+    keeps the last interval, so the bracket walks to the upper end; the
+    search's windings at 1e-3 and 0.999 then raise the same
+    TransitionNotFoundError as without the scan.  Returns the last
+    bracket's ends, their amplitudes and the number of calls.
     """
     ref = np.conj(a_lo)
     calls = 0

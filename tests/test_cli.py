@@ -449,7 +449,7 @@ _VALID = {"tol": [1e-3, 0.05], "n_meas": [2, 3, 6],
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(options=st.fixed_dictionaries({
-    key: st.none() | st.tuples(st.sampled_from(valid) | st.sampled_from(_HOSTILE),
+    key: st.none() | st.tuples(st.sampled_from(valid + _HOSTILE),
                                st.sampled_from(["flag", "config"]))
     for key, valid in _VALID.items()}))
 def test_transition_inputs_exit_cleanly(tmp_path_factory, options):
@@ -469,8 +469,9 @@ def test_transition_inputs_exit_cleanly(tmp_path_factory, options):
     if config:
         (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
         argv += ["--config", str(root / "config.json")]
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    stderr = io.StringIO()
+    with (contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(stderr)):
         code = run_cli(argv + ["--out", str(out)])
     if code in (0, 1):
         load_envelope(out / "transition.json")
