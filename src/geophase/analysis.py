@@ -384,10 +384,16 @@ def trajectory_surface(strength: Strength, theta_grid=None, *, n_meas: int = 6,
     quads oriented by ascending theta x ascending step (outward for a
     wrapping surface, so wrapping reads +1).
 
-    Returns (degree, thetas, vertices), the measured loops with vertices
-    of shape (n_theta, n_meas+1, 3).  Consecutive antipodal vertices leave
-    the geodesic between them undefined and raise AntipodalError naming
-    the loop's theta and segment.  A projective surface at n_meas = 2
+    The degree is computed on the grid plus the equator, theta = pi/2: by
+    the equator mirror a surface near m* folds about it, and a mesh that
+    steps over it can read the fold as a wrap.  A near-duplicate node only
+    adds quads of zero area.
+
+    Returns (degree, thetas, vertices), the measured loops of the given
+    grid with vertices of shape (n_theta, n_meas+1, 3).  Consecutive
+    antipodal vertices on the mesh leave the geodesic between them
+    undefined and raise AntipodalError naming the loop's theta and
+    segment.  A projective surface at n_meas = 2
     raises it on any grid: its two axes are antipodal at theta = pi/2,
     where the first step annihilates the {e,f} component, so the surface
     does not close.
@@ -406,15 +412,15 @@ def trajectory_surface(strength: Strength, theta_grid=None, *, n_meas: int = 6,
         raise AntipodalError("consecutive measurement axes are antipodal",
                              theta=0.5 * np.pi, segment=0)
 
-    _, pairs, _ = _amplitudes_for_thetas(thetas, strength, n_meas=n_meas,
-                                         reference_weight=reference_weight)
-    vertices = _bloch_batch(pairs)
+    mesh = _distinct(np.append(thetas, 0.5 * np.pi))
+    vertices = _bloch_batch(_amplitudes_for_thetas(
+        mesh, strength, n_meas=n_meas, reference_weight=reference_weight)[1])
     nxt = np.roll(vertices, -1, axis=1)
     bad = np.argwhere(np.sum(vertices * nxt, axis=2) <= -1.0 + _ANTIPODAL_TOL)
     if bad.size:
         i, j = bad[0]
         raise AntipodalError("antipodal geodesic endpoints on trajectory",
-                             theta=float(thetas[i]), segment=int(j))
+                             theta=float(mesh[i]), segment=int(j))
     a, b, c, d = vertices[:-1], vertices[1:], nxt[1:], nxt[:-1]
     total = (np.sum(_triangle_solid_angles(a, b, c))
              + np.sum(_triangle_solid_angles(a, c, d)))
@@ -423,7 +429,7 @@ def trajectory_surface(strength: Strength, theta_grid=None, *, n_meas: int = 6,
     residual = abs(raw - deg)
     if residual >= CHERN_RESIDUAL_TOL:
         raise AnalysisError(f"surface degree residual {residual:.3g} too large")
-    return deg, thetas, vertices
+    return deg, thetas, vertices[np.searchsorted(mesh, thetas)]
 
 
 def surface_degree(strength: Strength, theta_grid=None, *, n_meas: int = 6,

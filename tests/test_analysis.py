@@ -12,7 +12,7 @@ from geophase.errors import (AnalysisError, AntipodalError, DomainError,
 from geophase.measurement import Strength
 from geophase.protocol import (ProtocolSpec, run_protocol_analytic,
                                _amplitudes_for_thetas, _uniform_amplitudes)
-from geophase.qutrit import MeasurementAxis, axis_state, bloch_of
+from geophase.qutrit import MeasurementAxis, _bloch_batch, axis_state, bloch_of
 from geophase.trajectories import sample_trajectory
 
 
@@ -382,6 +382,20 @@ class TestSurfaceDegree:
         deg = an.surface_degree(Strength(float(m)))
         chern = an.chern_from_curve(an.phase_vs_theta(Strength(float(m))))
         assert deg == chern
+
+    def test_just_above_mstar_does_not_wrap(self, transition):
+        # the default 64-node grid has no node at pi/2, where the surface
+        # folds near m*; stepping over the fold read degree 1 here
+        assert an.surface_degree(Strength(transition.m_star.m + 1e-5)) == 0
+
+    def test_returns_the_given_grid_only(self):
+        # the equator node meshes the degree but is not returned, and the
+        # given grid's loops are the ones a kernel call on it alone gives
+        grid = np.linspace(0.0, np.pi, 64)
+        _, thetas, vertices = an.trajectory_surface(Strength(0.3), grid)
+        assert np.array_equal(thetas, grid)
+        pairs = _amplitudes_for_thetas(grid, Strength(0.3))[1]
+        assert np.array_equal(vertices, _bloch_batch(pairs))
 
     def test_rejects_m_one(self):
         with pytest.raises(DomainError):

@@ -4,6 +4,7 @@ parameters."""
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from geophase import analysis as an
 from geophase.measurement import Strength
 from geophase.protocol import (ProtocolSpec, initial_state, measure_along,
                                _amplitudes_for_thetas, _uniform_amplitudes)
@@ -101,3 +102,19 @@ def test_trajectory_terms_bounded(theta, m, w, n, seed):
                         reference_weight=w)
     terms = interference_terms(spec, McConfig(n_samples=64, seed=seed))
     assert np.max(np.abs(terms)) <= 1 + 1e-12
+
+
+@PROPERTY
+@given(n=st.integers(3, 96), w=st.floats(0.05, 0.95),
+       count=st.integers(33, 200), k=st.integers(3, 7),
+       side=st.sampled_from([-1, 1]))
+@example(n=6, w=0.5, count=64, k=5, side=1)
+def test_surface_degree_is_the_winding_near_mstar(n, w, count, k, side):
+    # the surface near m* folds about the equator; the degree is read on
+    # the grid plus pi/2 whatever the parity of the grid's count
+    m = an.find_critical_strength(n).m_star.m + side * 10.0 ** -k
+    strength = Strength(m)
+    grid = np.linspace(0.0, np.pi, count)
+    degree = an.surface_degree(strength, grid, n_meas=n, reference_weight=w)
+    curve = an.phase_vs_theta(strength, n_meas=n, reference_weight=w)
+    assert degree == an.chern_from_curve(curve)
