@@ -30,9 +30,10 @@ CLOSING_PHI, the run is the sequence of frame changes
 which ``_frame_steps`` yields.  R(theta, 0) maps the initial axis state to
 |e>, so the pair starts at (0, sqrt(1-w)) beside g = sqrt(w) (``_start``);
 each S_k is one ``_frame_step``, and the amplitude is 2g times the e
-component after S_{N+1} (``_close``).  The closed form
-(``_amplitudes_for_thetas``, any schedule, batched over theta and m) and
-the Monte Carlo walk of :mod:`geophase.trajectories` share these three
+component after S_{N+1} (``_close``).  R_k^dag takes a pair of frame k
+to the lab frame (``_to_lab``, from c, s and exp(i phi_k)).  The closed
+form (``_amplitudes_for_thetas``, any schedule, batched over theta and m)
+and the Monte Carlo walk of :mod:`geophase.trajectories` share these four
 and differ only in what scales a_f between steps; ``measure_along`` and
 ``initial_state`` keep the per-step 3x3 form as a reference.
 
@@ -62,8 +63,7 @@ import numpy as np
 from .errors import DomainError
 from .measurement import Strength, kraus_null
 from .qutrit import (_EF_FLOOR, E, F, G, MeasurementAxis, Operator3,
-                     QutritState, _bloch_batch, _rotation_matrices,
-                     axis_state, rotation_to_axis)
+                     QutritState, _bloch_batch, axis_state, rotation_to_axis)
 
 #: Contrast below which the interference phase is flagged undefined.
 CONTRAST_FLOOR = 1e-9
@@ -244,6 +244,15 @@ def _frame_steps(thetas: np.ndarray | float, schedule: tuple[float, ...]):
         ep_prev = ep
 
 
+def _to_lab(thetas, phis, a_f, a_e):
+    """The pair (a_f, a_e) of frame R(theta, phi) in the lab frame, R^dag
+    (a_f, a_e) = (e^{i phi} (c a_f + s a_e), c a_e - s a_f) with c, s =
+    cos(theta/2), sin(theta/2).  All four arguments broadcast."""
+    half = 0.5 * np.asarray(thetas, dtype=float)
+    c, s = np.cos(half), np.sin(half)
+    return np.exp(1j * np.asarray(phis)) * (c * a_f + s * a_e), c * a_e - s * a_f
+
+
 def _start(w: float):
     """(a_f, a_e, g) = (0, sqrt(1-w), sqrt(w)) before the first step."""
     return 0j, complex(np.sqrt(1.0 - w)), np.sqrt(w)
@@ -299,8 +308,8 @@ def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength | np.ndarray,
     interference amplitudes, the lab-frame pairs of shape
     grid + (n_meas + 1, 2), the initial pair followed by the pair after
     every step, and the step factors of shape grid + (n_meas,).  The pairs
-    are stored in their measurements' frames and rotated to the lab frame
-    in one batch after the loop.
+    are stored in their measurements' frames and taken to the lab frame
+    in place by one ``_to_lab`` call after the loop.
     """
     thetas, m = _kernel_args(thetas, strength, n_meas, reference_weight)
     schedule = phi_schedule if phi_schedule is not None else default_schedule(n_meas)
@@ -325,9 +334,10 @@ def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength | np.ndarray,
     factors = np.divide(np.hypot(m * a_f, a_e), ef_in,
                         out=np.zeros_like(ef_in), where=ef_in > 0.0)
     pairs[..., 1:, F] *= m
-    rots = _rotation_matrices(thetas[..., None], np.array([0.0, *schedule]))
-    np.conjugate(rots, out=rots)
-    return amps, np.einsum("...ji,...j->...i", rots, pairs), factors
+    pairs[..., F], pairs[..., E] = _to_lab(
+        thetas[..., None], np.array([0.0, *schedule]), pairs[..., F],
+        pairs[..., E])
+    return amps, pairs, factors
 
 
 def _uniform_amplitudes(thetas: np.ndarray, strength: Strength | np.ndarray,

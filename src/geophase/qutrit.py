@@ -176,26 +176,6 @@ def bloch_of(state: QutritState) -> BlochVector:
                        float(abs(a_e) ** 2 - abs(a_f) ** 2))
 
 
-def _rotation_matrices(thetas: np.ndarray, phi) -> np.ndarray:
-    """Batched {e,f} block of rotation_to_axis.
-
-    ``phi`` is one azimuth or an array that broadcasts against ``thetas``.
-    Returns an array of their broadcast shape + (2, 2), indexed by (F, E),
-    with the same entries as the {e,f} block of
-    ``rotation_to_axis(MeasurementAxis(theta, phi)).mat``.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    c, s = np.cos(0.5 * thetas), np.sin(0.5 * thetas)
-    ep = np.exp(-1j * phi)
-    mats = np.empty(np.broadcast_shapes(thetas.shape, np.shape(ep)) + (2, 2),
-                    dtype=complex)
-    mats[..., F, F] = c * ep
-    mats[..., F, E] = -s
-    mats[..., E, F] = s * ep
-    mats[..., E, E] = c
-    return mats
-
-
 def _bloch_batch(vecs: np.ndarray) -> np.ndarray:
     """Bloch vectors (..., 3 real) of an array of {e,f} pairs (..., 2 complex)."""
     ef = np.hypot(np.abs(vecs[..., F]), np.abs(vecs[..., E]))

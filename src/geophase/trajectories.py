@@ -56,8 +56,8 @@ import numpy as np
 from .errors import DomainError
 from .measurement import ReadoutDistribution, cloud_separation
 from .protocol import (ProtocolSpec, _close, _frame_step, _frame_steps,
-                       _ReadOnlyArrays, _require_int, _start)
-from .qutrit import QutritState, _rotation_matrices
+                       _ReadOnlyArrays, _require_int, _start, _to_lab)
+from .qutrit import QutritState
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -367,8 +367,8 @@ def sample_trajectory(spec: ProtocolSpec, sample_id: int,
         else:
             weight *= float(ReadoutDistribution(p_f, r0).pdf(readouts[k]))
     term = _close(steps[-1], a_f, a_e, g)[0]
-    back = _rotation_matrices(spec.theta, spec.phi_schedule[-1]).conj().T
-    state = np.array([*(back @ [a_f[0], a_e[0]]), g[0]], dtype=complex)
+    lab = _to_lab(spec.theta, spec.phi_schedule[-1], a_f[0], a_e[0])
+    state = np.array([*lab, g[0]], dtype=complex)
     return TrajectorySample(readouts=readouts,
                             final_state=QutritState(state, normalized=True),
                             probability_weight=weight,

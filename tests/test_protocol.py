@@ -300,6 +300,28 @@ class TestPathRecord:
                 assert abs(rec.factors[k]
                            - state.ef_norm / before.ef_norm) < 1e-13
 
+    def test_batched_lab_pairs_match_per_step_product(self):
+        # nine thetas in one kernel call, N = 96, and a custom schedule
+        # whose azimuths run out to about -50, so each pair's return to
+        # the lab frame carries a large exp(i phi_k)
+        rng = np.random.default_rng(5)
+        schedule = tuple(np.cumsum(rng.uniform(-1.0, -0.05, 96)))
+        assert 45.0 < -schedule[-1] < 55.0
+        thetas = np.linspace(0.0, np.pi, 9)
+        strength = Strength(0.7)
+        _, pairs, _ = _amplitudes_for_thetas(thetas, strength, 96, 0.4,
+                                             schedule)
+        for theta, row in zip(thetas, pairs):
+            spec = ProtocolSpec(theta=theta, strength=strength, n_meas=96,
+                                phi_schedule=schedule, reference_weight=0.4)
+            state = initial_state(theta, 0.4)
+            for k, ax in enumerate((None, *spec.axes)):
+                if ax is not None:
+                    state = measure_along(state, ax, strength)
+                lab = QutritState(np.array([*row[k], 0.0]))
+                assert np.max(np.abs(bloch_of(lab).as_array()
+                                     - bloch_of(state).as_array())) < 1e-13
+
     def test_annihilated_path_freezes(self):
         spec = ProtocolSpec(theta=np.pi / 2, strength=Strength(0.0), n_meas=3,
                             phi_schedule=(-np.pi, -1.5 * np.pi, -2 * np.pi))
