@@ -716,7 +716,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's --help (0) or usage error (2)
+        return exc.code
     try:
         return args.handler(args)
     except CliError as exc:

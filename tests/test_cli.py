@@ -440,6 +440,24 @@ def test_bad_value_exit_2_writes_nothing(tmp_path, capsys, argv, message):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["transition", "--tol", "x"], 2),
+    (["surface", "--m", "0.3", "--interp", "nan"], 2),
+    (["nosuch"], 2),
+    (["--help"], 0),
+    (["surface", "--help"], 0),
+])
+def test_main_returns_argparse_exits(tmp_path, capsys, argv, code):
+    # cli.main itself, with no wrapper: a flag that does not parse returns
+    # 2 with one error line and writes nothing; --help returns 0
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)] if code else argv) == code
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error: " in line]
+    assert len(errors) == (1 if code else 0)
+    assert not out.exists()
+
+
 #: Values that no option of ``transition`` accepts as they stand, and a
 #: small valid value of each option.
 _HOSTILE = [math.nan, math.inf, -math.inf, -1, 0, 2 ** 63, 1e300, "", "x"]
