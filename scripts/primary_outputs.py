@@ -48,8 +48,9 @@ TREE = Path(__file__).resolve().parent.parent
 #: grid has no theta = 0 node, so its anchor row is added, a surface
 #: whose loops are interpolated and written in three blocks, and a
 #: Gaussian and a projective mc at n_meas 96, whose walks pass the norm
-#: re-sum of every 64th step, and a transition at the finest tol, whose
-#: bisection halves the bracket most often.
+#: re-sum of every 64th step, a transition at the finest tol, whose
+#: bisection halves the bracket most often, and a surface just above
+#: m*(6), whose default grid has no node at the equator fold.
 COMMANDS = [
     ("phase", "1", ["phase", "--theta", "90deg", "--projective"]),
     ("sweep", "1", ["sweep", "--grid-theta", "0:3.14159:64",
@@ -93,6 +94,7 @@ COMMANDS = [
                               "--ref-weight", "0.3", "--assert-jump", "pi"]),
     ("transition-w1e-8", "1", ["transition", "--ref-weight", "1e-8",
                                "--tol", "1e-6"]),
+    ("surface-near-mstar", "1", ["surface", "--m", "0.472556"]),
 ]
 
 

@@ -384,10 +384,9 @@ def trajectory_surface(strength: Strength, theta_grid=None, *, n_meas: int = 6,
     quads oriented by ascending theta x ascending step (outward for a
     wrapping surface, so wrapping reads +1).
 
-    The degree is computed on the grid plus the equator, theta = pi/2: by
-    the equator mirror a surface near m* folds about it, and a mesh that
-    steps over it can read the fold as a wrap.  A near-duplicate node only
-    adds quads of zero area.
+    The degree is read on the grid plus theta = pi/2, about which a surface
+    near m* folds: a grid that steps over the fold can read it as a wrap.
+    A near-duplicate node only adds quads of zero area.
 
     Returns (degree, thetas, vertices), the measured loops of the given
     grid with vertices of shape (n_theta, n_meas+1, 3).  Consecutive
