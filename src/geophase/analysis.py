@@ -3,12 +3,18 @@ numbers, surface degree, critical-strength location) and the independent
 geometric oracles.  A custom schedule runs through ``protocol.ProtocolSpec``.
 
 Curves, maps and the equatorial root evaluate the uniform schedule's
-transfer-matrix power (``protocol._uniform_amplitudes``), in O(log N) per
-node; only the trajectory surface, which needs every step's Bloch point,
-runs the step loop.  A curve and every map column go through one
-refine-and-unwrap routine, which makes their kernel calls: one for the
-(theta, m) block, then one per insertion pass of each column that its
-vectorized unwrap leaves unsettled.  A transition search locates the
+transfer-matrix power, in O(log N) per node; only the trajectory surface,
+which needs every step's Bloch point, runs the step loop.  Every public
+entry runs the argument checks of ``protocol._kernel_args`` once, before
+any arithmetic: a curve, a map and each winding read through the checked
+``protocol._uniform_amplitudes``, and a transition search checks its
+theta = pi/2, n_meas and w once and then calls the unchecked power
+routine ``protocol._uniform_power`` with the one equatorial step at every
+m it tries, all inside the checked span.  A curve and every map column go
+through one refine-and-unwrap routine, which makes their kernel calls: one
+checked call for the (theta, m) block, then one unchecked call per
+insertion pass of each column that its vectorized unwrap leaves unsettled,
+whose nodes are midpoints of checked ones.  A transition search locates the
 equatorial sign change first and then reads its four winding curves in one
 kernel call, at w = 0.5 (the windings do not depend on w), on a theta grid
 clustered at the equator, where a curve near the critical strength turns:
@@ -42,8 +48,9 @@ import numpy as np
 from .errors import (AnalysisError, AntipodalError, DomainError,
                      TransitionNotFoundError, UnwrapError)
 from .measurement import Strength
-from .protocol import (CONTRAST_FLOOR, _amplitudes_for_thetas, _ReadOnlyArrays,
-                       _uniform_amplitudes)
+from .protocol import (CONTRAST_FLOOR, _amplitudes_for_thetas, _kernel_args,
+                       _ReadOnlyArrays, _uniform_amplitudes, _uniform_power,
+                       _uniform_step)
 from .qutrit import _bloch_batch
 
 DEFAULT_CURVE_NODES = 129
@@ -208,13 +215,30 @@ class PhaseCurve(_ReadOnlyArrays):
         return idx
 
 
-def _refine(thetas: np.ndarray, amps: np.ndarray, evaluate):
+@dataclass(frozen=True)
+class _Refined:
+    """``_refine``'s result: the nodes, their amplitudes, chi, whether the
+    column unwraps, and the number of insertion passes, each one call of
+    its ``evaluate``.  It unpacks to its first four fields, the column."""
+
+    nodes: np.ndarray
+    amps: np.ndarray
+    chi: np.ndarray
+    unwrappable: bool
+    passes: int
+
+    def __iter__(self):
+        return iter((self.nodes, self.amps, self.chi, self.unwrappable))
+
+
+def _refine(thetas: np.ndarray, amps: np.ndarray, evaluate) -> _Refined:
     """Bisect the intervals between defined nodes whose wrapped phase step
     reaches REFINE_DELTA, up to MAX_CURVE_NODES nodes, inserting only the
     midpoints that are not nodes yet; ``evaluate`` maps them to amplitudes.
     Returns the nodes, their amplitudes, chi (the last pass's steps summed
-    over the defined nodes from 0, NaN where masked) and whether every step
-    stays below FAIL_DELTA."""
+    over the defined nodes from 0, NaN where masked), whether every step
+    stays below FAIL_DELTA and the number of passes that inserted nodes."""
+    passes = 0
     while True:
         didx = np.flatnonzero(np.abs(amps) > CONTRAST_FLOOR)
         steps = wrap_angle(np.diff(np.angle(amps[didx])))
@@ -228,11 +252,13 @@ def _refine(thetas: np.ndarray, amps: np.ndarray, evaluate):
         order = np.argsort(np.concatenate([thetas, new]), kind="stable")
         thetas = np.concatenate([thetas, new])[order]
         amps = np.concatenate([amps, evaluate(new)])[order]
+        passes += 1
     chi = np.full(thetas.shape, np.nan)
     if didx.size == 0:
-        return thetas, amps, chi, False
+        return _Refined(thetas, amps, chi, False, passes)
     chi[didx] = np.concatenate([[0.0], np.cumsum(steps)])
-    return thetas, amps, chi, bool(np.all(np.abs(steps) < FAIL_DELTA))
+    return _Refined(thetas, amps, chi,
+                    bool(np.all(np.abs(steps) < FAIL_DELTA)), passes)
 
 
 class _Unwrapped(NamedTuple):
@@ -261,7 +287,9 @@ def _unwrap_columns(thetas: np.ndarray, ms: np.ndarray, *, n_meas: int,
     which adds in the order of ``_refine``'s 1-D sum, so a settled column
     equals its ``_refine`` result bit for bit.  Each other column (a wide
     step or a masked node) goes through ``_refine`` alone, evaluating its
-    inserted nodes at its own Strength; its chi is read back at ``thetas``.
+    inserted nodes at its own m by the unchecked ``_uniform_power``: they
+    are midpoints of the checked block's nodes, so they pass the same
+    checks.  Its chi is read back at ``thetas``.
     Beyond its three float results, the pass allocates only boolean
     temporaries.
 
@@ -289,17 +317,16 @@ def _unwrap_columns(thetas: np.ndarray, ms: np.ndarray, *, n_meas: int,
     refined = {}
     passes = 0
     for j in np.flatnonzero(~unwrappable).tolist():
-        def column(nodes: np.ndarray, strength=Strength(float(ms[j]))):
-            nonlocal passes
-            passes += 1
-            return _uniform_amplitudes(nodes, strength, n_meas=n_meas,
-                                       reference_weight=reference_weight)
+        def column(nodes: np.ndarray, m=float(ms[j])):
+            return _uniform_power(_uniform_step(nodes, n_meas), m, n_meas,
+                                  reference_weight)
 
-        nodes, col_amps, col_chi, unwrappable[j] = _refine(
-            thetas, amps[:, j], column)
-        refined[j] = nodes, col_amps, col_chi
+        col = _refine(thetas, amps[:, j], column)
+        refined[j] = col.nodes, col.amps, col.chi
+        unwrappable[j] = col.unwrappable
+        passes += col.passes
         # refinement only inserts nodes, so the block's are found among them
-        chi[:, j] = col_chi[np.searchsorted(nodes, thetas)]
+        chi[:, j] = col.chi[np.searchsorted(col.nodes, thetas)]
     return _Unwrapped(chi_wrapped, chi, contrast, unwrappable, refined,
                       passes)
 
@@ -478,8 +505,10 @@ class TransitionReport:
 
 #: Points per section of the equatorial root search, ends included; each
 #: kernel call narrows the sign-change bracket 128-fold.  Measured over the
-#: 21 searches of the analytic-map pass (N = 3 to 24, tol 1e-6), 129 to 513
-#: points took 0.78-0.80 of the root-search time of 33, and 1025 took 0.83.
+#: 21 searches of the analytic-map pass (N = 3 to 24, tol 1e-6), with the
+#: equator calling the unchecked power routine: 65, 129, 257 and 513 points
+#: took 13.3-13.9, 12.5-13.0, 13.0-14.0 and 13.9-14.2 ms in three runs
+#: (medians of 21 interleaved rounds), 33 and 1025 points 14.7-15.5 ms.
 ROOT_SECTION = 129
 
 
@@ -610,11 +639,15 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
         raise DomainError(f"tol={tol!r} below the supported resolution 1e-6")
     if not np.isfinite(tol):
         raise DomainError(f"tol={tol!r} must be finite")
-    equator = functools.partial(_uniform_amplitudes, np.array([0.5 * np.pi]),
+    # checked once here: every m that equator is given lies in the span
+    thetas, span = _kernel_args(np.array([0.5 * np.pi]),
+                                np.array(_SEARCH_SPAN), n_meas,
+                                reference_weight)
+    equator = functools.partial(_uniform_power, _uniform_step(thetas, n_meas),
                                 n_meas=n_meas,
                                 reference_weight=reference_weight)
     b_lo, *_, scan_calls = _sign_change(
-        equator, *_SEARCH_SPAN, *equator(list(_SEARCH_SPAN)),
+        equator, *_SEARCH_SPAN, *equator(span),
         enough=functools.partial(_one_cell, tol=tol))
     lo, hi = _bisection_cell(b_lo, tol)
     windings = _windings([*_SEARCH_SPAN, lo, hi], n_meas)
@@ -629,7 +662,7 @@ def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
                                 f"not {expected}")
         retries += tries
 
-    a_lo, a_hi = equator([lo, hi])
+    a_lo, a_hi = equator(np.array([lo, hi]))
     jump = float(abs(wrap_angle(np.angle(a_hi) - np.angle(a_lo))))
     if abs(jump - np.pi) > JUMP_TOL:
         raise AnalysisError(

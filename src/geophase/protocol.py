@@ -45,8 +45,15 @@ the (F, E) ordering the run is one matrix power,
     c * exp(i*chi) = 2 * sqrt(w*(1-w)) * [(D S)^N]_EE = 2 * sqrt(w*(1-w)) * [K^N]_EE,
 
 where K = D^(1/2) S D^(1/2) is similar to D S (D^(1/2) leaves e alone) and,
-like S, complex symmetric.  ``_uniform_amplitudes`` evaluates it by
-repeated squaring, which is what the analysis layer calls.
+like S, complex symmetric.  ``_uniform_power`` evaluates it by
+repeated squaring from S (``_uniform_step``).
+
+The argument rules are stated once, in ``_kernel_args``, and every public
+entry runs it once, before any arithmetic: ``ProtocolSpec`` and the
+kernels ``_amplitudes_for_thetas`` and ``_uniform_amplitudes`` (the checks,
+the step, then the power) here, and through them or directly each entry
+of :mod:`geophase.analysis`.  ``_uniform_power`` is unchecked arithmetic,
+for a caller whose step, m, N and w have passed those checks.
 
 The step loop stores each pair in its measurement's frame before that
 step scales a_f by m, takes each step's factor from it, and returns all
@@ -274,10 +281,12 @@ def _kernel_args(thetas, strength, n_meas: int, reference_weight: float):
     """The closed form's argument rules, stated only here and checked in
     this order: thetas in [0, pi], an m array in [0, 1] (a Strength checked
     its own m), reference_weight in (0, 1) and n_meas a positive integer;
-    NaN fails each range.  The callers are the two kernels,
-    ``_amplitudes_for_thetas`` and ``_uniform_amplitudes``, and
-    ``ProtocolSpec``.  Returns thetas as a float array and m as the
-    Strength's value or an array that broadcasts against thetas."""
+    NaN fails each range.  Every public entry runs it once: ``ProtocolSpec``,
+    the two kernels ``_amplitudes_for_thetas`` and ``_uniform_amplitudes``,
+    and ``analysis.find_critical_strength``, which then calls the unchecked
+    ``_uniform_power`` at every m it searches.  Returns thetas as a float
+    array and m as the Strength's value or an array that broadcasts against
+    thetas."""
     thetas = np.asarray(thetas, dtype=float)
     if not np.all((thetas >= 0.0) & (thetas <= np.pi)):
         raise DomainError("theta grid outside [0, pi]")
@@ -340,22 +349,43 @@ def _amplitudes_for_thetas(thetas: np.ndarray, strength: Strength | np.ndarray,
     return amps, pairs, factors
 
 
+def _uniform_step(thetas: np.ndarray, n_meas: int):
+    """The frame step S of the uniform schedule, the same for every k = 1
+    .. N: the first triple ``_frame_steps`` yields for one azimuth step of
+    -2*pi/N."""
+    return next(_frame_steps(thetas, (-2.0 * np.pi / n_meas,)))
+
+
 def _uniform_amplitudes(thetas: np.ndarray, strength: Strength | np.ndarray,
                         n_meas: int = 6,
                         reference_weight: float = 0.5) -> np.ndarray:
     """The closed-form product of the uniform schedule, batched over theta
-    and m as ``_amplitudes_for_thetas`` is, in O(log N) steps.
-
-    The amplitude is 2*sqrt(w*(1-w)) * [K^N]_EE for the symmetric K of the
-    module docstring.  Powers of K are symmetric, so K is carried as the
-    three arrays (K[F,F], K[F,E], K[E,E]), squared in place, and applied to
-    the vector K^j e_E on the set bits of N.  Equals the step loop to a
-    rounding error that grows about like N * eps.
+    and m as ``_amplitudes_for_thetas`` is, in O(log N) steps: the checks
+    of ``_kernel_args``, the step ``_uniform_step``, then the arithmetic of
+    ``_uniform_power``.  Equals the step loop to a rounding error that
+    grows about like N * eps.
     """
     thetas, m = _kernel_args(thetas, strength, n_meas, reference_weight)
+    return _uniform_power(_uniform_step(thetas, n_meas), m, n_meas,
+                          reference_weight)
+
+
+def _uniform_power(step, m, n_meas: int,
+                   reference_weight: float) -> np.ndarray:
+    """2*sqrt(w*(1-w)) * [K^N]_EE for the uniform step triple ``step`` of
+    ``_uniform_step``, unchecked: the caller has run ``_kernel_args`` on
+    the thetas of ``step``, on n_meas and w, and on m or on a span that
+    holds every m it passes (a float, or an array that broadcasts against
+    the step's shape).
+
+    K = D^(1/2) S D^(1/2) is the symmetric matrix of the module docstring.
+    Powers of K are symmetric, so K is carried as the three arrays (K[F,F],
+    K[F,E], K[E,E]), squared in place, and applied to the vector K^j e_E on
+    the set bits of N.
+    """
     w = reference_weight
-    s_ff, s_fe, s_ee = next(_frame_steps(thetas, (-2.0 * np.pi / n_meas,)))
-    shape = np.broadcast_shapes(thetas.shape, np.shape(m))
+    s_ff, s_fe, s_ee = step
+    shape = np.broadcast_shapes(np.shape(s_ff), np.shape(m))
     k_ff = np.empty(shape, dtype=complex)
     k_fe = np.empty(shape, dtype=complex)
     k_ee = np.empty(shape, dtype=complex)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from geophase import analysis as an
-from geophase import cli
+from geophase import cli, protocol
 from geophase.errors import (AnalysisError, AntipodalError, DomainError,
                              UnwrapError)
 from geophase.measurement import Strength
@@ -340,6 +340,43 @@ def test_nan_fails_range_checks(call):
 def test_integer_arguments_checked(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"reference_weight": 0.0}, {"reference_weight": 1.0},
+    {"reference_weight": np.nan}, {"reference_weight": 1.5},
+    {"n_meas": True}, {"n_meas": 2.5}, {"n_meas": -1},
+], ids=["w0", "w1", "w-nan", "w1.5", "n-bool", "n-float", "n-negative"])
+def test_transition_checks_at_the_door(monkeypatch, kwargs):
+    # the search checks its arguments once, before its first kernel call;
+    # every later call is the unchecked power routine
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return protocol._uniform_power(*args, **kw)
+
+    monkeypatch.setattr(an, "_uniform_power", counted)
+    monkeypatch.setattr(protocol, "_uniform_power", counted)
+    with pytest.raises(DomainError):
+        an.find_critical_strength(**kwargs)
+    assert calls == []
+
+
+def test_refine_reports_its_passes(transition):
+    # each pass that inserts nodes is one call of the evaluator; the map
+    # sums them over its refined columns
+    evaluated = []
+
+    def evaluate(nodes):
+        evaluated.append(nodes)
+        return _uniform_amplitudes(nodes, Strength(transition.m_star.m - 1e-6))
+
+    grid = np.linspace(0, np.pi, 65)
+    refined = an._refine(grid, evaluate(grid), evaluate)
+    assert refined.passes == len(evaluated) - 1 > 0
+    pm = an.sweep_phase_map(grid, [transition.m_star.m - 1e-6, 0.3])
+    assert pm.refine_passes == refined.passes
 
 
 @pytest.mark.parametrize("values", [

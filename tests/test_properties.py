@@ -7,8 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 from geophase import analysis as an
 from geophase.measurement import Strength
 from geophase.protocol import (ProtocolSpec, initial_state, measure_along,
-                               _amplitudes_for_thetas, _uniform_amplitudes)
-from geophase.qutrit import E, rotation_to_axis
+                               run_protocol_analytic, _amplitudes_for_thetas,
+                               _frame_steps, _uniform_amplitudes,
+                               _uniform_power)
+from geophase.qutrit import E, MeasurementAxis, axis_state, rotation_to_axis
 from geophase.trajectories import McConfig, interference_terms
 
 # derandomized and small, so that the suite stays deterministic and quick
@@ -60,6 +62,45 @@ def test_uniform_schedule_matches_step_loop(ths, ms, w, n):
     got = _uniform_amplitudes(*grid, n, w)
     ref = _amplitudes_for_thetas(*grid, n, w)[0]
     assert np.max(np.abs(got - ref)) < 1e-15 + 2 * np.finfo(float).eps * n
+
+
+@PROPERTY
+@given(ths=st.just(np.array([0.5 * np.pi])),
+       ms=st.lists(strengths, max_size=6),
+       w=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       n=st.integers(1, 4096))
+@example(ths=np.linspace(0.0, np.pi, 7)[:, None], ms=[0.4725, 0.9], w=0.3,
+         n=4095)
+def test_power_routine_is_the_checked_kernel(ths, ms, w, n):
+    # the checked kernel is its checks, the step and the power routine, so
+    # the routine on the step of the given thetas gives the same bits; the
+    # step loop, within its N * eps, checks the squaring itself
+    ms = np.array([0.0, *ms, 1.0])
+    step = next(_frame_steps(ths, (-2.0 * np.pi / n,)))
+    got = _uniform_power(step, ms, n, w)
+    want = _uniform_amplitudes(ths, ms, n, w)
+    assert got.shape == want.shape == np.broadcast_shapes(ths.shape, ms.shape)
+    assert got.tobytes() == want.tobytes()
+    ref = _amplitudes_for_thetas(ths, ms, n, w)[0]
+    assert np.max(np.abs(got - ref)) < 1e-15 + 2 * np.finfo(float).eps * n
+
+
+@PROPERTY
+@given(theta=st.floats(0.15, np.pi - 0.15), n=st.integers(3, 96))
+@example(theta=0.5 * np.pi, n=3)
+def test_projective_phase_three_routes(theta, n):
+    # at m = 0 the path is a geodesic polygon of measurement-axis states:
+    # the closed form, the overlap product around it and half its signed
+    # area are three routes to one phase
+    result, record = run_protocol_analytic(
+        ProtocolSpec(theta=theta, strength=Strength(0.0), n_meas=n))
+    x, y, z = np.asarray(record.points).T
+    states = [axis_state(MeasurementAxis(float(t), float(p))) for t, p in
+              zip(np.arccos(np.clip(z, -1.0, 1.0)), -np.arctan2(y, x))]
+    pan = an.pancharatnam_phase(states + states[:1])
+    half_omega = 0.5 * an.solid_angle_polygon(record.points)
+    assert circ_diff(result.phase, pan) < 1e-9
+    assert circ_diff(result.phase, half_omega) < 1e-9
 
 
 @PROPERTY
