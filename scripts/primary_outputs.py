@@ -49,8 +49,10 @@ TREE = Path(__file__).resolve().parent.parent
 #: whose loops are interpolated and written in three blocks, and a
 #: Gaussian and a projective mc at n_meas 96, whose walks pass the norm
 #: re-sum of every 64th step, a transition at the finest tol, whose
-#: bisection halves the bracket most often, and a surface just above
-#: m*(6), whose default grid has no node at the equator fold.
+#: bisection halves the bracket most often, a surface just above
+#: m*(6), whose default grid has no node at the equator fold, a projective
+#: phase whose second axis is antipodal to the first, so its path freezes
+#: at the initial point, and a projective phase at the south pole.
 COMMANDS = [
     ("phase", "1", ["phase", "--theta", "90deg", "--projective"]),
     ("sweep", "1", ["sweep", "--grid-theta", "0:3.14159:64",
@@ -95,6 +97,10 @@ COMMANDS = [
     ("transition-w1e-8", "1", ["transition", "--ref-weight", "1e-8",
                                "--tol", "1e-6"]),
     ("surface-near-mstar", "1", ["surface", "--m", "0.472556"]),
+    ("phase-freeze", "1", ["phase", "--theta", "90deg", "--projective",
+                           "--n-meas", "2"]),
+    ("phase-pole", "1", ["phase", "--theta", "3.141592653589793",
+                         "--projective"]),
 ]
 
 

@@ -17,15 +17,16 @@ _HOME = {name: module for module, names in (
     ("errors", ("AnalysisError", "AntipodalError", "DomainError",
                 "GeophaseError", "QuadratureError", "TransitionNotFoundError",
                 "UnwrapError")),
-    ("measurement", ("ReadoutDistribution", "Strength", "cloud_separation",
+    ("measurement", ("ReadoutDistribution", "cloud_separation",
                      "completeness_residual", "effective_kraus_from_integral",
                      "gauss_amplitudes", "kraus_null", "kraus_readout",
                      "readout_pdf", "readout_quadrature")),
-    ("protocol", ("CONTRAST_FLOOR", "InterferenceResult", "PathRecord",
-                  "ProtocolSpec", "default_schedule", "initial_state",
-                  "measure_along", "run_protocol_analytic")),
+    ("protocol", ("PathRecord", "initial_state", "measure_along",
+                  "run_protocol_analytic")),
     ("qutrit", ("BlochVector", "MeasurementAxis", "Operator3", "QutritState",
                 "axis_state", "bloch_of", "rotation_to_axis")),
+    ("spec", ("CONTRAST_FLOOR", "InterferenceResult", "ProtocolSpec",
+              "Strength", "default_schedule")),
     ("trajectories", ("McConfig", "McEstimate", "ReadoutHistogram",
                       "TrajectorySample", "mc_interference",
                       "readout_histogram", "sample_trajectory", "z_scores")),

@@ -1,6 +1,6 @@
 """Phase-map analysis of the uniform schedule (unwrapped curves, winding
 numbers, surface degree, critical-strength location) and the independent
-geometric oracles.  A custom schedule runs through ``protocol.ProtocolSpec``.
+geometric oracles.  A custom schedule runs through ``spec.ProtocolSpec``.
 
 Curves, maps and the equatorial root evaluate the uniform schedule's
 transfer-matrix power, in O(log N) per node; only the trajectory surface,
@@ -47,11 +47,10 @@ import numpy as np
 
 from .errors import (AnalysisError, AntipodalError, DomainError,
                      TransitionNotFoundError, UnwrapError)
-from .measurement import Strength
-from .protocol import (CONTRAST_FLOOR, _amplitudes_for_thetas, _kernel_args,
-                       _ReadOnlyArrays, _uniform_amplitudes, _uniform_power,
-                       _uniform_step)
+from .protocol import (_amplitudes_for_thetas, _kernel_args, _ReadOnlyArrays,
+                       _uniform_amplitudes, _uniform_power, _uniform_step)
 from .qutrit import _bloch_batch
+from .spec import CONTRAST_FLOOR, Strength
 
 DEFAULT_CURVE_NODES = 129
 TRANSITION_CURVE_NODES = 65

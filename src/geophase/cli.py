@@ -8,12 +8,14 @@ picks its kernels by the CPU's features, which can move last bits).
 GEOPHASE_THREADS (an integer >= 1) sets the worker
 count of ``mc``; its output does not depend on the count.  Wall times go
 to a ``*.timing.json`` sidecar: ``load_seconds`` is the import of the
-package modules the command runs (COMMAND_MODULES, numpy with them), and
-``wall_seconds`` covers the command's checks and compute after that, not
-its file writes (surface.csv's loops are interpolated as it is written).
-Nothing else loads numpy, so ``schema``, ``--help`` and a flag or
-config file that does not parse exit without it.  A run's files are
-written to temporary names and renamed once all are written.
+package modules the command runs (COMMAND_MODULES, numpy with every one
+but ``phase``'s), and ``wall_seconds`` covers the command's checks and
+compute after that, not its file writes (surface.csv's loops are
+interpolated as it is written).  ``phase`` computes on Python numbers
+(``spec.closed_form``, which also gives ``mc`` its analytic reference),
+and nothing else loads numpy, so ``phase``, ``schema``, ``--help`` and a
+flag or config file that does not parse run without it.  A run's files
+are written to temporary names and renamed once all are written.
 
 OPTIONS declares each option once: its parser, default and help.  A JSON
 ``--config`` file may preset any option of the command, and flags
@@ -204,12 +206,13 @@ COMMAND_OPTIONS = {
 
 #: The package modules each command runs.  The driver imports them before
 #: it starts the command's clock, so a command's own imports find them
-#: loaded, and no command loads numpy or a module it does not call.
+#: loaded, and no command loads a module it does not call; ``spec`` loads
+#: no numpy.
 COMMAND_MODULES = {
-    "phase": ("protocol",),
+    "phase": ("spec",),
     "sweep": ("analysis",),
     "transition": ("analysis",),
-    "mc": ("protocol", "trajectories"),
+    "mc": ("spec", "trajectories"),
     "surface": ("analysis",),
 }
 
@@ -260,7 +263,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _resolve_strength(cfg: dict):
-    from .measurement import Strength
+    from .spec import Strength
 
     m, gamma_tau = cfg["m"], cfg["gamma_tau"]
     if gamma_tau is not None:
@@ -297,7 +300,7 @@ def _n_meas(cfg: dict) -> int:
 
 
 def _protocol_spec(cfg: dict):
-    from .protocol import ProtocolSpec
+    from .spec import ProtocolSpec
 
     if cfg["theta"] is None:
         raise CliError(EXIT_CONFIG, "--theta is required")
@@ -422,10 +425,10 @@ _PLOT_SCRIPTS = {"sweep": _SWEEP_GP, "surface": _SURFACE_GP}
 
 
 def cmd_phase(cfg: dict) -> _Run:
-    from .protocol import CONTRAST_FLOOR, run_protocol_analytic
+    from .spec import CONTRAST_FLOOR, closed_form
 
     spec = _protocol_spec(cfg)
-    result, record = run_protocol_analytic(spec)
+    result, points, factors = closed_form(spec)
     results = {
         "theta": spec.theta,
         **_strength_fields(spec.strength),
@@ -433,10 +436,10 @@ def cmd_phase(cfg: dict) -> _Run:
         "contrast": result.contrast,
         "phase_defined": result.phase_defined,
         "method": "analytic",
-        "bloch_path": record.points[1:],
+        "bloch_path": points[1:],
     }
     diagnostics = {"contrast_floor": CONTRAST_FLOOR,
-                   "amplitude_factors": record.factors}
+                   "amplitude_factors": factors}
     return _Run({**cfg, **_strength_fields(spec.strength)}, results,
                 diagnostics, None,
                 f"theta={spec.theta:.12g} m={spec.strength.m:.12g} "
@@ -448,7 +451,7 @@ def cmd_sweep(cfg: dict) -> _Run:
     import numpy as np
 
     from . import analysis
-    from .measurement import Strength
+    from .spec import Strength
 
     grid_theta, grid_m = cfg["grid_theta"], cfg["grid_m"]
     cells = grid_theta["count"] * grid_m["count"]
@@ -496,7 +499,7 @@ def cmd_sweep(cfg: dict) -> _Run:
 
 def cmd_transition(cfg: dict) -> _Run:
     from . import analysis
-    from .measurement import Strength
+    from .spec import Strength
 
     report = analysis.find_critical_strength(
         n_meas=_n_meas(cfg), reference_weight=cfg["ref_weight"], tol=cfg["tol"])
@@ -529,7 +532,7 @@ def cmd_transition(cfg: dict) -> _Run:
 
 def cmd_mc(cfg: dict) -> _Run:
     from . import trajectories
-    from .protocol import run_protocol_analytic
+    from .spec import closed_form
 
     spec = _protocol_spec(cfg)
     n = cfg["samples"]
@@ -545,7 +548,7 @@ def cmd_mc(cfg: dict) -> _Run:
                        f"{MAX_MC_SAMPLE_STEPS} sample-steps")
     mc_cfg = trajectories.McConfig(n_samples=n, seed=cfg["seed"])
     workers = workers_from_env()
-    reference, _ = run_protocol_analytic(spec)
+    reference, _, _ = closed_form(spec)
     ref_amp = reference.amplitude
     estimate = trajectories.mc_interference(spec, mc_cfg, workers=workers)
     z_re, z_im = trajectories.z_scores(estimate, ref_amp)

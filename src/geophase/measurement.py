@@ -9,7 +9,8 @@ attenuation ``m`` of the f amplitude:
 where ``gamma*tau`` is the integrated dephasing between f and the other
 levels and ``r0/sigma`` the cloud separation of the readout in units of
 the per-cloud width.  ``m = 0`` is a projective measurement, ``m = 1``
-no measurement.
+no measurement.  ``Strength``, which holds m, is defined in
+:mod:`geophase.spec`, which loads no numpy, and is importable from here.
 
 The readout coordinate is reduced to one dimension along the line joining
 the cloud centers (the physics depends only on the Gaussian overlap; the
@@ -35,35 +36,11 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 from .qutrit import F, Operator3, QutritState
+from .spec import Strength
 
 DEFAULT_QUADRATURE_NODES = 64
 QUADRATURE_RESIDUAL_TOL = 1e-8
 _GAUSS_NORM = (2.0 * np.pi) ** -0.25
-
-
-@dataclass(frozen=True)
-class Strength:
-    """Measurement strength as the per-probe null-outcome attenuation m in [0, 1]."""
-
-    m: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.m) or not (0.0 <= self.m <= 1.0):
-            raise DomainError(f"strength m={self.m!r} outside [0, 1]")
-
-    @classmethod
-    def from_gamma_tau(cls, gamma_tau: float) -> "Strength":
-        if not gamma_tau >= 0.0:
-            raise DomainError(f"gamma_tau={gamma_tau!r} must be >= 0")
-        return cls(math.exp(-gamma_tau))
-
-    @property
-    def gamma_tau(self) -> float:
-        return math.inf if self.m == 0.0 else -math.log(self.m)
-
-    @property
-    def is_projective(self) -> bool:
-        return self.m == 0.0
 
 
 def cloud_separation(s: Strength) -> float:

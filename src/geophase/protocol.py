@@ -20,21 +20,15 @@ contrast is bounded by 2*sqrt(w*(1-w)).  The m = 0 limit is the exact
 projector onto the {axis, g} subspace, which is why a single code path
 serves both the partial and the projective protocol.
 
-The frame convention is stated here once.  The {e,f} pair is carried in
-the frame of the current measurement, R_k = R(theta, phi_k), where each
-attenuation is diagonal, a_f -> m a_f.  With phi_0 = 0 and phi_{N+1} =
-CLOSING_PHI, the run is the sequence of frame changes
-
-    S_k = R_k R_{k-1}^dag,   k = 1 .. N+1,
-
-which ``_frame_steps`` yields.  R(theta, 0) maps the initial axis state to
-|e>, so the pair starts at (0, sqrt(1-w)) beside g = sqrt(w) (``_start``);
-each S_k is one ``_frame_step``, and the amplitude is 2g times the e
-component after S_{N+1} (``_close``).  R_k^dag takes a pair of frame k
-to the lab frame (``_to_lab``, from c, s and exp(i phi_k)).  The closed
-form (``_amplitudes_for_thetas``, any schedule, batched over theta and m)
-and the Monte Carlo walk of :mod:`geophase.trajectories` share these four
-and differ only in what scales a_f between steps; ``measure_along`` and
+The frame convention and the step algebra are stated once, in
+:mod:`geophase.spec`, which imports no numpy: the pair starts at
+``_start``, each frame change S_k = R_k R_{k-1}^dag is one ``_frame_step``,
+``_close`` takes the amplitude after the closing one, and ``_lab`` takes a
+pair of frame k to the lab frame.  Here ``_frame_steps`` and ``_to_lab``
+feed them numpy's cos, sin and exp of theta arrays.  The closed form
+(``_amplitudes_for_thetas``, any schedule, batched over theta and m) and
+the Monte Carlo walk of :mod:`geophase.trajectories` share these and
+differ only in what scales a_f between steps; ``measure_along`` and
 ``initial_state`` keep the per-step 3x3 form as a reference.
 
 For the uniform schedule every S_1 .. S_N is the same S, with
@@ -48,17 +42,24 @@ where K = D^(1/2) S D^(1/2) is similar to D S (D^(1/2) leaves e alone) and,
 like S, complex symmetric.  ``_uniform_power`` evaluates it by
 repeated squaring from S (``_uniform_step``).
 
-The argument rules are stated once, in ``_kernel_args``, and every public
-entry runs it once, before any arithmetic: ``ProtocolSpec`` and the
-kernels ``_amplitudes_for_thetas`` and ``_uniform_amplitudes`` (the checks,
-the step, then the power) here, and through them or directly each entry
-of :mod:`geophase.analysis`.  ``_uniform_power`` is unchecked arithmetic,
-for a caller whose step, m, N and w have passed those checks.
+The argument rules are stated once.  ``ProtocolSpec`` checks one run's;
+``_kernel_args`` checks a batch's thetas and m, then the rules on n_meas
+and w that it shares with ``ProtocolSpec`` (``spec._run_args``).  Every
+public entry runs one of them once, before any arithmetic: the kernels
+``_amplitudes_for_thetas`` and ``_uniform_amplitudes`` (the checks, the
+step, then the power) here, and through them or directly each entry of
+:mod:`geophase.analysis`.  ``_uniform_power`` is unchecked arithmetic, for
+a caller whose step, m, N and w have passed those checks.
 
 The step loop stores each pair in its measurement's frame before that
 step scales a_f by m, takes each step's factor from it, and returns all
 pairs to the lab frame once, after the last step.  ``run_protocol_analytic``
 reports that one pass's amplitude, Bloch ``points`` and step ``factors``.
+``spec.closed_form`` runs the same algebra on one spec's Python numbers,
+for the CLI; its results differ from these in the last bits.
+``run_protocol_analytic`` stays on the batched kernel, whose numpy
+products the Monte Carlo walk shares: at m = 1 the walk's terms equal its
+amplitude exactly.
 """
 
 from __future__ import annotations
@@ -68,22 +69,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError
-from .measurement import Strength, kraus_null
-from .qutrit import (_EF_FLOOR, E, F, G, MeasurementAxis, Operator3,
-                     QutritState, _bloch_batch, axis_state, rotation_to_axis)
-
-#: Contrast below which the interference phase is flagged undefined.
-CONTRAST_FLOOR = 1e-9
-
-#: Azimuth of the closing rotation: one full wrap below the initial meridian.
-CLOSING_PHI = -2.0 * np.pi
-
-
-def _require_int(name: str, value) -> None:
-    """Refuse a size or seed that is not a Python or numpy integer; bools
-    are refused too, although Python counts them as ints."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name}={value!r} must be an integer")
+from .measurement import kraus_null
+from .qutrit import (E, F, G, MeasurementAxis, Operator3, QutritState,
+                     _bloch_batch, axis_state, rotation_to_axis)
+# CLOSING_PHI, CONTRAST_FLOOR, InterferenceResult, ProtocolSpec and
+# default_schedule are defined in spec and still importable from here
+from .spec import (CLOSING_PHI, CONTRAST_FLOOR, _EF_FLOOR, InterferenceResult,
+                   ProtocolSpec, Strength, _close, _frame_step, _lab,
+                   _run_args, _start, _steps, default_schedule)
 
 
 class _ReadOnlyArrays:
@@ -95,72 +88,6 @@ class _ReadOnlyArrays:
             arr = getattr(self, field.name)
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
-
-
-def default_schedule(n_meas: int) -> tuple[float, ...]:
-    """Uniform decreasing azimuths -2*pi*k/N for k = 1..N."""
-    return tuple(-2.0 * np.pi * k / n_meas for k in range(1, n_meas + 1))
-
-
-@dataclass(frozen=True)
-class ProtocolSpec:
-    """Full description of one run.
-
-    ``phi_schedule`` defaults to the uniform wrap; custom schedules are
-    accepted (finite values, length n_meas).  ``reference_weight`` is the
-    initial population of the reference level |g>.
-    """
-
-    theta: float
-    strength: Strength
-    n_meas: int = 6
-    phi_schedule: tuple[float, ...] | None = None
-    reference_weight: float = 0.5
-
-    def __post_init__(self):
-        if not np.isfinite(self.theta) or not (0.0 <= self.theta <= np.pi):
-            raise DomainError(f"theta={self.theta!r} outside [0, pi]")
-        _kernel_args(self.theta, self.strength, self.n_meas,
-                     self.reference_weight)
-        if self.phi_schedule is None:
-            object.__setattr__(self, "phi_schedule", default_schedule(self.n_meas))
-        else:
-            sched = tuple(float(p) for p in self.phi_schedule)
-            if len(sched) != self.n_meas:
-                raise DomainError(
-                    f"schedule length {len(sched)} != n_meas {self.n_meas}")
-            if not all(np.isfinite(p) for p in sched):
-                raise DomainError("phi_schedule must be finite")
-            object.__setattr__(self, "phi_schedule", sched)
-
-    @property
-    def axes(self) -> tuple[MeasurementAxis, ...]:
-        return tuple(MeasurementAxis(self.theta, p) for p in self.phi_schedule)
-
-    @property
-    def closing_axis(self) -> MeasurementAxis:
-        return MeasurementAxis(self.theta, CLOSING_PHI)
-
-
-@dataclass(frozen=True)
-class InterferenceResult:
-    """The reference interference ``amplitude`` c * exp(i*chi) of one run:
-    ``contrast`` is c and ``phase`` is chi in (-pi, pi], meaningful only
-    when ``phase_defined`` (contrast above CONTRAST_FLOOR)."""
-
-    amplitude: complex
-
-    @property
-    def contrast(self) -> float:
-        return float(abs(self.amplitude))
-
-    @property
-    def phase(self) -> float:
-        return float(np.angle(self.amplitude))
-
-    @property
-    def phase_defined(self) -> bool:
-        return self.contrast > CONTRAST_FLOOR
 
 
 @dataclass(frozen=True)
@@ -224,65 +151,30 @@ def run_protocol_analytic(spec: ProtocolSpec) -> tuple[InterferenceResult, PathR
             PathRecord(_bloch_batch(pairs[last_live]), factors))
 
 
-def _frame_steps(thetas: np.ndarray | float, schedule: tuple[float, ...]):
-    """Yield the frame changes S_k = R_k R_{k-1}^dag for k = 1 .. N+1.
-
-    R_k = R(theta, phi_k) with phi_0 = 0 and phi_{N+1} = CLOSING_PHI (see
-    the module docstring).  With c = cos(theta/2), s = sin(theta/2) and
-    t = exp(-i (phi_k - phi_{k-1})) the step is
-
-        [[c^2 t + s^2,  c s (t - 1)],
-         [c s (t - 1),  s^2 t + c^2]]
-
-    in the (F, E) ordering.  It is symmetric, so each step is the triple
-    (S[F,F], S[F,E], S[E,E]) of arrays of the shape of ``thetas``.  Steps
-    are yielded one at a time, so no array has an axis of schedule length.
-    t is formed as exp(-i phi_k) * exp(i phi_{k-1}), not from the
-    difference of the azimuths, whose rounding grows with their size.
-    """
+def _half_angles(thetas):
+    """(cos(theta/2), sin(theta/2)) of ``thetas`` as float arrays."""
     half = 0.5 * np.asarray(thetas, dtype=float)
-    c, s = np.cos(half), np.sin(half)
-    cc, ss, cs = c * c, s * s, c * s
-    ep_prev = 1.0
-    for phi in (*schedule, CLOSING_PHI):
-        ep = np.exp(-1j * phi)
-        t = ep * np.conj(ep_prev)
-        yield cc * t + ss, cs * (t - 1.0), ss * t + cc
-        ep_prev = ep
+    return np.cos(half), np.sin(half)
+
+
+def _frame_steps(thetas: np.ndarray | float, schedule: tuple[float, ...]):
+    """The frame-step triples of ``spec._steps`` for ``thetas``, each of
+    the shape of ``thetas``."""
+    return _steps(*_half_angles(thetas), schedule)
 
 
 def _to_lab(thetas, phis, a_f, a_e):
-    """The pair (a_f, a_e) of frame R(theta, phi) in the lab frame, R^dag
-    (a_f, a_e) = (e^{i phi} (c a_f + s a_e), c a_e - s a_f) with c, s =
-    cos(theta/2), sin(theta/2).  All four arguments broadcast."""
-    half = 0.5 * np.asarray(thetas, dtype=float)
-    c, s = np.cos(half), np.sin(half)
-    return np.exp(1j * np.asarray(phis)) * (c * a_f + s * a_e), c * a_e - s * a_f
-
-
-def _start(w: float):
-    """(a_f, a_e, g) = (0, sqrt(1-w), sqrt(w)) before the first step."""
-    return 0j, complex(np.sqrt(1.0 - w)), np.sqrt(w)
-
-
-def _frame_step(step, a_f, a_e):
-    """The pair (a_f, a_e) after the frame change (S_ff, S_fe, S_ee)."""
-    s_ff, s_fe, s_ee = step
-    return s_ff * a_f + s_fe * a_e, s_fe * a_f + s_ee * a_e
-
-
-def _close(step, a_f, a_e, g):
-    """The interference 2 g <e|S_close|a_f, a_e> of the closing ``step``."""
-    _, s_fe, s_ee = step
-    return 2.0 * g * (s_fe * a_f + s_ee * a_e)
+    """The pair (a_f, a_e) of frame R(theta, phi) in the lab frame
+    (``spec._lab``).  All four arguments broadcast."""
+    return _lab(*_half_angles(thetas), np.exp(1j * np.asarray(phis)), a_f, a_e)
 
 
 def _kernel_args(thetas, strength, n_meas: int, reference_weight: float):
-    """The closed form's argument rules, stated only here and checked in
-    this order: thetas in [0, pi], an m array in [0, 1] (a Strength checked
-    its own m), reference_weight in (0, 1) and n_meas a positive integer;
-    NaN fails each range.  Every public entry runs it once: ``ProtocolSpec``,
-    the two kernels ``_amplitudes_for_thetas`` and ``_uniform_amplitudes``,
+    """The batched closed form's argument rules, checked in this order:
+    thetas in [0, pi], an m array in [0, 1] (a Strength checked its own m),
+    then ``spec._run_args``: reference_weight in (0, 1) and n_meas a
+    positive integer; NaN fails each range.  Every batched entry runs it
+    once: the two kernels ``_amplitudes_for_thetas`` and ``_uniform_amplitudes``,
     and ``analysis.find_critical_strength``, which then calls the unchecked
     ``_uniform_power`` at every m it searches.  Returns thetas as a float
     array and m as the Strength's value or an array that broadcasts against
@@ -293,11 +185,7 @@ def _kernel_args(thetas, strength, n_meas: int, reference_weight: float):
     m = strength.m if isinstance(strength, Strength) else np.asarray(strength)
     if isinstance(m, np.ndarray) and not np.all((m >= 0.0) & (m <= 1.0)):
         raise DomainError("strength grid outside [0, 1]")
-    if not 0.0 < reference_weight < 1.0:
-        raise DomainError(f"reference_weight={reference_weight!r} outside (0, 1)")
-    _require_int("n_meas", n_meas)
-    if n_meas < 1:
-        raise DomainError(f"n_meas={n_meas!r} must be positive")
+    _run_args(n_meas, reference_weight)
     return thetas, m
 
 

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .spec import _EF_FLOOR, _bloch
 
 F, E, G = 0, 1, 2
 
 NORM_TOL = 1e-12
-_EF_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -169,11 +169,7 @@ def bloch_of(state: QutritState) -> BlochVector:
     n = state.ef_norm
     if n < _EF_FLOOR:
         raise DomainError("Bloch vector undefined: state has no {e,f} component")
-    a_f = state.vec[F] / n
-    a_e = state.vec[E] / n
-    xy = 2.0 * a_e * np.conj(a_f)
-    return BlochVector(float(xy.real), float(xy.imag),
-                       float(abs(a_e) ** 2 - abs(a_f) ** 2))
+    return BlochVector(*map(float, _bloch(state.vec[F], state.vec[E], n)))
 
 
 def _bloch_batch(vecs: np.ndarray) -> np.ndarray:
@@ -181,11 +177,7 @@ def _bloch_batch(vecs: np.ndarray) -> np.ndarray:
     ef = np.hypot(np.abs(vecs[..., F]), np.abs(vecs[..., E]))
     if np.any(ef < _EF_FLOOR):
         raise DomainError("Bloch vector undefined: zero {e,f} component")
-    a_f = vecs[..., F] / ef
-    a_e = vecs[..., E] / ef
-    xy = 2.0 * a_e * np.conj(a_f)
     out = np.empty(vecs.shape[:-1] + (3,), dtype=float)
-    out[..., 0] = xy.real
-    out[..., 1] = xy.imag
-    out[..., 2] = np.abs(a_e) ** 2 - np.abs(a_f) ** 2
+    out[..., 0], out[..., 1], out[..., 2] = _bloch(vecs[..., F], vecs[..., E],
+                                                   ef)
     return out

@@ -14,7 +14,8 @@ against the analytic product meaningful.
 
 The state is the {e,f} pair (a_f, a_e) and a real reference amplitude
 a_g.  It starts, steps and closes by the closed form's ``_start``,
-``_frame_step`` and ``_close``, so each readout's Kraus operator is
+``_frame_step`` and ``_close`` (:mod:`geophase.spec`), so each readout's
+Kraus operator is
 diagonal in the frame it is drawn in: diag(Psit(r), Psi(r), Psi(r)).
 Each step draws its readout r once (``_readouts``); after renormalization
 the state depends on r only through the likelihood ratio Psit(r)/Psi(r) =
@@ -55,8 +56,8 @@ import numpy as np
 
 from .errors import DomainError
 from .measurement import ReadoutDistribution, cloud_separation
-from .protocol import (ProtocolSpec, _close, _frame_step, _frame_steps,
-                       _ReadOnlyArrays, _require_int, _start, _to_lab)
+from .protocol import _frame_steps, _ReadOnlyArrays, _to_lab
+from .spec import ProtocolSpec, _close, _frame_step, _require_int, _start
 from .qutrit import QutritState
 
 if TYPE_CHECKING:

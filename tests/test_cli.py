@@ -688,12 +688,39 @@ def test_mc_seed_checked_before_reference(tmp_path, monkeypatch, capsys, seed):
     def no_reference(spec):
         pytest.fail("analytic reference computed")
 
-    monkeypatch.setattr(protocol, "run_protocol_analytic", no_reference)
+    monkeypatch.setattr("geophase.spec.closed_form", no_reference)
     out = tmp_path / "out"
     assert run_cli(["mc", *_PROTOCOL_POINT, "--seed", str(seed),
                     "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: seed must fit in 64 bits\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", [
+    ["--theta", "1.2", "--m", "0.6"],
+    ["--theta", "90deg", "--projective"],
+    ["--theta", "1.2", "--gamma-tau", "0.75"],
+    ["--theta", "1.2", "--m", "0.6", "--n-meas", "4096"],
+    ["--theta", "0", "--m", "0.6"],
+    ["--theta", "3.141592653589793", "--m", "0.6"],
+    ["--config", "SCHEDULE"],
+], ids=["readme", "projective", "gamma-tau", "n-meas-4096", "theta-0",
+        "theta-pi", "custom-schedule"])
+def test_mc_reference_is_the_phase_command(tmp_path, cell):
+    # the oracle of a session's mc: its analytic block is phase's result,
+    # bit for bit
+    config = tmp_path / "schedule.json"
+    config.write_text(json.dumps({"theta": 1.9, "m": 0.3, "n_meas": 5,
+                                  "phi_schedule": [-0.4, -1.9, -2.2, -4.0,
+                                                   -6.0]}))
+    cell = [str(config) if a == "SCHEDULE" else a for a in cell]
+    assert run_cli(["phase", *cell, "--out", str(tmp_path / "phase")]) == 0
+    assert run_cli(["mc", *cell, "--samples", "100",
+                    "--out", str(tmp_path / "mc")]) in (0, 1)
+    phase = load_envelope(tmp_path / "phase" / "phase.json")["results"]
+    analytic = load_envelope(tmp_path / "mc" / "mc.json")["results"]["analytic"]
+    assert analytic["chi"] == phase["chi"]
+    assert analytic["contrast"] == phase["contrast"]
 
 
 @pytest.mark.parametrize("command", [["sweep"], ["surface", "--m", "0.5"]])
@@ -873,18 +900,18 @@ def _no_compute(*args, **kwargs):
 
 
 @pytest.mark.parametrize("argv, computes", [
-    (["phase", *_PROTOCOL_POINT], ["protocol.run_protocol_analytic"]),
+    (["phase", *_PROTOCOL_POINT], ["spec.closed_form"]),
     (["sweep", "--grid-theta", "0:3:8", "--grid-m", "0:1:3"],
      ["analysis.sweep_phase_map"]),
     (["transition"], ["analysis.find_critical_strength"]),
     (["mc", *_PROTOCOL_POINT],
-     ["protocol.run_protocol_analytic", "trajectories.mc_interference"]),
+     ["spec.closed_form", "trajectories.mc_interference"]),
     (["surface", "--m", "0.5"], ["analysis.trajectory_surface"]),
     (["schema"], []),
     # --out is checked before the command's own inputs: 50 samples alone
     # exit 5
     (["mc", *_PROTOCOL_POINT, "--samples", "50"],
-     ["protocol.run_protocol_analytic", "trajectories.mc_interference"]),
+     ["spec.closed_form", "trajectories.mc_interference"]),
 ])
 @pytest.mark.parametrize("below", ["", "sub"])
 def test_unusable_out_exit_2_before_work(tmp_path, monkeypatch, capsys,
@@ -951,34 +978,47 @@ def test_timing_sidecar(tmp_path, argv):
 
 
 _LOADS_CLI = ["geophase.cli", "geophase.errors"]
-_LOADS_PROTOCOL = [*_LOADS_CLI, "geophase.measurement", "geophase.protocol",
-                   "geophase.qutrit"]
+_LOADS_PHASE = [*_LOADS_CLI, "geophase.spec"]
+_LOADS_PROTOCOL = sorted([*_LOADS_PHASE, "geophase.measurement",
+                          "geophase.protocol", "geophase.qutrit"])
 _LOADS_ANALYSIS = sorted([*_LOADS_PROTOCOL, "geophase.analysis"])
 
 
-@pytest.mark.parametrize("argv, code, loads", [
-    (None, None, _LOADS_CLI),
-    (["schema"], 0, _LOADS_CLI),
-    (["--help"], 0, _LOADS_CLI),
-    (["phase", "--theta", "x"], 2, _LOADS_CLI),
-    (["phase", "--config", "BAD"], 2, _LOADS_CLI),
-    (_SMALL_RUNS[0], 0, _LOADS_PROTOCOL),
-    (_SMALL_RUNS[1], 0, _LOADS_ANALYSIS),
-    (_SMALL_RUNS[2], 0, _LOADS_ANALYSIS),
-    (_SMALL_RUNS[3], 0, sorted([*_LOADS_PROTOCOL, "geophase.trajectories"])),
-    (_SMALL_RUNS[4], 0, _LOADS_ANALYSIS),
+@pytest.mark.parametrize("argv, code, loads, numpy", [
+    (None, None, _LOADS_CLI, False),
+    (["schema"], 0, _LOADS_CLI, False),
+    (["--help"], 0, _LOADS_CLI, False),
+    (["phase", "--theta", "x"], 2, _LOADS_CLI, False),
+    (["phase", "--config", "BAD"], 2, _LOADS_CLI, False),
+    (_SMALL_RUNS[0], 0, _LOADS_PHASE, False),
+    (["phase", "--theta", "4", "--m", "0.5"], 2, _LOADS_PHASE, False),
+    ([*_SMALL_RUNS[0], "--n-meas", "0"], 2, _LOADS_PHASE, False),
+    ([*_SMALL_RUNS[0], "--ref-weight", "1.5"], 2, _LOADS_PHASE, False),
+    (["phase", "--config", "SCHEDULE"], 2, _LOADS_PHASE, False),
+    (_SMALL_RUNS[1], 0, _LOADS_ANALYSIS, True),
+    (_SMALL_RUNS[2], 0, _LOADS_ANALYSIS, True),
+    (_SMALL_RUNS[3], 0, sorted([*_LOADS_PROTOCOL, "geophase.trajectories"]),
+     True),
+    (_SMALL_RUNS[4], 0, _LOADS_ANALYSIS, True),
 ], ids=["import", "schema", "help", "bad-flag", "bad-config", "phase",
+        "phase-theta", "phase-n-meas", "phase-ref-weight", "phase-schedule",
         "sweep", "transition", "mc", "surface"])
-def test_each_command_loads_only_its_modules(tmp_path, argv, code, loads):
+def test_each_command_loads_only_its_modules(tmp_path, argv, code, loads,
+                                             numpy):
     # each process loads the package modules its command calls and no
-    # other; numpy comes with the first module that computes, and the
-    # driver has loaded them all before the command starts (late is
-    # empty; numpy's own lazy submodules are not counted, but numpy.ma,
+    # other; numpy comes with the first module that computes on arrays
+    # (phase computes on Python numbers, and so refuses its inputs too),
+    # and the driver has loaded them all before the command starts (late
+    # is empty; numpy's own lazy submodules are not counted, but numpy.ma,
     # which np.unique imports on its first call, is never loaded)
     bad_config = tmp_path / "bad.json"
     bad_config.write_text('{"n_meas": 6.5}')
+    schedule_config = tmp_path / "schedule.json"
+    schedule_config.write_text(
+        '{"theta": 1.0, "m": 0.5, "phi_schedule": [-1.0, -2.0]}')
+    configs = {"BAD": str(bad_config), "SCHEDULE": str(schedule_config)}
     if argv is not None and argv != ["--help"]:
-        argv = [str(bad_config) if a == "BAD" else a for a in argv]
+        argv = [configs.get(a, a) for a in argv]
         argv += ["--out", str(tmp_path / "out")]
     script = ("import sys\n"
               "from geophase import cli\n"
@@ -1006,7 +1046,7 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, code, loads):
               "      'numpy' in sys.modules, sorted(late),\n"
               "      'numpy.ma' in sys.modules)")
     last = _fresh_interpreter(script).stdout.strip().splitlines()[-1]
-    assert last == f"{code} {loads} {loads != _LOADS_CLI} [] False"
+    assert last == f"{code} {loads} {numpy} [] False"
 
 
 @pytest.mark.parametrize("threads", ["0", "-4", "two"])

@@ -10,7 +10,9 @@ from geophase.protocol import (ProtocolSpec, initial_state, measure_along,
                                run_protocol_analytic, _amplitudes_for_thetas,
                                _frame_steps, _uniform_amplitudes,
                                _uniform_power)
-from geophase.qutrit import E, MeasurementAxis, axis_state, rotation_to_axis
+from geophase.qutrit import (E, F, MeasurementAxis, axis_state,
+                             rotation_to_axis)
+from geophase.spec import closed_form
 from geophase.trajectories import McConfig, interference_terms
 
 # derandomized and small, so that the suite stays deterministic and quick
@@ -161,3 +163,57 @@ def test_surface_degree_is_the_winding_near_mstar(n, w, count, k, side):
     degree = an.surface_degree(strength, grid, n_meas=n, reference_weight=w)
     curve = an.phase_vs_theta(strength, n_meas=n, reference_weight=w)
     assert degree == an.chern_from_curve(curve)
+
+
+def _per_step_run(spec):
+    """The amplitude and the lab-frame {e,f} pair after each measurement,
+    from the per-step 3x3 operators."""
+    state = initial_state(spec.theta, spec.reference_weight)
+    pairs = []
+    for axis in spec.axes:
+        state = measure_along(state, axis, spec.strength)
+        pairs.append(state.vec[[F, E]])
+    close = rotation_to_axis(spec.closing_axis).mat
+    return (2 * np.sqrt(spec.reference_weight) * (close @ state.vec)[E],
+            np.array(pairs))
+
+
+@PROPERTY
+@given(theta=st.sampled_from([0.0, np.pi]) | thetas,
+       m=st.sampled_from([0.0, 1.0]) | strengths,
+       w=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       n=st.integers(1, 4096), seed=st.none() | st.integers(0, 2 ** 32 - 1))
+@example(theta=0.5 * np.pi, m=0.0, w=0.5, n=2, seed=None)
+@example(theta=5.6e-4, m=0.49, w=0.5, n=4096, seed=None)
+@example(theta=1.9, m=0.3, w=0.2, n=40, seed=7)
+def test_scalar_route_is_the_closed_form(theta, m, w, n, seed):
+    # the one-spec route on Python numbers shares the step algebra with the
+    # batched kernel, but numpy's SIMD complex products and its hypot round
+    # differently, so the amplitude's gap grows like N * eps (6.2e-13 at
+    # N = 4096, theta = 5.6e-4); the normalized points and the factors
+    # stay within 1e-13
+    schedule = (None if seed is None else tuple(
+        np.random.default_rng(seed).uniform(-8.0, 2.0, n).tolist()))
+    spec = ProtocolSpec(theta=theta, strength=Strength(m), n_meas=n,
+                        phi_schedule=schedule, reference_weight=w)
+    result, record = run_protocol_analytic(spec)
+    scalar, points, factors = closed_form(spec)
+    assert (abs(scalar.amplitude - result.amplitude)
+            < 1e-13 + 2 * np.finfo(float).eps * n)
+    assert all(type(v) is float for p in points for v in p)
+    assert all(type(f) is float for f in factors)
+    assert np.max(np.abs(np.array(points) - record.points)) < 1e-13
+    assert np.max(np.abs(np.array(factors) - record.factors)) < 1e-13
+    if n <= 96:
+        # the shared algebra against the per-step 3x3 product, wherever
+        # the pair has a Bloch point
+        amp, pairs = _per_step_run(spec)
+        assert abs(scalar.amplitude - amp) < 1e-12
+        ef = np.hypot(np.abs(pairs[:, 0]), np.abs(pairs[:, 1]))
+        live = ef > 1e-6
+        a_f, a_e = pairs[live, 0] / ef[live], pairs[live, 1] / ef[live]
+        xy = 2 * a_e * np.conj(a_f)
+        want = np.stack([xy.real, xy.imag, np.abs(a_e) ** 2 - np.abs(a_f) ** 2],
+                        axis=1)
+        assert np.max(np.abs(np.array(points[1:])[live] - want),
+                      initial=0.0) < 1e-9

@@ -9,6 +9,7 @@ from geophase.protocol import (CLOSING_PHI, CONTRAST_FLOOR, ProtocolSpec,
                                _frame_steps, _uniform_amplitudes)
 from geophase.qutrit import (E, F, MeasurementAxis, Operator3, QutritState,
                              axis_state, bloch_of, rotation_to_axis)
+from geophase.spec import closed_form
 
 
 def amplitude(result):
@@ -377,3 +378,48 @@ class TestProjectiveProtocol:
                 ProtocolSpec(theta=0.0, strength=Strength(0.0), n_meas=n))
             assert abs(res.contrast - 1.0) < 1e-12
             assert circ_diff(res.phase, 0.0) < 1e-12
+
+
+class TestScalarRoute:
+    def test_freezes_where_the_batched_route_does(self):
+        # N = 2 on the equator: the second axis is antipodal to the first,
+        # so the projective step annihilates the pair and the path stays
+        # at the initial point
+        spec = ProtocolSpec(theta=np.pi / 2, strength=Strength(0.0), n_meas=2)
+        result, record = run_protocol_analytic(spec)
+        scalar, points, factors = closed_form(spec)
+
+        def frozen(pts):
+            return [k for k in range(1, len(pts))
+                    if np.array_equal(pts[k], pts[k - 1])]
+
+        assert frozen(record.points) == frozen(np.array(points)) == [1, 2]
+        assert np.max(np.abs(np.array(points) - record.points)) < 1e-13
+        # the step leaves only rounding of the pair
+        assert max(factors) < 1e-15 and np.max(record.factors) < 1e-15
+        assert scalar.contrast < CONTRAST_FLOOR and not scalar.phase_defined
+        assert not result.phase_defined
+
+    @pytest.mark.parametrize("kwargs", [
+        {"theta": -0.1}, {"theta": 4.0}, {"theta": np.nan},
+        {"strength": 0.5}, {"n_meas": 0}, {"n_meas": True}, {"n_meas": 2.5},
+        {"reference_weight": 0.0}, {"reference_weight": 1.0},
+        {"reference_weight": np.nan}, {"phi_schedule": (-1.0, -2.0)},
+        {"phi_schedule": (-1.0,) * 5 + (np.inf,)},
+    ], ids=repr)
+    def test_refuses_as_the_batched_route_does(self, kwargs):
+        args = {"theta": 1.0, "strength": Strength(0.5), **kwargs}
+        errors = []
+        for route in (run_protocol_analytic, closed_form):
+            with pytest.raises(DomainError) as err:
+                route(ProtocolSpec(**args))
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1]
+        if {"n_meas", "reference_weight"} & set(kwargs):
+            # one statement of these rules: the batched kernel's checks
+            # refuse them with the same message
+            with pytest.raises(DomainError) as err:
+                _amplitudes_for_thetas(np.array([1.0]), Strength(0.5),
+                                       kwargs.get("n_meas", 6),
+                                       kwargs.get("reference_weight", 0.5))
+            assert (type(err.value), str(err.value)) == errors[0]

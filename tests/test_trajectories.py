@@ -213,6 +213,8 @@ def test_numpy_integers_accepted():
     assert McConfig(n_samples=np.int64(10), seed=np.uint64(7)).n_samples == 10
     assert ProtocolSpec(theta=1.0, strength=Strength(0.5),
                         n_meas=np.int32(3)).n_meas == 3
+    assert ProtocolSpec(theta=1.0, strength=Strength(0.5),
+                        n_meas=np.int64(6)).n_meas == 6
 
 
 def analytic_amplitude(spec):
