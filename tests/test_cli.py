@@ -1008,7 +1008,7 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, code, loads,
     # each process loads the package modules its command calls and no
     # other; numpy comes with the first module that computes on arrays
     # (phase computes on Python numbers, and so refuses its inputs too),
-    # and the driver has loaded them all before the command starts (late
+    # and `_run_command` has loaded them all before the command starts (late
     # is empty; numpy's own lazy submodules are not counted, but numpy.ma,
     # which np.unique imports on its first call, is never loaded)
     bad_config = tmp_path / "bad.json"
