@@ -10,8 +10,9 @@ Usage, from anywhere:
 geophase.cli`` process with ``PYTHONPATH=<tree>/src`` (the tree defaults
 to the checkout holding this script), in ``DIR/<n>-<command>/`` with
 ``--out .``, so the ``out`` that envelopes echo is the same for every
-tree.  The command's standard output goes to ``stdout.txt`` beside its
-files.  It exits 1 if any command exits non-zero.
+tree.  The command's standard output and standard error go to
+``stdout.txt`` and ``stderr.txt`` beside its files.  It exits 1 if any
+command exits non-zero.
 
 ``write`` also records, in ``DIR/numpy-target.json``, the numpy version,
 its enabled CPU features and ``NPY_DISABLE_CPU_FEATURES``: primary files
@@ -138,6 +139,7 @@ def write(out: Path, tree: Path) -> int:
             cwd=run_dir, env={**env, "GEOPHASE_THREADS": threads},
             capture_output=True, text=True, timeout=600)
         (run_dir / "stdout.txt").write_text(proc.stdout, encoding="utf-8")
+        (run_dir / "stderr.txt").write_text(proc.stderr, encoding="utf-8")
         if proc.returncode != 0:
             failed = 1
             print(f"{run_dir.name}: exit {proc.returncode}: "

@@ -17,6 +17,13 @@ and nothing else loads numpy, so ``phase``, ``schema``, ``--help`` and a
 flag or config file that does not parse run without it.  A run's files
 are written to temporary names and renamed once all are written.
 
+``python -m geophase.cli`` and the ``geophase`` script both run ``script``:
+``main``, then a flush of stdout and stderr, the join of any ``mc`` worker
+pool, and ``os._exit`` with main's code, which skips the interpreter's
+teardown (about 25 ms once numpy is loaded).  Under a tracer or profiler
+(coverage, cProfile) the process exits normally, so they write their
+data.  ``main`` itself returns its code and leaves the interpreter running.
+
 OPTIONS declares each option once: its parser, default and help.  A JSON
 ``--config`` file may preset any option of the command, and flags
 override it.  A config value passes its flag's parser: a string is read
@@ -30,7 +37,8 @@ A value that does not parse, a sweep theta grid with repeated nodes, or
 an ``--out`` that is a file, lies under one or cannot be created, exits 2
 before any work; ``--out`` is checked first, before each command's own
 inputs.  A file that cannot be written under ``--out`` also exits 2,
-and leaves none of the run's files.
+and leaves none of the run's files; a summary that cannot be written to
+stdout (closed early) exits 2 once the files are written.
 Exit 3 bounds, before anything is allocated,
 ``--n-meas`` (MAX_N_MEAS), ``mc --samples`` (MAX_MC_SAMPLES), samples x
 n_meas (MAX_MC_SAMPLE_STEPS), sweep cells (MAX_SWEEP_CELLS, or
@@ -50,6 +58,7 @@ import sys
 import time
 from collections import namedtuple
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import (AnalysisError, AntipodalError, DomainError, GeophaseError,
                      TransitionNotFoundError, UnwrapError)
@@ -348,6 +357,19 @@ def _write_files(out_dir: Path, files: dict) -> None:
     finally:
         for tmp in staged:
             tmp.unlink(missing_ok=True)
+
+
+def _stdout_error(exc: OSError) -> CliError:
+    return CliError(EXIT_CONFIG, f"cannot write stdout: {exc.strerror or exc}")
+
+
+def _print(text: str, end: str = "\n") -> None:
+    """Print ``text`` on stdout; a stdout that cannot take it (closed
+    early, say) exits 2, and the run's files stay written."""
+    try:
+        print(text, end=end)
+    except OSError as exc:
+        raise _stdout_error(exc) from exc
 
 
 def _jsonify(obj):
@@ -652,7 +674,7 @@ def _run_command(args: argparse.Namespace) -> int:
         files[name] = [json.dumps(_jsonify(doc), indent=2, sort_keys=True)
                        + "\n"]
     _write_files(out_dir, files)
-    print(run.summary)
+    _print(run.summary)
     return run.code
 
 
@@ -667,7 +689,7 @@ def cmd_schema(args: argparse.Namespace) -> int:
     text = _schema_text()
     if args.out is not None:
         _write_files(_out_dir(args.out), {"envelope.schema.json": [text]})
-    print(text, end="")
+    _print(text, end="")
     return EXIT_OK
 
 
@@ -739,5 +761,43 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
 
+def _traced() -> bool:
+    """Whether a tracer, profiler or monitoring tool (Python 3.12+) is
+    attached; coverage and cProfile write their data at interpreter exit."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            or (monitoring is not None
+                and any(monitoring.get_tool(tool) is not None
+                        for tool in range(6))))
+
+
+def script(argv=None) -> NoReturn:
+    """The ``geophase`` command: run ``main`` and end the process with its
+    exit code.  Once stdout and stderr are flushed and any ``mc`` worker
+    pool has been joined, the process ends by ``os._exit`` and skips the
+    interpreter's teardown, which takes longer than most commands'
+    compute; under a tracer or profiler it exits normally, so their data
+    is written.  A summary still buffered for a stdout that was closed is
+    an output error, exit 2, as a summary that fails to print is in
+    ``main``.  (With no stdout at all, Python drops what is printed.)"""
+    code = main(argv)
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {_stdout_error(exc)}", file=sys.stderr)
+        code = EXIT_CONFIG
+        # the summary stays buffered: let a normal exit flush it to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    if _traced():
+        sys.exit(code)
+    trajectories = sys.modules.get(f"{__package__}.trajectories")
+    if trajectories is not None:
+        trajectories._shutdown_pools()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    script()

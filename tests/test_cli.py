@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -813,14 +814,23 @@ def test_surface_points_bound_is_inclusive(tmp_path, monkeypatch):
     assert seen == [(count, 4), (64, cli.MAX_N_MEAS)]
 
 
-def _fresh_interpreter(code):
-    """Run ``code`` in a new interpreter with the package on its path."""
+def _python(*args, env=None, **kwargs):
+    """Run a new interpreter on ``args`` with the package on its path and
+    the variables of ``env`` set, or unset where they are None."""
     src = str(Path(geophase.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
-               filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True, timeout=60)
+               filter(None, [src, os.environ.get("PYTHONPATH")])),
+           **(env or {})}
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, *args], text=True, timeout=60,
+                          env={k: v for k, v in env.items() if v is not None},
+                          **kwargs)
+
+
+def _fresh_interpreter(code):
+    """Run ``code`` in a new interpreter with the package on its path."""
+    return _python("-c", code, check=True)
 
 
 def test_cli_import_loads_no_scipy():
@@ -893,6 +903,153 @@ def test_worker_pool_exits_silently():
             "    ProtocolSpec(theta=1.0, strength=Strength(0.5)),\n"
             "    trajectories.McConfig(n_samples=9000, seed=1), workers=2)")
     assert _fresh_interpreter(code).stderr == ""
+
+
+#: (arguments, exit code) of commands whose process must behave as
+#: ``cli.main`` does in process; OUT and FILE stand for a new directory and
+#: a file.
+_PROCESS_CASES = [
+    (["schema"], 0),
+    (["phase", *_PROTOCOL_POINT, "--out", "OUT"], 0),
+    (["--help"], 0),
+    (["phase", "--theta", "x", "--out", "OUT"], 2),
+    (["phase", *_PROTOCOL_POINT, "--out", "FILE"], 2),
+    (["phase", *_PROTOCOL_POINT, "--n-meas", str(cli.MAX_N_MEAS + 1),
+      "--out", "OUT"], 3),
+    (["mc", *_PROTOCOL_POINT, "--samples", "50", "--out", "OUT"], 5),
+    (["mc", "--theta", "0.001", "--projective", "--samples", "10000",
+      "--seed", "42", "--out", "OUT"], 1),
+]
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, code", _PROCESS_CASES,
+                         ids=["schema", "phase", "help", "bad-flag", "bad-out",
+                              "n-meas-oversize", "mc-insufficient",
+                              "mc-pole-gate"])
+def test_process_keeps_the_cli_contract(tmp_path, monkeypatch, capsys, argv,
+                                        code, unbuffered):
+    # `python -m geophase.cli` ends by os._exit once it has flushed; its
+    # exit code, stdout and stderr are cli.main's in process
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to it
+    (tmp_path / "file").write_text("keep")
+    paths = {"OUT": str(tmp_path / "out"), "FILE": str(tmp_path / "file")}
+    argv = [paths.get(a, a) for a in argv]
+    assert cli.main(argv) == code
+    inside = capsys.readouterr()
+    proc = _python("-m", "geophase.cli", *argv,
+                   env={"PYTHONUNBUFFERED": unbuffered})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, inside.out, inside.err)
+
+
+class _Exited(Exception):
+    pass
+
+
+def test_script_joins_the_pool_before_it_exits(tmp_path, monkeypatch,
+                                               capsys):
+    # the os._exit of script() raises here instead, and only here: a
+    # worker forked in this test inherits the patch and must still exit
+    parent, real_exit = os.getpid(), os._exit
+
+    def fake_exit(code):
+        if os.getpid() != parent:
+            real_exit(code)
+        raise _Exited(code)
+
+    workers = []
+    shutdown = trajectories._shutdown_pools
+
+    def record_workers():
+        workers.extend(process for pool in trajectories._pools.values()
+                       for process in pool._processes.values())
+        shutdown()
+
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_traced", lambda: False)
+    monkeypatch.setattr(trajectories, "_shutdown_pools", record_workers)
+    monkeypatch.setenv("GEOPHASE_THREADS", "2")
+    with pytest.raises(_Exited) as exited:
+        cli.script(["mc", *_PROTOCOL_POINT, "--samples", "10000",
+                    "--out", str(tmp_path)])
+    assert exited.value.args == (0,)
+    assert capsys.readouterr().out.startswith("mc: ")
+    assert trajectories._pools == {}
+    assert len(workers) >= 2
+    assert not any(process.is_alive() for process in workers)
+
+
+def test_profiler_keeps_the_normal_exit(tmp_path):
+    stats = tmp_path / "F"
+    proc = _python("-m", "cProfile", "-o", str(stats), "-m", "geophase.cli",
+                   "schema")
+    assert proc.returncode == 0
+    assert stats.stat().st_size > 0
+
+
+def test_tracer_keeps_the_normal_exit():
+    code = ("import atexit, runpy, sys\n"
+            "sys.settrace(lambda *args: None)\n"
+            "atexit.register(print, 'atexit ran')\n"
+            "runpy.run_module('geophase.cli', run_name='__main__')\n")
+    proc = _python("-c", code, "schema")
+    assert proc.returncode == 0
+    assert proc.stdout.endswith("}\natexit ran\n")
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, written", [
+    (["phase", *_PROTOCOL_POINT], ["phase.json", "phase.timing.json"]),
+    (["schema"], ["envelope.schema.json"]),
+], ids=["phase", "schema"])
+def test_closed_stdout_is_an_output_error(tmp_path, argv, written,
+                                          unbuffered):
+    # a stdout whose reader is gone fails the summary's write (unbuffered)
+    # or the final flush (buffered): one error line, exit 2, and the run's
+    # files stay as a normal run writes them
+    argv = argv + ["--out", str(tmp_path)]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _python("-m", "geophase.cli", *argv, stdout=write,
+                       env={"PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: Broken pipe\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
+    primary = [tmp_path / name for name in written
+               if not name.endswith(".timing.json")]
+    closed = [path.read_bytes() for path in primary]
+    assert cli.main(argv) == 0
+    assert closed == [path.read_bytes() for path in primary]
+
+
+def test_no_stdout_at_all_exits_as_before(tmp_path):
+    # started with file descriptor 1 closed, Python has no sys.stdout and
+    # print writes nowhere; the run still succeeds and writes its files
+    proc = _python("-m", "geophase.cli", "phase", *_PROTOCOL_POINT,
+                   "--out", str(tmp_path), stdout=None,
+                   preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "phase.json", "phase.timing.json"]
+
+
+def test_console_script_is_the_main_block_entry():
+    # `geophase` and `python -m geophase.cli` end the same way
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    pyproject = tomllib.loads((root / "pyproject.toml").read_text())
+    target = pyproject["project"]["scripts"]["geophase"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.script
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    assert source.endswith('\nif __name__ == "__main__":\n    script()\n')
 
 
 def _no_compute(*args, **kwargs):

@@ -1,4 +1,5 @@
-"""``scripts/primary_outputs.py compare`` on hand-written directories."""
+"""``scripts/primary_outputs.py compare`` on hand-written directories, and
+``write`` on two small commands."""
 
 import importlib.util
 import json
@@ -115,3 +116,19 @@ def test_numpy_target_recorded_and_compared(tmp_path, primary_outputs,
                         "NPY_DISABLE_CPU_FEATURES, cpu_features; numbers may "
                         "differ in their last bits")
     assert all(line.endswith(": same") for line in lines[1:])
+
+
+def test_write_keeps_each_commands_stdout_and_stderr(tmp_path,
+                                                     primary_outputs,
+                                                     monkeypatch, capsys):
+    monkeypatch.setattr(primary_outputs, "COMMANDS", [
+        ("schema", "1", ["schema"]),
+        ("bad", "1", ["phase", "--theta", "1", "--m", "2"])])
+    assert primary_outputs.write(tmp_path, primary_outputs.TREE) == 1
+    schema, bad = tmp_path / "01-schema", tmp_path / "02-bad"
+    assert (schema / "stdout.txt").read_text() == (
+        schema / "envelope.schema.json").read_text()
+    assert (schema / "stderr.txt").read_text() == ""
+    assert (bad / "stdout.txt").read_text() == ""
+    assert (bad / "stderr.txt").read_text().startswith("error: ")
+    assert capsys.readouterr().err.startswith("02-bad: exit 2: error: ")

@@ -35,7 +35,7 @@ PACKAGE_NAMES = [
 CLI_FUNCTIONS = [
     "build_parser", "cmd_mc", "cmd_phase", "cmd_schema", "cmd_surface",
     "cmd_sweep", "cmd_transition", "envelope_schema", "main", "parse_angle",
-    "parse_grid", "workers_from_env",
+    "parse_grid", "script", "workers_from_env",
 ]
 
 
