@@ -40,6 +40,7 @@ jumps by pi.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,9 +48,9 @@ import numpy as np
 
 from .errors import (AnalysisError, AntipodalError, DomainError,
                      TransitionNotFoundError, UnwrapError)
-from .protocol import (_amplitudes_for_thetas, _kernel_args, _ReadOnlyArrays,
-                       _uniform_amplitudes, _uniform_power, _uniform_step)
-from .qutrit import _bloch_batch
+from .protocol import (_amplitudes_for_thetas, _bloch_batch, _kernel_args,
+                       _ReadOnlyArrays, _uniform_amplitudes, _uniform_power,
+                       _uniform_step)
 from .spec import CONTRAST_FLOOR, Strength
 
 DEFAULT_CURVE_NODES = 129
@@ -508,7 +509,23 @@ class TransitionReport:
 #: equator calling the unchecked power routine: 65, 129, 257 and 513 points
 #: took 13.3-13.9, 12.5-13.0, 13.0-14.0 and 13.9-14.2 ms in three runs
 #: (medians of 21 interleaved rounds), 33 and 1025 points 14.7-15.5 ms.
+#: Re-measured once a section's nodes cost one product and one sum (same
+#: rounds): 65, 129 and 257 points took 9.9-10.3, 9.4-9.5 and 9.8-9.9 ms.
 ROOT_SECTION = 129
+#: The node indices of a section, from which ``_sign_change`` builds its
+#: nodes by np.linspace's own arithmetic.
+_SECTION_INDEX = np.arange(ROOT_SECTION, dtype=float)
+_SECTION_INDEX.setflags(write=False)
+
+
+def _section(lo: float, hi: float) -> np.ndarray:
+    """np.linspace(lo, hi, ROOT_SECTION) bit for bit, for lo < hi whose
+    step (hi - lo) / (ROOT_SECTION - 1) is not zero: the same product,
+    sum and end node, without linspace's dispatch."""
+    ms = _SECTION_INDEX * ((hi - lo) / (ROOT_SECTION - 1))
+    ms += lo
+    ms[-1] = hi
+    return ms
 
 
 def _sign_change(equator, lo: float, hi: float, a_lo: complex, a_hi: complex,
@@ -521,10 +538,11 @@ def _sign_change(equator, lo: float, hi: float, a_lo: complex, a_hi: complex,
     f(lo) > 0 > f(hi) puts a sign change in the bracket.  Each pass
     evaluates the interior of a ROOT_SECTION-point section in one call and
     keeps the first interval over which f leaves the sign of f(lo), so the
-    final lower end lies in every bracket it passes through.  When f never
-    changes sign (N <= 2, where the winding does not flip), every pass
-    keeps the last interval, so the bracket walks to the upper end; the
-    search's windings at 1e-3 and 0.999 then raise the same
+    final lower end lies in every bracket it passes through.  A section
+    too narrow for distinct nodes is reduced to its distinct ones.  When f
+    never changes sign (N <= 2, where the winding does not flip), every
+    pass keeps the last interval, so the bracket walks to the upper end;
+    the search's windings at 1e-3 and 0.999 then raise the same
     TransitionNotFoundError as without the scan.  Returns the last
     bracket's ends, their amplitudes and the number of calls.
     """
@@ -533,16 +551,20 @@ def _sign_change(equator, lo: float, hi: float, a_lo: complex, a_hi: complex,
     while True:
         if enough is not None and enough(lo, hi):
             return lo, hi, a_lo, a_hi, calls
-        ms = _distinct(np.linspace(lo, hi, ROOT_SECTION))
-        if ms.size <= 2:
-            return lo, hi, a_lo, a_hi, calls
+        ms = _section(lo, hi)
+        if (ms[1:] <= ms[:-1]).any():
+            ms = _distinct(ms)
+            if ms.size <= 2:
+                return lo, hi, a_lo, a_hi, calls
         inner = equator(ms[1:-1])
         calls += 1
-        flipped = np.flatnonzero((inner * ref).real <= 0.0)
-        j = flipped[0] + 1 if flipped.size else ms.size - 1
-        amps = np.concatenate([[a_lo], inner, [a_hi]])
+        flipped = (inner * ref).real <= 0.0
+        k = int(flipped.argmax())  # the first flip, or 0 if none
+        j = k + 1 if flipped[k] else ms.size - 1
+        # inner[k - 1] is the amplitude of node k, between the two ends
+        a_lo = complex(inner[j - 2] if j > 1 else a_lo)
+        a_hi = complex(inner[j - 1] if j < ms.size - 1 else a_hi)
         lo, hi = float(ms[j - 1]), float(ms[j])
-        a_lo, a_hi = complex(amps[j - 1]), complex(amps[j])
 
 
 def _equator_root(equator, lo: float, hi: float, a_lo: complex,
@@ -559,14 +581,20 @@ def _equator_root(equator, lo: float, hi: float, a_lo: complex,
 _SEARCH_SPAN = (1e-3, 1.0 - 1e-3)
 
 
-def _bisection_cell(m: float, tol: float) -> tuple[float, float]:
+def _bisection_cell(m: float, tol: float,
+                    upper: float | None = None) -> tuple[float, float] | None:
     """The interval within tol that halving _SEARCH_SPAN toward m reaches,
-    a midpoint at or below m becoming the lower end."""
+    a midpoint at or below m becoming the lower end.  Given ``upper`` (at
+    least m), None as soon as a midpoint splits m from it: then the two
+    reach different intervals."""
     lo, hi = _SEARCH_SPAN
+    upper = m if upper is None else upper
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= m:
             lo = mid
+        elif mid <= upper:
+            return None
         else:
             hi = mid
     return lo, hi
@@ -575,8 +603,20 @@ def _bisection_cell(m: float, tol: float) -> tuple[float, float]:
 def _one_cell(lo: float, hi: float, tol: float) -> bool:
     """Whether every m in [lo, hi) falls in one ``_bisection_cell``: the
     sign change's final lower end lies there, so its cell is then fixed."""
-    return (_bisection_cell(lo, tol)
-            == _bisection_cell(np.nextafter(hi, 0.0), tol))
+    return _bisection_cell(lo, tol, math.nextafter(hi, 0.0)) is not None
+
+
+@functools.lru_cache(maxsize=None)
+def _winding_grid(nodes: int, levels: int) -> np.ndarray:
+    """The read-only theta grid of the winding curves: ``nodes`` uniform
+    nodes on [0, pi] and the equator cluster pi/2 +- (pi / (nodes - 1))
+    2^-k for k = 1 .. ``levels``."""
+    offsets = np.pi / (nodes - 1) * 2.0 ** -np.arange(1, levels + 1)
+    grid = _distinct(np.concatenate([np.linspace(0.0, np.pi, nodes),
+                                     0.5 * np.pi - offsets,
+                                     0.5 * np.pi + offsets]))
+    grid.setflags(write=False)
+    return grid
 
 
 def _windings(ms, n_meas: int):
@@ -595,12 +635,10 @@ def _windings(ms, n_meas: int):
     a lower end down and an upper end up, so a retry never crosses a root
     that lies between the two ends.
     """
-    offsets = (np.pi / (TRANSITION_CURVE_NODES - 1)
-               * 2.0 ** -np.arange(1, TRANSITION_EQUATOR_LEVELS + 1))
-    curves = functools.partial(_phase_curves, thetas=_distinct(np.concatenate([
-        np.linspace(0.0, np.pi, TRANSITION_CURVE_NODES),
-        0.5 * np.pi - offsets, 0.5 * np.pi + offsets])), n_meas=n_meas,
-        reference_weight=0.5)
+    curves = functools.partial(
+        _phase_curves, thetas=_winding_grid(TRANSITION_CURVE_NODES,
+                                            TRANSITION_EQUATOR_LEVELS),
+        n_meas=n_meas, reference_weight=0.5)
     for j, curve in enumerate(curves([Strength(m) for m in ms])):
         for retries, nudge in enumerate((1e-9, 1e-7, None)):
             try:

@@ -38,7 +38,8 @@ an ``--out`` that is a file, lies under one or cannot be created, exits 2
 before any work; ``--out`` is checked first, before each command's own
 inputs.  A file that cannot be written under ``--out`` also exits 2,
 and leaves none of the run's files; a summary that cannot be written to
-stdout (closed early) exits 2 once the files are written.
+stdout (closed early) exits 2 once the files are written, and so does a
+``--help`` that cannot.
 Exit 3 bounds, before anything is allocated,
 ``--n-meas`` (MAX_N_MEAS), ``mc --samples`` (MAX_MC_SAMPLES), samples x
 n_meas (MAX_MC_SAMPLE_STEPS), sweep cells (MAX_SWEEP_CELLS, or
@@ -702,8 +703,21 @@ def envelope_schema() -> dict:
 # Parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but its help and usage text for stdout goes
+    through ``_print``: a stdout that cannot take it exits 2, as for a
+    summary, where argparse would drop the OSError and exit 0.  Its
+    subparsers are of this class too."""
+
+    def _print_message(self, message, file=None):
+        if message and file is not None and file is sys.stdout:
+            _print(message, end="")
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geophase",
         description="Measurement-induced geometric phases: closed-form "
                     "sequence evaluation, Monte Carlo cross-checks, and "
@@ -742,10 +756,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse's --help (0) or usage error (2)
-        return exc.code
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse's --help (0) or usage error (2)
+            return exc.code
         return args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,7 +29,10 @@ feed them numpy's cos, sin and exp of theta arrays.  The closed form
 (``_amplitudes_for_thetas``, any schedule, batched over theta and m) and
 the Monte Carlo walk of :mod:`geophase.trajectories` share these and
 differ only in what scales a_f between steps; ``measure_along`` and
-``initial_state`` keep the per-step 3x3 form as a reference.
+``initial_state`` keep the per-step 3x3 form as a reference, and load the
+3x3 modules :mod:`geophase.qutrit` and :mod:`geophase.measurement` only
+when called, so the closed form and :mod:`geophase.analysis` run without
+them.
 
 For the uniform schedule every S_1 .. S_N is the same S, with
 phi_k - phi_{k-1} = -2*pi/N, and the closing step is the identity,
@@ -65,18 +68,20 @@ amplitude exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError
-from .measurement import kraus_null
-from .qutrit import (E, F, G, MeasurementAxis, Operator3, QutritState,
-                     _bloch_batch, axis_state, rotation_to_axis)
 # CLOSING_PHI, CONTRAST_FLOOR, InterferenceResult, ProtocolSpec and
 # default_schedule are defined in spec and still importable from here
-from .spec import (CLOSING_PHI, CONTRAST_FLOOR, _EF_FLOOR, InterferenceResult,
-                   ProtocolSpec, Strength, _close, _frame_step, _lab,
-                   _run_args, _start, _steps, default_schedule)
+from .spec import (CLOSING_PHI, CONTRAST_FLOOR, _EF_FLOOR, E, F, G,
+                   InterferenceResult, ProtocolSpec, Strength, _bloch, _close,
+                   _frame_step, _lab, _run_args, _start, _steps,
+                   default_schedule)
+
+if TYPE_CHECKING:
+    from .qutrit import MeasurementAxis, Operator3, QutritState
 
 
 class _ReadOnlyArrays:
@@ -108,6 +113,8 @@ class PathRecord(_ReadOnlyArrays):
 
 def initial_state(theta: float, reference_weight: float) -> QutritState:
     """sqrt(w)|g> + sqrt(1-w)|theta, phi=0>."""
+    from .qutrit import MeasurementAxis, QutritState, axis_state
+
     vec = np.sqrt(1.0 - reference_weight) * axis_state(
         MeasurementAxis(theta, 0.0)).vec.copy()
     vec[G] = np.sqrt(reference_weight)
@@ -120,6 +127,9 @@ def conjugated_null_kraus(axis: MeasurementAxis, s: Strength) -> Operator3:
     Damps the component antipodal to the axis by m; identity on |g>.
     Independent of any phase redefinition of R.
     """
+    from .measurement import kraus_null
+    from .qutrit import rotation_to_axis
+
     r = rotation_to_axis(axis)
     return r.dagger() @ kraus_null(s) @ r
 
@@ -167,6 +177,18 @@ def _to_lab(thetas, phis, a_f, a_e):
     """The pair (a_f, a_e) of frame R(theta, phi) in the lab frame
     (``spec._lab``).  All four arguments broadcast."""
     return _lab(*_half_angles(thetas), np.exp(1j * np.asarray(phis)), a_f, a_e)
+
+
+def _bloch_batch(vecs: np.ndarray) -> np.ndarray:
+    """Bloch vectors (..., 3 real) of an array of {e,f} pairs (..., 2
+    complex), by ``spec._bloch``."""
+    ef = np.hypot(np.abs(vecs[..., F]), np.abs(vecs[..., E]))
+    if np.any(ef < _EF_FLOOR):
+        raise DomainError("Bloch vector undefined: zero {e,f} component")
+    out = np.empty(vecs.shape[:-1] + (3,), dtype=float)
+    out[..., 0], out[..., 1], out[..., 2] = _bloch(vecs[..., F], vecs[..., E],
+                                                   ef)
+    return out
 
 
 def _kernel_args(thetas, strength, n_meas: int, reference_weight: float):
@@ -273,14 +295,14 @@ def _uniform_power(step, m, n_meas: int,
     """
     w = reference_weight
     s_ff, s_fe, s_ee = step
-    shape = np.broadcast_shapes(np.shape(s_ff), np.shape(m))
-    k_ff = np.empty(shape, dtype=complex)
-    k_fe = np.empty(shape, dtype=complex)
-    k_ee = np.empty(shape, dtype=complex)
-    k_ff[...] = m * s_ff
-    k_fe[...] = np.sqrt(m) * s_fe
+    # the triple shares one shape, so each product with m has the broadcast
+    # shape; a 0-d product is a numpy scalar, made a 0-d array so that the
+    # squaring runs in place on arrays, as at any other shape
+    k_ff = np.asarray(m * s_ff)
+    k_fe = np.asarray(np.sqrt(m) * s_fe)
+    k_ee = np.empty_like(k_ff)
     k_ee[...] = s_ee
-    a, b = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    a, b = np.empty_like(k_ff), np.empty_like(k_ff)
     v_f = v_e = None
     n = n_meas
     while True:

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .spec import _EF_FLOOR, _bloch
-
-F, E, G = 0, 1, 2
+# _bloch_batch is defined in protocol, F, E and G in spec; all three are
+# still importable from here
+from .protocol import _bloch_batch
+from .spec import _EF_FLOOR, E, F, G, _bloch
 
 NORM_TOL = 1e-12
 
@@ -171,13 +172,3 @@ def bloch_of(state: QutritState) -> BlochVector:
         raise DomainError("Bloch vector undefined: state has no {e,f} component")
     return BlochVector(*map(float, _bloch(state.vec[F], state.vec[E], n)))
 
-
-def _bloch_batch(vecs: np.ndarray) -> np.ndarray:
-    """Bloch vectors (..., 3 real) of an array of {e,f} pairs (..., 2 complex)."""
-    ef = np.hypot(np.abs(vecs[..., F]), np.abs(vecs[..., E]))
-    if np.any(ef < _EF_FLOOR):
-        raise DomainError("Bloch vector undefined: zero {e,f} component")
-    out = np.empty(vecs.shape[:-1] + (3,), dtype=float)
-    out[..., 0], out[..., 1], out[..., 2] = _bloch(vecs[..., F], vecs[..., E],
-                                                   ef)
-    return out

@@ -52,6 +52,10 @@ CLOSING_PHI = -2.0 * math.pi
 #: {e,f} norm below which a pair has no Bloch point.
 _EF_FLOOR = 1e-15
 
+#: Indices of the (f, e, g) basis ordering of :mod:`geophase.qutrit`: the
+#: monitored level, |e> and the reference level.
+F, E, G = 0, 1, 2
+
 
 def _require_int(name: str, value) -> None:
     """Refuse a size or seed that is not a Python or numpy integer; bools

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geophase import analysis as an
 from geophase import cli, protocol
@@ -1001,3 +1002,72 @@ def test_sign_bisection_equals_winding_bisection(n_meas):
                  "chern_below": report.chern_below,
                  "chern_above": report.chern_above}
         assert found == winding_bisection(n_meas, w, tol), (w, tol)
+
+
+# derandomized, so that the suite stays deterministic
+SEARCH_PROPERTY = settings(derandomize=True, max_examples=200, deadline=None,
+                           database=None)
+
+
+def _ulps_above(x, count):
+    for _ in range(count):
+        x = np.nextafter(x, 1.0)
+    return float(x)
+
+
+def _midpoint(m, depth):
+    """The midpoint that halving the search span toward m reaches at
+    ``depth``."""
+    lo, hi = an._SEARCH_SPAN
+    for _ in range(depth):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid <= m else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@st.composite
+def search_brackets(draw):
+    """Brackets lo < hi in the search span: from full width down to a few
+    ulps, with 5 to 300 ulps (where a section's nodes repeat), and
+    around a halving midpoint, at or one ulp off it."""
+    kind = draw(st.sampled_from(["width", "ulps", "repeats", "midpoint"]))
+    if kind == "midpoint":
+        mid = _midpoint(draw(st.floats(1e-3, 0.999)),
+                        draw(st.integers(0, 22)))
+        lo = float(np.nextafter(mid, 0.0)) if draw(st.booleans()) else mid
+        lo = lo - draw(st.sampled_from([0.0, 1e-12, 1e-7, 1e-4]))
+        hi = _ulps_above(mid, draw(st.integers(1, 3)))
+        return lo, hi + draw(st.sampled_from([0.0, 1e-12, 1e-7, 1e-4]))
+    lo = draw(st.floats(1e-3, 0.99))
+    if kind == "width":
+        return lo, lo + (0.999 - lo) * 10.0 ** -draw(st.floats(0.0, 15.0))
+    count = draw(st.integers(1, 4) if kind == "ulps" else st.integers(5, 300))
+    return lo, _ulps_above(lo, count)
+
+
+@SEARCH_PROPERTY
+@given(bracket=search_brackets())
+@example(bracket=an._SEARCH_SPAN)
+@example(bracket=(0.5, _ulps_above(0.5, 1)))
+@example(bracket=(0.2949731274755925, 0.8325902813651741))
+def test_section_is_linspace(bracket):
+    # the root search's nodes are np.linspace's own arithmetic, bit for
+    # bit, also where a narrow bracket repeats nodes, and where lo plus
+    # the rounded hi - lo is not hi (the last example), so the end node
+    # must be set
+    lo, hi = bracket
+    assert lo < hi
+    want = np.linspace(lo, hi, an.ROOT_SECTION)
+    assert an._section(lo, hi).tobytes() == want.tobytes()
+
+
+@SEARCH_PROPERTY
+@given(bracket=search_brackets(), tol=st.floats(1e-6, 0.05))
+@example(bracket=an._SEARCH_SPAN, tol=1e-6)
+def test_one_cell_is_the_two_cells_compared(bracket, tol):
+    # one walk of the halving for both ends, stopped at the first split,
+    # decides as the two walks do
+    lo, hi = bracket
+    two_cells = (an._bisection_cell(lo, tol)
+                 == an._bisection_cell(np.nextafter(hi, 0.0), tol))
+    assert an._one_cell(lo, hi, tol) == two_cells

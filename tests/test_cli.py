@@ -1029,6 +1029,25 @@ def test_closed_stdout_is_an_output_error(tmp_path, argv, written,
     assert closed == [path.read_bytes() for path in primary]
 
 
+@pytest.mark.parametrize("unbuffered", [None, "1"],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["phase", "--help"]],
+                         ids=["help", "phase-help"])
+def test_help_to_a_closed_stdout_is_an_output_error(argv, unbuffered):
+    # argparse drops the OSError of its own write of the help text; the
+    # help goes through the summary's print instead, so it is one error
+    # line and exit 2 in both modes, not a silent exit 0
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _python("-m", "geophase.cli", *argv, stdout=write,
+                       env={"PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: cannot write stdout: Broken pipe\n")
+
+
 def test_no_stdout_at_all_exits_as_before(tmp_path):
     # started with file descriptor 1 closed, Python has no sys.stdout and
     # print writes nowhere; the run still succeeds and writes its files
@@ -1138,7 +1157,8 @@ _LOADS_CLI = ["geophase.cli", "geophase.errors"]
 _LOADS_PHASE = [*_LOADS_CLI, "geophase.spec"]
 _LOADS_PROTOCOL = sorted([*_LOADS_PHASE, "geophase.measurement",
                           "geophase.protocol", "geophase.qutrit"])
-_LOADS_ANALYSIS = sorted([*_LOADS_PROTOCOL, "geophase.analysis"])
+_LOADS_ANALYSIS = sorted([*_LOADS_PHASE, "geophase.analysis",
+                          "geophase.protocol"])
 
 
 @pytest.mark.parametrize("argv, code, loads, numpy", [

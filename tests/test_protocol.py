@@ -245,6 +245,15 @@ class TestUniformSchedule:
         amps = _uniform_amplitudes(self.THETAS, Strength(0.0), n, 0.5)
         assert np.max(np.abs(amps - exact)) < 4 * np.finfo(float).eps * n
 
+    @pytest.mark.parametrize("n", [1, 6, 4096])
+    def test_scalar_call_returns_a_0d_array(self, n):
+        # a scalar theta and m give a 0-d array, the bits of the same node
+        # in a grid call
+        amp = _uniform_amplitudes(0.7, Strength(0.3), n, 0.4)
+        assert type(amp) is np.ndarray and amp.shape == ()
+        grid = _uniform_amplitudes(np.array([0.7]), Strength(0.3), n, 0.4)
+        assert amp.tobytes() == grid.tobytes()
+
 
 class TestKernelArgs:
     @pytest.mark.parametrize("kernel", [_uniform_amplitudes,
