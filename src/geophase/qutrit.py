@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-# _bloch_batch is defined in protocol, F, E and G in spec; all three are
+# _bloch_batch is defined in protocol, and F, E and G in spec; each is
 # still importable from here
 from .protocol import _bloch_batch
 from .spec import _EF_FLOOR, E, F, G, _bloch
