@@ -18,7 +18,11 @@ fails.
 ``compare`` prints ``same`` if the two files hold the same cases with the
 same results, or else the first case that differs, with both lines, and
 exits 1.  A search change that claims to keep every output bit should
-read ``same`` between the parent's record and its own.
+read ``same`` between the parent's record and its own.  After a
+difference it prints one line per field, ``error`` and each report field:
+the number of cases in which the field moved and, for a float field, the
+largest move in ulps (of either end, for the bracket) and in absolute
+value.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import argparse
 import itertools
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -73,11 +78,47 @@ def write(out: Path, tree: Path, cases=GRID) -> int:
     return 0
 
 
+def _ordinal(x: float) -> int:
+    """x's place in the ordered floats, so that adjacent floats differ by
+    1 (and -0.0 and 0.0 by 0)."""
+    n = struct.unpack("<q", struct.pack("<d", x))[0]
+    return n if n >= 0 else -(n & 0x7FFFFFFFFFFFFFFF)
+
+
+def _moved(lines_a: list[str], lines_b: list[str]) -> list[str]:
+    """One line per field of the cases: how many moved, and how far."""
+    cases = [[json.loads(line) if line else {} for line in pair]
+             for pair in itertools.zip_longest(lines_a, lines_b)]
+    names = sorted({name for pair in cases for case in pair
+                    for name in case.get("report", {})})
+    out = []
+    for name in ["error", *names]:
+        count, ulps, gap = 0, 0, 0.0
+        for pair in cases:
+            va, vb = (case.get("error") if name == "error"
+                      else case.get("report", {}).get(name) for case in pair)
+            if va == vb:
+                continue
+            count += 1
+            ends = list(zip(*(v if isinstance(v, list) else [v]
+                              for v in (va, vb))))
+            if all(isinstance(x, float) for end in ends for x in end):
+                for x, y in ends:
+                    ulps = max(ulps, abs(_ordinal(x) - _ordinal(y)))
+                    gap = max(gap, abs(x - y))
+        line = f"{name}: moved in {count} of {len(cases)} cases"
+        if ulps:
+            line += f", by at most {ulps} ulps ({gap:.3g})"
+        out.append(line)
+    return out
+
+
 def compare(a: Path, b: Path) -> int:
     lines = [p.read_text(encoding="utf-8").splitlines() for p in (a, b)]
     for k, (line_a, line_b) in enumerate(itertools.zip_longest(*lines), 1):
         if line_a != line_b:
             print(f"case {k} differs:\nA: {line_a}\nB: {line_b}")
+            print("\n".join(_moved(*lines)))
             return 1
     print("same")
     return 0

@@ -2,24 +2,25 @@
 numbers, surface degree, critical-strength location) and the independent
 geometric oracles.  A custom schedule runs through ``spec.ProtocolSpec``.
 
-Curves, maps and the equatorial root evaluate the uniform schedule's
+Curves, maps and the equatorial amplitude evaluate the uniform schedule's
 transfer-matrix power, in O(log N) per node; only the trajectory surface,
 which needs every step's Bloch point, runs the step loop.  Every public
 entry runs the argument checks of ``protocol._kernel_args`` once, before
 any arithmetic: a curve, a map and each winding read through the checked
 ``protocol._uniform_amplitudes``, and a transition search checks its
 theta = pi/2, n_meas and w once and then calls the unchecked power
-routine ``protocol._uniform_power`` with the one equatorial step at every
-m it tries, all inside the checked span.  A curve and every map column go
-through one refine-and-unwrap routine, which makes their kernel calls: one
-checked call for the (theta, m) block, then one unchecked call per
-insertion pass of each column that its vectorized unwrap leaves unsettled,
-whose nodes are midpoints of checked ones.  A transition search locates the
-equatorial sign change first and then reads its four winding curves in one
-kernel call, at w = 0.5 (the windings do not depend on w), on a theta grid
-clustered at the equator, where a curve near the critical strength turns:
-its vectorized unwrap settles them with no insertion pass.  A curve that
-does not unwrap is retried a hair farther from the critical strength.
+routine ``protocol._uniform_power`` once, at four m inside the checked
+span.  A curve and every map column go through one refine-and-unwrap
+routine, which makes their kernel calls: one checked call for the
+(theta, m) block, then one unchecked call per insertion pass of each
+column that its vectorized unwrap leaves unsettled, whose nodes are
+midpoints of checked ones.  A transition search takes the root of the
+equatorial amplitude from its closed form (``spec._equatorial_root``)
+first and then reads its four winding curves in one kernel call, at
+w = 0.5 (the windings do not depend on w), on a theta grid clustered at
+the equator, where a curve near the critical strength turns: its
+vectorized unwrap settles them with no insertion pass.  A curve that does
+not unwrap is retried a hair farther from the critical strength.
 
 Geometry conventions
 --------------------
@@ -40,7 +41,6 @@ jumps by pi.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,7 +51,7 @@ from .errors import (AnalysisError, AntipodalError, DomainError,
 from .protocol import (_amplitudes_for_thetas, _bloch_batch, _kernel_args,
                        _ReadOnlyArrays, _uniform_amplitudes, _uniform_power,
                        _uniform_step)
-from .spec import CONTRAST_FLOOR, Strength
+from .spec import CONTRAST_FLOOR, Strength, _equatorial_root
 
 DEFAULT_CURVE_NODES = 129
 TRANSITION_CURVE_NODES = 65
@@ -476,13 +476,13 @@ class TransitionReport:
     ``bracket`` is the final bisection interval in m, whose ends are checked
     to read winding ``chern_below`` and ``chern_above``; ``m_star`` is the
     root of the equatorial amplitude inside it and ``contrast_min`` the
-    equatorial contrast there.  The counters record the work: ``curves``
-    winding curves, 4 + ``nudge_retries`` (at 1e-3 and 0.999 and at the
-    bracket ends, all four in one kernel call, and one per retry of a curve
-    that did not unwrap, 1e-9 and then 1e-7 away from the other end of its
-    pair), and ``root_calls`` kernel calls of the equatorial
-    sign-change search over the whole interval, which stops once it has
-    fixed the bracket, and of the root search inside the bracket.
+    kernel's equatorial contrast there.  The counters record the work:
+    ``curves`` winding curves, 4 + ``nudge_retries`` (at 1e-3 and 0.999 and
+    at the bracket ends, all four in one kernel call, and one per retry of
+    a curve that did not unwrap, 1e-9 and then 1e-7 away from the other end
+    of its pair), and ``root_calls`` evaluations of the closed-form g of
+    ``spec._equatorial_g`` that bisect its root to adjacent floats (54 to
+    56 for N from 3 to 4096, whatever w and tol).
     """
 
     m_star: Strength
@@ -503,107 +503,21 @@ class TransitionReport:
             raise DomainError("report without an index flip")
 
 
-#: Points per section of the equatorial root search, ends included; each
-#: kernel call narrows the sign-change bracket 128-fold.  Measured over the
-#: 21 searches of the analytic-map pass (N = 3 to 24, tol 1e-6), with the
-#: equator calling the unchecked power routine: 65, 129, 257 and 513 points
-#: took 13.3-13.9, 12.5-13.0, 13.0-14.0 and 13.9-14.2 ms in three runs
-#: (medians of 21 interleaved rounds), 33 and 1025 points 14.7-15.5 ms.
-#: Re-measured once a section's nodes cost one product and one sum (same
-#: rounds): 65, 129 and 257 points took 9.9-10.3, 9.4-9.5 and 9.8-9.9 ms.
-ROOT_SECTION = 129
-#: The node indices of a section, from which ``_sign_change`` builds its
-#: nodes by np.linspace's own arithmetic.
-_SECTION_INDEX = np.arange(ROOT_SECTION, dtype=float)
-_SECTION_INDEX.setflags(write=False)
-
-
-def _section(lo: float, hi: float) -> np.ndarray:
-    """np.linspace(lo, hi, ROOT_SECTION) bit for bit, for lo < hi whose
-    step (hi - lo) / (ROOT_SECTION - 1) is not zero: the same product,
-    sum and end node, without linspace's dispatch."""
-    ms = _SECTION_INDEX * ((hi - lo) / (ROOT_SECTION - 1))
-    ms += lo
-    ms[-1] = hi
-    return ms
-
-
-def _sign_change(equator, lo: float, hi: float, a_lo: complex, a_hi: complex,
-                 enough=None):
-    """Sign change of f(m) = Re(a(m) * conj(a_lo)) in [lo, hi], narrowed
-    until no float lies between the bracket ends, or until ``enough(lo,
-    hi)`` holds.
-
-    ``equator`` maps an array of m to the equatorial amplitudes, and
-    f(lo) > 0 > f(hi) puts a sign change in the bracket.  Each pass
-    evaluates the interior of a ROOT_SECTION-point section in one call and
-    keeps the first interval over which f leaves the sign of f(lo), so the
-    final lower end lies in every bracket it passes through.  A section
-    too narrow for distinct nodes is reduced to its distinct ones.  When f
-    never changes sign (N <= 2, where the winding does not flip), every
-    pass keeps the last interval, so the bracket walks to the upper end;
-    the search's windings at 1e-3 and 0.999 then raise the same
-    TransitionNotFoundError as without the scan.  Returns the last
-    bracket's ends, their amplitudes and the number of calls.
-    """
-    ref = np.conj(a_lo)
-    calls = 0
-    while True:
-        if enough is not None and enough(lo, hi):
-            return lo, hi, a_lo, a_hi, calls
-        ms = _section(lo, hi)
-        if (ms[1:] <= ms[:-1]).any():
-            ms = _distinct(ms)
-            if ms.size <= 2:
-                return lo, hi, a_lo, a_hi, calls
-        inner = equator(ms[1:-1])
-        calls += 1
-        flipped = (inner * ref).real <= 0.0
-        k = int(flipped.argmax())  # the first flip, or 0 if none
-        j = k + 1 if flipped[k] else ms.size - 1
-        # inner[k - 1] is the amplitude of node k, between the two ends
-        a_lo = complex(inner[j - 2] if j > 1 else a_lo)
-        a_hi = complex(inner[j - 1] if j < ms.size - 1 else a_hi)
-        lo, hi = float(ms[j - 1]), float(ms[j])
-
-
-def _equator_root(equator, lo: float, hi: float, a_lo: complex,
-                  a_hi: complex):
-    """The end of ``_sign_change``'s final bracket with the smaller
-    contrast, its amplitude and the number of calls."""
-    lo, hi, a_lo, a_hi, calls = _sign_change(equator, lo, hi, a_lo, a_hi)
-    if abs(a_lo) <= abs(a_hi):
-        return lo, a_lo, calls
-    return hi, a_hi, calls
-
-
 #: The strengths whose windings the transition search compares.
 _SEARCH_SPAN = (1e-3, 1.0 - 1e-3)
 
 
-def _bisection_cell(m: float, tol: float,
-                    upper: float | None = None) -> tuple[float, float] | None:
+def _bisection_cell(m: float, tol: float) -> tuple[float, float]:
     """The interval within tol that halving _SEARCH_SPAN toward m reaches,
-    a midpoint at or below m becoming the lower end.  Given ``upper`` (at
-    least m), None as soon as a midpoint splits m from it: then the two
-    reach different intervals."""
+    a midpoint at or below m becoming the lower end."""
     lo, hi = _SEARCH_SPAN
-    upper = m if upper is None else upper
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= m:
             lo = mid
-        elif mid <= upper:
-            return None
         else:
             hi = mid
     return lo, hi
-
-
-def _one_cell(lo: float, hi: float, tol: float) -> bool:
-    """Whether every m in [lo, hi) falls in one ``_bisection_cell``: the
-    sign change's final lower end lies there, so its cell is then fixed."""
-    return _bisection_cell(lo, tol, math.nextafter(hi, 0.0)) is not None
 
 
 @functools.lru_cache(maxsize=None)
@@ -654,62 +568,59 @@ def _windings(ms, n_meas: int):
 
 def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
                            tol: float = 1e-4) -> TransitionReport:
-    """Bisect the winding-number flip in m on the sign of the equatorial
-    amplitude, then find that amplitude's root inside the final bracket.
+    """Locate the winding-number flip in m at the root of the equatorial
+    amplitude, and check it on winding curves and on the kernel.
 
-    The winding can change only where the equatorial amplitude vanishes,
-    so the bisection halves [1e-3, 0.999] by the side of the sign change of
-    its projection onto its value at 1e-3, instead of by a winding curve
-    per halving.  That sign change is narrowed only until every m in its
-    bracket falls in one ``_bisection_cell``, the bracket that the sign
-    change located to adjacent floats would give.  Then ``_windings`` reads
-    the curves at 1e-3 and 0.999 and at the bracket's two ends in one
-    kernel call: 1e-3 and 0.999 must give two windings, and the bracket's
-    lower end and then its upper end must read them, each checked before
-    the next is read.  The equatorial phase must jump by pi (within
-    JUMP_TOL) across the bracket, so the projection onto its value at the
-    bracket's lower end changes sign there; the critical strength is that
-    sign change, resolved to adjacent floats (for the uniform schedule the
-    amplitude is real and this is its root).
+    The winding can change only where the equatorial amplitude vanishes.
+    For the uniform schedule that amplitude is a closed form in m
+    (``spec._equatorial_g``), whose sign change on [1e-3, 0.999] is
+    bisected to adjacent floats first.  The bracket is the
+    ``_bisection_cell`` of its lower end, the interval of width at most
+    tol that halving [1e-3, 0.999] reaches.  Then ``_windings`` reads the
+    curves at 1e-3 and 0.999 and at the bracket's two ends in one kernel
+    call: 1e-3 and 0.999 must give two windings, and the bracket's lower
+    end and then its upper end must read them, each checked before the
+    next is read.  One more kernel call evaluates the equatorial amplitude
+    at the bracket's ends, whose phase must jump by pi (within JUMP_TOL),
+    and at the two floats of the closed-form root, of which the critical
+    strength is the one with the smaller kernel contrast.
     """
     if not tol >= 1e-6:
         raise DomainError(f"tol={tol!r} below the supported resolution 1e-6")
     if not np.isfinite(tol):
         raise DomainError(f"tol={tol!r} must be finite")
-    # checked once here: every m that equator is given lies in the span
-    thetas, span = _kernel_args(np.array([0.5 * np.pi]),
-                                np.array(_SEARCH_SPAN), n_meas,
-                                reference_weight)
-    equator = functools.partial(_uniform_power, _uniform_step(thetas, n_meas),
-                                n_meas=n_meas,
-                                reference_weight=reference_weight)
-    b_lo, *_, scan_calls = _sign_change(
-        equator, *_SEARCH_SPAN, *equator(span),
-        enough=functools.partial(_one_cell, tol=tol))
-    lo, hi = _bisection_cell(b_lo, tol)
+    # checked once here: every m given to the power routine lies in the span
+    thetas, _ = _kernel_args(np.array([0.5 * np.pi]), np.array(_SEARCH_SPAN),
+                             n_meas, reference_weight)
+    r_lo, r_hi, evaluations = _equatorial_root(n_meas, *_SEARCH_SPAN)
+    lo, hi = _bisection_cell(r_lo, tol)
     windings = _windings([*_SEARCH_SPAN, lo, hi], n_meas)
-    (c_lo, r_lo), (c_hi, r_hi) = next(windings), next(windings)
+    (c_lo, tries_lo), (c_hi, tries_hi) = next(windings), next(windings)
     if c_lo == c_hi:
         raise TransitionNotFoundError(
             f"no winding flip in {_SEARCH_SPAN}: both ends give {c_lo}")
-    retries = r_lo + r_hi
+    retries = tries_lo + tries_hi
     for m, expected, (found, tries) in zip((lo, hi), (c_lo, c_hi), windings):
         if found != expected:
             raise AnalysisError(f"winding {found} at bracket end m={m!r}, "
                                 f"not {expected}")
         retries += tries
 
-    a_lo, a_hi = equator(np.array([lo, hi]))
+    a_lo, a_hi, *a_root = _uniform_power(
+        _uniform_step(thetas, n_meas), np.array([lo, hi, r_lo, r_hi]),
+        n_meas, reference_weight)
     jump = float(abs(wrap_angle(np.angle(a_hi) - np.angle(a_lo))))
     if abs(jump - np.pi) > JUMP_TOL:
         raise AnalysisError(
             f"equatorial phase jump {jump:.4f} not within {JUMP_TOL} of pi")
-    m_star, a_star, root_calls = _equator_root(equator, lo, hi, a_lo, a_hi)
+    # the root float of the smaller contrast, r_lo on a tie
+    contrast, m_star = min((abs(complex(a)), m)
+                           for a, m in zip(a_root, (r_lo, r_hi)))
     return TransitionReport(m_star=Strength(m_star), bracket=(lo, hi),
-                            contrast_min=abs(a_star), chern_below=c_lo,
+                            contrast_min=contrast, chern_below=c_lo,
                             chern_above=c_hi, jump_at_equator=jump,
                             curves=4 + retries, nudge_retries=retries,
-                            root_calls=scan_calls + root_calls)
+                            root_calls=evaluations)
 
 
 # ---------------------------------------------------------------------------

@@ -540,7 +540,7 @@ def cmd_transition(cfg: dict) -> _Run:
     }
     diagnostics = {"winding_curves": report.curves,
                    "nudge_retries": report.nudge_retries,
-                   "root_kernel_calls": report.root_calls}
+                   "root_evaluations": report.root_calls}
     ok = report.chern_below == 1 and report.chern_above == 0
     gate = cfg["assert_jump"]
     if gate is not None:

@@ -32,6 +32,11 @@ on Python numbers, which is what ``geophase phase`` and the reference of
 differ from ``protocol.run_protocol_analytic``'s in the last bits only:
 numpy's SIMD complex products, its hypot and its arctan2 round
 differently from Python's.
+
+At theta = pi/2 the uniform schedule's amplitude is a Chebyshev
+polynomial in closed form (``_equatorial_g``), whose root, the critical
+strength, ``_equatorial_root`` bisects on Python floats for
+``analysis.find_critical_strength``.
 """
 
 from __future__ import annotations
@@ -269,3 +274,61 @@ def closed_form(spec: ProtocolSpec):
             point = _bloch(a_f, a_e, ef)
         points.append(point)
     return result, points, factors
+
+
+def _equatorial_g(n_meas: int):
+    """g(m) = U_{N-1}(x) c1 - sqrt(m) U_{N-2}(x), times a positive factor,
+    as a function of m in (0, 1], for n_meas = N >= 2.
+
+    At theta = pi/2 the uniform schedule's amplitude is -2 sqrt(w (1 - w))
+    m^((N-1)/2) g(m), with the Chebyshev polynomials U, c1 = cos(pi/N)
+    and x = (1 + m) c1 / (2 sqrt(m)), so its sign change is the root of g.
+    1 - x is taken as [2 (1 + m) sin^2(pi/2N) - (1 - sqrt(m))^2] /
+    (2 sqrt(m)), without the cancellation of x near 1.  Below x = 1,
+    x = cos(alpha) with alpha = 2 asin(sqrt((1 - x)/2)) (alpha = acos(x)
+    put the root 177 ulps off at N = 384) and g sin(alpha) is returned;
+    from x = 1 up, x = cosh(beta) and g sinh(beta) / sinh((N-1) beta) is
+    returned, a ratio that does not overflow as sinh(N beta) does at
+    N = 4096.
+    """
+    n = n_meas
+    c1 = math.cos(math.pi / n)
+    h2 = math.sin(0.5 * math.pi / n) ** 2
+
+    def g(m: float) -> float:
+        r = math.sqrt(m)
+        one_minus_x = (2.0 * (1.0 + m) * h2 - (1.0 - r) ** 2) / (2.0 * r)
+        if one_minus_x > 0.0:
+            alpha = 2.0 * math.asin(math.sqrt(0.5 * one_minus_x))
+            return math.sin(n * alpha) * c1 - r * math.sin((n - 1) * alpha)
+        beta = 2.0 * math.asinh(math.sqrt(-0.5 * one_minus_x))
+        # U_{N-1}(x) / U_{N-2}(x), which tends to N / (N - 1) at x = 1
+        ratio = (math.cosh(beta) + math.sinh(beta) / math.tanh((n - 1) * beta)
+                 if beta > 0.0 else n / (n - 1))
+        return ratio * c1 - r
+
+    return g
+
+
+def _equatorial_root(n_meas: int, lo: float, hi: float):
+    """The adjacent floats r_lo < r_hi across which ``_equatorial_g``
+    changes sign, bisected on its sign from 0 < lo < hi <= 1, and the
+    number of evaluations of g.
+
+    Each midpoint where g has the sign of g(lo) becomes the lower end, so
+    where g keeps that sign on [lo, hi] the pair ends at hi.  For N <= 2
+    the winding does not flip and g is not evaluated (at N = 1, c1 = -1
+    puts x below -1): the pair is (hi, hi).
+    """
+    if n_meas <= 2:
+        return hi, hi, 0
+    g = _equatorial_g(n_meas)
+    below = g(lo) < 0.0
+    evaluations = 1
+    while (mid := 0.5 * (lo + hi)) != lo and mid != hi:
+        evaluations += 1
+        if (g(mid) < 0.0) == below:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, evaluations

@@ -9,11 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 from geophase import analysis as an
 from geophase import cli, protocol
 from geophase.errors import (AnalysisError, AntipodalError, DomainError,
-                             UnwrapError)
+                             TransitionNotFoundError, UnwrapError)
 from geophase.measurement import Strength
 from geophase.protocol import (ProtocolSpec, run_protocol_analytic,
                                _amplitudes_for_thetas, _uniform_amplitudes)
 from geophase.qutrit import MeasurementAxis, _bloch_batch, axis_state, bloch_of
+from geophase.spec import _equatorial_g, _equatorial_root, closed_form
 from geophase.trajectories import sample_trajectory
 
 
@@ -519,6 +520,16 @@ class TestTransition:
         assert len(flips) == 1
         assert cherns[0] == 1 and cherns[-1] == 0
 
+    @pytest.mark.parametrize("n_meas", [1, 2])
+    def test_no_flip_below_three_measurements(self, n_meas):
+        # the winding does not flip at N <= 2, and the closed-form root is
+        # not taken there (at N = 1, cos(pi/N) = -1 puts x below -1): the
+        # windings at the span's ends refuse the search
+        with pytest.raises(TransitionNotFoundError) as err:
+            an.find_critical_strength(n_meas=n_meas)
+        assert str(err.value) == ("no winding flip in (0.001, 0.999): "
+                                  "both ends give 0")
+
     def test_tol_floor(self):
         with pytest.raises(DomainError):
             an.find_critical_strength(tol=1e-9)
@@ -679,12 +690,6 @@ class TestSweep:
 class TestExactTransition:
     M_STAR_N3 = 2.0 / np.sqrt(3.0) - 1.0
 
-    @staticmethod
-    def equator(m, n_meas=6, w=0.5, phi_schedule=None):
-        return complex(_amplitudes_for_thetas(
-            np.array([0.5 * np.pi]), np.array([m]), n_meas=n_meas,
-            reference_weight=w, phi_schedule=phi_schedule)[0][0])
-
     @pytest.mark.parametrize("tol", [1e-4, 1e-6])
     def test_n3_pin(self, tol):
         report = an.find_critical_strength(n_meas=3, tol=tol)
@@ -694,15 +699,9 @@ class TestExactTransition:
         # 1/(3 + 2*sqrt(3)) is 2/sqrt(3) - 1 without the cancellation, so it
         # rounds to within an ulp of the root of 3m^2 + 6m - 1
         exact = 1.0 / (3.0 + 2.0 * np.sqrt(3.0))
-
-        def equator(ms):
-            return _uniform_amplitudes(np.array([0.5 * np.pi]),
-                                       np.asarray(ms), n_meas=3)
-
-        m_star, a_star, _ = an._equator_root(equator, 1e-3, 0.999,
-                                             *equator([1e-3, 0.999]))
-        assert abs(m_star - exact) <= 4 * np.spacing(exact)
-        assert abs(a_star) < 1e-15
+        report = an.find_critical_strength(n_meas=3, tol=1e-6)
+        assert abs(report.m_star.m - exact) <= 4 * np.spacing(exact)
+        assert report.contrast_min < 1e-15
 
     @pytest.mark.parametrize("n_meas", [3, 6, 24])
     def test_contrast_vanishes_and_root_is_weight_free(self, n_meas):
@@ -712,39 +711,6 @@ class TestExactTransition:
         assert all(r.contrast_min < 1e-14 for r in reports)
         m_stars = [r.m_star.m for r in reports]
         assert max(m_stars) - min(m_stars) < 1e-15
-
-    # a non-uniform schedule and the winding bracket of its flip, found by
-    # bisecting winding curves of this schedule to width 1e-4
-    SCHEDULE = (-0.9, -2.0, -3.2, -4.1, -5.2, -2.0 * np.pi)
-    SCHEDULE_BRACKET = (0.4659495849609375, 0.466010498046875)
-
-    @classmethod
-    def schedule_root(cls, phase=1.0):
-        def equator(ms):
-            return phase * _amplitudes_for_thetas(
-                np.array([0.5 * np.pi]), np.asarray(ms),
-                phi_schedule=cls.SCHEDULE)[0]
-        return an._equator_root(equator, 1e-3, 0.999, *equator([1e-3, 0.999]))
-
-    def test_equator_root_of_custom_schedule_in_bracket(self):
-        m_star, a_star, calls = self.schedule_root()
-        lo, hi = self.SCHEDULE_BRACKET
-        assert lo < m_star < hi
-        assert abs(m_star - 0.46598935667814856) < 1e-12
-        assert 0 < calls <= 12
-        assert abs(a_star) == abs(self.equator(m_star,
-                                               phi_schedule=self.SCHEDULE))
-        assert abs(a_star) <= min(
-            abs(self.equator(lo, phi_schedule=self.SCHEDULE)),
-            abs(self.equator(hi, phi_schedule=self.SCHEDULE)))
-
-    @pytest.mark.parametrize("phase", [0.7, 0.5 * np.pi])
-    def test_equator_root_ignores_a_constant_phase(self, phase):
-        # the schedule's equatorial amplitude is real; a constant phase is
-        # what only the projection onto conj(a_lo) takes out
-        plain, _, _ = self.schedule_root()
-        turned, _, _ = self.schedule_root(np.exp(1j * phase))
-        assert abs(turned - plain) <= 1e-15
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -805,28 +771,19 @@ class TestExactTransition:
 
     def test_counters(self):
         # (curves, nudge_retries, root_calls): the curves at 1e-3 and 0.999
-        # and at the two bracket ends, with no retry, and the calls of the
-        # sign change over the whole interval, stopped once it has fixed the
-        # bracket, and of the root inside the bracket
-        for n_meas, w, tol, counters in [(6, 0.5, 1e-4, (4, 0, 9)),
-                                         (24, 0.3, 1e-6, (4, 0, 8)),
-                                         (4096, 0.5, 1e-4, (4, 0, 8)),
-                                         (3, 0.5, 1e-3, (4, 0, 9))]:
+        # and at the two bracket ends, with no retry, and the evaluations of
+        # the closed-form g that bisect its root to adjacent floats; they
+        # do not depend on w or tol
+        for n_meas, w, tol, counters in [(6, 0.5, 1e-4, (4, 0, 55)),
+                                         (24, 0.3, 1e-6, (4, 0, 54)),
+                                         (4096, 0.5, 1e-4, (4, 0, 54)),
+                                         (3, 0.5, 1e-3, (4, 0, 56))]:
             report = an.find_critical_strength(n_meas=n_meas,
                                                reference_weight=w, tol=tol)
             assert (report.curves, report.nudge_retries,
                     report.root_calls) == counters, (n_meas, w, tol)
-        # at (6, 0.5, 1e-4) the stopped sign change makes 3 of the 8 calls
-        # that narrow it to adjacent floats, and the root search 6
-        report = an.find_critical_strength(tol=1e-4)
-        equator = self.equator_of()
-        *_, full_scan = an._sign_change(equator, 1e-3, 0.999,
-                                        *equator([1e-3, 0.999]))
-        lo, hi = report.bracket
-        *_, root_calls = an._equator_root(equator, lo, hi,
-                                          *equator([lo, hi]))
-        assert (full_scan, root_calls) == (8, 6)
-        assert report.root_calls == 3 + 6
+            *_, evaluations = _equatorial_root(n_meas, 1e-3, 0.999)
+            assert report.root_calls == evaluations
 
     def test_winding_curves_come_in_pairs(self, monkeypatch):
         # the pairs (1e-3, 0.999) and the bracket's ends are the four
@@ -984,10 +941,17 @@ def winding_bisection(n_meas, w, tol):
     equator = TestExactTransition.equator_of(n_meas, w)
     a_lo, a_hi = equator([lo, hi])
     jump = float(abs(an.wrap_angle(np.angle(a_hi) - np.angle(a_lo))))
-    m_star, a_star, _ = an._equator_root(equator, lo, hi, a_lo, a_hi)
-    return {"bracket": (lo, hi), "m_star": m_star,
-            "contrast_min": abs(a_star), "jump_at_equator": jump,
-            "chern_below": c_lo, "chern_above": c_hi}
+    # the kernel's own root: its amplitude's sign change, projected onto
+    # its value at the lower end and bisected to adjacent floats
+    below, above = lo, hi
+    while (mid := 0.5 * (below + above)) not in (below, above):
+        if (equator([mid])[0] * np.conj(a_lo)).real > 0.0:
+            below = mid
+        else:
+            above = mid
+    return {"bracket": (lo, hi), "m_star": below,
+            "jump_at_equator": jump, "chern_below": c_lo,
+            "chern_above": c_hi}
 
 
 @pytest.mark.parametrize("n_meas", [3, 4, 5, 6, 8, 12, 24, 48, 384, 4096])
@@ -997,11 +961,15 @@ def test_sign_bisection_equals_winding_bisection(n_meas):
         report = an.find_critical_strength(n_meas=n_meas,
                                            reference_weight=w, tol=tol)
         found = {"bracket": report.bracket, "m_star": report.m_star.m,
-                 "contrast_min": report.contrast_min,
                  "jump_at_equator": report.jump_at_equator,
                  "chern_below": report.chern_below,
                  "chern_above": report.chern_above}
-        assert found == winding_bisection(n_meas, w, tol), (w, tol)
+        want = winding_bisection(n_meas, w, tol)
+        # the closed-form root and the kernel's lie within rounding
+        assert (abs(found.pop("m_star") - want.pop("m_star"))
+                <= 4 * np.spacing(report.m_star.m)), (w, tol)
+        assert found == want, (w, tol)
+        assert report.contrast_min < 1e-13, (w, tol)
 
 
 # derandomized, so that the suite stays deterministic
@@ -1009,65 +977,127 @@ SEARCH_PROPERTY = settings(derandomize=True, max_examples=200, deadline=None,
                            database=None)
 
 
-def _ulps_above(x, count):
-    for _ in range(count):
-        x = np.nextafter(x, 1.0)
-    return float(x)
-
-
-def _midpoint(m, depth):
-    """The midpoint that halving the search span toward m reaches at
-    ``depth``."""
+def _around_root(r_lo, r_hi):
+    """Strengths in the search span around the root pair: 2 to 8 ulps
+    outside it, and 10^-k away for k = 2 .. 15."""
+    near = [r_lo + sign * 10.0 ** -k for k in range(2, 16)
+            for sign in (-1.0, 1.0)]
+    for x, direction in ((r_lo, 0.0), (r_hi, 1.0)):
+        x = float(np.nextafter(x, direction))
+        for _ in range(7):
+            x = float(np.nextafter(x, direction))
+            near.append(x)
     lo, hi = an._SEARCH_SPAN
-    for _ in range(depth):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if mid <= m else (lo, mid)
-    return 0.5 * (lo + hi)
+    return [m for m in near if lo <= m <= hi]
+
+
+@SEARCH_PROPERTY
+@given(n_meas=st.integers(3, 4096))
+@example(n_meas=3)
+@example(n_meas=4096)
+def test_equatorial_g_changes_sign_once(n_meas):
+    # on a uniform grid of the span and around the root at every scale
+    # down to 2 ulps, g leaves the sign it has at 1e-3 exactly once:
+    # between the two floats that the bisection returns.  The rounding of
+    # g can flip its sign 1 ulp outside the pair (at N = 10 and 2174, for
+    # example), not farther for any N up to 4096.
+    lo, hi = an._SEARCH_SPAN
+    r_lo, r_hi, _ = _equatorial_root(n_meas, lo, hi)
+    assert r_hi == np.nextafter(r_lo, 1.0)
+    g = _equatorial_g(n_meas)
+    ms = sorted({*np.linspace(lo, hi, 1001).tolist(), r_lo, r_hi,
+                 *_around_root(r_lo, r_hi)})
+    negative = [g(m) < 0.0 for m in ms]
+    assert not negative[0]
+    flips = [ms[k] for k in range(len(ms) - 1)
+             if negative[k] != negative[k + 1]]
+    assert flips == [r_lo]
+
+
+@pytest.mark.parametrize("n_meas, m", [(3, 0.07179676972449084),
+                                       (29, 0.8048602783161009)])
+def test_equatorial_g_where_x_rounds_to_one(n_meas, m):
+    # at these m the computed 1 - x is 0, where the ratio form takes its
+    # limit U_{N-1}(1) / U_{N-2}(1) = N / (N - 1); a neighbouring m on the
+    # side x > 1 gives nearly the same value
+    g = _equatorial_g(n_meas)
+    limit = n_meas / (n_meas - 1) * np.cos(np.pi / n_meas) - np.sqrt(m)
+    assert g(m) == pytest.approx(limit, abs=1e-15)
+    # x falls as m grows toward the root, so x > 1 lies below m here
+    assert g(float(np.nextafter(m, 0.0))) == pytest.approx(limit, abs=1e-9)
+
+
+@SEARCH_PROPERTY
+@given(n_meas=st.integers(3, 4096), w=st.floats(0.05, 0.95))
+@example(n_meas=3, w=0.5)
+@example(n_meas=4096, w=0.5)
+def test_equatorial_g_has_the_kernels_sign(n_meas, w):
+    # the kernel's equatorial amplitude is -2 sqrt(w (1 - w)) m^((N-1)/2)
+    # g(m): real after its constant phase -1 is divided out, and of the
+    # sign of g wherever it lies farther than its rounding, 2 N eps, from 0
+    lo, hi = an._SEARCH_SPAN
+    r_lo, r_hi, _ = _equatorial_root(n_meas, lo, hi)
+    ms = np.array(sorted({*np.linspace(lo, hi, 257).tolist(), r_lo, r_hi,
+                          *_around_root(r_lo, r_hi)}))
+    amps = -_uniform_amplitudes(np.array([0.5 * np.pi]), ms, n_meas=n_meas,
+                                reference_weight=w)
+    bound = 2 * n_meas * np.finfo(float).eps
+    assert np.all(np.abs(amps.imag) <= bound)
+    g = _equatorial_g(n_meas)
+    clear = np.abs(amps.real) > bound
+    assert clear.any()
+    assert all((amp > 0.0) == (g(m) > 0.0)
+               for m, amp in zip(ms[clear].tolist(), amps.real[clear]))
+
+
+def _power_40_digits(theta, m, n_meas, w):
+    """2 sqrt(w (1 - w)) [(D S)^N]_EE at 40 digits, D = diag(m, 1) and S
+    the uniform step, by repeated squaring."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        c = mpmath.cos(mpmath.mpf(theta) / 2)
+        s = mpmath.sin(mpmath.mpf(theta) / 2)
+        t = mpmath.expjpi(mpmath.mpf(2) / n_meas)
+        s_ff, s_fe, s_ee = c * c * t + s * s, c * s * (t - 1), s * s * t + c * c
+        m = mpmath.mpf(m)
+        base = mpmath.matrix([[m * s_ff, m * s_fe], [s_fe, s_ee]])
+        power = mpmath.eye(2)
+        n = n_meas
+        while n:
+            if n & 1:
+                power = power * base
+            base = base * base
+            n >>= 1
+        w = mpmath.mpf(w)
+        return complex(2 * mpmath.sqrt(w * (1 - w)) * power[1, 1])
 
 
 @st.composite
-def search_brackets(draw):
-    """Brackets lo < hi in the search span: from full width down to a few
-    ulps, with 5 to 300 ulps (where a section's nodes repeat), and
-    around a halving midpoint, at or one ulp off it."""
-    kind = draw(st.sampled_from(["width", "ulps", "repeats", "midpoint"]))
-    if kind == "midpoint":
-        mid = _midpoint(draw(st.floats(1e-3, 0.999)),
-                        draw(st.integers(0, 22)))
-        lo = float(np.nextafter(mid, 0.0)) if draw(st.booleans()) else mid
-        lo = lo - draw(st.sampled_from([0.0, 1e-12, 1e-7, 1e-4]))
-        hi = _ulps_above(mid, draw(st.integers(1, 3)))
-        return lo, hi + draw(st.sampled_from([0.0, 1e-12, 1e-7, 1e-4]))
-    lo = draw(st.floats(1e-3, 0.99))
-    if kind == "width":
-        return lo, lo + (0.999 - lo) * 10.0 ** -draw(st.floats(0.0, 15.0))
-    count = draw(st.integers(1, 4) if kind == "ulps" else st.integers(5, 300))
-    return lo, _ulps_above(lo, count)
+def protocol_points(draw):
+    """(theta, m, N, w): N log-uniform from 3 to 4096, theta in [0, pi], m
+    in [0, 1], w in [0.05, 0.95]."""
+    n_meas = int(round(2.0 ** draw(st.floats(np.log2(3.0), 12.0))))
+    return (draw(st.floats(0.0, np.pi)), draw(st.floats(0.0, 1.0)), n_meas,
+            draw(st.floats(0.05, 0.95)))
 
 
 @SEARCH_PROPERTY
-@given(bracket=search_brackets())
-@example(bracket=an._SEARCH_SPAN)
-@example(bracket=(0.5, _ulps_above(0.5, 1)))
-@example(bracket=(0.2949731274755925, 0.8325902813651741))
-def test_section_is_linspace(bracket):
-    # the root search's nodes are np.linspace's own arithmetic, bit for
-    # bit, also where a narrow bracket repeats nodes, and where lo plus
-    # the rounded hi - lo is not hi (the last example), so the end node
-    # must be set
-    lo, hi = bracket
-    assert lo < hi
-    want = np.linspace(lo, hi, an.ROOT_SECTION)
-    assert an._section(lo, hi).tobytes() == want.tobytes()
-
-
-@SEARCH_PROPERTY
-@given(bracket=search_brackets(), tol=st.floats(1e-6, 0.05))
-@example(bracket=an._SEARCH_SPAN, tol=1e-6)
-def test_one_cell_is_the_two_cells_compared(bracket, tol):
-    # one walk of the halving for both ends, stopped at the first split,
-    # decides as the two walks do
-    lo, hi = bracket
-    two_cells = (an._bisection_cell(lo, tol)
-                 == an._bisection_cell(np.nextafter(hi, 0.0), tol))
-    assert an._one_cell(lo, hi, tol) == two_cells
+@given(point=protocol_points())
+@example(point=(0.5 * np.pi, 0.9989628699027902, 4096, 0.5))
+@example(point=(np.pi, 0.0, 3, 0.05))
+def test_float_routes_within_2n_eps_of_40_digits(point):
+    # the power routine, the step loop and the Python closed form each
+    # lie within 2 N eps of the 40-digit power of D S
+    theta, m, n_meas, w = point
+    exact = _power_40_digits(theta, m, n_meas, w)
+    thetas = np.array([theta])
+    routes = {
+        "power": _uniform_amplitudes(thetas, np.array([m]), n_meas, w)[0],
+        "loop": _amplitudes_for_thetas(thetas, Strength(m), n_meas, w)[0][0],
+        "closed_form": closed_form(ProtocolSpec(
+            theta, Strength(m), n_meas, reference_weight=w))[0].amplitude,
+    }
+    bound = 2 * n_meas * np.finfo(float).eps
+    for name, amp in routes.items():
+        assert abs(complex(amp) - exact) <= bound, (name, abs(amp - exact))

@@ -284,8 +284,8 @@ class TestTransitionCommand:
                         ["diagnostics"])
         diag = seen[0]
         assert set(diag) == {"winding_curves", "nudge_retries",
-                             "root_kernel_calls"}
-        assert diag["winding_curves"] > 0 and diag["root_kernel_calls"] > 0
+                             "root_evaluations"}
+        assert diag["winding_curves"] > 0 and diag["root_evaluations"] > 0
         assert diag["nudge_retries"] >= 0
         assert seen[0] == seen[1]
 
@@ -303,6 +303,17 @@ class TestTransitionCommand:
         assert run_cli(["transition", "--out", str(tmp_path)]) == 4
         assert capsys.readouterr().err == "error: no winding flip in [0, 1]\n"
         assert not (tmp_path / "transition.json").exists()
+
+    def test_one_measurement_has_no_transition(self, tmp_path, capsys):
+        # at N = 1 the closed form of the equatorial root does not apply
+        # (cos(pi/N) = -1), and the windings at the span's ends refuse it
+        assert run_cli(["transition", "--n-meas", "1",
+                        "--out", str(tmp_path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == ("error: no winding flip in (0.001, 0.999): "
+                                "both ends give 0\n")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_jump_gate_numeric_value(self, tmp_path):
         assert run_cli(["transition", "--assert-jump", "3.141592653589793",

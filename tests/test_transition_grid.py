@@ -3,6 +3,7 @@ its output and on an edited copy."""
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -38,4 +39,35 @@ def test_write_then_compare(tmp_path, transition_grid, capsys):
     assert capsys.readouterr().out == "same\n"
     b.write_text(a.read_text().replace('"root_calls": ', '"root_calls": 1'))
     assert transition_grid.main(["compare", str(a), str(b)]) == 1
-    assert capsys.readouterr().out.startswith("case 1 differs:\nA: ")
+    out = capsys.readouterr().out
+    assert out.startswith("case 1 differs:\nA: ")
+    assert out.splitlines()[3:] == [
+        f"{name}: moved in {int(name == 'root_calls')} of 2 cases"
+        for name in ("error", *sorted(found["report"]))]
+
+
+def test_compare_reports_each_fields_moves(tmp_path, transition_grid,
+                                           capsys):
+    # after the first difference, one line per field: the cases in which
+    # it moved and, for floats, the largest move in ulps and in value
+    report = {"bracket": [0.25, 0.5], "contrast_min": 1e-16, "curves": 4,
+              "m_star": 0.3}
+    moved = {**report, "bracket": [0.25, math.nextafter(0.5, 1.0)],
+             "curves": 5, "m_star": math.nextafter(
+                 math.nextafter(0.3, 0.0), 0.0)}
+    cases = [({"report": report}, {"report": report}),
+             ({"report": report}, {"report": moved}),
+             ({"error": {"message": "a"}}, {"error": {"message": "b"}})]
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    for path, side in ((a, 0), (b, 1)):
+        path.write_text("".join(json.dumps(case[side], sort_keys=True) + "\n"
+                                for case in cases))
+    assert transition_grid.main(["compare", str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "case 2 differs:"
+    assert lines[3:] == [
+        "error: moved in 1 of 3 cases",
+        "bracket: moved in 1 of 3 cases, by at most 1 ulps (1.11e-16)",
+        "contrast_min: moved in 0 of 3 cases",
+        "curves: moved in 1 of 3 cases",
+        "m_star: moved in 1 of 3 cases, by at most 2 ulps (1.11e-16)"]
