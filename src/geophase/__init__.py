@@ -9,24 +9,24 @@ import importlib
 
 #: Each public name and the submodule that defines it.
 _HOME = {name: module for module, names in (
-    ("analysis", ("PhaseCurve", "PhaseMap", "TransitionReport",
-                  "chern_from_curve", "find_critical_strength",
-                  "pancharatnam_phase", "phase_vs_theta",
-                  "solid_angle_polygon", "surface_degree", "sweep_phase_map",
-                  "trajectory_surface", "wrap_angle")),
+    ("analysis", ("PhaseCurve", "PhaseMap", "chern_from_curve",
+                  "find_critical_strength", "pancharatnam_phase",
+                  "phase_vs_theta", "solid_angle_polygon", "surface_degree",
+                  "sweep_phase_map", "trajectory_surface", "wrap_angle")),
     ("errors", ("AnalysisError", "AntipodalError", "DomainError",
                 "GeophaseError", "QuadratureError", "TransitionNotFoundError",
                 "UnwrapError")),
-    ("measurement", ("ReadoutDistribution", "cloud_separation",
-                     "completeness_residual", "effective_kraus_from_integral",
-                     "gauss_amplitudes", "kraus_null", "kraus_readout",
-                     "readout_pdf", "readout_quadrature")),
+    ("measurement", ("ReadoutDistribution", "completeness_residual",
+                     "effective_kraus_from_integral", "gauss_amplitudes",
+                     "kraus_null", "kraus_readout", "readout_pdf",
+                     "readout_quadrature")),
     ("protocol", ("PathRecord", "initial_state", "measure_along",
                   "run_protocol_analytic")),
     ("qutrit", ("BlochVector", "MeasurementAxis", "Operator3", "QutritState",
                 "axis_state", "bloch_of", "rotation_to_axis")),
     ("spec", ("CONTRAST_FLOOR", "InterferenceResult", "ProtocolSpec",
-              "Strength", "default_schedule")),
+              "Strength", "cloud_separation", "default_schedule")),
+    ("transition", ("TransitionReport",)),
     ("trajectories", ("McConfig", "McEstimate", "ReadoutHistogram",
                       "TrajectorySample", "mc_interference",
                       "readout_histogram", "sample_trajectory", "z_scores")),

@@ -7,20 +7,23 @@ transfer-matrix power, in O(log N) per node; only the trajectory surface,
 which needs every step's Bloch point, runs the step loop.  Every public
 entry runs the argument checks of ``protocol._kernel_args`` once, before
 any arithmetic: a curve, a map and each winding read through the checked
-``protocol._uniform_amplitudes``, and a transition search checks its
-theta = pi/2, n_meas and w once and then calls the unchecked power
-routine ``protocol._uniform_power`` once, at four m inside the checked
-span.  A curve and every map column go through one refine-and-unwrap
-routine, which makes their kernel calls: one checked call for the
-(theta, m) block, then one unchecked call per insertion pass of each
-column that its vectorized unwrap leaves unsettled, whose nodes are
-midpoints of checked ones.  A transition search takes the root of the
-equatorial amplitude from its closed form (``spec._equatorial_root``)
-first and then reads its four winding curves in one kernel call, at
-w = 0.5 (the windings do not depend on w), on a theta grid clustered at
-the equator, where a curve near the critical strength turns: its
-vectorized unwrap settles them with no insertion pass.  A curve that does
-not unwrap is retried a hair farther from the critical strength.
+``protocol._uniform_amplitudes``.  A curve and every map column go
+through one refine-and-unwrap routine, which makes their kernel calls:
+one checked call for the (theta, m) block, then one unchecked call per
+insertion pass of each column that its vectorized unwrap leaves
+unsettled, whose nodes are midpoints of checked ones.
+
+The transition search is stated once, in :mod:`geophase.transition`,
+which checks its arguments, takes the root of the equatorial amplitude
+from its closed form and gates the windings and the pi jump;
+``find_critical_strength`` feeds it the readers of this module.  They
+read the four winding curves in one kernel call, at w = 0.5 (the
+windings do not depend on w), on a theta grid clustered at the equator,
+where a curve near the critical strength turns, so that the vectorized
+unwrap settles them with no insertion pass, and the equatorial amplitude
+at four m in [0, 1] in one call of the unchecked
+``protocol._uniform_power``.  ``geophase transition`` runs
+the same search with readers on Python numbers, which load no numpy.
 
 Geometry conventions
 --------------------
@@ -46,30 +49,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (AnalysisError, AntipodalError, DomainError,
-                     TransitionNotFoundError, UnwrapError)
-from .protocol import (_amplitudes_for_thetas, _bloch_batch, _kernel_args,
-                       _ReadOnlyArrays, _uniform_amplitudes, _uniform_power,
-                       _uniform_step)
-from .spec import CONTRAST_FLOOR, Strength, _equatorial_root
+from .errors import AnalysisError, AntipodalError, DomainError, UnwrapError
+from . import transition
+from .protocol import (_amplitudes_for_thetas, _bloch_batch, _ReadOnlyArrays,
+                       _uniform_amplitudes, _uniform_power, _uniform_step)
+from .spec import CONTRAST_FLOOR, Strength
+# the transition search's constants, report and bisection cell are
+# defined in transition and still importable from here
+from .transition import (CHERN_RESIDUAL_TOL, FAIL_DELTA, JUMP_TOL,
+                         MAX_CURVE_NODES, REFINE_DELTA, TRANSITION_CURVE_NODES,
+                         TRANSITION_EQUATOR_LEVELS, TransitionReport,
+                         _bisection_cell, _round_winding, _SEARCH_SPAN,
+                         _winding_thetas)
 
 DEFAULT_CURVE_NODES = 129
-TRANSITION_CURVE_NODES = 65
-#: Levels K of the transition grid's equator cluster, the nodes pi/2 +-
-#: (pi/64) 2^-k for k = 1..K beside the TRANSITION_CURVE_NODES uniform
-#: ones.  A winding curve near m* turns through pi within a theta width of
-#: pi/2 that shrinks with |m - m*|; the cluster holds the nodes of that
-#: turn, so a bracket-end curve needs no insertion pass.  Measured on
-#: curves at m* +- 10^-j (N = 3 to 4096, j = 3 to 16): from K = 12 none
-#: needs an insertion pass, levels beyond 24 unwrap no further curve, and
-#: none reads a wrong winding, as the uniform grid alone does at 1e-12
-#: below m*; the search time did not change with K from 8 to 28.
-TRANSITION_EQUATOR_LEVELS = 24
-MAX_CURVE_NODES = 4096
-REFINE_DELTA = 0.5 * np.pi
-FAIL_DELTA = np.pi - 1e-3
-CHERN_RESIDUAL_TOL = 0.05
-JUMP_TOL = 0.05
 _ANTIPODAL_TOL = 1e-12
 
 
@@ -387,13 +380,7 @@ def chern_from_curve(curve: PhaseCurve) -> int:
         raise DomainError("curve must span [0, pi]")
     if not (curve.defined[0] and curve.defined[-1]):
         raise UnwrapError("winding number undefined: masked endpoint")
-    span = (curve.chi[-1] - curve.chi[0]) / (2.0 * np.pi)
-    c = int(np.rint(span))
-    residual = abs(span - c)
-    if residual >= CHERN_RESIDUAL_TOL:
-        raise AnalysisError(
-            f"winding residual {residual:.3g} exceeds {CHERN_RESIDUAL_TOL}")
-    return c
+    return _round_winding(float(curve.chi[-1] - curve.chi[0]) / (2.0 * np.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -469,158 +456,49 @@ def surface_degree(strength: Strength, theta_grid=None, *, n_meas: int = 6,
 # Critical strength
 
 
-@dataclass(frozen=True)
-class TransitionReport:
-    """Located topological transition.
-
-    ``bracket`` is the final bisection interval in m, whose ends are checked
-    to read winding ``chern_below`` and ``chern_above``; ``m_star`` is the
-    root of the equatorial amplitude inside it and ``contrast_min`` the
-    kernel's equatorial contrast there.  The counters record the work:
-    ``curves`` winding curves, 4 + ``nudge_retries`` (at 1e-3 and 0.999 and
-    at the bracket ends, all four in one kernel call, and one per retry of
-    a curve that did not unwrap, 1e-9 and then 1e-7 away from the other end
-    of its pair), and ``root_calls`` evaluations of the closed-form g of
-    ``spec._equatorial_g`` that bisect its root to adjacent floats (54 to
-    56 for N from 3 to 4096, whatever w and tol).
-    """
-
-    m_star: Strength
-    bracket: tuple[float, float]
-    contrast_min: float
-    chern_below: int
-    chern_above: int
-    jump_at_equator: float
-    curves: int
-    nudge_retries: int
-    root_calls: int
-
-    def __post_init__(self):
-        lo, hi = self.bracket
-        if not (lo <= self.m_star.m <= hi):
-            raise DomainError("m_star outside its bracket")
-        if self.chern_below == self.chern_above:
-            raise DomainError("report without an index flip")
-
-
-#: The strengths whose windings the transition search compares.
-_SEARCH_SPAN = (1e-3, 1.0 - 1e-3)
-
-
-def _bisection_cell(m: float, tol: float) -> tuple[float, float]:
-    """The interval within tol that halving _SEARCH_SPAN toward m reaches,
-    a midpoint at or below m becoming the lower end."""
-    lo, hi = _SEARCH_SPAN
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= m:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 @functools.lru_cache(maxsize=None)
 def _winding_grid(nodes: int, levels: int) -> np.ndarray:
-    """The read-only theta grid of the winding curves: ``nodes`` uniform
-    nodes on [0, pi] and the equator cluster pi/2 +- (pi / (nodes - 1))
-    2^-k for k = 1 .. ``levels``."""
-    offsets = np.pi / (nodes - 1) * 2.0 ** -np.arange(1, levels + 1)
-    grid = _distinct(np.concatenate([np.linspace(0.0, np.pi, nodes),
-                                     0.5 * np.pi - offsets,
-                                     0.5 * np.pi + offsets]))
+    """``transition._winding_thetas`` as a read-only array."""
+    grid = np.array(_winding_thetas(nodes, levels))
     grid.setflags(write=False)
     return grid
 
 
-def _windings(ms, n_meas: int):
-    """Yield the winding of the curve at each strength of ``ms``, in order,
-    with the number of retries it took.
-
-    ``ms`` lists (lower end, upper end) pairs.  One kernel call evaluates
-    every curve, at w = 0.5: chi, the phase of 2 sqrt(w (1 - w)) [K^N]_EE,
-    does not depend on w, but the absolute CONTRAST_FLOOR masks nodes where
-    that factor is tiny.  The theta grid is TRANSITION_CURVE_NODES uniform
-    nodes, which hold the turns of the curves at 1e-3 and 0.999, and the
-    equator cluster of TRANSITION_EQUATOR_LEVELS, which holds the steep
-    turn of a bracket-end curve within tol of m*, so the vectorized unwrap
-    settles such a curve without an insertion pass.  A curve that does not
-    unwrap is retried alone 1e-9, then 1e-7 away from its pair's other end,
-    a lower end down and an upper end up, so a retry never crosses a root
-    that lies between the two ends.
-    """
-    curves = functools.partial(
-        _phase_curves, thetas=_winding_grid(TRANSITION_CURVE_NODES,
-                                            TRANSITION_EQUATOR_LEVELS),
+def _winding_reads(ms, n_meas: int) -> list:
+    """The transition search's winding reader on numpy: every curve of
+    ``ms`` in one ``_phase_curves`` pass at w = 0.5 on the theta grid
+    ``_winding_grid``, whose equator cluster holds the steep turn of a
+    bracket-end curve within tol of m*, so the vectorized unwrap settles
+    it without an insertion pass; each winding is read by
+    ``chern_from_curve`` when asked for."""
+    curves = _phase_curves(
+        [Strength(m) for m in ms],
+        _winding_grid(TRANSITION_CURVE_NODES, TRANSITION_EQUATOR_LEVELS),
         n_meas=n_meas, reference_weight=0.5)
-    for j, curve in enumerate(curves([Strength(m) for m in ms])):
-        for retries, nudge in enumerate((1e-9, 1e-7, None)):
-            try:
-                chern = chern_from_curve(curve)
-                break
-            except UnwrapError:
-                if nudge is None:
-                    raise UnwrapError(
-                        f"curve not unwrappable near m={ms[j]!r}") from None
-            curve, = curves([Strength(ms[j] + (-1.0, 1.0)[j % 2] * nudge)])
-        yield chern, retries
+    return [functools.partial(chern_from_curve, c) for c in curves]
+
+
+def _equator_reads(ms, n_meas: int, reference_weight: float) -> list:
+    """The transition search's equator reader on numpy: one call of the
+    unchecked ``_uniform_power`` at theta = pi/2 and every m of ``ms``, and
+    the (phase, contrast) of each amplitude."""
+    amps = _uniform_power(_uniform_step(np.array([0.5 * np.pi]), n_meas),
+                          np.array(ms), n_meas, reference_weight)
+    return [(float(np.angle(a)), abs(complex(a))) for a in amps]
 
 
 def find_critical_strength(n_meas: int = 6, reference_weight: float = 0.5,
                            tol: float = 1e-4) -> TransitionReport:
     """Locate the winding-number flip in m at the root of the equatorial
-    amplitude, and check it on winding curves and on the kernel.
-
-    The winding can change only where the equatorial amplitude vanishes.
-    For the uniform schedule that amplitude is a closed form in m
-    (``spec._equatorial_g``), whose sign change on [1e-3, 0.999] is
-    bisected to adjacent floats first.  The bracket is the
-    ``_bisection_cell`` of its lower end, the interval of width at most
-    tol that halving [1e-3, 0.999] reaches.  Then ``_windings`` reads the
-    curves at 1e-3 and 0.999 and at the bracket's two ends in one kernel
-    call: 1e-3 and 0.999 must give two windings, and the bracket's lower
-    end and then its upper end must read them, each checked before the
-    next is read.  One more kernel call evaluates the equatorial amplitude
-    at the bracket's ends, whose phase must jump by pi (within JUMP_TOL),
-    and at the two floats of the closed-form root, of which the critical
-    strength is the one with the smaller kernel contrast.
+    amplitude, and check it on winding curves and on the kernel: the one
+    search of ``transition._search``, which checks the arguments once,
+    fed the numpy readers ``_winding_reads`` (four curves in one kernel
+    call) and ``_equator_reads`` (the bracket's ends and the root's two
+    floats in another).  ``geophase transition`` runs the same search on
+    Python numbers (``transition.scalar_search``).
     """
-    if not tol >= 1e-6:
-        raise DomainError(f"tol={tol!r} below the supported resolution 1e-6")
-    if not np.isfinite(tol):
-        raise DomainError(f"tol={tol!r} must be finite")
-    # checked once here: every m given to the power routine lies in the span
-    thetas, _ = _kernel_args(np.array([0.5 * np.pi]), np.array(_SEARCH_SPAN),
-                             n_meas, reference_weight)
-    r_lo, r_hi, evaluations = _equatorial_root(n_meas, *_SEARCH_SPAN)
-    lo, hi = _bisection_cell(r_lo, tol)
-    windings = _windings([*_SEARCH_SPAN, lo, hi], n_meas)
-    (c_lo, tries_lo), (c_hi, tries_hi) = next(windings), next(windings)
-    if c_lo == c_hi:
-        raise TransitionNotFoundError(
-            f"no winding flip in {_SEARCH_SPAN}: both ends give {c_lo}")
-    retries = tries_lo + tries_hi
-    for m, expected, (found, tries) in zip((lo, hi), (c_lo, c_hi), windings):
-        if found != expected:
-            raise AnalysisError(f"winding {found} at bracket end m={m!r}, "
-                                f"not {expected}")
-        retries += tries
-
-    a_lo, a_hi, *a_root = _uniform_power(
-        _uniform_step(thetas, n_meas), np.array([lo, hi, r_lo, r_hi]),
-        n_meas, reference_weight)
-    jump = float(abs(wrap_angle(np.angle(a_hi) - np.angle(a_lo))))
-    if abs(jump - np.pi) > JUMP_TOL:
-        raise AnalysisError(
-            f"equatorial phase jump {jump:.4f} not within {JUMP_TOL} of pi")
-    # the root float of the smaller contrast, r_lo on a tie
-    contrast, m_star = min((abs(complex(a)), m)
-                           for a, m in zip(a_root, (r_lo, r_hi)))
-    return TransitionReport(m_star=Strength(m_star), bracket=(lo, hi),
-                            contrast_min=contrast, chern_below=c_lo,
-                            chern_above=c_hi, jump_at_equator=jump,
-                            curves=4 + retries, nudge_retries=retries,
-                            root_calls=evaluations)
+    return transition._search(n_meas, reference_weight, tol, _winding_reads,
+                              _equator_reads)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,16 @@ GEOPHASE_THREADS (an integer >= 1) sets the worker
 count of ``mc``; its output does not depend on the count.  Wall times go
 to a ``*.timing.json`` sidecar: ``load_seconds`` is the import of the
 package modules the command runs (COMMAND_MODULES, numpy with every one
-but ``phase``'s), and ``wall_seconds`` covers the command's checks and
-compute after that, not its file writes (surface.csv's loops are
-interpolated as it is written).  ``phase`` computes on Python numbers
-(``spec.closed_form``, which also gives ``mc`` its analytic reference),
-and nothing else loads numpy, so ``phase``, ``schema``, ``--help`` and a
-flag or config file that does not parse run without it.  A run's files
-are written to temporary names and renamed once all are written.
+but ``phase``'s and ``transition``'s), and ``wall_seconds`` covers the
+command's checks and compute after that, not its file writes
+(surface.csv's loops are interpolated as it is written).  ``phase``
+computes on Python numbers (``spec.closed_form``, which also gives ``mc``
+its analytic reference), and so does ``transition``
+(``transition.scalar_search``, the library's search on Python numbers),
+and nothing else loads numpy, so ``phase``, ``transition``, ``schema``,
+``--help`` and a flag or config file that does not parse run without it.
+A run's files are written to temporary names and renamed once all are
+written.
 
 ``python -m geophase.cli`` and the ``geophase`` script both run ``script``:
 ``main``, then a flush of stdout and stderr, the join of any ``mc`` worker
@@ -216,12 +219,14 @@ COMMAND_OPTIONS = {
 
 #: The package modules each command runs.  The driver imports them before
 #: it starts the command's clock, so a command's own imports find them
-#: loaded, and no command loads a module it does not call; ``spec`` loads
-#: no numpy.
+#: loaded, and no command loads a module it does not call.  ``spec`` and
+#: ``transition`` load no numpy: ``phase`` and ``transition`` compute on
+#: Python numbers, and ``mc``'s ``trajectories`` loads numpy but neither
+#: 3x3 module, ``qutrit`` nor ``measurement``.
 COMMAND_MODULES = {
     "phase": ("spec",),
     "sweep": ("analysis",),
-    "transition": ("analysis",),
+    "transition": ("transition",),
     "mc": ("spec", "trajectories"),
     "surface": ("analysis",),
 }
@@ -521,10 +526,10 @@ def cmd_sweep(cfg: dict) -> _Run:
 
 
 def cmd_transition(cfg: dict) -> _Run:
-    from . import analysis
+    from . import transition
     from .spec import Strength
 
-    report = analysis.find_critical_strength(
+    report = transition.scalar_search(
         n_meas=_n_meas(cfg), reference_weight=cfg["ref_weight"], tol=cfg["tol"])
     lo, hi = report.bracket
     results = {
@@ -545,7 +550,7 @@ def cmd_transition(cfg: dict) -> _Run:
     gate = cfg["assert_jump"]
     if gate is not None:
         ok = ok and (abs(report.jump_at_equator - _jump_target(gate))
-                     <= analysis.JUMP_TOL)
+                     <= transition.JUMP_TOL)
     return _Run(cfg, results, diagnostics, None,
                 f"m_star={report.m_star.m:.8g} bracket_width={hi - lo:.3g} "
                 f"chern {report.chern_below}->{report.chern_above} "

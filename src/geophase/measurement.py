@@ -9,8 +9,9 @@ attenuation ``m`` of the f amplitude:
 where ``gamma*tau`` is the integrated dephasing between f and the other
 levels and ``r0/sigma`` the cloud separation of the readout in units of
 the per-cloud width.  ``m = 0`` is a projective measurement, ``m = 1``
-no measurement.  ``Strength``, which holds m, is defined in
-:mod:`geophase.spec`, which loads no numpy, and is importable from here.
+no measurement.  ``Strength``, which holds m, and ``cloud_separation``,
+which gives r0, are defined in :mod:`geophase.spec`, which loads no
+numpy, and are importable from here.
 
 The readout coordinate is reduced to one dimension along the line joining
 the cloud centers (the physics depends only on the Gaussian overlap; the
@@ -36,16 +37,13 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 from .qutrit import F, Operator3, QutritState
-from .spec import Strength
+# Strength and cloud_separation are defined in spec and still importable
+# from here
+from .spec import Strength, cloud_separation
 
 DEFAULT_QUADRATURE_NODES = 64
 QUADRATURE_RESIDUAL_TOL = 1e-8
 _GAUSS_NORM = (2.0 * np.pi) ** -0.25
-
-
-def cloud_separation(s: Strength) -> float:
-    """Readout cloud separation r0 in this module's unit-variance units."""
-    return float(np.sqrt(8.0 * s.gamma_tau))
 
 
 def kraus_null(s: Strength) -> Operator3:

@@ -50,9 +50,11 @@ The argument rules are stated once.  ``ProtocolSpec`` checks one run's;
 and w that it shares with ``ProtocolSpec`` (``spec._run_args``).  Every
 public entry runs one of them once, before any arithmetic: the kernels
 ``_amplitudes_for_thetas`` and ``_uniform_amplitudes`` (the checks, the
-step, then the power) here, and through them or directly each entry of
+step, then the power) here, and through them each entry of
 :mod:`geophase.analysis`.  ``_uniform_power`` is unchecked arithmetic, for
-a caller whose step, m, N and w have passed those checks.
+a caller whose step, m, N and w have passed those checks: the transition
+search runs ``spec._run_args`` on N and w, at theta = pi/2 and m in
+[0, 1] (:mod:`geophase.transition`).
 
 The step loop stores each pair in its measurement's frame before that
 step scales a_f by m, takes each step's factor from it, and returns all
@@ -196,9 +198,8 @@ def _kernel_args(thetas, strength, n_meas: int, reference_weight: float):
     thetas in [0, pi], an m array in [0, 1] (a Strength checked its own m),
     then ``spec._run_args``: reference_weight in (0, 1) and n_meas a
     positive integer; NaN fails each range.  Every batched entry runs it
-    once: the two kernels ``_amplitudes_for_thetas`` and ``_uniform_amplitudes``,
-    and ``analysis.find_critical_strength``, which then calls the unchecked
-    ``_uniform_power`` at every m it searches.  Returns thetas as a float
+    once: the two kernels ``_amplitudes_for_thetas`` and
+    ``_uniform_amplitudes``.  Returns thetas as a float
     array and m as the Strength's value or an array that broadcasts against
     thetas."""
     thetas = np.asarray(thetas, dtype=float)
@@ -283,9 +284,9 @@ def _uniform_amplitudes(thetas: np.ndarray, strength: Strength | np.ndarray,
 def _uniform_power(step, m, n_meas: int,
                    reference_weight: float) -> np.ndarray:
     """2*sqrt(w*(1-w)) * [K^N]_EE for the uniform step triple ``step`` of
-    ``_uniform_step``, unchecked: the caller has run ``_kernel_args`` on
-    the thetas of ``step``, on n_meas and w, and on m or on a span that
-    holds every m it passes (a float, or an array that broadcasts against
+    ``_uniform_step``, unchecked: the caller has checked the thetas of
+    ``step`` and m by ``_kernel_args``'s rules, and n_meas and w by
+    ``spec._run_args`` (m is a float, or an array that broadcasts against
     the step's shape).
 
     K = D^(1/2) S D^(1/2) is the symmetric matrix of the module docstring.

@@ -35,8 +35,11 @@ differently from Python's.
 
 At theta = pi/2 the uniform schedule's amplitude is a Chebyshev
 polynomial in closed form (``_equatorial_g``), whose root, the critical
-strength, ``_equatorial_root`` bisects on Python floats for
-``analysis.find_critical_strength``.
+strength, ``_equatorial_root`` bisects on Python floats for the
+transition search of :mod:`geophase.transition`.
+
+``cloud_separation`` gives the readout's r0 of a strength here, so that
+``geophase mc`` loads neither 3x3 module for it.
 """
 
 from __future__ import annotations
@@ -92,6 +95,12 @@ class Strength:
     @property
     def is_projective(self) -> bool:
         return self.m == 0.0
+
+
+def cloud_separation(s: Strength) -> float:
+    """Readout cloud separation r0 = sqrt(8 gamma*tau) in the unit-variance
+    units of :mod:`geophase.measurement`."""
+    return math.sqrt(8.0 * s.gamma_tau)
 
 
 def _run_args(n_meas: int, reference_weight: float) -> None:

@@ -23,7 +23,9 @@ e^{h (r - h)}, h = r0/2, so the one step kernel (``_walk``) scales a_f by
 that one factor, or by the click mask if projective.
 The estimators keep neither readouts nor weights;
 ``sample_trajectory`` runs the same kernel on one sample and reports them,
-its weight the product of the per-readout mixture densities.
+its weight the product of the per-readout mixture densities.  It and
+``readout_histogram`` load the 3x3 modules :mod:`geophase.qutrit` and
+:mod:`geophase.measurement` when called; the estimators run without them.
 
 Randomness is counter-based: a run with seed ``s`` reads one Philox stream
 keyed by ``s``, and sample ``i`` of an ``N``-measurement run takes its N
@@ -55,13 +57,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError
-from .measurement import ReadoutDistribution, cloud_separation
 from .protocol import _frame_steps, _ReadOnlyArrays, _to_lab
-from .spec import ProtocolSpec, _close, _frame_step, _require_int, _start
-from .qutrit import QutritState
+from .spec import (ProtocolSpec, _close, _frame_step, _require_int, _start,
+                   cloud_separation)
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
+
+    from .qutrit import QutritState
 
 #: Samples per reduction block; fixed so that the block layout (and thus the
 #: bit pattern of the result) never depends on the worker count.
@@ -353,6 +356,9 @@ def sample_trajectory(spec: ProtocolSpec, sample_id: int,
     two-cloud mixture densities at p_f (projective: of p_f or 1 - p_f), to
     the same relative precision per readout.
     """
+    from .measurement import ReadoutDistribution
+    from .qutrit import QutritState
+
     McConfig(n_samples=1, seed=seed)
     _require_int("sample_id", sample_id)
     if sample_id < 0:
@@ -622,6 +628,8 @@ def readout_histogram(spec: ProtocolSpec, cfg: McConfig) -> ReadoutHistogram:
     readouts of an n_meas-measurement Monte Carlo run with the same seed,
     whose samples read n_meas words each.
     """
+    from .measurement import ReadoutDistribution
+
     if spec.strength.is_projective:
         raise DomainError("readout histogram needs the Gaussian model (m > 0)")
     a_f, a_e, _ = _start(spec.reference_weight)

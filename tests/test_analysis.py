@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from geophase import analysis as an
 from geophase import cli, protocol
+from geophase import transition as tr
 from geophase.errors import (AnalysisError, AntipodalError, DomainError,
                              TransitionNotFoundError, UnwrapError)
 from geophase.measurement import Strength
@@ -562,7 +563,7 @@ class TestTransition:
         # above it reads winding 0; the span's lower end and the bracket's
         # both lie there, and each is read again below it
         m = transition.m_star.m - 1e-13
-        monkeypatch.setattr(an, "_SEARCH_SPAN", (m, 0.999))
+        monkeypatch.setattr(tr, "_SEARCH_SPAN", (m, 0.999))
         report = an.find_critical_strength(tol=1e-4)
         assert (report.chern_below, report.chern_above) == (1, 0)
         assert report.nudge_retries == 2

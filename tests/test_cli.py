@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import geophase
-from geophase import analysis, cli, protocol, trajectories
+from geophase import analysis, cli, protocol, trajectories, transition
 from geophase.errors import AntipodalError, TransitionNotFoundError
 from geophase.measurement import Strength
 from geophase.protocol import run_protocol_analytic
@@ -299,7 +299,7 @@ class TestTransitionCommand:
     def test_no_transition_exit_4(self, tmp_path, monkeypatch, capsys):
         def none_found(*args, **kwargs):
             raise TransitionNotFoundError("no winding flip in [0, 1]")
-        monkeypatch.setattr(analysis, "find_critical_strength", none_found)
+        monkeypatch.setattr(transition, "scalar_search", none_found)
         assert run_cli(["transition", "--out", str(tmp_path)]) == 4
         assert capsys.readouterr().err == "error: no winding flip in [0, 1]\n"
         assert not (tmp_path / "transition.json").exists()
@@ -586,7 +586,7 @@ def test_bad_jump_gate_rejected_before_the_search(tmp_path, monkeypatch,
                                                   capsys):
     def no_search(*args, **kwargs):
         pytest.fail("transition searched with a bad gate")
-    monkeypatch.setattr(analysis, "find_critical_strength", no_search)
+    monkeypatch.setattr(transition, "scalar_search", no_search)
     assert run_cli(["transition", "--assert-jump", "abc",
                     "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -1090,7 +1090,7 @@ def _no_compute(*args, **kwargs):
     (["phase", *_PROTOCOL_POINT], ["spec.closed_form"]),
     (["sweep", "--grid-theta", "0:3:8", "--grid-m", "0:1:3"],
      ["analysis.sweep_phase_map"]),
-    (["transition"], ["analysis.find_critical_strength"]),
+    (["transition"], ["transition.scalar_search"]),
     (["mc", *_PROTOCOL_POINT],
      ["spec.closed_form", "trajectories.mc_interference"]),
     (["surface", "--m", "0.5"], ["analysis.trajectory_surface"]),
@@ -1166,10 +1166,8 @@ def test_timing_sidecar(tmp_path, argv):
 
 _LOADS_CLI = ["geophase.cli", "geophase.errors"]
 _LOADS_PHASE = [*_LOADS_CLI, "geophase.spec"]
-_LOADS_PROTOCOL = sorted([*_LOADS_PHASE, "geophase.measurement",
-                          "geophase.protocol", "geophase.qutrit"])
 _LOADS_ANALYSIS = sorted([*_LOADS_PHASE, "geophase.analysis",
-                          "geophase.protocol"])
+                          "geophase.protocol", "geophase.transition"])
 
 
 @pytest.mark.parametrize("argv, code, loads, numpy", [
@@ -1184,9 +1182,10 @@ _LOADS_ANALYSIS = sorted([*_LOADS_PHASE, "geophase.analysis",
     ([*_SMALL_RUNS[0], "--ref-weight", "1.5"], 2, _LOADS_PHASE, False),
     (["phase", "--config", "SCHEDULE"], 2, _LOADS_PHASE, False),
     (_SMALL_RUNS[1], 0, _LOADS_ANALYSIS, True),
-    (_SMALL_RUNS[2], 0, _LOADS_ANALYSIS, True),
-    (_SMALL_RUNS[3], 0, sorted([*_LOADS_PROTOCOL, "geophase.trajectories"]),
-     True),
+    (_SMALL_RUNS[2], 0, sorted([*_LOADS_PHASE, "geophase.transition"]),
+     False),
+    (_SMALL_RUNS[3], 0, sorted([*_LOADS_PHASE, "geophase.protocol",
+                                "geophase.trajectories"]), True),
     (_SMALL_RUNS[4], 0, _LOADS_ANALYSIS, True),
 ], ids=["import", "schema", "help", "bad-flag", "bad-config", "phase",
         "phase-theta", "phase-n-meas", "phase-ref-weight", "phase-schedule",
