@@ -53,7 +53,9 @@ TREE = Path(__file__).resolve().parent.parent
 #: bisection halves the bracket most often, a surface just above
 #: m*(6), whose default grid has no node at the equator fold, a projective
 #: phase whose second axis is antipodal to the first, so its path freezes
-#: at the initial point, and a projective phase at the south pole.
+#: at the initial point, a projective phase at the south pole, and a
+#: sweep of 200 x 199 cells, which the uniform kernel evaluates in five
+#: slabs of at most 41 rows, the last of 36.
 COMMANDS = [
     ("phase", "1", ["phase", "--theta", "90deg", "--projective"]),
     ("sweep", "1", ["sweep", "--grid-theta", "0:3.14159:64",
@@ -102,6 +104,8 @@ COMMANDS = [
                            "--n-meas", "2"]),
     ("phase-pole", "1", ["phase", "--theta", "3.141592653589793",
                          "--projective"]),
+    ("sweep-slabs", "1", ["sweep", "--grid-theta", "0:3.14159:200",
+                          "--grid-m", "0:1:199"]),
 ]
 
 

@@ -23,10 +23,15 @@ It prints one Markdown table row per process: the median and quartiles
 of the process wall time on each tree, the ratio of the medians, the
 number of rounds in which the change's process was the faster, the
 medians of the ``*.timing.json`` sidecar's ``load_seconds`` and
-``wall_seconds`` on each tree, and whether the exit code, stdout and
-stderr were the same on both trees in every round.  It exits 1 if any
-of them differed, else 0.  It does not replace ``scripts/claim.py`` for a
-benchmark claim.
+``wall_seconds`` on each tree, the median peak RSS of the process in MiB
+(its ``ru_maxrss`` from ``os.wait4``, so the largest of the process and
+of the children it waited for, such as ``mc``'s workers) on each tree,
+and whether the exit code, stdout and stderr were the same on both trees
+in every round.  Linux carries a parent's peak RSS into its child at
+exec, so no process reads below this script's own peak, which the first
+line reports (about 16 MiB, against a bare interpreter's own 13 MiB).
+It exits 1 if any of them differed, else 0.  It does not replace
+``scripts/claim.py`` for a benchmark claim.
 """
 
 from __future__ import annotations
@@ -35,10 +40,12 @@ import argparse
 import json
 import os
 import random
+import resource
 import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -66,21 +73,36 @@ def rows(only=None) -> list:
 
 
 def run_once(tree: Path, threads: str, argv: list) -> dict:
-    """One fresh process in a new temporary directory: its wall time, exit
-    code, stdout, stderr and its sidecar's times (None without one)."""
+    """One fresh process in a new temporary directory: its wall time, peak
+    RSS in MiB, exit code, stdout, stderr and its sidecar's times (None
+    without one).  The process writes stdout and stderr to temporary
+    files and is reaped by ``os.wait4``, which returns its resource usage;
+    it is killed after 600 s."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"),
            "GEOPHASE_THREADS": threads, "PYTHONDONTWRITEBYTECODE": "1"}
-    with tempfile.TemporaryDirectory() as cwd:
+    with (tempfile.TemporaryDirectory() as cwd,
+          tempfile.TemporaryFile("w+", encoding="utf-8") as out,
+          tempfile.TemporaryFile("w+", encoding="utf-8") as err):
         t0 = time.perf_counter()
-        proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
-                              capture_output=True, text=True, timeout=600)
+        proc = subprocess.Popen([sys.executable, *argv], cwd=cwd, env=env,
+                                stdout=out, stderr=err)
+        timer = threading.Timer(600, proc.kill)
+        timer.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            timer.cancel()
         wall = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        output = (proc.returncode, out.read(), err.read())
         sidecars = list(Path(cwd).glob("*.timing.json"))
         sidecar = (json.loads(sidecars[0].read_text(encoding="utf-8"))
                    if sidecars else {})
-    return {"wall": wall, "load": sidecar.get("load_seconds"),
-            "compute": sidecar.get("wall_seconds"),
-            "output": (proc.returncode, proc.stdout, proc.stderr)}
+    return {"wall": wall, "rss": usage.ru_maxrss / 1024.0,  # KiB on Linux
+            "load": sidecar.get("load_seconds"),
+            "compute": sidecar.get("wall_seconds"), "output": output}
 
 
 def measure(trees: dict, table: list, rounds: int, seed: int) -> dict:
@@ -102,13 +124,14 @@ def _spread(values: list) -> str:
     return f"{med:.3f} s ({q1:.3f}–{q3:.3f})"
 
 
-def _medians(by_side: dict, key: str) -> str:
-    """"parent → change" medians of a sidecar time, or "" without one."""
+def _medians(by_side: dict, key: str, fmt: str = ".4f") -> str:
+    """"parent → change" medians of a sidecar time or of the peak RSS, or
+    "" without one."""
     values = {side: [run[key] for run in by_side[side]
                      if run[key] is not None] for side in SIDES}
     if not all(values.values()):
         return ""
-    return " → ".join(f"{statistics.median(values[side]):.4f}"
+    return " → ".join(f"{statistics.median(values[side]):{fmt}}"
                       for side in SIDES)
 
 
@@ -117,8 +140,8 @@ def report(runs: dict) -> tuple[list, bool]:
     exit code, stdout and stderr on both trees."""
     lines = ["| process | parent wall | change wall | change/parent | "
              "change won | load s parent → change | compute s parent → "
-             "change | outputs |",
-             "|---|---|---|---|---|---|---|---|"]
+             "change | peak RSS MiB parent → change | outputs |",
+             "|---|---|---|---|---|---|---|---|---|"]
     all_same = True
     for label, by_side in runs.items():
         parent, change = by_side["parent"], by_side["change"]
@@ -134,6 +157,7 @@ def report(runs: dict) -> tuple[list, bool]:
                      f"{won} of {len(parent)} | "
                      f"{_medians(by_side, 'load')} | "
                      f"{_medians(by_side, 'compute')} | "
+                     f"{_medians(by_side, 'rss', '.1f')} | "
                      f"{'same' if same else 'differ'} |")
     return lines, all_same
 
@@ -156,8 +180,10 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     lines, all_same = report(measure(trees, table, args.rounds, args.seed))
+    floor = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"{args.rounds} rounds, seed {args.seed}, parent {trees['parent']}, "
-          f"change {trees['change']}")
+          f"change {trees['change']}; no peak RSS reads below this "
+          f"script's own, {floor:.1f} MiB")
     print("\n".join(lines))
     return 0 if all_same else 1
 

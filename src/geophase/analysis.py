@@ -545,12 +545,17 @@ def sweep_phase_map(theta_grid, strength_grid, *, n_meas: int = 6,
     whole block then goes through phase_vs_theta's refine-and-unwrap pass:
     one vectorized unwrap settles every column that needs no node, and
     only the others are refined, each evaluating only the nodes it inserts,
-    so every column equals its curve on the grid nodes.  ``workers`` has
-    no effect; it is kept only for callers that still pass it (the
-    benchmark's analytic-map workload).
+    so every column equals its curve on the grid nodes.  The strength grid
+    must be a non-empty 1-D array, one m per column; anything else raises
+    DomainError before the kernel call.  ``workers`` has no effect; it is
+    kept only for callers that still pass it (the benchmark's analytic-map
+    workload).
     """
-    thetas = _distinct(theta_grid)
     ms = np.asarray(strength_grid, dtype=float)
+    if ms.ndim != 1 or ms.size == 0:
+        raise DomainError(f"strength grid must be a non-empty 1-D array, "
+                          f"got shape {ms.shape}")
+    thetas = _distinct(theta_grid)
     base = _distinct(np.concatenate([[0.0], thetas]))
     block = _unwrap_columns(base, ms, n_meas=n_meas,
                             reference_weight=reference_weight)

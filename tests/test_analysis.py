@@ -664,6 +664,25 @@ class TestSweep:
             an.sweep_phase_map(thetas, ms)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("ms, shape", [
+        (0.5, "()"), (np.full((2, 3), 0.5), "(2, 3)"),
+        (np.full((5, 2), 0.5), "(5, 2)"), ([], "(0,)"),
+    ], ids=["0d", "2x3", "5x2", "empty"])
+    def test_strength_grid_must_be_a_nonempty_row(self, monkeypatch, ms,
+                                                  shape):
+        # one m per column: a scalar, a matrix or an empty grid is an
+        # error before the kernel runs, not an IndexError, a numpy
+        # ValueError, a TypeError or an empty map
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("the kernel was called")
+
+        monkeypatch.setattr(an, "_uniform_amplitudes", no_kernel)
+        monkeypatch.setattr(an, "_uniform_power", no_kernel)
+        with pytest.raises(DomainError) as err:
+            an.sweep_phase_map(np.linspace(0, np.pi, 9), ms)
+        assert str(err.value) == (
+            f"strength grid must be a non-empty 1-D array, got shape {shape}")
+
     @pytest.mark.parametrize("weight", [-1.0, 0.0, 1.0, 1.5, float("nan")])
     def test_reference_weight_outside_unit_interval(self, weight):
         with pytest.raises(DomainError, match="reference_weight="):

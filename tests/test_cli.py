@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib
 import io
@@ -8,11 +9,12 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import geophase
 from geophase import analysis, cli, protocol, trajectories, transition
@@ -507,6 +509,111 @@ def test_transition_inputs_exit_cleanly(tmp_path_factory, options):
         load_envelope(out / "transition.json")
     else:
         assert code in (2, 3, 4), (argv, config)
+        errors = [line for line in stderr.getvalue().splitlines()
+                  if "error: " in line]
+        assert len(errors) == 1, (argv, config, stderr.getvalue())
+        assert not out.exists()
+
+
+#: A small valid value of each ``sweep`` option, and grids with hostile
+#: ends and counts.  A grid of 600000 nodes or more exceeds MAX_SWEEP_CELLS
+#: with any other grid, since a grid has at least 2 nodes.
+_SWEEP_VALID = {"grid_theta": ["0:3.14159:5", "1:0.5:3",
+                               {"start": 0.5, "stop": 3.0, "count": 4}],
+                "grid_m": ["0:1:3", "0.2:0.8:4"], "n_meas": [2, 3, 6],
+                "ref_weight": [1e-8, 0.3], "format": ["csv", "json", "both"]}
+_HOSTILE_GRIDS = ["nan:1:3", "0:inf:3", "-1:1:3", "0:4:3", "0:0:3", "0:1:1",
+                  "0:1:-1", "0:1:3.5", "0:1:1e300", f"0:1:{2 ** 63}",
+                  "0:1:600000", {"start": 0, "stop": 1, "count": 2 ** 40},
+                  {"start": 0, "stop": 1}]
+_LARGEST_VALID_GRID = cli.OPTIONS["grid_theta"].default["count"]
+
+
+def _given_parses(key, given_as) -> bool:
+    """Whether the CLI reads ``given_as`` = (value, route) for ``key``."""
+    value, route = given_as
+    try:
+        if route == "config":
+            cli._config_value(key, value)
+        else:
+            cli.OPTIONS[key].parse(str(value))
+    except (cli.CliError, argparse.ArgumentTypeError, ValueError):
+        return False
+    return True
+
+
+def _sweep_cells(options) -> int:
+    """The cell count of ``options``' grids, defaults for absent ones."""
+    cells = 1
+    for key in ("grid_theta", "grid_m"):
+        given = options[key]
+        if given is None:
+            cells *= cli.OPTIONS[key].default["count"]
+        elif given[1] == "config" and isinstance(given[0], dict):
+            cells *= given[0]["count"]
+        else:
+            cells *= int(str(given[0]).split(":")[2])
+    return cells
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(options=st.fixed_dictionaries({
+    # valid and hostile values as two branches, so that about a quarter of
+    # the runs give no hostile value and reach the map or the cell limit
+    key: st.none() | st.tuples(
+        st.sampled_from(valid)
+        | st.sampled_from(_HOSTILE
+                          + (_HOSTILE_GRIDS if key.startswith("grid") else [])),
+        st.sampled_from(["flag", "config"]))
+    for key, valid in _SWEEP_VALID.items()}))
+@example(options={"grid_theta": ("0:1:600000", "flag"), "grid_m": None,
+                  "n_meas": None, "ref_weight": None, "format": None})
+@example(options={"grid_theta": ("0:3.14159:5", "config"),
+                  "grid_m": ({"start": 0, "stop": 1, "count": 2 ** 40},
+                             "config"),
+                  "n_meas": (2, "flag"), "ref_weight": None,
+                  "format": ("json", "flag")})
+def test_sweep_inputs_exit_cleanly(tmp_path_factory, options):
+    # the twin of test_transition_inputs_exit_cleanly for sweep; a grid
+    # count above the largest valid one is never laid out, and a run whose
+    # every value reads but whose cells exceed the format's limit exits 3.
+    # A flag is given as --key=value, so that a value such as -1:1:3 reaches
+    # the option's parser instead of reading as another option
+    root = tmp_path_factory.mktemp("sweep")
+    out, argv, config = root / "out", ["sweep"], {}
+    for key, given_as in options.items():
+        if given_as is None:
+            continue
+        value, route = given_as
+        if route == "config":
+            config[key] = value
+        else:
+            argv.append(f"--{key.replace('_', '-')}={value}")
+    if config:
+        (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(root / "config.json")]
+    real_grid_values = cli._grid_values
+
+    def small_grid_values(grid):
+        assert grid["count"] <= _LARGEST_VALID_GRID, grid
+        return real_grid_values(grid)
+
+    stderr = io.StringIO()
+    with (mock.patch.object(cli, "_grid_values", small_grid_values),
+          contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(stderr)):
+        code = run_cli(argv + ["--out", str(out)])
+    if all(given is None or _given_parses(key, given)
+           for key, given in options.items()):
+        fmt = options["format"][0] if options["format"] else "csv"
+        limit = (cli.MAX_SWEEP_CELLS if fmt == "csv"
+                 else cli.MAX_SWEEP_JSON_CELLS)
+        if _sweep_cells(options) > limit:
+            assert code == 3, (argv, config)
+    if code in (0, 1):
+        load_envelope(out / "sweep.json")
+    else:
+        assert code in (2, 3), (argv, config)
         errors = [line for line in stderr.getvalue().splitlines()
                   if "error: " in line]
         assert len(errors) == 1, (argv, config, stderr.getvalue())

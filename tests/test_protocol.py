@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from geophase import protocol
 from geophase.errors import DomainError
 from geophase.measurement import Strength, kraus_null
 from geophase.protocol import (CLOSING_PHI, CONTRAST_FLOOR, ProtocolSpec,
@@ -253,6 +256,95 @@ class TestUniformSchedule:
         assert type(amp) is np.ndarray and amp.shape == ()
         grid = _uniform_amplitudes(np.array([0.7]), Strength(0.3), n, 0.4)
         assert amp.tobytes() == grid.tobytes()
+
+
+_THETAS = np.linspace(0.0, np.pi, 37)
+_MS = np.linspace(0.0, 1.0, 11)
+
+
+class TestSlabs:
+    """``_uniform_amplitudes`` walks a grid of more than ``_SLAB_CELLS``
+    cells in slabs of leading-axis rows; every slab size gives the single
+    call's bits."""
+
+    SIZES = [1, 7, 64, 2 ** 13, 2 ** 40]
+
+    @pytest.mark.parametrize("n", [1, 6, 97])
+    @pytest.mark.parametrize("thetas, strength", [
+        # 37 rows of 11 cells: 5 rows a slab at 64, the last slab partial
+        (_THETAS[:, None], _MS),
+        (np.linspace(0.0, np.pi, 101), Strength(0.3)),
+        (np.linspace(0.0, np.pi, 101), 0.3),
+        # 8193 one-cell rows: a last slab of one cell at 64 and 2**13
+        (np.linspace(0.0, np.pi, 8193)[:, None], np.array([0.3])),
+        # rows wider than a slab of 7 or 64: one row a slab
+        (_THETAS[:4, None], np.linspace(0.0, 1.0, 100)),
+        (np.array([[1.1]]), np.linspace(0.0, 1.0, 100)),
+        (np.float64(0.7), Strength(0.3)),
+        # an m array with its own leading axis is cut with the steps, or
+        # alone when the thetas do not span that axis
+        (np.float64(0.7), np.linspace(0.0, 1.0, 50)),
+        (_THETAS[:, None], np.linspace(0.0, 1.0, 37 * 11).reshape(37, 11)),
+        (_THETAS, np.linspace(0.0, 1.0, 37)),
+        (_THETAS, _MS[:, None]),
+        (_THETAS[:, None], _MS[None, :]),
+    ], ids=["grid", "row-strength", "row-float", "one-cell-rows",
+            "wide-rows", "one-wide-row", "0d", "0d-m-row", "m-grid", "m-row",
+            "m-column", "m-1xM"])
+    def test_every_slab_size_keeps_the_bits(self, monkeypatch, n, thetas,
+                                            strength):
+        monkeypatch.setattr(protocol, "_SLAB_CELLS", 2 ** 40)
+        single = _uniform_amplitudes(thetas, strength, n, 0.3)
+        for size in self.SIZES:
+            monkeypatch.setattr(protocol, "_SLAB_CELLS", size)
+            amps = _uniform_amplitudes(thetas, strength, n, 0.3)
+            assert type(amps) is np.ndarray
+            assert amps.shape == single.shape and amps.dtype == single.dtype
+            assert amps.tobytes() == single.tobytes(), size
+
+    @pytest.mark.parametrize("size, thetas, strength, slabs", [
+        # 37 rows of 11 cells at 64 cells a slab: 5 rows a slab, the last
+        # of 2; the m row passes whole
+        (64, _THETAS[:, None], _MS,
+         [((5, 1), (11,))] * 7 + [((2, 1), (11,))]),
+        # an m array that spans the leading axis is cut with the steps
+        (7, _THETAS[:9], _MS[:9], [((7,), (7,)), ((2,), (2,))]),
+        # rows of one cell go at least two to a slab, and a last slab of
+        # one cell joins the one before it
+        (1, _THETAS[:7], 0.3, [((2,), ()), ((2,), ()), ((3,), ())]),
+        (3, _THETAS[:7], 0.3, [((3,), ()), ((4,), ())]),
+        (4, _THETAS[:6], 0.3, [((4,), ()), ((2,), ())]),
+        (5, _THETAS[:6], 0.3, [((6,), ())]),
+    ])
+    def test_slab_shapes(self, monkeypatch, size, thetas, strength, slabs):
+        calls = []
+        real = protocol._uniform_power
+
+        def counted(step, m, *args):
+            calls.append((step[0].shape, np.shape(m)))
+            return real(step, m, *args)
+
+        monkeypatch.setattr(protocol, "_SLAB_CELLS", size)
+        monkeypatch.setattr(protocol, "_uniform_power", counted)
+        _uniform_amplitudes(thetas, strength, 6, 0.5)
+        assert calls == slabs
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_maps_and_transitions_keep_their_bits(self, monkeypatch, size):
+        from geophase import analysis
+
+        def results():
+            pm = analysis.sweep_phase_map(np.linspace(0.3, np.pi, 40),
+                                          np.linspace(0.0, 1.0, 17), n_meas=6)
+            fields = [getattr(pm, f.name) for f in dataclasses.fields(pm)]
+            return ([f.tobytes() if isinstance(f, np.ndarray) else f
+                     for f in fields],
+                    analysis.find_critical_strength(n_meas=6, tol=1e-3))
+
+        monkeypatch.setattr(protocol, "_SLAB_CELLS", 2 ** 40)
+        single = results()
+        monkeypatch.setattr(protocol, "_SLAB_CELLS", size)
+        assert results() == single
 
 
 class TestKernelArgs:
